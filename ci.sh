@@ -14,6 +14,9 @@
 # kernels and the pathological corpus: every NDJSON stream must pass the
 # independent tracecheck recount and be byte-identical across thread
 # counts);
+# `./ci.sh loopbench` runs only the benchmark-oracle gate (one short
+# `loopbench` run per workload, which must report correct answers and no
+# failures);
 # `./ci.sh bench-multicore` runs the perfsuite smoke and requires the
 # host to be multi-core (the GitHub-runner bench matrix job).
 set -euo pipefail
@@ -340,6 +343,32 @@ trace_step() {
     fi
 }
 
+# The benchmark's own oracles: one short run of each loopbench workload.
+# A run checks the dense engine against the hashmap engine, every answer
+# at `nproc` threads against the 1-thread answer, every certificate
+# against the independent checker (zero violations), governed intervals
+# against the exact answers, and CLI exit codes. Its last stdout line is
+# the JSON result, which must report `"correct": true` and `"failed": 0`.
+loopbench_step() {
+    echo "== loopbench: benchmark oracles on every workload =="
+    local start w last
+    start=$(date +%s)
+    for w in sweep search program governed; do
+        last="$(bash loopbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+        if ! python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+' "$last"; then
+            echo "${last:0:300}"
+            echo "FAIL: loopbench --workload $w did not report correct: true and failed: 0"
+            return 1
+        fi
+        echo "ok   $w"
+    done
+    echo "loopbench step completed in $(( $(date +%s) - start ))s"
+}
+
 if [ "${1:-}" = "robustness" ]; then
     cargo build --release --offline -p loopmem
     robustness_step
@@ -383,6 +412,12 @@ if [ "${1:-}" = "trace" ]; then
     exit 0
 fi
 
+if [ "${1:-}" = "loopbench" ]; then
+    loopbench_step
+    echo "== ci (loopbench only) passed =="
+    exit 0
+fi
+
 # The multi-core bench matrix: a perfsuite smoke run that must record the
 # t in {2, 4} sweep rows (bit-identical answers, bounded wall time) —
 # meaningful only on a multi-core host such as a GitHub runner.
@@ -418,6 +453,8 @@ verify_step
 
 cargo build --release --offline -p loopmem-bench --bin tracecheck
 trace_step
+
+loopbench_step
 
 echo "== perfsuite (smoke) =="
 rm -f BENCH_loopmem.json

@@ -5,7 +5,9 @@
 use loopmem_bench::all_kernels;
 use loopmem_core::optimize::{minimize_mws_with_threads, SearchMode};
 use loopmem_ir::parse;
-use loopmem_sim::{simulate_hashmap_with_profile, simulate_with_threads, SimResult};
+use loopmem_sim::{
+    simulate_hashmap, simulate_hashmap_with_profile, simulate_with_threads, SimResult,
+};
 
 fn assert_same(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.iterations, b.iterations, "{what}: iterations");
@@ -32,6 +34,24 @@ fn thread_count_is_invisible_on_every_kernel() {
         for threads in [2, 3, 4, 8] {
             let n = simulate_with_threads(&nest, true, threads);
             assert_same(&n, &one, &format!("{} x{}", k.name, threads));
+        }
+    }
+}
+
+/// The profile-off path — what `Session::simulate` runs — against the
+/// hashmap engine without a profile, at every thread count.
+#[test]
+fn profile_off_matches_hashmap_on_every_kernel() {
+    for k in all_kernels() {
+        let nest = k.nest();
+        let legacy = simulate_hashmap(&nest);
+        for threads in [1, 2, 4] {
+            let dense = simulate_with_threads(&nest, false, threads);
+            assert_same(
+                &dense,
+                &legacy,
+                &format!("{} x{} profile off", k.name, threads),
+            );
         }
     }
 }

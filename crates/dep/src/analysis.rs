@@ -136,11 +136,17 @@ impl<'a> IntoIterator for &'a DependenceSet {
 /// fall back to the polyhedral projection.
 fn loop_spans(nest: &LoopNest) -> Vec<i64> {
     if let Some(ranges) = nest.rectangular_ranges() {
-        return ranges.iter().map(|&(lo, hi)| (hi - lo).max(0)).collect();
+        return ranges
+            .iter()
+            .map(|&(lo, hi)| hi.saturating_sub(lo).max(0))
+            .collect();
     }
     let p = Polyhedron::from_nest(nest);
     (0..nest.depth())
-        .map(|k| p.var_range(k).map_or(0, |(lo, hi)| (hi - lo).max(0)))
+        .map(|k| {
+            p.var_range(k)
+                .map_or(0, |(lo, hi)| hi.saturating_sub(lo).max(0))
+        })
         .collect()
 }
 
@@ -217,8 +223,9 @@ pub fn analyze(nest: &LoopNest) -> DependenceSet {
 /// In-range, lexicographically positive members of the solution family.
 ///
 /// * kernel dimension 0 → the particular solution (if positive/in range);
-/// * dimension 1 → the lex-min positive member only (plus, for self
-///   pairs, the primitive kernel direction is that very member);
+/// * dimension 1 → the lex-min positive member only, in closed form
+///   ([`lex_min_positive_member`]; for self pairs, the primitive kernel
+///   direction is that very member);
 /// * dimension ≥ 2 → bounded exhaustive enumeration.
 fn positive_members(
     particular: &[i64],
@@ -235,55 +242,9 @@ fn positive_members(
                 Vec::new()
             }
         }
-        1 => {
-            let k = &kernel[0];
-            // Walk t over the feasible window and take the lex-min
-            // positive in-range member. The window is bounded by the first
-            // component with a non-zero kernel entry.
-            let (mut lo, mut hi) = (i64::MIN, i64::MAX);
-            for ((&kj, &s), &pj) in k.iter().zip(spans).zip(particular) {
-                if kj == 0 {
-                    continue;
-                }
-                // |pj + t*kj| <= s, i.e. -s-pj <= t*kj <= s-pj.
-                let (a, b) = if kj > 0 {
-                    (
-                        loopmem_linalg::gcd::div_ceil(-s - pj, kj),
-                        loopmem_linalg::gcd::div_floor(s - pj, kj),
-                    )
-                } else {
-                    (
-                        loopmem_linalg::gcd::div_ceil(s - pj, kj),
-                        loopmem_linalg::gcd::div_floor(-s - pj, kj),
-                    )
-                };
-                lo = lo.max(a);
-                hi = hi.min(b);
-            }
-            let mut best: Option<Vec<i64>> = None;
-            let mut t = lo;
-            while t <= hi {
-                let cand: Vec<i64> = particular
-                    .iter()
-                    .zip(k)
-                    .map(|(&p, &kk)| p + t * kk)
-                    .collect();
-                if lex_positive(&cand) && in_range(&cand) {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => cand < *b,
-                    };
-                    if better {
-                        best = Some(cand);
-                    }
-                }
-                t += 1;
-                if hi - lo > 1_000_000 {
-                    break; // degenerate window; spans bound real nests
-                }
-            }
-            best.into_iter().collect()
-        }
+        1 => lex_min_positive_member(particular, &kernel[0], spans)
+            .into_iter()
+            .collect(),
         _ => {
             // Multi-dimensional family: bounded exhaustive enumeration.
             let mut out = Vec::new();
@@ -296,6 +257,90 @@ fn positive_members(
             out
         }
     }
+}
+
+/// Floor of `a / b` in `i128` (`b ≠ 0`).
+fn floor_div(a: i128, b: i128) -> i128 {
+    let q = a / b;
+    if a % b != 0 && (a < 0) != (b < 0) {
+        q - 1
+    } else {
+        q
+    }
+}
+
+/// Ceiling of `a / b` in `i128` (`b ≠ 0`).
+fn ceil_div(a: i128, b: i128) -> i128 {
+    -floor_div(-a, b)
+}
+
+/// The lexicographically smallest positive member of `{p + t·k : t ∈ ℤ}`
+/// with every `|component| ≤ span`, in closed form.
+///
+/// Each component with `k_j ≠ 0` confines `t` to a window; the others are
+/// constant and either in range or not. Members agree before `j0`, the
+/// first component with `k_{j0} ≠ 0`, and component `j0` is strictly
+/// monotone in `t`, so it alone orders them. A non-zero constant prefix
+/// makes every member positive (take the smallest component `j0`) or
+/// none. A zero prefix leaves two candidates: the member whose component
+/// `j0` is zero, when the rest makes it positive — it precedes every
+/// member with a positive component `j0` — and otherwise the member with
+/// the smallest positive component `j0`. Window arithmetic is `i128`, so
+/// spans near the `i64` limits neither wrap nor stall.
+fn lex_min_positive_member(p: &[i64], k: &[i64], spans: &[i64]) -> Option<Vec<i64>> {
+    let (mut lo, mut hi) = (i128::MIN, i128::MAX);
+    for ((&kj, &s), &pj) in k.iter().zip(spans).zip(p) {
+        let (kj, s, pj) = (kj as i128, s as i128, pj as i128);
+        if kj == 0 {
+            if pj.abs() > s {
+                return None;
+            }
+            continue;
+        }
+        // |pj + t·kj| ≤ s, i.e. -s - pj ≤ t·kj ≤ s - pj.
+        let (a, b) = if kj > 0 {
+            (ceil_div(-s - pj, kj), floor_div(s - pj, kj))
+        } else {
+            (ceil_div(s - pj, kj), floor_div(-s - pj, kj))
+        };
+        lo = lo.max(a);
+        hi = hi.min(b);
+    }
+    let member = |t: i128| -> Vec<i64> {
+        p.iter()
+            .zip(k)
+            .map(|(&pj, &kj)| (pj as i128 + t * kj as i128) as i64)
+            .collect()
+    };
+    let Some(j0) = k.iter().position(|&x| x != 0) else {
+        // A zero direction: the family is the single point `p`, in range.
+        return lex_positive(p).then(|| p.to_vec());
+    };
+    if lo > hi {
+        return None;
+    }
+    let (pj, kj) = (p[j0] as i128, k[j0] as i128);
+    match p[..j0].iter().find(|&&x| x != 0) {
+        Some(&x) if x < 0 => return None,
+        Some(_) => return Some(member(if kj > 0 { lo } else { hi })),
+        None => {}
+    }
+    if pj % kj == 0 {
+        let t0 = -pj / kj;
+        if (lo..=hi).contains(&t0) {
+            let m = member(t0);
+            if lex_positive(&m) {
+                return Some(m);
+            }
+        }
+    }
+    // Smallest component j0 ≥ 1: pj + t·kj ≥ 1.
+    let t = if kj > 0 {
+        ceil_div(1 - pj, kj).max(lo)
+    } else {
+        floor_div(1 - pj, kj).min(hi)
+    };
+    (lo..=hi).contains(&t).then(|| member(t))
 }
 
 fn enumerate_multi(
@@ -354,6 +399,54 @@ mod tests {
         let deps = analyze(&nest);
         assert_eq!(deps.len(), 0);
         assert_eq!(deps.nonuniform_pair_count(), 0);
+    }
+
+    /// Regression: the one-dimensional family walk stopped after one step
+    /// on windows wider than 10^6, dropping or misplacing the lex-min
+    /// distance; the closed form must give every extent the same answer.
+    #[test]
+    fn wide_windows_keep_the_lex_min_distance() {
+        let distances = |src: String| {
+            let mut d = analyze(&parse(&src).unwrap()).distances(false);
+            d.sort();
+            d
+        };
+        for (narrow, wide) in [
+            (
+                "array X[11]\nfor i = 1 to 10 { for j = 1 to 1000 { X[i] = X[i] + 1; } }".to_string(),
+                "array X[11]\nfor i = 1 to 10 { for j = 1 to 600000 { X[i] = X[i] + 1; } }".to_string(),
+            ),
+            (
+                "array X[2001]\nfor i = 1 to 1000 { for j = 1 to 1000 { X[i+j] = X[i+j-1]; } }".to_string(),
+                "array X[1200001]\nfor i = 1 to 600000 { for j = 1 to 600000 { X[i+j] = X[i+j-1]; } }"
+                    .to_string(),
+            ),
+        ] {
+            let want = distances(narrow);
+            assert!(want.contains(&vec![0, 1]), "{want:?}");
+            assert_eq!(distances(wide), want);
+        }
+        // The flow distance (0, 1) keeps interchange legal; the walk's
+        // (599999, -599998) forbade it.
+        let nest = parse(
+            "array X[1200001]\nfor i = 1 to 600000 { for j = 1 to 600000 { X[i+j] = X[i+j-1]; } }",
+        )
+        .unwrap();
+        let flows: Vec<_> = analyze(&nest)
+            .iter()
+            .filter(|d| d.kind == DepKind::Flow)
+            .map(|d| d.distance.clone())
+            .collect();
+        assert_eq!(flows, vec![vec![0, 1]]);
+    }
+
+    /// Regression: `hi - lo` of the window wrapped in `i64` on bounds near
+    /// the limits, so the walk never ended.
+    #[test]
+    fn near_max_bounds_terminate() {
+        let nest = parse("array X[10]\nfor i = 1 to 9223372036854775000 { X[1]; }").unwrap();
+        let deps = analyze(&nest);
+        assert_eq!(deps.distances(false), vec![vec![1]]);
     }
 
     #[test]

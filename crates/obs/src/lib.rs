@@ -67,7 +67,7 @@ pub enum Phase {
     Parse,
     /// Dense engine pass 1: first/last touch tables.
     Pass1,
-    /// Dense engine pass 2: difference-array prefix sum.
+    /// Dense engine pass 2: the window fold over first/last stamps.
     Pass2,
     /// Transformation search (candidate enumeration, memo, B&B).
     Search,

@@ -35,16 +35,22 @@
 //!   `last` the latest), which makes the result bit-identical for every
 //!   thread count and every steal order.
 //!
-//! * **Pass 2 (window sweep).** First/last events become a difference
-//!   array (`+1` at `first`, `-1` at `last`) whose prefix sum is the live
-//!   count after each iteration — so computing the full per-iteration
-//!   profile costs one `i32` lane instead of per-array add/remove tables.
+//! * **Pass 2 (window fold).** The merged tables are the stamps of
+//!   [`crate::fold`]: `+1` at `first`, `-1` at `last`, and the live count
+//!   after each iteration is their running sum. Stamps sparse in time are
+//!   counting-sorted by time block; dense ones fold into one difference
+//!   lane whose entries are as narrow as the nest's reference count allows
+//!   (≤ 127 references fit an `i8`), one field per array side by side.
+//!   Either way the cell lanes are walked once and scratch stays
+//!   within 4 bytes per iteration, the figure the `MaxTableBytes` gates
+//!   charge. Profile mode is the same fold with the running sum kept.
 
 use crate::budget::{
     analytic_nest_bounds, estimated_iterations_of, panic_message, AnalysisBudget, BudgetTracker,
     POLL_INTERVAL,
 };
 use crate::exec::{outer_range, try_for_each_inner_run, try_for_each_iteration_outer};
+use crate::fold::{fold, Fold, FoldSpec, Stamps};
 use crate::window::{ArrayStats, SimResult};
 use loopmem_ir::{
     AnalysisError, ArrayId, ArrayRef, Bounds, BoundsMethod, ElementBox, LoopNest, TripReason,
@@ -94,7 +100,8 @@ const DENSE_BUDGET_BYTES: u128 = 768 << 20;
 const SPARSITY_FACTOR: u128 = 64;
 
 /// Nests with (conservatively) fewer iterations than this are swept on
-/// one thread: thread spawn/merge overhead dominates below it.
+/// one thread whatever worker count the caller asked for: thread
+/// spawn/merge overhead dominates below it.
 const PARALLEL_THRESHOLD: u128 = 1 << 17;
 
 /// Upper limit on the iterations a salvage pass re-sweeps after a budget
@@ -158,6 +165,18 @@ struct Plan {
     refs: Vec<RefPlan>,
     /// Largest reference rank, for the shared coordinate buffer.
     max_rank: usize,
+}
+
+impl Plan {
+    /// References per array: the most elements of each array a single
+    /// iteration can touch, which bounds the pass-2 lane width.
+    fn ref_counts(&self) -> Vec<u32> {
+        let mut counts = vec![0u32; self.boxes.len()];
+        for rp in &self.refs {
+            counts[rp.array] += 1;
+        }
+        counts
+    }
 }
 
 /// Conservative upper bound on the iteration count: the volume of the
@@ -321,20 +340,22 @@ fn make_plan(nest: &LoopNest, threads: usize, max_table_bytes: Option<u64>) -> P
     }
 }
 
-/// Pass-1 output of one contiguous outer-range chunk, with chunk-local
-/// 32-bit time. Dense touch tables are structure-of-arrays: `first[a]`
-/// and `last[a]` are separate lanes over the same flattened box offsets,
-/// so the run kernels and the chunk merge update each lane with
-/// branch-free `min`/`max`/fill loops the compiler can vectorize.
-struct ChunkOut {
-    iters: u64,
-    accesses: Vec<u64>,
+/// Pass-1 output of one contiguous outer-range chunk (after the merge,
+/// of the whole nest), with chunk-local 32-bit time. Dense touch tables
+/// are structure-of-arrays: `first[a]` and `last[a]` are separate lanes
+/// over the same flattened box offsets, so the run kernels and the chunk
+/// merge update each lane with branch-free `min`/`max`/fill loops the
+/// compiler can vectorize. Elements the planner demoted to the hashmap
+/// path sit in `sparse[a]`.
+pub(crate) struct ChunkOut {
+    pub iters: u64,
+    pub accesses: Vec<u64>,
     /// First-touch stamp per cell, [`UNTOUCHED`] when never touched.
-    first: Vec<Vec<u32>>,
+    pub first: Vec<Vec<u32>>,
     /// Last-touch stamp per cell; meaningless (0) where `first` is
     /// [`UNTOUCHED`] — always read through the `first` lane's mask.
-    last: Vec<Vec<u32>>,
-    sparse: Vec<HashMap<Vec<i64>, (u32, u32)>>,
+    pub last: Vec<Vec<u32>>,
+    pub sparse: Vec<HashMap<Vec<i64>, (u32, u32)>>,
     /// Chunk-local trace events (polls, the trailing commit), buffered
     /// here and flushed by [`MergeState::deposit`] in chunk-commit order
     /// only when the whole sweep succeeds — a failed sweep's set of
@@ -771,72 +792,72 @@ impl MergeState {
     }
 }
 
-/// Pass 2: difference arrays over iteration time. An element first touched
-/// at `f` and last touched at `l` is in the window for `f ≤ t < l`, so it
-/// contributes `+1` at `f` and `-1` at `l`; the running prefix sum is the
-/// live count after each iteration.
-fn finish(narrays: usize, merged: ChunkOut, want_profile: bool) -> SimResult {
-    let iterations = merged.iters;
-    let it = iterations as usize;
-    let mut total_diff = vec![0i32; it];
-    let mut arr_diff = vec![0i32; it];
-    let mut per_array = HashMap::new();
-    for a in 0..narrays {
-        if merged.accesses[a] == 0 {
-            continue;
+/// The stamps of the pass-2 window fold: every touched cell of a dense
+/// lane and every hashmap entry, in nest-local time.
+impl Stamps for ChunkOut {
+    fn array(&self, a: usize, mut emit: impl FnMut(u64, u64)) -> u64 {
+        if self.accesses[a] == 0 {
+            return 0;
         }
-        let mut distinct = 0u64;
-        {
-            let mut mark = |f: u32, l: u32| {
-                distinct += 1;
-                if f == l {
-                    return;
-                }
-                arr_diff[f as usize] += 1;
-                arr_diff[l as usize] -= 1;
-                total_diff[f as usize] += 1;
-                total_diff[l as usize] -= 1;
-            };
-            for (&f, &l) in merged.first[a].iter().zip(&merged.last[a]) {
-                if f != UNTOUCHED {
-                    mark(f, l);
-                }
-            }
-            for &(f, l) in merged.sparse[a].values() {
-                mark(f, l);
+        let mut n = 0;
+        for (&f, &l) in self.first[a].iter().zip(&self.last[a]) {
+            if f != UNTOUCHED {
+                n += 1;
+                emit(f as u64, l as u64);
             }
         }
-        let mut cur = 0i64;
-        let mut mws = 0i64;
-        for d in arr_diff.iter_mut() {
-            cur += *d as i64;
-            mws = mws.max(cur);
-            *d = 0; // reuse the lane for the next array
+        for &(f, l) in self.sparse[a].values() {
+            emit(f as u64, l as u64);
         }
-        per_array.insert(
-            ArrayId(a),
-            ArrayStats {
-                distinct,
+        n + self.sparse[a].len() as u64
+    }
+}
+
+impl ChunkOut {
+    /// Pass 2 over these tables. `refs` is the nest's per-array
+    /// reference count. An array touches at most `min(cells, accesses)`
+    /// dense elements plus its hashmap entries, which bounds the stamps.
+    pub(crate) fn fold(&self, refs: &[u32], per_array: bool, profile: bool) -> Fold {
+        let elements = (0..refs.len())
+            .map(|a| {
+                (self.first[a].len() as u64).min(self.accesses[a]) + self.sparse[a].len() as u64
+            })
+            .sum();
+        let spec = FoldSpec {
+            iters: self.iters,
+            refs,
+            elements,
+            per_array,
+            profile,
+            peak_time: false,
+            bounds: &[],
+        };
+        fold(&spec, self)
+    }
+}
+
+/// Pass 2 of a simulation: per-array and total MWS (and the profile when
+/// asked) through the window fold.
+fn finish(plan: &Plan, merged: ChunkOut, want_profile: bool) -> SimResult {
+    let refs = plan.ref_counts();
+    let fold = merged.fold(&refs, true, want_profile);
+    let mws = fold.mws.expect("per-array fold");
+    let per_array = (0..refs.len())
+        .filter(|&a| merged.accesses[a] > 0)
+        .map(|a| {
+            let stats = ArrayStats {
+                distinct: fold.distinct[a],
                 accesses: merged.accesses[a],
-                mws: mws as u64,
-            },
-        );
-    }
-    let mut cur = 0i64;
-    let mut mws_total = 0i64;
-    let mut profile = want_profile.then(|| Vec::with_capacity(it));
-    for &d in &total_diff {
-        cur += d as i64;
-        mws_total = mws_total.max(cur);
-        if let Some(p) = profile.as_mut() {
-            p.push(cur as u64);
-        }
-    }
+                mws: mws[a],
+            };
+            (ArrayId(a), stats)
+        })
+        .collect();
     SimResult {
-        iterations,
+        iterations: merged.iters,
         per_array,
-        mws_total: mws_total as u64,
-        profile,
+        mws_total: fold.mws_total,
+        profile: fold.profile,
     }
 }
 
@@ -866,16 +887,16 @@ fn split_range(lo: i64, hi: i64, parts: usize) -> Vec<(i64, i64)> {
 /// conservative inner-range lengths with the outermost variable pinned to
 /// `v` (the same interval enclosure as [`LoopNest::var_ranges`], one level
 /// sharper). Exact for rectangular and outer-dependent triangular bounds;
-/// only load balance depends on it, never results.
-fn outer_volume(nest: &LoopNest, v: i64) -> u128 {
-    let n = nest.depth();
-    let mut ranges = vec![(0i64, 0i64); n];
+/// only load balance depends on it, never results. `ranges` is scratch of
+/// `nest.depth()` entries, reused across calls.
+fn outer_volume(nest: &LoopNest, v: i64, ranges: &mut [(i64, i64)]) -> u128 {
+    ranges.fill((0, 0));
     ranges[0] = (v, v);
     let mut vol: u128 = 1;
-    for k in 1..n {
+    for k in 1..ranges.len() {
         let l = &nest.loops()[k];
-        let (lo, _) = l.lower.value_range(&ranges);
-        let (_, hi) = l.upper.value_range(&ranges);
+        let (lo, _) = l.lower.value_range(ranges);
+        let (_, hi) = l.upper.value_range(ranges);
         if lo > hi {
             return 0;
         }
@@ -885,11 +906,24 @@ fn outer_volume(nest: &LoopNest, v: i64) -> u128 {
     vol
 }
 
+/// `true` when some inner loop bound mentions the outermost variable. If
+/// none does, every inner range — and so [`outer_volume`] — is the same
+/// for every outer value.
+fn inner_bounds_mention_outer(nest: &LoopNest) -> bool {
+    nest.loops()[1..].iter().any(|l| {
+        [&l.lower, &l.upper]
+            .iter()
+            .any(|b| b.pieces().iter().any(|p| p.expr.coeffs()[0] != 0))
+    })
+}
+
 /// Splits the outer range into at most `parts` contiguous chunks whose
 /// *estimated iteration volumes* are balanced. An even split of outer
 /// values gives a triangular nest (`for j = i to N`) chunks whose work
 /// differs by the triangle's aspect ratio; cutting by cumulative volume
 /// keeps every chunk within one outer value's volume of the ideal share.
+/// Volumes cost one scratch buffer, not one allocation per outer value,
+/// and O(1) when no inner bound mentions the outermost variable.
 fn chunk_ranges(nest: &LoopNest, lo: i64, hi: i64, parts: usize) -> Vec<(i64, i64)> {
     if lo > hi || parts <= 1 {
         return vec![(lo, hi)];
@@ -899,13 +933,25 @@ fn chunk_ranges(nest: &LoopNest, lo: i64, hi: i64, parts: usize) -> Vec<(i64, i6
         return split_range(lo, hi, parts);
     }
     let parts = parts.min(span as usize);
-    let vols: Vec<u128> = (lo..=hi).map(|v| outer_volume(nest, v).max(1)).collect();
-    let total: u128 = vols.iter().fold(0u128, |a, &b| a.saturating_add(b));
+    // One volume per outer value, or a single one shared by all of them.
+    let mut ranges = vec![(0i64, 0i64); nest.depth()];
+    let vols: Vec<u128> = if inner_bounds_mention_outer(nest) {
+        (lo..=hi)
+            .map(|v| outer_volume(nest, v, &mut ranges).max(1))
+            .collect()
+    } else {
+        vec![outer_volume(nest, lo, &mut ranges).max(1)]
+    };
+    let vol = |i: usize| vols[i.min(vols.len() - 1)];
+    let total: u128 = match vols.as_slice() {
+        [w] => span.saturating_mul(*w),
+        _ => vols.iter().fold(0u128, |a, &b| a.saturating_add(b)),
+    };
     let mut out = Vec::with_capacity(parts);
     let mut start = lo;
     let mut acc: u128 = 0;
-    for (i, &w) in vols.iter().enumerate() {
-        acc = acc.saturating_add(w);
+    for i in 0..span as usize {
+        acc = acc.saturating_add(vol(i));
         let v = lo + i as i64;
         // Close the current chunk once the cumulative volume reaches the
         // next ideal cut `total·(k+1)/parts` (cross-multiplied to stay in
@@ -923,23 +969,13 @@ fn chunk_ranges(nest: &LoopNest, lo: i64, hi: i64, parts: usize) -> Vec<(i64, i6
     out
 }
 
-/// Worker-thread count for a nest when the caller did not pin one:
-/// [`thread_count`] workers, except that small nests stay serial.
-pub(crate) fn auto_threads(nest: &LoopNest) -> usize {
-    if estimated_iterations(nest) < PARALLEL_THRESHOLD {
-        1
-    } else {
-        thread_count()
-    }
-}
-
 /// Pass 1 over the whole nest: plan, chunk, sweep (work-stealing when
-/// `threads > 1`), and fold the chunks strictly in chunk order. The
-/// returned tables are bit-identical for every `threads` value. On a
-/// budget trip or overflow, the error with the smallest chunk index wins
-/// (workers stop pulling chunks once any error is recorded), matching the
-/// error a serial sweep reports when the failing computation is
-/// deterministic.
+/// `threads > 1` and the nest reaches [`PARALLEL_THRESHOLD`]), and fold
+/// the chunks strictly in chunk order. The returned tables are
+/// bit-identical for every `threads` value. On a budget trip or overflow,
+/// the error with the smallest chunk index wins (workers stop pulling
+/// chunks once any error is recorded), matching the error a serial sweep
+/// reports when the failing computation is deterministic.
 fn sweep_all(
     nest: &LoopNest,
     nest_index: usize,
@@ -948,7 +984,11 @@ fn sweep_all(
     max_table_bytes: Option<u64>,
 ) -> Result<(Plan, ChunkOut), SweepError> {
     let (olo, ohi) = outer_range(nest);
-    let threads = threads.max(1);
+    let threads = if threads > 1 && estimated_iterations(nest) < PARALLEL_THRESHOLD {
+        1
+    } else {
+        threads.max(1)
+    };
     let tracing = tracker.trace().is_some();
     let started = tracing.then(std::time::Instant::now);
     // An injected table-rejection fault plans as if `max_table_bytes` were
@@ -1126,30 +1166,31 @@ fn flush_sweep_events(
 
 /// Merged pass-1 touch tables of one nest in nest-local 32-bit time —
 /// everything the program engine needs to rebase the nest onto a global
-/// timeline. `boxes[a]` is the dense box backing the `first[a]`/`last[a]`
-/// lanes (a cell is touched iff `first[a][off] != UNTOUCHED`); elements
-/// the planner demoted to the hashmap path sit in `sparse[a]`.
+/// timeline. `boxes[a]` is the dense box backing the tables'
+/// `first[a]`/`last[a]` lanes (a cell is touched iff
+/// `first[a][off] != UNTOUCHED`); `refs[a]` is the nest's reference count
+/// of array `a`.
 pub(crate) struct NestPass1 {
-    pub iters: u64,
-    pub accesses: Vec<u64>,
     pub boxes: Vec<Option<ElementBox>>,
-    pub first: Vec<Vec<u32>>,
-    pub last: Vec<Vec<u32>>,
-    pub sparse: Vec<HashMap<Vec<i64>, (u32, u32)>>,
+    pub refs: Vec<u32>,
+    pub tables: ChunkOut,
+}
+
+impl NestPass1 {
+    fn new(plan: Plan, tables: ChunkOut) -> Self {
+        NestPass1 {
+            refs: plan.ref_counts(),
+            boxes: plan.boxes,
+            tables,
+        }
+    }
 }
 
 /// Runs pass 1 only and hands the merged tables to the caller.
 pub(crate) fn pass1(nest: &LoopNest, threads: usize) -> NestPass1 {
     let tracker = BudgetTracker::unlimited();
     match sweep_all(nest, 0, threads, &tracker, None) {
-        Ok((plan, merged)) => NestPass1 {
-            iters: merged.iters,
-            accesses: merged.accesses,
-            boxes: plan.boxes,
-            first: merged.first,
-            last: merged.last,
-            sparse: merged.sparse,
-        },
+        Ok((plan, merged)) => NestPass1::new(plan, merged),
         // An unlimited tracker never trips; overflow keeps the legacy
         // contract (panic) for callers without a governed path.
         Err(SweepError::Trip(_)) => unreachable!("unlimited budget tripped"),
@@ -1275,7 +1316,7 @@ pub fn bench_pass1_interleaved(nest: &LoopNest) -> u64 {
 
 /// Exact maximum window size of the lexicographic stream prefix
 /// `[0, quota)`: a single-threaded, budget-free re-sweep with a clean stop
-/// at the quota, folded through the standard difference-lane pass 2.
+/// at the quota, folded through the standard pass 2.
 ///
 /// Soundness of using it as a *lower bound* on the full MWS: within a
 /// stream prefix every recorded first touch is the element's true first
@@ -1287,7 +1328,7 @@ fn prefix_mws(nest: &LoopNest, quota: u64, max_table_bytes: Option<u64>) -> Opti
     let plan = make_plan(nest, 1, max_table_bytes);
     let (lo, hi) = outer_range(nest);
     let out = sweep_chunk(nest, &plan, lo, hi, &tracker, Some(quota)).ok()?;
-    Some(finish(nest.arrays().len(), out, false).mws_total)
+    Some(out.fold(&plan.ref_counts(), false, false).mws_total)
 }
 
 /// The `Exhausted` payload after a budget trip: when the trip has a
@@ -1311,7 +1352,7 @@ fn salvage_nest_bounds(
     };
     let mut quota = quota.min(SALVAGE_MAX_ITERS);
     if let Some(cap) = max_table_bytes {
-        // The prefix fold's difference lane costs 4 bytes per iteration;
+        // The prefix fold's scratch is at most 4 bytes per iteration;
         // honour the caller's byte cap during salvage too.
         quota = quota.min(cap / 4);
     }
@@ -1352,10 +1393,10 @@ fn salvage_nest_bounds(
 /// (a poisoned nest yields [`AnalysisError::NestPanicked`] tagged with
 /// `nest_index`), budget trips degrade to salvaged-prefix or analytic
 /// bounds ([`salvage_nest_bounds`]), and overflow reports
-/// [`AnalysisError::Overflow`]. Nests whose pass-2 difference lane alone
-/// would exceed `max_table_bytes` (4 bytes per estimated iteration, the
-/// same criterion as the program engine's global gate) are refused up
-/// front, so one oversized nest in a batch degrades alone.
+/// [`AnalysisError::Overflow`]. Nests whose pass-2 fold alone could
+/// exceed `max_table_bytes` (its scratch bound of 4 bytes per estimated
+/// iteration, the same criterion as the program engine's global gate) are
+/// refused up front, so one oversized nest in a batch degrades alone.
 pub(crate) fn try_pass1(
     nest_index: usize,
     nest: &LoopNest,
@@ -1378,14 +1419,7 @@ pub(crate) fn try_pass1(
         sweep_all(nest, nest_index, threads, tracker, max_table_bytes)
     }));
     match swept {
-        Ok(Ok((plan, merged))) => Ok(NestPass1 {
-            iters: merged.iters,
-            accesses: merged.accesses,
-            boxes: plan.boxes,
-            first: merged.first,
-            last: merged.last,
-            sparse: merged.sparse,
-        }),
+        Ok(Ok((plan, merged))) => Ok(NestPass1::new(plan, merged)),
         Ok(Err(SweepError::Trip(reason))) => Err(AnalysisError::Exhausted {
             reason,
             partial: salvage_nest_bounds(nest, nest_index, tracker, reason, max_table_bytes),
@@ -1405,10 +1439,9 @@ pub(crate) fn try_pass1(
 /// order, and [`MergeState`] folds them strictly in chunk order no matter
 /// which worker swept which chunk.
 pub(crate) fn run(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
-    let narrays = nest.arrays().len();
     let tracker = BudgetTracker::unlimited();
     match sweep_all(nest, 0, threads, &tracker, None) {
-        Ok((_, merged)) => finish(narrays, merged, want_profile),
+        Ok((plan, merged)) => finish(&plan, merged, want_profile),
         Err(SweepError::Trip(_)) => unreachable!("unlimited budget tripped"),
         Err(SweepError::Overflow(msg)) => panic!("{msg}"),
         Err(SweepError::Stopped) => unreachable!("no prefix quota was set"),
@@ -1463,13 +1496,12 @@ fn try_run_impl(
     max_table_bytes: Option<u64>,
     salvage: bool,
 ) -> Result<SimResult, AnalysisError> {
-    let narrays = nest.arrays().len();
     let swept = catch_unwind(AssertUnwindSafe(|| {
         if tracker.fault_take_panic(0) {
             panic!("{}", crate::faults::INJECTED_PANIC);
         }
-        let (_, merged) = sweep_all(nest, 0, threads, tracker, max_table_bytes)?;
-        Ok(finish(narrays, merged, want_profile))
+        let (plan, merged) = sweep_all(nest, 0, threads, tracker, max_table_bytes)?;
+        Ok(finish(&plan, merged, want_profile))
     }));
     match swept {
         Ok(Ok(res)) => Ok(res),
@@ -1518,12 +1550,71 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let nest =
-            parse("array A[64][64]\nfor i = 2 to 60 { for j = 1 to 60 { A[i][j] = A[i-1][j]; } }")
-                .unwrap();
-        let one = run(&nest, true, 1);
-        for threads in [2, 3, 5, 16] {
-            assert_same(&run(&nest, true, threads), &one);
+        for src in [
+            // Above the serial cutoff: really swept in parallel.
+            "array A[520][520]\nfor i = 2 to 512 { for j = 1 to 512 { A[i][j] = A[i-1][j]; } }",
+            // Below it: a pinned thread count still sweeps serially.
+            "array A[64][64]\nfor i = 2 to 60 { for j = 1 to 60 { A[i][j] = A[i-1][j]; } }",
+        ] {
+            let nest = parse(src).unwrap();
+            let one = run(&nest, true, 1);
+            for threads in [2, 3, 5, 16] {
+                assert_same(&run(&nest, true, threads), &one);
+            }
+        }
+    }
+
+    /// The fold's scratch stays within the 4 bytes per iteration the
+    /// `MaxTableBytes` gates charge, on real pass-1 tables of both kinds.
+    #[test]
+    fn pass2_scratch_is_within_the_table_byte_gates() {
+        use crate::fold::FoldPath;
+        use FoldPath::{Dense, Sparse};
+        for (src, path) in [
+            // Few elements reused across a long inner loop: sparse in time.
+            (
+                "array Y[41]\narray X[41]\nfor i = 1 to 40 { for j = 1 to 300 { Y[i] = Y[i] + X[i]; } }",
+                Sparse,
+            ),
+            // Every element live for a whole sweep: dense in time.
+            (
+                "array A[40][40]\nfor t = 1 to 3 { for i = 2 to 39 { for j = 1 to 39 { A[i][j] = A[i-1][j]; } } }",
+                Dense,
+            ),
+            // Each pass-1 kernel class on both sides of the boundary (the
+            // pairs of the sim crate's kernel-equivalence suite).
+            ("array A[10]\nfor i = 1 to 8 { for j = 1 to 400 { A[i] = A[i+1]; } }", Sparse),
+            ("array A[10]\nfor i = 1 to 8 { for j = 1 to 3 { A[i] = A[i+1]; } }", Dense),
+            ("array X[520]\nfor i = 1 to 100 { for j = 1 to 400 { X[i + j] = X[i + j + 1]; } }", Sparse),
+            ("array X[520]\nfor i = 1 to 10 { for j = 1 to 400 { X[i + j] = X[i + j + 1]; } }", Dense),
+            ("array X[520]\nfor i = 1 to 100 { for j = 1 to 400 { X[i - j + 401]; } }", Sparse),
+            ("array X[520]\nfor i = 1 to 10 { for j = 1 to 400 { X[i - j + 401]; } }", Dense),
+            (
+                "array X[1100]\nfor i = 1 to 200 { for j = 1 to 200 { X[2i + 3j] = X[2i + 3j + 4]; } }",
+                Sparse,
+            ),
+            (
+                "array X[1100]\nfor i = 1 to 20 { for j = 1 to 200 { X[2i + 3j] = X[2i + 3j + 4]; } }",
+                Dense,
+            ),
+            (
+                "array X[2000000000]\nfor t = 1 to 64 { for i = 1 to 4 { for j = 1 to 4 { X[100000000i + j]; } } }",
+                Sparse,
+            ),
+            (
+                "array X[2000000000]\nfor t = 1 to 2 { for i = 1 to 4 { for j = 1 to 4 { X[100000000i + j]; } } }",
+                Dense,
+            ),
+        ] {
+            let nest = parse(src).unwrap();
+            let np = pass1(&nest, 1);
+            for per_array in [false, true] {
+                let f = np.tables.fold(&np.refs, per_array, false);
+                assert_eq!(f.path, path, "{src}");
+                assert!(f.scratch_bytes <= 4 * np.tables.iters, "{} > 4 × {}", f.scratch_bytes, np.tables.iters);
+            }
+            assert_same(&run(&nest, true, 1), &simulate_hashmap_with_profile(&nest));
+            assert_same(&run(&nest, false, 2), &crate::window::simulate_hashmap(&nest));
         }
     }
 
@@ -1625,6 +1716,67 @@ mod tests {
         }
     }
 
+    fn volume(nest: &LoopNest, v: i64) -> u128 {
+        outer_volume(nest, v, &mut vec![(0, 0); nest.depth()])
+    }
+
+    /// The chunk planner before its volumes shared one buffer: a fresh
+    /// allocation and a full interval pass per outer value.
+    fn chunk_ranges_per_value(nest: &LoopNest, lo: i64, hi: i64, parts: usize) -> Vec<(i64, i64)> {
+        if lo > hi || parts <= 1 {
+            return vec![(lo, hi)];
+        }
+        let span = (hi as i128 - lo as i128 + 1) as u128;
+        if span > VOLUME_SCAN_LIMIT {
+            return split_range(lo, hi, parts);
+        }
+        let parts = parts.min(span as usize);
+        let vols: Vec<u128> = (lo..=hi).map(|v| volume(nest, v).max(1)).collect();
+        let total: u128 = vols.iter().fold(0u128, |a, &b| a.saturating_add(b));
+        let mut out = Vec::new();
+        let mut start = lo;
+        let mut acc: u128 = 0;
+        for (i, &w) in vols.iter().enumerate() {
+            acc = acc.saturating_add(w);
+            let v = lo + i as i64;
+            if v < hi
+                && out.len() + 1 < parts
+                && acc.saturating_mul(parts as u128) >= total.saturating_mul(out.len() as u128 + 1)
+            {
+                out.push((start, v));
+                start = v + 1;
+            }
+        }
+        out.push((start, hi));
+        out
+    }
+
+    /// Trace bytes depend on the chunk list, so the allocation-free
+    /// planner must reproduce the per-value scan exactly.
+    #[test]
+    fn chunk_plan_matches_the_per_value_scan() {
+        for src in [
+            "array A[41][41]\nfor i = 1 to 40 { for j = 1 to 40 { A[i][j]; } }",
+            "array A[101][101]\nfor i = 1 to 100 { for j = i to 100 { A[i][j]; } }",
+            "array A[64][64]\nfor i = 1 to 60 { for j = 1 to i { for k = j to 60 { A[i][k]; } } }",
+            "array A[32][32]\nfor i = 1 to 20 { for j = i to 10 { A[i][j]; } }",
+            // ~2^20-wide spans: the uniform fast path and a triangle.
+            "array X[2000001]\nfor i = 1 to 1000000 { for j = 1 to 1000000 { X[i + j]; } }",
+            "array X[2100000]\nfor i = 1 to 1048576 { for j = i to 1048576 { X[i + j]; } }",
+            "array X[10]\nfor i = 1 to 1048577 { for j = 1 to 3 { X[j]; } }",
+        ] {
+            let nest = parse(src).unwrap();
+            let (lo, hi) = outer_range(&nest);
+            for parts in [2, 3, 8, TRACE_CHUNK_PARTS] {
+                assert_eq!(
+                    chunk_ranges(&nest, lo, hi, parts),
+                    chunk_ranges_per_value(&nest, lo, hi, parts),
+                    "{src} in {parts} parts"
+                );
+            }
+        }
+    }
+
     /// Chunk lists always partition `[lo, hi]` into consecutive ranges.
     fn assert_partitions(chunks: &[(i64, i64)], lo: i64, hi: i64) {
         assert_eq!(chunks.first().unwrap().0, lo);
@@ -1644,10 +1796,10 @@ mod tests {
         let chunks = chunk_ranges(&nest, 1, 100, 4);
         assert_partitions(&chunks, 1, 100);
         assert!(chunks.len() >= 2, "{chunks:?}");
-        let total: u128 = (1..=100).map(|v| outer_volume(&nest, v)).sum();
+        let total: u128 = (1..=100).map(|v| volume(&nest, v)).sum();
         let ideal = total / chunks.len() as u128;
         for &(lo, hi) in &chunks {
-            let vol: u128 = (lo..=hi).map(|v| outer_volume(&nest, v)).sum();
+            let vol: u128 = (lo..=hi).map(|v| volume(&nest, v)).sum();
             assert!(
                 vol <= ideal * 2 && vol * 3 >= ideal,
                 "chunk {lo}..={hi} holds {vol} of ideal {ideal}: {chunks:?}"
@@ -1655,8 +1807,8 @@ mod tests {
         }
         // The triangle's exact volume: interval analysis is sharp here.
         assert_eq!(total, 5050);
-        assert_eq!(outer_volume(&nest, 1), 100);
-        assert_eq!(outer_volume(&nest, 100), 1);
+        assert_eq!(volume(&nest, 1), 100);
+        assert_eq!(volume(&nest, 100), 1);
     }
 
     #[test]
@@ -1689,8 +1841,8 @@ mod tests {
         // j = i to 10 is empty for i > 10; outer i runs to 20.
         let nest =
             parse("array A[32][32]\nfor i = 1 to 20 { for j = i to 10 { A[i][j]; } }").unwrap();
-        assert_eq!(outer_volume(&nest, 15), 0);
-        assert_eq!(outer_volume(&nest, 10), 1);
+        assert_eq!(volume(&nest, 15), 0);
+        assert_eq!(volume(&nest, 10), 1);
         let one = run(&nest, true, 1);
         for threads in [2, 5] {
             assert_same(&run(&nest, true, threads), &one);

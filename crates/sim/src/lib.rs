@@ -33,6 +33,7 @@ pub mod budget;
 pub mod dense;
 pub mod exec;
 pub mod faults;
+mod fold;
 pub mod layout;
 pub mod memory;
 pub mod program;

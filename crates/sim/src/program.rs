@@ -19,9 +19,15 @@
 //! within budget; touches outside it (hashmap-fallback arrays, wildly
 //! disjoint nest boxes) land in a per-array overflow map keyed by
 //! coordinates.
+//!
+//! Pass 2 is the window fold of [`crate::fold`], run once per nest over
+//! its own tables (the per-nest MWS) and once over the global tables with
+//! the nest boundaries as time marks (total MWS, boundary live sets,
+//! live-through counts and the peak's nest).
 
 use crate::budget::{analytic_nest_bounds, analytic_program_bounds, AnalysisBudget, BudgetTracker};
 use crate::dense::{self, NestPass1, UNTOUCHED};
+use crate::fold::{fold, FoldSpec, Stamps};
 use loopmem_ir::{AnalysisError, ArrayId, Bounds, BoundsMethod, ElementBox, Program, TripReason};
 use loopmem_obs::{EventKind, Phase, TraceEvent};
 use std::collections::hash_map::Entry;
@@ -177,11 +183,12 @@ fn try_sweep_nests_sharded(
 /// Global first/last table of one array: a dense lane over the union of
 /// the nest boxes (when affordable) plus an overflow map for everything
 /// outside it. Times are global (u64) — a program may exceed the per-nest
-/// u32 iteration budget.
+/// u32 iteration budget. `touched` counts the elements recorded so far.
 struct GlobalTable {
     bx: Option<ElementBox>,
     cells: Vec<(u64, u64)>,
     overflow: HashMap<Vec<i64>, (u64, u64)>,
+    touched: u64,
 }
 
 impl GlobalTable {
@@ -189,6 +196,7 @@ impl GlobalTable {
         let cell = &mut self.cells[off];
         if cell.0 == NEVER {
             *cell = (f, l);
+            self.touched += 1;
         } else {
             cell.1 = l;
         }
@@ -203,8 +211,27 @@ impl GlobalTable {
             Entry::Occupied(mut e) => e.get_mut().1 = l,
             Entry::Vacant(e) => {
                 e.insert((f, l));
+                self.touched += 1;
             }
         }
+    }
+}
+
+/// The folded global tables as pass-2 stamps.
+struct GlobalStamps<'a>(&'a [GlobalTable]);
+
+impl Stamps for GlobalStamps<'_> {
+    fn array(&self, a: usize, mut emit: impl FnMut(u64, u64)) -> u64 {
+        let g = &self.0[a];
+        for &(f, l) in &g.cells {
+            if f != NEVER {
+                emit(f, l);
+            }
+        }
+        for &(f, l) in g.overflow.values() {
+            emit(f, l);
+        }
+        g.touched
     }
 }
 
@@ -269,6 +296,7 @@ fn plan_global_tables(
                 bx,
                 cells,
                 overflow: HashMap::new(),
+                touched: 0,
             }
         })
         .collect()
@@ -290,21 +318,15 @@ fn fold_dense_table(
             .expect("dense fold target must have a global box");
     let rank = nest_bx.lo().len();
     let ext = nest_bx.extents();
-    let gs = gbx.strides();
+    let gs = gbx.strides().to_vec();
     let mut goff: usize = 0;
-    for ((&nlo, &glo), &s) in nest_bx.lo().iter().zip(gbx.lo()).zip(gs) {
+    for ((&nlo, &glo), &s) in nest_bx.lo().iter().zip(gbx.lo()).zip(&gs) {
         goff += (nlo - glo) as usize * s as usize;
     }
-    let cells = &mut g.cells;
     let mut idx = vec![0i64; rank];
     for (&f, &l) in first.iter().zip(last) {
         if f != UNTOUCHED {
-            let cell = &mut cells[goff];
-            if cell.0 == NEVER {
-                *cell = (f as u64 + t0, l as u64 + t0);
-            } else {
-                cell.1 = l as u64 + t0;
-            }
+            g.touch_cell(goff, f as u64 + t0, l as u64 + t0);
         }
         let mut d = rank - 1;
         loop {
@@ -342,37 +364,6 @@ pub fn simulate_program_with_threads(program: &Program, threads: usize) -> Progr
     assemble(narrays, per_nest.into_iter().map(Some).collect(), None)
 }
 
-/// Exact single-nest MWS straight off one nest's pass-1 tables (nest-local
-/// 32-bit time): one difference lane, the same sweep the serial pass 2 of
-/// `simulate` runs — so `nest_mws_from_tables(pass1(nest, _)) ==
-/// simulate(nest).mws_total` without re-sweeping the iteration space.
-fn nest_mws_from_tables(np: &NestPass1) -> u64 {
-    let iters = np.iters as usize;
-    if iters == 0 {
-        return 0;
-    }
-    let mut diff = vec![0i32; iters];
-    for a in 0..np.first.len() {
-        for (&f, &l) in np.first[a].iter().zip(&np.last[a]) {
-            if f != UNTOUCHED {
-                diff[f as usize] += 1;
-                diff[l as usize] -= 1;
-            }
-        }
-        for &(f, l) in np.sparse[a].values() {
-            diff[f as usize] += 1;
-            diff[l as usize] -= 1;
-        }
-    }
-    let mut cur = 0i64;
-    let mut peak = 0i64;
-    for &d in &diff {
-        cur += d as i64;
-        peak = peak.max(cur);
-    }
-    peak as u64
-}
-
 /// Fold + pass-2 sweep over per-nest pass-1 tables. `None` slots are nests
 /// whose governed sweep failed: they contribute zero iterations and no
 /// touches, so the result is the exact simulation of the program restricted
@@ -390,6 +381,9 @@ fn assemble(
     let mut tables = plan_global_tables(narrays, &per_nest, max_table_bytes);
     let mut per_nest_iterations = Vec::with_capacity(nnests);
     let mut per_nest_mws = Vec::with_capacity(nnests);
+    // Per array, the most references any one nest makes to it: one global
+    // iteration runs one nest, so this bounds the global lane's step.
+    let mut refs = vec![0u32; narrays];
     let mut nest_end = Vec::with_capacity(nnests); // global t after each nest
     let mut t = 0u64;
     for np_slot in per_nest {
@@ -399,19 +393,28 @@ fn assemble(
             nest_end.push(t);
             continue;
         };
-        per_nest_mws.push(nest_mws_from_tables(&np));
+        // Exact single-nest MWS straight off the nest's own tables, the
+        // same fold `simulate` runs: no re-sweep of the iteration space.
+        per_nest_mws.push(np.tables.fold(&np.refs, false, false).mws_total);
+        for (r, &nr) in refs.iter_mut().zip(&np.refs) {
+            *r = (*r).max(nr);
+        }
         for (a, g) in tables.iter_mut().enumerate() {
-            if np.accesses[a] == 0 {
+            if np.tables.accesses[a] == 0 {
                 continue;
             }
             if let Some(nest_bx) = &np.boxes[a] {
                 if g.bx.is_some() {
-                    fold_dense_table(nest_bx, &np.first[a], &np.last[a], g, t);
+                    fold_dense_table(nest_bx, &np.tables.first[a], &np.tables.last[a], g, t);
                 } else {
                     // Union box rejected: decode the touched cells back to
                     // coordinates for the overflow map.
                     let mut coords = vec![0i64; nest_bx.lo().len()];
-                    for (off, (&f, &l)) in np.first[a].iter().zip(&np.last[a]).enumerate() {
+                    for (off, (&f, &l)) in np.tables.first[a]
+                        .iter()
+                        .zip(&np.tables.last[a])
+                        .enumerate()
+                    {
                         if f == UNTOUCHED {
                             continue;
                         }
@@ -425,94 +428,48 @@ fn assemble(
                     }
                 }
             }
-            for (coords, &(f, l)) in &np.sparse[a] {
+            for (coords, &(f, l)) in &np.tables.sparse[a] {
                 g.touch_coords(coords.clone(), f as u64 + t, l as u64 + t);
             }
         }
-        t += np.iters;
-        per_nest_iterations.push(np.iters);
+        t += np.tables.iters;
+        per_nest_iterations.push(np.tables.iters);
         nest_end.push(t);
     }
-    let iterations = t as usize;
 
-    // Sweep: one difference lane over global time (`+1` at `first`, `-1`
-    // at `last`, cancelling in place when they coincide), plus per-array
-    // distinct counts straight off the folded tables. Three more
-    // difference lanes — over *nest indices* — count the boundary-crossing
-    // element sets per nest: `in_k` (first touch before nest `k`, last at
-    // or after it), `out_k` (first at or before `k`, last after it), and
-    // `cross_k` (strictly over `k`), so `live_through[k] = in_k + out_k -
-    // cross_k = |in_k ∪ out_k|`.
-    let mut diff = vec![0i32; iterations.max(1)];
-    let mut din = vec![0i64; nnests + 1];
-    let mut dout = vec![0i64; nnests + 1];
-    let mut dcross = vec![0i64; nnests + 1];
-    let mut distinct: HashMap<ArrayId, u64> = HashMap::new();
-    for (a, g) in tables.iter().enumerate() {
-        let mut count = 0u64;
-        let mut mark = |f: u64, l: u64| {
-            count += 1;
-            diff[f as usize] += 1;
-            diff[l as usize] -= 1;
-            if f < l {
-                let fk = nest_end.partition_point(|&end| end <= f);
-                let lk = nest_end.partition_point(|&end| end <= l);
-                if lk > fk {
-                    din[fk + 1] += 1;
-                    din[lk + 1] -= 1;
-                    dout[fk] += 1;
-                    dout[lk] -= 1;
-                    if lk > fk + 1 {
-                        dcross[fk + 1] += 1;
-                        dcross[lk] -= 1;
-                    }
-                }
-            }
-        };
-        for &(f, l) in &g.cells {
-            if f != NEVER {
-                mark(f, l);
-            }
-        }
-        for &(f, l) in g.overflow.values() {
-            mark(f, l);
-        }
-        if count > 0 {
-            distinct.insert(ArrayId(a), count);
-        }
-    }
-    let mut cur = 0i64;
-    let mut peak = 0i64;
-    let mut peak_t = 0u64;
-    let mut boundary_live = Vec::new();
-    let mut next_boundary = 0usize;
-    for (ti, &d) in diff.iter().enumerate() {
-        cur += d as i64;
-        if cur > peak {
-            peak = cur;
-            peak_t = ti as u64;
-        }
-        // Record the live count at each internal nest boundary.
-        while next_boundary + 1 < nest_end.len() && (ti as u64 + 1) == nest_end[next_boundary] {
-            boundary_live.push(cur as u64);
-            next_boundary += 1;
-        }
-    }
-    let peak_nest = nest_end.iter().position(|&end| peak_t < end).unwrap_or(0);
-
-    // Prefix-sum the nest-index lanes into `live_through[k] = in + out - cross`.
-    let mut live_through = Vec::with_capacity(nnests);
-    let (mut ins, mut outs, mut cross) = (0i64, 0i64, 0i64);
-    for k in 0..nnests {
-        ins += din[k];
-        outs += dout[k];
-        cross += dcross[k];
-        live_through.push((ins + outs - cross) as u64);
-    }
+    // Pass 2 over global time, with every nest start and end as a time
+    // boundary `b` (`live_at[b]`: elements with `first < b ≤ last`):
+    // `boundary_live` is the live set at each internal nest end, and
+    // nest `k`'s live-through is `|in_k ∪ out_k| = in_k + out_k − cross_k`,
+    // where `in_k`/`out_k` are the live sets at its start/end and `cross_k`
+    // the elements live across both.
+    let bounds: Vec<u64> = std::iter::once(0).chain(nest_end.iter().copied()).collect();
+    let spec = FoldSpec {
+        iters: t,
+        refs: &refs,
+        elements: tables.iter().map(|g| g.touched).sum(),
+        per_array: false,
+        profile: false,
+        peak_time: true,
+        bounds: &bounds,
+    };
+    let fold = fold(&spec, &GlobalStamps(&tables));
+    let boundary_live = fold.live_at[1..nnests.max(1)].to_vec();
+    let live_through = (0..nnests)
+        .map(|k| fold.live_at[k] + fold.live_at[k + 1] - fold.live_across[k])
+        .collect();
+    let distinct = (0..narrays)
+        .filter(|&a| fold.distinct[a] > 0)
+        .map(|a| (ArrayId(a), fold.distinct[a]))
+        .collect();
+    let peak_nest = nest_end
+        .iter()
+        .position(|&end| fold.peak_t < end)
+        .unwrap_or(0);
 
     ProgramSimResult {
         per_nest_iterations,
-        mws_total: peak as u64,
+        mws_total: fold.mws_total,
         boundary_live,
         per_nest_mws,
         live_through,
@@ -591,11 +548,11 @@ pub fn try_simulate_program_tracked(
     let narrays = program.arrays().len();
     let results = try_sweep_nests_sharded(program, threads, tracker, max_table_bytes);
 
-    // The pass-2 difference lane costs 4 bytes per global iteration; gate
-    // it on the same byte budget as the touch tables before allocating.
+    // The pass-2 fold's scratch is at most 4 bytes per global iteration;
+    // gate it on the same byte budget as the touch tables before allocating.
     let total_iters: u64 = results
         .iter()
-        .filter_map(|r| r.as_ref().ok().map(|np| np.iters))
+        .filter_map(|r| r.as_ref().ok().map(|np| np.tables.iters))
         .fold(0, u64::saturating_add);
     if let Some(cap) = max_table_bytes {
         if total_iters.saturating_mul(4) > cap {
@@ -611,7 +568,7 @@ pub fn try_simulate_program_tracked(
         .into_iter()
         .map(|r| match r {
             Ok(np) => {
-                per_nest.push(Ok(np.iters));
+                per_nest.push(Ok(np.tables.iters));
                 Some(np)
             }
             Err(e) => {
@@ -829,6 +786,24 @@ mod tests {
             assert!(ps3.live_through[k] >= b);
             assert!(ps3.live_through[k + 1] >= b);
         }
+    }
+
+    /// Every internal boundary gets a live count, also after leading
+    /// nests that run no iterations (the live set there is empty).
+    #[test]
+    fn leading_empty_nests_keep_every_boundary() {
+        let p = parse_program(
+            "array A[8]\narray B[8]\n\
+             for i = 5 to 4 { A[i] = A[i] + 1; }\n\
+             for i = 1 to 8 { A[i] = B[i]; }\n\
+             for i = 1 to 8 { B[i] = A[i]; }",
+        )
+        .unwrap();
+        let ps = simulate_program(&p);
+        assert_eq!(ps.per_nest_iterations, vec![0, 8, 8]);
+        assert_eq!(ps.boundary_live, vec![0, 16]);
+        assert_eq!(ps.live_through, vec![0, 16, 16]);
+        assert_eq!(ps.peak_nest, 1);
     }
 
     #[test]

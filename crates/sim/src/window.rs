@@ -72,13 +72,13 @@ impl SimResult {
 /// plan and trace sink in one builder — is `loopmem::Session` (defined in
 /// `loopmem-core`, which this crate cannot depend on).
 pub fn simulate(nest: &LoopNest) -> SimResult {
-    crate::dense::run(nest, false, crate::dense::auto_threads(nest))
+    crate::dense::run(nest, false, crate::dense::thread_count())
 }
 
 /// Simulates the nest, additionally recording the per-iteration total
 /// window profile (costs one `u64` per iteration).
 pub fn simulate_with_profile(nest: &LoopNest) -> SimResult {
-    crate::dense::run(nest, true, crate::dense::auto_threads(nest))
+    crate::dense::run(nest, true, crate::dense::thread_count())
 }
 
 /// Simulates with a pinned worker-thread count (and optional profile).
@@ -96,7 +96,7 @@ pub fn try_simulate(
     nest: &LoopNest,
     budget: &crate::budget::AnalysisBudget,
 ) -> Result<SimResult, loopmem_ir::AnalysisError> {
-    crate::dense::try_run(nest, false, crate::dense::auto_threads(nest), budget)
+    crate::dense::try_run(nest, false, crate::dense::thread_count(), budget)
 }
 
 /// Governed variant of [`simulate_with_threads`]. Exact results and

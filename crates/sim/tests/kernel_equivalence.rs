@@ -9,7 +9,9 @@
 
 use loopmem_ir::parse;
 use loopmem_linalg::rng::Lcg;
-use loopmem_sim::{bench_pass1_interleaved, simulate_hashmap_with_profile, simulate_with_threads};
+use loopmem_sim::{
+    bench_pass1_interleaved, simulate_hashmap, simulate_hashmap_with_profile, simulate_with_threads,
+};
 
 /// Asserts the dense lane-split engine matches the hashmap reference
 /// bit-for-bit (iterations, per-array stats, MWS, full profile) for
@@ -176,4 +178,83 @@ fn sparse_fallback_references_agree() {
         };
         assert_engines_agree(&src);
     }
+}
+
+/// Asserts the profile-off dense engine — the path `Session::simulate`
+/// runs — matches the hashmap reference without a profile at t ∈ {1, 2, 4}.
+fn assert_profile_off_agrees(src: &str) {
+    let nest = parse(src).unwrap_or_else(|e| panic!("parse failed for:\n{src}\n{e:?}"));
+    let reference = simulate_hashmap(&nest);
+    for threads in [1usize, 2, 4] {
+        let got = simulate_with_threads(&nest, false, threads);
+        assert_eq!(got.iterations, reference.iterations, "t={threads}:\n{src}");
+        assert_eq!(got.mws_total, reference.mws_total, "t={threads}:\n{src}");
+        assert_eq!(got.per_array, reference.per_array, "t={threads}:\n{src}");
+        assert_eq!(got.profile, None, "t={threads}:\n{src}");
+    }
+}
+
+/// Every pass-1 kernel class on both sides of the pass-2 fold's
+/// sparse/dense boundary. The fold sorts events when
+/// `2 · elements · 16 ≤ iterations` (few elements, long reuse) and fills
+/// a difference lane otherwise; each pair below puts the same subscripts
+/// on either side by stretching the reuse loop.
+#[test]
+fn profile_off_matches_hashmap_across_the_fold_boundary() {
+    for (sparse_in_time, dense_in_time) in [
+        // Stride 0.
+        (
+            "array A[10]\nfor i = 1 to 8 { for j = 1 to 400 { A[i] = A[i+1]; } }",
+            "array A[10]\nfor i = 1 to 8 { for j = 1 to 3 { A[i] = A[i+1]; } }",
+        ),
+        // Stride +1.
+        (
+            "array X[520]\nfor i = 1 to 100 { for j = 1 to 400 { X[i + j] = X[i + j + 1]; } }",
+            "array X[520]\nfor i = 1 to 10 { for j = 1 to 400 { X[i + j] = X[i + j + 1]; } }",
+        ),
+        // Stride -1.
+        (
+            "array X[520]\nfor i = 1 to 100 { for j = 1 to 400 { X[i - j + 401]; } }",
+            "array X[520]\nfor i = 1 to 10 { for j = 1 to 400 { X[i - j + 401]; } }",
+        ),
+        // General stride.
+        (
+            "array X[1100]\nfor i = 1 to 200 { for j = 1 to 200 { X[2i + 3j] = X[2i + 3j + 4]; } }",
+            "array X[1100]\nfor i = 1 to 20 { for j = 1 to 200 { X[2i + 3j] = X[2i + 3j + 4]; } }",
+        ),
+        // Hashmap fallback.
+        (
+            "array X[2000000000]\nfor t = 1 to 64 { for i = 1 to 4 { for j = 1 to 4 { X[100000000i + j]; } } }",
+            "array X[2000000000]\nfor t = 1 to 2 { for i = 1 to 4 { for j = 1 to 4 { X[100000000i + j]; } } }",
+        ),
+    ] {
+        assert_profile_off_agrees(sparse_in_time);
+        assert_profile_off_agrees(dense_in_time);
+    }
+}
+
+#[test]
+fn profile_off_matches_hashmap_on_fold_edge_cases() {
+    // Multi-array nests: per-array fields share one packed lane word.
+    assert_profile_off_agrees(
+        "array A[20][20]\narray B[20][20]\narray C[40]\n\
+         for i = 2 to 19 { for j = 1 to 19 { A[i][j] = A[i-1][j] + B[j][i] + C[i + j]; } }",
+    );
+    assert_profile_off_agrees(
+        "array Y[41]\narray X[41]\nfor i = 1 to 40 { for j = 1 to 300 { Y[i] = Y[i] + X[i]; } }",
+    );
+    // Elements touched exactly once (first == last), alone and next to
+    // reused ones.
+    assert_profile_off_agrees("array A[30][30]\nfor i = 1 to 25 { for j = 1 to 25 { A[i][j]; } }");
+    assert_profile_off_agrees(
+        "array A[30][30]\narray X[30]\nfor i = 1 to 25 { for j = 1 to 25 { A[i][j] = X[i]; } }",
+    );
+    // More than 127 references: the lane needs 16-bit words.
+    let reads: String = (0..130).map(|k| format!("A[i + {k}]; ")).collect();
+    assert_profile_off_agrees(&format!("array A[200]\nfor i = 1 to 50 {{ {reads}}}"));
+    assert_profile_off_agrees(&format!(
+        "array A[200]\nfor t = 1 to 40 {{ for i = 1 to 50 {{ {reads}}} }}"
+    ));
+    // An empty nest.
+    assert_profile_off_agrees("array A[10]\nfor i = 5 to 4 { A[i]; }");
 }
