@@ -6,7 +6,8 @@ use loopmem_bench::all_kernels;
 use loopmem_core::optimize::{minimize_mws_with_threads, SearchMode};
 use loopmem_ir::parse;
 use loopmem_sim::{
-    simulate_hashmap, simulate_hashmap_with_profile, simulate_with_threads, SimResult,
+    simulate_hashmap, simulate_hashmap_with_profile, simulate_with_threads, sweep_threads,
+    SimResult,
 };
 
 fn assert_same(a: &SimResult, b: &SimResult, what: &str) {
@@ -52,6 +53,83 @@ fn profile_off_matches_hashmap_on_every_kernel() {
                 &legacy,
                 &format!("{} x{} profile off", k.name, threads),
             );
+        }
+    }
+}
+
+/// The paper kernels' shapes scaled past the parallel-sweep cutoff (2¹⁷
+/// estimated iterations). The kernels themselves are smaller, so their
+/// `threads > 1` runs above sweep serially; these really run in parallel.
+fn scaled_kernels() -> Vec<(&'static str, &'static str)> {
+    vec![
+        (
+            "2_point",
+            "array A[400][400]\nfor i = 2 to 400 { for j = 1 to 400 { A[i][j] = A[i-1][j] + A[i][j]; } }",
+        ),
+        (
+            "3_point",
+            "array A[400][400]\nfor i = 2 to 399 { for j = 1 to 400 {\n\
+               A[i][j] = A[i-1][j] + A[i][j] + A[i+1][j];\n\
+             } }",
+        ),
+        (
+            "sor",
+            "array A[400][400]\nfor i = 2 to 399 { for j = 2 to 399 {\n\
+               A[i][j] = 0.2 * (A[i][j] + A[i-1][j] + A[i+1][j] + A[i][j-1] + A[i][j+1]);\n\
+             } }",
+        ),
+        (
+            "matmult",
+            "array C[51][51]\narray A[51][51]\narray B[51][51]\n\
+             for i = 1 to 51 { for j = 1 to 51 { for k = 1 to 51 {\n\
+               C[i][j] = C[i][j] + A[i][k] * B[k][j];\n\
+             } } }",
+        ),
+        (
+            "3step_log",
+            "array R[110][110]\narray C[46][46]\narray S[8][8]\n\
+             for cy = 1 to 8 { for cx = 1 to 8 { for py = 1 to 46 { for px = 1 to 46 {\n\
+               S[cy][cx] = S[cy][cx] + R[8*cy + py][8*cx + px] + C[py][px];\n\
+             } } } }",
+        ),
+        (
+            "full_search",
+            "array R[40][73]\narray C[8][8]\narray S[32][65]\n\
+             for dy = 1 to 32 { for dx = 1 to 65 { for py = 1 to 8 { for px = 1 to 8 {\n\
+               S[dy][dx] = S[dy][dx] + R[dy + py][dx + px] + C[py][px];\n\
+             } } } }",
+        ),
+        (
+            "rasta_flt",
+            "array X[23][2888]\narray Y[23][360]\n\
+             for t = 1 to 360 { for b = 1 to 23 { for k = 1 to 16 {\n\
+               Y[b][t] = Y[b][t] + X[b][8*t - k + 9];\n\
+             } } }",
+        ),
+    ]
+}
+
+/// Thread invariance under real parallelism, with and without the
+/// profile, on the scaled kernels.
+#[test]
+fn thread_count_is_invisible_on_scaled_kernels() {
+    for (name, src) in scaled_kernels() {
+        let nest = parse(src).unwrap();
+        let one = simulate_with_threads(&nest, true, 1);
+        let one_off = SimResult {
+            profile: None,
+            ..one.clone()
+        };
+        for threads in [2, 3, 4, 8] {
+            assert_eq!(
+                sweep_threads(&nest, threads),
+                threads,
+                "{name} x{threads} would sweep serially"
+            );
+            let what = format!("{name} x{threads}");
+            assert_same(&simulate_with_threads(&nest, true, threads), &one, &what);
+            let off = simulate_with_threads(&nest, false, threads);
+            assert_same(&off, &one_off, &format!("{what} profile off"));
         }
     }
 }

@@ -5,15 +5,20 @@
 
 use loopmem_ir::parse_program;
 use loopmem_obs::{CollectingSink, TraceSink};
-use loopmem_sim::{try_simulate_program_with_threads, AnalysisBudget, FaultKind, FaultPlan};
+use loopmem_sim::{
+    sweep_threads, try_simulate_program_with_threads, AnalysisBudget, FaultKind, FaultPlan,
+};
 use std::sync::Arc;
 
 /// A triangular nest plus a rectangular one, so chunking is uneven and a
 /// naive unsorted drain would interleave differently per thread count.
-/// The triangular nest sweeps 64·65/2 = 2080 iterations — past the
-/// 1024-iteration poll quantum, so a fault armed at poll 1 really fires.
-const SRC: &str = "array A[64][64]\narray X[200]\n\
-     for i = 1 to 64 { for j = i to 64 { A[i][j] = A[j][i]; } }\n\
+/// The triangular nest sweeps 370·371/2 = 68635 iterations — past the
+/// 1024-iteration poll quantum, so a fault armed at poll 1 really fires —
+/// and its 370² range box reaches the parallel-sweep cutoff. Under the
+/// budget's iteration cap the nests sweep one after another, each with
+/// every worker, so at t ∈ {2, 4} the triangle's chunks run in parallel.
+const SRC: &str = "array A[371][371]\narray X[200]\n\
+     for i = 1 to 370 { for j = i to 370 { A[i][j] = A[j][i]; } }\n\
      for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }";
 
 /// Runs the governed program simulation at `threads` with a fresh
@@ -36,6 +41,12 @@ fn traced_ndjson(threads: usize, fault: Option<(FaultKind, u64, usize)>) -> Stri
 
 #[test]
 fn clean_run_trace_bytes_identical_across_thread_counts() {
+    let program = parse_program(SRC).unwrap();
+    assert_eq!(
+        sweep_threads(&program.nests()[0], 2),
+        2,
+        "the triangle must sweep in parallel"
+    );
     let baseline = traced_ndjson(1, None);
     assert!(
         baseline.contains("\"event\":\"chunk-commit\""),

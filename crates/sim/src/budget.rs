@@ -290,6 +290,14 @@ impl BudgetTracker {
         self.iterations.load(Ordering::Relaxed)
     }
 
+    /// True when a trip can fire at a position in the cumulative
+    /// charged-iteration stream (an iteration cap or an injected fault):
+    /// which of several nests swept side by side reaches that position
+    /// first then depends on the schedule.
+    pub(crate) fn trips_on_count(&self) -> bool {
+        self.max_iterations.is_some() || self.fault.is_some()
+    }
+
     /// True when an attached fault plan demands the planner reject every
     /// per-array touch table (forced `max_table_bytes` rejection).
     pub(crate) fn fault_reject_tables(&self) -> bool {

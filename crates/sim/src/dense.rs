@@ -101,7 +101,7 @@ const SPARSITY_FACTOR: u128 = 64;
 
 /// Nests with (conservatively) fewer iterations than this are swept on
 /// one thread whatever worker count the caller asked for: thread
-/// spawn/merge overhead dominates below it.
+/// spawn/merge overhead dominates below it (see [`sweep_threads`]).
 const PARALLEL_THRESHOLD: u128 = 1 << 17;
 
 /// Upper limit on the iterations a salvage pass re-sweeps after a budget
@@ -183,6 +183,19 @@ impl Plan {
 /// per-variable range box (`0` when the nest provably never runs).
 fn estimated_iterations(nest: &LoopNest) -> u128 {
     estimated_iterations_of(nest)
+}
+
+/// Worker threads a pass-1 sweep of `nest` uses when the caller asks for
+/// `threads`: one below 2¹⁷ estimated iterations (`PARALLEL_THRESHOLD`),
+/// where spawning and merging cost more than they save. Results never
+/// depend on it; thread-invariance tests use it to check that their
+/// `threads > 1` legs really run in parallel.
+pub fn sweep_threads(nest: &LoopNest, threads: usize) -> usize {
+    if threads > 1 && estimated_iterations(nest) < PARALLEL_THRESHOLD {
+        1
+    } else {
+        threads.max(1)
+    }
 }
 
 /// Builds the flattened linear index form of `r` into `bx`, or `None`
@@ -829,7 +842,6 @@ impl ChunkOut {
             elements,
             per_array,
             profile,
-            peak_time: false,
             bounds: &[],
         };
         fold(&spec, self)
@@ -984,11 +996,7 @@ fn sweep_all(
     max_table_bytes: Option<u64>,
 ) -> Result<(Plan, ChunkOut), SweepError> {
     let (olo, ohi) = outer_range(nest);
-    let threads = if threads > 1 && estimated_iterations(nest) < PARALLEL_THRESHOLD {
-        1
-    } else {
-        threads.max(1)
-    };
+    let threads = sweep_threads(nest, threads);
     let tracing = tracker.trace().is_some();
     let started = tracing.then(std::time::Instant::now);
     // An injected table-rejection fault plans as if `max_table_bytes` were
@@ -1550,13 +1558,20 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        for src in [
+        for (src, workers) in [
             // Above the serial cutoff: really swept in parallel.
-            "array A[520][520]\nfor i = 2 to 512 { for j = 1 to 512 { A[i][j] = A[i-1][j]; } }",
+            (
+                "array A[520][520]\nfor i = 2 to 512 { for j = 1 to 512 { A[i][j] = A[i-1][j]; } }",
+                16,
+            ),
             // Below it: a pinned thread count still sweeps serially.
-            "array A[64][64]\nfor i = 2 to 60 { for j = 1 to 60 { A[i][j] = A[i-1][j]; } }",
+            (
+                "array A[64][64]\nfor i = 2 to 60 { for j = 1 to 60 { A[i][j] = A[i-1][j]; } }",
+                1,
+            ),
         ] {
             let nest = parse(src).unwrap();
+            assert_eq!(sweep_threads(&nest, 16), workers, "{src}");
             let one = run(&nest, true, 1);
             for threads in [2, 3, 5, 16] {
                 assert_same(&run(&nest, true, threads), &one);
@@ -1564,57 +1579,31 @@ mod tests {
         }
     }
 
+    include!("../tests/common/fold_boundary.rs");
+
     /// The fold's scratch stays within the 4 bytes per iteration the
-    /// `MaxTableBytes` gates charge, on real pass-1 tables of both kinds.
+    /// `MaxTableBytes` gates charge, on real pass-1 tables of both kinds:
+    /// each kernel class on each side of the fold's sparse/dense boundary.
     #[test]
     fn pass2_scratch_is_within_the_table_byte_gates() {
         use crate::fold::FoldPath;
-        use FoldPath::{Dense, Sparse};
-        for (src, path) in [
-            // Few elements reused across a long inner loop: sparse in time.
-            (
-                "array Y[41]\narray X[41]\nfor i = 1 to 40 { for j = 1 to 300 { Y[i] = Y[i] + X[i]; } }",
-                Sparse,
-            ),
-            // Every element live for a whole sweep: dense in time.
-            (
-                "array A[40][40]\nfor t = 1 to 3 { for i = 2 to 39 { for j = 1 to 39 { A[i][j] = A[i-1][j]; } } }",
-                Dense,
-            ),
-            // Each pass-1 kernel class on both sides of the boundary (the
-            // pairs of the sim crate's kernel-equivalence suite).
-            ("array A[10]\nfor i = 1 to 8 { for j = 1 to 400 { A[i] = A[i+1]; } }", Sparse),
-            ("array A[10]\nfor i = 1 to 8 { for j = 1 to 3 { A[i] = A[i+1]; } }", Dense),
-            ("array X[520]\nfor i = 1 to 100 { for j = 1 to 400 { X[i + j] = X[i + j + 1]; } }", Sparse),
-            ("array X[520]\nfor i = 1 to 10 { for j = 1 to 400 { X[i + j] = X[i + j + 1]; } }", Dense),
-            ("array X[520]\nfor i = 1 to 100 { for j = 1 to 400 { X[i - j + 401]; } }", Sparse),
-            ("array X[520]\nfor i = 1 to 10 { for j = 1 to 400 { X[i - j + 401]; } }", Dense),
-            (
-                "array X[1100]\nfor i = 1 to 200 { for j = 1 to 200 { X[2i + 3j] = X[2i + 3j + 4]; } }",
-                Sparse,
-            ),
-            (
-                "array X[1100]\nfor i = 1 to 20 { for j = 1 to 200 { X[2i + 3j] = X[2i + 3j + 4]; } }",
-                Dense,
-            ),
-            (
-                "array X[2000000000]\nfor t = 1 to 64 { for i = 1 to 4 { for j = 1 to 4 { X[100000000i + j]; } } }",
-                Sparse,
-            ),
-            (
-                "array X[2000000000]\nfor t = 1 to 2 { for i = 1 to 4 { for j = 1 to 4 { X[100000000i + j]; } } }",
-                Dense,
-            ),
-        ] {
-            let nest = parse(src).unwrap();
-            let np = pass1(&nest, 1);
-            for per_array in [false, true] {
-                let f = np.tables.fold(&np.refs, per_array, false);
-                assert_eq!(f.path, path, "{src}");
-                assert!(f.scratch_bytes <= 4 * np.tables.iters, "{} > 4 × {}", f.scratch_bytes, np.tables.iters);
+        for (class, sparse_in_time, dense_in_time) in FOLD_BOUNDARY {
+            for (src, path) in [
+                (sparse_in_time, FoldPath::Sparse),
+                (dense_in_time, FoldPath::Dense),
+            ] {
+                let np = pass1(&parse(src).unwrap(), 1);
+                for per_array in [false, true] {
+                    let f = np.tables.fold(&np.refs, per_array, false);
+                    assert_eq!(f.path, path, "{class}:\n{src}");
+                    assert!(
+                        f.scratch_bytes <= 4 * np.tables.iters,
+                        "{class}: {} > 4 × {}",
+                        f.scratch_bytes,
+                        np.tables.iters
+                    );
+                }
             }
-            assert_same(&run(&nest, true, 1), &simulate_hashmap_with_profile(&nest));
-            assert_same(&run(&nest, false, 2), &crate::window::simulate_hashmap(&nest));
         }
     }
 
@@ -1820,14 +1809,17 @@ mod tests {
         assert_eq!(chunks, vec![(1, 10), (11, 20), (21, 30), (31, 40)]);
     }
 
+    /// Triangles whose range boxes (370², 51³) reach the serial cutoff, so
+    /// every `threads > 1` leg steals volume-cut chunks.
     #[test]
     fn work_stealing_matches_serial_on_triangular_nests() {
         for src in [
-            "array A[80][80]\nfor i = 1 to 78 { for j = i to 78 { A[i][j] = A[j][i]; } }",
-            "array A[64][64]\nfor i = 1 to 60 { for j = 1 to i { A[i][j] = A[i-1][j]; } }",
-            "array X[400]\nfor i = 1 to 40 { for j = i to 40 { for k = j to 40 { X[i + j + k]; } } }",
+            "array A[371][371]\nfor i = 1 to 370 { for j = i to 370 { A[i][j] = A[j][i]; } }",
+            "array A[371][371]\nfor i = 1 to 370 { for j = 1 to i { A[i][j] = A[i-1][j]; } }",
+            "array X[160]\nfor i = 1 to 51 { for j = i to 51 { for k = j to 51 { X[i + j + k]; } } }",
         ] {
             let nest = parse(src).unwrap();
+            assert!(estimated_iterations(&nest) >= PARALLEL_THRESHOLD, "{src}");
             let one = run(&nest, true, 1);
             for threads in [2, 3, 4, 8] {
                 assert_same(&run(&nest, true, threads), &one);
@@ -1838,11 +1830,14 @@ mod tests {
 
     #[test]
     fn empty_inner_ranges_have_zero_volume() {
-        // j = i to 10 is empty for i > 10; outer i runs to 20.
+        // j = i to 400 is empty for i > 400; outer i runs to 800. The
+        // 800 × 400 range box reaches the serial cutoff, so the parallel
+        // legs cut chunks around the empty half.
         let nest =
-            parse("array A[32][32]\nfor i = 1 to 20 { for j = i to 10 { A[i][j]; } }").unwrap();
-        assert_eq!(volume(&nest, 15), 0);
-        assert_eq!(volume(&nest, 10), 1);
+            parse("array A[801][401]\nfor i = 1 to 800 { for j = i to 400 { A[i][j]; } }").unwrap();
+        assert!(estimated_iterations(&nest) >= PARALLEL_THRESHOLD);
+        assert_eq!(volume(&nest, 500), 0);
+        assert_eq!(volume(&nest, 400), 1);
         let one = run(&nest, true, 1);
         for threads in [2, 5] {
             assert_same(&run(&nest, true, threads), &one);

@@ -4,10 +4,11 @@
 //! element is in the window after iteration `t` exactly when
 //! `first ≤ t < last` (§2.3), so the live count changes only at stamps:
 //! `+1` at `first`, `−1` at `last`. [`fold`] turns the stamps into
-//! per-array and total MWS, the live counts at requested time boundaries
-//! and, on request, the per-iteration profile. It walks the stamps once
-//! (once per pass when a dense lane splits, below) and picks one of two
-//! representations from the input alone:
+//! per-array and total MWS, the earliest iteration at the peak, the live
+//! counts at requested time boundaries and, on request, the per-iteration
+//! profile. It walks the stamps once (once per pass when a dense lane
+//! splits, below) and picks one of two representations from the input
+//! alone:
 //!
 //! * **Sparse in time** (`2 · elements · SPARSE_RATIO ≤ iterations`): the
 //!   `±1` events are counting-sorted by time block (about one event per
@@ -68,8 +69,6 @@ pub(crate) struct FoldSpec<'a> {
     pub per_array: bool,
     /// Return the per-iteration total live count.
     pub profile: bool,
-    /// Locate the earliest iteration reaching the total MWS.
-    pub peak_time: bool,
     /// Non-decreasing time boundaries `b`: the fold reports the live count
     /// at each (elements with `first < b ≤ last`) and, per consecutive
     /// pair, the elements live across both.
@@ -94,7 +93,7 @@ pub(crate) struct Fold {
     /// Maximum over iterations of the total live count.
     pub mws_total: u64,
     /// Earliest iteration whose total live count is `mws_total` (0 when
-    /// the maximum is 0, or when [`FoldSpec::peak_time`] was not set).
+    /// the maximum is 0).
     pub peak_t: u64,
     /// Per boundary `b`: elements with `first < b ≤ last`.
     pub live_at: Vec<u64>,
@@ -128,7 +127,7 @@ pub(crate) fn fold(spec: &FoldSpec, stamps: &impl Stamps) -> Fold {
         distinct: tally.distinct,
         mws: spec.per_array.then_some(core.mws),
         mws_total: core.peak,
-        peak_t: if spec.peak_time { core.peak_t } else { 0 },
+        peak_t: core.peak_t,
         live_at,
         live_across,
         profile: core.profile,
@@ -418,6 +417,33 @@ struct Scan {
     bytes: u64,
 }
 
+/// Entries per block of a lane scan: locating the earliest peak walks
+/// one block again.
+const SCAN_BLOCK: usize = 4096;
+
+/// Adds one lane entry to the running field sums `cur` (and, with several
+/// fields, their maxima `max`) and returns their total: a sum of the
+/// fields, so no loop-carried total of its own. A single field is the
+/// total, so its maximum is the peak.
+#[inline]
+fn add_entry<F: Field, const N: usize>(
+    cur: &mut [i64; N],
+    max: &mut [i64; N],
+    entry: &[F; N],
+) -> i64 {
+    if N == 1 {
+        cur[0] += entry[0].get();
+        return cur[0];
+    }
+    let mut total = 0;
+    for k in 0..N {
+        cur[k] += entry[k].get();
+        max[k] = max[k].max(cur[k]);
+        total += cur[k];
+    }
+    total
+}
+
 /// Fills and scans one lane of `N` fields of type `F` per iteration.
 fn lane_pass<F: Field, const N: usize>(
     spec: &FoldSpec,
@@ -452,36 +478,38 @@ fn lane_pass<F: Field, const N: usize>(
     let bytes = (lane.len() * N * std::mem::size_of::<F>()) as u64;
     let (mut cur, mut max) = ([0i64; N], [0i64; N]);
     let mut peak = 0i64;
-    // Adds one entry: every field's running sum and maximum; returns their
-    // total (a sum of the fields, so no loop-carried total of its own). A
-    // single field is the total: its maximum is the peak.
-    let mut step = |entry: &[F; N]| {
-        if N == 1 {
-            cur[0] += entry[0].get();
-            return cur[0];
+    // A branch-free maximum inside each block; per block that raises it,
+    // the block and the sums before it. Only the block where the peak was
+    // first reached is walked again, for the earliest iteration at it.
+    let mut peak_block = None;
+    let mut profile = (spec.profile && pass.total).then(|| Vec::with_capacity(lane.len()));
+    for (b, block) in lane.chunks(SCAN_BLOCK).enumerate() {
+        let start = cur;
+        let mut block_peak = peak;
+        match profile.as_mut() {
+            Some(p) => p.extend(block.iter().map(|e| {
+                let total = add_entry(&mut cur, &mut max, e);
+                block_peak = block_peak.max(total);
+                total as u64
+            })),
+            None => {
+                for e in block {
+                    block_peak = block_peak.max(add_entry(&mut cur, &mut max, e));
+                }
+            }
         }
-        let mut total = 0;
-        for k in 0..N {
-            cur[k] += entry[k].get();
-            max[k] = max[k].max(cur[k]);
-            total += cur[k];
-        }
-        total
-    };
-    let profile = (spec.profile && pass.total).then(|| {
-        lane.iter()
-            .map(|e| {
-                let t = step(e);
-                peak = peak.max(t);
-                t as u64
-            })
-            .collect::<Vec<u64>>()
-    });
-    if profile.is_none() {
-        for e in &lane {
-            peak = peak.max(step(e));
+        if block_peak > peak {
+            peak = block_peak;
+            peak_block = Some((b, start));
         }
     }
+    let peak_t = peak_block.map_or(0, |(b, mut sums)| {
+        let at = lane[b * SCAN_BLOCK..]
+            .iter()
+            .position(|e| add_entry(&mut sums, &mut [0; N], e) == peak)
+            .expect("the block reaches the peak");
+        b * SCAN_BLOCK + at
+    });
     if N == 1 {
         max[0] = peak;
     }
@@ -490,18 +518,6 @@ fn lane_pass<F: Field, const N: usize>(
             mws[a] = m as u64;
         }
     }
-    // The earliest iteration at the peak: rescan up to it.
-    let peak_t = if spec.peak_time && pass.total && peak > 0 {
-        let mut running = 0i64;
-        lane.iter()
-            .position(|e| {
-                running += e.iter().map(|d| d.get()).sum::<i64>();
-                running == peak
-            })
-            .expect("the running total reaches its maximum")
-    } else {
-        0
-    };
     Scan {
         peak: peak as u64,
         peak_t: peak_t as u64,
@@ -579,7 +595,6 @@ mod tests {
             elements: stamps.len() as u64,
             per_array: true,
             profile: true,
-            peak_time: true,
             bounds,
         };
         fold(&spec, &List(stamps.to_vec()))
@@ -670,6 +685,36 @@ mod tests {
                 got.scratch_bytes,
                 got.path
             );
+        }
+    }
+
+    /// The dense scan locates the earliest peak one block at a time: here
+    /// the peak is first reached in the third block, on top of a sum
+    /// carried into it, and reached again two blocks later.
+    #[test]
+    fn earliest_peak_is_found_across_scan_blocks() {
+        let iters = 5 * SCAN_BLOCK as u64;
+        let stamps = [
+            (30, 40),
+            (100, 9500),
+            (9000, 18000),
+            (9005, 9100),
+            (16500, 17050),
+            (17000, 17100),
+        ];
+        let stamps: Vec<_> = stamps.iter().map(|&(f, l)| (0, f, l)).collect();
+        for (elements, path) in [(6, FoldPath::Sparse), (iters, FoldPath::Dense)] {
+            let spec = FoldSpec {
+                iters,
+                refs: &[1],
+                elements,
+                per_array: true,
+                profile: false,
+                bounds: &[],
+            };
+            let got = fold(&spec, &List(stamps.clone()));
+            assert_eq!(got.path, path);
+            assert_eq!((got.mws_total, got.peak_t), (3, 9005), "{path:?}");
         }
     }
 

@@ -45,7 +45,7 @@ pub use budget::{
     analytic_nest_bounds, analytic_program_bounds, panic_message, AnalysisBudget, BudgetTracker,
     CancelToken,
 };
-pub use dense::{bench_pass1, bench_pass1_interleaved, thread_count};
+pub use dense::{bench_pass1, bench_pass1_interleaved, sweep_threads, thread_count};
 pub use exec::{
     count_iterations, for_each_iteration, for_each_iteration_outer, outer_range,
     try_for_each_inner_run, try_for_each_iteration_outer,

@@ -129,6 +129,12 @@ fn sweep_nests_sharded(program: &Program, threads: usize) -> Vec<NestPass1> {
 /// [`dense::try_pass1`], which contains panics with `catch_unwind` and
 /// polls the shared tracker — so one poisoned or over-budget nest yields a
 /// per-nest error while the remaining nests complete.
+///
+/// An iteration cap or an injected fault trips at a fixed position in the
+/// cumulative charged-iteration stream, which nests swept side by side
+/// would race to reach. Under such a budget the nests run one after
+/// another in program order, each with the whole pool, so every nest's
+/// outcome is the one the serial sweep gives.
 fn try_sweep_nests_sharded(
     program: &Program,
     threads: usize,
@@ -137,21 +143,12 @@ fn try_sweep_nests_sharded(
 ) -> Vec<Result<NestPass1, AnalysisError>> {
     let nests = program.nests();
     let threads = threads.max(1);
-    if threads == 1 {
+    if threads == 1 || nests.len() == 1 || tracker.trips_on_count() {
         return nests
             .iter()
             .enumerate()
-            .map(|(k, n)| dense::try_pass1(k, n, 1, tracker, max_table_bytes))
+            .map(|(k, n)| dense::try_pass1(k, n, threads, tracker, max_table_bytes))
             .collect();
-    }
-    if nests.len() == 1 {
-        return vec![dense::try_pass1(
-            0,
-            &nests[0],
-            threads,
-            tracker,
-            max_table_bytes,
-        )];
     }
     let workers = threads.min(nests.len());
     let per_nest = (threads / workers).max(1);
@@ -450,7 +447,6 @@ fn assemble(
         elements: tables.iter().map(|g| g.touched).sum(),
         per_array: false,
         profile: false,
-        peak_time: true,
         bounds: &bounds,
     };
     let fold = fold(&spec, &GlobalStamps(&tables));

@@ -12,7 +12,10 @@
 //! * an injected panic surfaces at exactly the targeted nest of a
 //!   program, rebased, with the fixed marker message;
 //! * one oversized nest in a batch is refused by the table gate alone
-//!   while its siblings stay exact.
+//!   while its siblings stay exact;
+//! * trips on the cumulative counter fall in program order, so every
+//!   nest of a governed program has its serial outcome at every thread
+//!   count.
 
 use std::sync::Arc;
 
@@ -174,5 +177,40 @@ fn oversized_nest_in_a_batch_degrades_alone() {
         }
         assert!(!gov.all_exact());
         assert!(gov.mws_bounds.lower <= gov.mws_bounds.upper);
+    }
+}
+
+/// An iteration cap or an injected exhaust trips the nest that reaches
+/// its position in the cumulative iteration stream; the serial sweep
+/// starts the next nest only after that, so it fails too and is salvaged.
+/// Swept side by side, the short second nest could finish before the
+/// long first one reached the position and come out exact.
+#[test]
+fn counted_trips_fall_in_program_order_at_every_thread_count() {
+    let program = parse_program(
+        "array A[371][371]\narray X[200]\n\
+         for i = 1 to 370 { for j = i to 370 { A[i][j] = A[j][i]; } }\n\
+         for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }",
+    )
+    .unwrap();
+    let budgets: [fn() -> AnalysisBudget; 2] = [
+        || budget_with(FaultPlan::new(FaultKind::Exhaust, 1, 0)),
+        || AnalysisBudget::unlimited().with_max_iterations(30_000),
+    ];
+    for budget in budgets {
+        let serial = try_simulate_program_with_threads(&program, 1, &budget()).unwrap();
+        assert!(
+            serial.per_nest.iter().all(Result::is_err),
+            "{:?}",
+            serial.per_nest
+        );
+        for t in [2usize, 4] {
+            // Repeated: one run can slip through a race.
+            for _ in 0..8 {
+                let gov = try_simulate_program_with_threads(&program, t, &budget()).unwrap();
+                assert_eq!(gov.per_nest, serial.per_nest, "t={t}");
+                assert_eq!(gov.mws_bounds, serial.mws_bounds, "t={t}");
+            }
+        }
     }
 }

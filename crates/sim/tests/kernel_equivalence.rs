@@ -1,25 +1,35 @@
-//! Engine-equivalence suite for the lane-split pass-1 kernels.
+//! Engine-equivalence suite for the lane-split pass-1 kernels and the
+//! pass-2 window fold.
 //!
 //! Seeded random nests per kernel class — stride-0, stride-±1,
-//! general-stride, and the sparse hashmap fallback — each pinned
-//! bit-identical across worker-thread counts t ∈ {1, 2, 4} and against
-//! the legacy per-element hashmap engine. Every generated source is
-//! reproducible from the fixed per-class seed, so a failure names the
-//! exact nest.
+//! general-stride, and the sparse hashmap fallback — are checked against
+//! the legacy per-element hashmap engine, with and without the profile,
+//! at worker-thread counts t ∈ {1, 2, 4}. The random nests are small, so
+//! their t > 1 legs sweep serially (see `sweep_threads`). Each class also
+//! runs its pair from `common/fold_boundary.rs`, one nest on each side of
+//! the fold's sparse/dense boundary, both large enough that the t > 1
+//! legs really sweep in parallel. Every generated source is reproducible
+//! from the fixed per-class seed, so a failure names the exact nest.
 
 use loopmem_ir::parse;
 use loopmem_linalg::rng::Lcg;
 use loopmem_sim::{
-    bench_pass1_interleaved, simulate_hashmap, simulate_hashmap_with_profile, simulate_with_threads,
+    bench_pass1_interleaved, simulate_hashmap, simulate_hashmap_with_profile,
+    simulate_with_threads, sweep_threads,
 };
+
+include!("common/fold_boundary.rs");
 
 /// Asserts the dense lane-split engine matches the hashmap reference
 /// bit-for-bit (iterations, per-array stats, MWS, full profile) for
-/// every pinned thread count, and that the legacy interleaved pass-1
-/// comparator agrees on the iteration count.
+/// every pinned thread count, that the profile-off path — the one
+/// `Session::simulate` runs — matches the reference without a profile,
+/// and that the legacy interleaved pass-1 comparator agrees on the
+/// iteration count.
 fn assert_engines_agree(src: &str) {
     let nest = parse(src).unwrap_or_else(|e| panic!("parse failed for:\n{src}\n{e:?}"));
     let reference = simulate_hashmap_with_profile(&nest);
+    let reference_off = simulate_hashmap(&nest);
     for threads in [1usize, 2, 4] {
         let got = simulate_with_threads(&nest, true, threads);
         assert_eq!(
@@ -38,8 +48,46 @@ fn assert_engines_agree(src: &str) {
             got.profile, reference.profile,
             "window profile diverges at t={threads} for:\n{src}"
         );
+        let off = simulate_with_threads(&nest, false, threads);
+        assert_eq!(
+            off.iterations, reference_off.iterations,
+            "profile off, t={threads}:\n{src}"
+        );
+        assert_eq!(
+            off.mws_total, reference_off.mws_total,
+            "profile off, t={threads}:\n{src}"
+        );
+        assert_eq!(
+            off.per_array, reference_off.per_array,
+            "profile off, t={threads}:\n{src}"
+        );
+        assert_eq!(off.profile, None, "profile off, t={threads}:\n{src}");
     }
     assert_eq!(bench_pass1_interleaved(&nest), reference.iterations);
+}
+
+/// [`assert_engines_agree`] on a nest large enough that its t ∈ {2, 4}
+/// legs really sweep in parallel.
+fn assert_parallel_engines_agree(src: &str) {
+    let nest = parse(src).unwrap_or_else(|e| panic!("parse failed for:\n{src}\n{e:?}"));
+    for threads in [2, 4] {
+        assert_eq!(
+            sweep_threads(&nest, threads),
+            threads,
+            "t={threads} would sweep serially:\n{src}"
+        );
+    }
+    assert_engines_agree(src);
+}
+
+/// Runs `class`'s pair of fold-boundary nests.
+fn assert_boundary_pair_agrees(class: &str) {
+    let (_, sparse_in_time, dense_in_time) = FOLD_BOUNDARY
+        .into_iter()
+        .find(|pair| pair.0 == class)
+        .unwrap_or_else(|| panic!("no fold-boundary pair for {class}"));
+    assert_parallel_engines_agree(sparse_in_time);
+    assert_parallel_engines_agree(dense_in_time);
 }
 
 #[test]
@@ -70,6 +118,7 @@ fn stride0_references_agree() {
         };
         assert_engines_agree(&src);
     }
+    assert_boundary_pair_agrees("stride0");
 }
 
 #[test]
@@ -99,6 +148,7 @@ fn stride_plus_one_references_agree() {
         };
         assert_engines_agree(&src);
     }
+    assert_boundary_pair_agrees("stride+1");
 }
 
 #[test]
@@ -127,6 +177,7 @@ fn stride_minus_one_references_agree() {
         };
         assert_engines_agree(&src);
     }
+    assert_boundary_pair_agrees("stride-1");
 }
 
 #[test]
@@ -156,6 +207,7 @@ fn general_stride_references_agree() {
         };
         assert_engines_agree(&src);
     }
+    assert_boundary_pair_agrees("general");
 }
 
 #[test]
@@ -178,83 +230,59 @@ fn sparse_fallback_references_agree() {
         };
         assert_engines_agree(&src);
     }
-}
-
-/// Asserts the profile-off dense engine — the path `Session::simulate`
-/// runs — matches the hashmap reference without a profile at t ∈ {1, 2, 4}.
-fn assert_profile_off_agrees(src: &str) {
-    let nest = parse(src).unwrap_or_else(|e| panic!("parse failed for:\n{src}\n{e:?}"));
-    let reference = simulate_hashmap(&nest);
-    for threads in [1usize, 2, 4] {
-        let got = simulate_with_threads(&nest, false, threads);
-        assert_eq!(got.iterations, reference.iterations, "t={threads}:\n{src}");
-        assert_eq!(got.mws_total, reference.mws_total, "t={threads}:\n{src}");
-        assert_eq!(got.per_array, reference.per_array, "t={threads}:\n{src}");
-        assert_eq!(got.profile, None, "t={threads}:\n{src}");
-    }
-}
-
-/// Every pass-1 kernel class on both sides of the pass-2 fold's
-/// sparse/dense boundary. The fold sorts events when
-/// `2 · elements · 16 ≤ iterations` (few elements, long reuse) and fills
-/// a difference lane otherwise; each pair below puts the same subscripts
-/// on either side by stretching the reuse loop.
-#[test]
-fn profile_off_matches_hashmap_across_the_fold_boundary() {
-    for (sparse_in_time, dense_in_time) in [
-        // Stride 0.
-        (
-            "array A[10]\nfor i = 1 to 8 { for j = 1 to 400 { A[i] = A[i+1]; } }",
-            "array A[10]\nfor i = 1 to 8 { for j = 1 to 3 { A[i] = A[i+1]; } }",
-        ),
-        // Stride +1.
-        (
-            "array X[520]\nfor i = 1 to 100 { for j = 1 to 400 { X[i + j] = X[i + j + 1]; } }",
-            "array X[520]\nfor i = 1 to 10 { for j = 1 to 400 { X[i + j] = X[i + j + 1]; } }",
-        ),
-        // Stride -1.
-        (
-            "array X[520]\nfor i = 1 to 100 { for j = 1 to 400 { X[i - j + 401]; } }",
-            "array X[520]\nfor i = 1 to 10 { for j = 1 to 400 { X[i - j + 401]; } }",
-        ),
-        // General stride.
-        (
-            "array X[1100]\nfor i = 1 to 200 { for j = 1 to 200 { X[2i + 3j] = X[2i + 3j + 4]; } }",
-            "array X[1100]\nfor i = 1 to 20 { for j = 1 to 200 { X[2i + 3j] = X[2i + 3j + 4]; } }",
-        ),
-        // Hashmap fallback.
-        (
-            "array X[2000000000]\nfor t = 1 to 64 { for i = 1 to 4 { for j = 1 to 4 { X[100000000i + j]; } } }",
-            "array X[2000000000]\nfor t = 1 to 2 { for i = 1 to 4 { for j = 1 to 4 { X[100000000i + j]; } } }",
-        ),
-    ] {
-        assert_profile_off_agrees(sparse_in_time);
-        assert_profile_off_agrees(dense_in_time);
-    }
+    assert_boundary_pair_agrees("hashmap");
 }
 
 #[test]
-fn profile_off_matches_hashmap_on_fold_edge_cases() {
-    // Multi-array nests: per-array fields share one packed lane word.
-    assert_profile_off_agrees(
-        "array A[20][20]\narray B[20][20]\narray C[40]\n\
-         for i = 2 to 19 { for j = 1 to 19 { A[i][j] = A[i-1][j] + B[j][i] + C[i + j]; } }",
+fn triangular_bounds_agree() {
+    // Volume-cut chunks over triangular outer ranges.
+    assert_boundary_pair_agrees("triangular");
+}
+
+/// Multi-array nests: per-array fields share one packed lane entry,
+/// dense in time and sparse in time. The first is a triangle, so its
+/// 370² range box reaches the parallel cutoff at half the iterations.
+#[test]
+fn multi_array_nests_agree() {
+    assert_parallel_engines_agree(
+        "array A[372][371]\narray B[371][372]\narray C[742]\n\
+         for i = 2 to 371 { for j = i - 1 to 370 { A[i][j] = A[i-1][j] + B[j][i] + C[i + j]; } }",
     );
-    assert_profile_off_agrees(
-        "array Y[41]\narray X[41]\nfor i = 1 to 40 { for j = 1 to 300 { Y[i] = Y[i] + X[i]; } }",
+    assert_parallel_engines_agree(
+        "array Y[41]\narray X[41]\nfor i = 1 to 40 { for j = 1 to 3300 { Y[i] = Y[i] + X[i]; } }",
     );
+}
+
+/// Fold edge cases, with and without the profile. Each nest but the
+/// empty one (which has no iterations to split) is large enough to
+/// sweep in parallel at t ∈ {2, 4}.
+#[test]
+fn fold_edge_cases_agree() {
     // Elements touched exactly once (first == last), alone and next to
     // reused ones.
-    assert_profile_off_agrees("array A[30][30]\nfor i = 1 to 25 { for j = 1 to 25 { A[i][j]; } }");
-    assert_profile_off_agrees(
-        "array A[30][30]\narray X[30]\nfor i = 1 to 25 { for j = 1 to 25 { A[i][j] = X[i]; } }",
+    assert_parallel_engines_agree(
+        "array A[370][370]\nfor i = 1 to 363 { for j = 1 to 363 { A[i][j]; } }",
     );
-    // More than 127 references: the lane needs 16-bit words.
-    let reads: String = (0..130).map(|k| format!("A[i + {k}]; ")).collect();
-    assert_profile_off_agrees(&format!("array A[200]\nfor i = 1 to 50 {{ {reads}}}"));
-    assert_profile_off_agrees(&format!(
-        "array A[200]\nfor t = 1 to 40 {{ for i = 1 to 50 {{ {reads}}} }}"
+    assert_parallel_engines_agree(
+        "array A[370][370]\narray X[370]\nfor i = 1 to 363 { for j = 1 to 363 { A[i][j] = X[i]; } }",
+    );
+    // More than 127 references: the lane needs 16-bit fields. The
+    // 5-deep simplex's range box (11⁵) reaches the parallel cutoff while
+    // it runs only C(15, 5) = 3003 iterations.
+    let reads = |v: &str| {
+        (0..130)
+            .map(|k| format!("A[{v} + {k}]; "))
+            .collect::<String>()
+    };
+    assert_engines_agree(&format!(
+        "array A[200]\nfor i = 1 to 50 {{ {}}}",
+        reads("i")
+    ));
+    assert_parallel_engines_agree(&format!(
+        "array A[200]\nfor a = 1 to 11 {{ for b = a to 11 {{ for c = b to 11 {{ \
+         for d = c to 11 {{ for e = d to 11 {{ {}}} }} }} }} }}",
+        reads("e")
     ));
     // An empty nest.
-    assert_profile_off_agrees("array A[10]\nfor i = 5 to 4 { A[i]; }");
+    assert_engines_agree("array A[10]\nfor i = 5 to 4 { A[i]; }");
 }
