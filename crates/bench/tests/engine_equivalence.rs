@@ -1,10 +1,13 @@
 //! Differential tests: the dense-event simulator engine must agree with
-//! the legacy hashmap engine on every paper kernel, for every thread
-//! count, and the parallel optimizer must match its serial path exactly.
+//! the legacy hashmap engine on every paper kernel and on transformed
+//! nests, for every thread count, and the parallel optimizer must match
+//! its serial path exactly.
 
 use loopmem_bench::all_kernels;
-use loopmem_core::optimize::{minimize_mws_with_threads, SearchMode};
-use loopmem_ir::parse;
+use loopmem_core::apply_transform;
+use loopmem_core::optimize::{minimize_mws, minimize_mws_with_threads, SearchMode};
+use loopmem_ir::{parse, LoopNest};
+use loopmem_linalg::{IMat, Lcg};
 use loopmem_sim::{
     simulate_hashmap, simulate_hashmap_with_profile, simulate_with_threads, sweep_threads,
     SimResult,
@@ -159,6 +162,87 @@ fn paper_examples() -> Vec<(&'static str, &'static str)> {
              for i = 1 to 10 { for j = 1 to 20 { for k = 1 to 30 { A[3i + k][j + k]; } } }",
         ),
     ]
+}
+
+/// Random `n × n` unimodular matrices: products of elementary skews
+/// (`k ∈ −2..=2`) and signed row swaps, so every sample is exactly
+/// unimodular.
+fn unimodular(n: usize, rng: &mut Lcg) -> IMat {
+    let mut m = IMat::identity(n);
+    for _ in 0..rng.range_usize(1, 4) {
+        let i = rng.range_usize(0, n - 1);
+        let j = (i + rng.range_usize(1, n - 1)) % n;
+        let mut g = IMat::identity(n);
+        if rng.range_usize(0, 2) == 0 {
+            (g[(i, i)], g[(j, j)], g[(i, j)], g[(j, i)]) = (0, 0, 1, -1);
+        } else {
+            g[(i, j)] = rng.range_i64(-2, 2);
+        }
+        m = &g * &m;
+    }
+    m
+}
+
+/// Transformed nests against the hashmap engine, with and without the
+/// profile, at t ∈ {1, 2, 4}. The dense engine sizes a transformed nest's
+/// tables by the subscripts' ranges over its iteration polytope, which
+/// are far tighter than its variable box; the hashmap engine sizes
+/// nothing. Inputs: every candidate the optimizer evaluates exactly on
+/// the paper corpus (the Figure 2 kernels and Examples 7–10), and seeded
+/// random unimodular transforms of the kernels and of their shapes scaled
+/// past the parallel-sweep cutoff.
+#[test]
+fn dense_engine_matches_hashmap_on_transformed_nests() {
+    let corpus: Vec<(String, LoopNest)> = all_kernels()
+        .iter()
+        .map(|k| (k.name.to_string(), k.nest()))
+        .chain(
+            paper_examples()
+                .into_iter()
+                .map(|(name, src)| (name.to_string(), parse(src).unwrap())),
+        )
+        .collect();
+    let mut cases: Vec<(String, LoopNest, bool)> = Vec::new();
+    for (name, nest) in &corpus {
+        let opt = minimize_mws(nest, SearchMode::default()).unwrap();
+        for (t, _) in &opt.evaluated {
+            cases.push((
+                format!("{name} {t:?}"),
+                apply_transform(nest, t).unwrap(),
+                false,
+            ));
+        }
+    }
+    let mut rng = Lcg::new(0xE9);
+    for (name, nest) in &corpus {
+        for _ in 0..2 {
+            let t = unimodular(nest.depth(), &mut rng);
+            let what = format!("{name} random {t:?}");
+            cases.push((what, apply_transform(nest, &t).unwrap(), false));
+        }
+    }
+    // One 2-, 3- and 4-deep shape past the cutoff, so each depth's
+    // transformed sweep really runs in parallel.
+    for (name, src) in scaled_kernels() {
+        if ["2_point", "matmult", "3step_log"].contains(&name) {
+            let nest = parse(src).unwrap();
+            let t = unimodular(nest.depth(), &mut rng);
+            let what = format!("scaled {name} random {t:?}");
+            cases.push((what, apply_transform(&nest, &t).unwrap(), true));
+        }
+    }
+    for (what, nest, parallel) in &cases {
+        if *parallel {
+            assert_eq!(sweep_threads(nest, 4), 4, "{what} would sweep serially");
+        }
+        let (on, off) = (simulate_hashmap_with_profile(nest), simulate_hashmap(nest));
+        for threads in [1, 2, 4] {
+            let what = format!("{what} x{threads}");
+            assert_same(&simulate_with_threads(nest, true, threads), &on, &what);
+            let dense = simulate_with_threads(nest, false, threads);
+            assert_same(&dense, &off, &format!("{what} profile off"));
+        }
+    }
 }
 
 #[test]

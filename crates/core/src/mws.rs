@@ -133,17 +133,23 @@ pub fn three_level_estimate(d: (i64, i64, i64), n: (i64, i64, i64)) -> i64 {
 /// element per uniformly generated group). The estimate is the maximum
 /// over the dependence distances, plus the element entering at the sink.
 pub fn lex_delay_estimate(distances: &[Vec<i64>], extents: &[i64]) -> i64 {
-    let mut best = 0i64;
-    for d in distances {
-        assert_eq!(d.len(), extents.len(), "arity mismatch");
-        let mut delay = 0i64;
-        for k in 0..d.len() {
-            let inner: i64 = extents[k + 1..].iter().product();
-            delay += d[k].abs() * inner;
-        }
-        best = best.max(delay);
+    distances
+        .iter()
+        .map(|d| lex_delay(d, extents))
+        .fold(0, i64::max)
+        + 1
+}
+
+/// Iterations a lexicographic sweep of a box with these `extents` takes
+/// to cover distance `d`: `Σ_k |d_k| · Π_{j>k} N_j`.
+pub(crate) fn lex_delay(d: &[i64], extents: &[i64]) -> i64 {
+    assert_eq!(d.len(), extents.len(), "arity mismatch");
+    let mut delay = 0i64;
+    for k in 0..d.len() {
+        let inner: i64 = extents[k + 1..].iter().product();
+        delay += d[k].abs() * inner;
     }
-    best + 1
+    delay
 }
 
 /// Closed-form MWS estimate for a whole rectangular nest, without

@@ -18,7 +18,7 @@
 //!   come from the data access matrix (± sign); when no legal completion
 //!   exists the search *fails*, reproducing the paper's Example 8 claim.
 
-use crate::mws::{lex_delay_estimate, two_level_estimate};
+use crate::mws::{lex_delay, two_level_estimate};
 use crate::transform::{apply_transform, TransformError};
 use loopmem_dep::legality::{is_legal, is_tileable, row_tileable};
 use loopmem_dep::uniform::uniform_groups;
@@ -31,7 +31,7 @@ use loopmem_obs::{EventKind, Phase, TraceEvent, TraceSink};
 use loopmem_sim::{
     panic_message, simulate_with_threads, try_simulate_tracked, AnalysisBudget, BudgetTracker,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -768,15 +768,22 @@ fn complete_tileable(a: i64, b: i64, deps: &DependenceSet, max_coeff: i64) -> Op
 
 /// Candidates for nests deeper than two: signed permutations, §4.3's
 /// access-matrix completions, and skew-composed permutations, all
-/// filtered for legality.
+/// filtered for legality, in first-generated order. A set dedups them,
+/// so each distinct matrix is checked for legality once.
 fn deep_candidates(nest: &LoopNest, deps: &DependenceSet) -> Vec<IMat> {
     let n = nest.depth();
     let mut out = vec![IMat::identity(n)];
-    let perms = signed_permutations(n);
-    for t in &perms {
-        if is_legal(t, deps) && !out.contains(t) {
-            out.push(t.clone());
+    let mut seen: HashSet<IMat> = out.iter().cloned().collect();
+    let mut offer = |t: IMat, out: &mut Vec<IMat>| {
+        if !seen.contains(&t) {
+            seen.insert(t.clone());
+            if is_legal(&t, deps) {
+                out.push(t);
+            }
         }
+    };
+    for t in signed_permutations(n) {
+        offer(t, &mut out);
     }
     // §4.3: leading rows = data access matrix rows, so the innermost
     // transformed loop carries the reuse.
@@ -786,9 +793,7 @@ fn deep_candidates(nest: &LoopNest, deps: &DependenceSet) -> Vec<IMat> {
         }
         for rows in access_row_variants(&r.matrix) {
             if let Some(t) = complete_unimodular_rows(&rows) {
-                if is_legal(&t, deps) && !out.contains(&t) {
-                    out.push(t);
-                }
+                offer(t, &mut out);
             }
         }
     }
@@ -800,10 +805,7 @@ fn deep_candidates(nest: &LoopNest, deps: &DependenceSet) -> Vec<IMat> {
         let base = out.clone();
         for skew in elementary_skews(n) {
             for p in &base {
-                let t = &skew * p;
-                if is_legal(&t, deps) && !out.contains(&t) {
-                    out.push(t);
-                }
+                offer(&skew * p, &mut out);
             }
         }
     }
@@ -919,9 +921,11 @@ fn rank_and_truncate(nest: &LoopNest, deps: &DependenceSet, cands: &mut Vec<IMat
     if cands.len() <= keep {
         return;
     }
+    let objective = RankingObjective::new(nest, deps);
+    let mut scratch = [Vec::new(), Vec::new()];
     let mut scored: Vec<(i64, IMat)> = cands
         .drain(..)
-        .map(|t| (analytic_objective(nest, deps, &t), t))
+        .map(|t| (objective.score(&t, &mut scratch), t))
         .collect();
     scored.sort_by_key(|(s, _)| *s);
     let id = IMat::identity(nest.depth());
@@ -934,38 +938,93 @@ fn rank_and_truncate(nest: &LoopNest, deps: &DependenceSet, cands: &mut Vec<IMat
 
 /// Cheap closed-form objective used only for ranking: per uniformly
 /// generated group, eq. (2) where it applies (2-deep, 1-D arrays), the
-/// lexicographic-delay estimate otherwise, summed over groups.
-fn analytic_objective(nest: &LoopNest, deps: &DependenceSet, t: &IMat) -> i64 {
-    let n = nest.depth();
-    let extents: Vec<i64> = nest
-        .rectangular_ranges()
-        .map(|rs| rs.iter().map(|&(lo, hi)| hi - lo + 1).collect())
-        .unwrap_or_else(|| vec![16; n]);
-    // Extents of the transformed space, over-approximated per row.
-    let t_extents: Vec<i64> = (0..n)
-        .map(|k| {
-            1 + (0..n)
-                .map(|j| t[(k, j)].abs() * (extents[j] - 1))
-                .sum::<i64>()
-        })
-        .collect();
-    let mut total = 0i64;
-    for g in uniform_groups(nest) {
-        if n == 2 && g.matrix.nrows() == 1 {
-            let alpha = (g.matrix[(0, 0)], g.matrix[(0, 1)]);
-            total += two_level_estimate(alpha, (t[(0, 0)], t[(0, 1)]), (extents[0], extents[1]));
-        } else {
-            let distances: Vec<Vec<i64>> = deps
-                .iter()
-                .filter(|d| d.array == g.array)
-                .map(|d| t.mul_vec(&d.distance))
-                .collect();
-            if !distances.is_empty() {
-                total += lex_delay_estimate(&distances, &t_extents);
-            }
-        }
+/// lexicographic-delay estimate otherwise, summed over groups. Everything
+/// that does not depend on the candidate is computed once per search, so
+/// scoring a candidate allocates nothing.
+struct RankingObjective {
+    /// Extents of the original nest (16 per loop when not rectangular).
+    extents: Vec<i64>,
+    terms: Vec<GroupTerm>,
+}
+
+/// One uniformly generated group's share of the [`RankingObjective`].
+enum GroupTerm {
+    /// Eq. (2) for the group's one-row access matrix.
+    TwoLevel((i64, i64)),
+    /// [`crate::mws::lex_delay_estimate`] over the *distinct* dependence
+    /// distances of the group's array. The estimate is a maximum over
+    /// distances, so duplicates never change it.
+    LexDelay(Vec<Vec<i64>>),
+}
+
+impl RankingObjective {
+    fn new(nest: &LoopNest, deps: &DependenceSet) -> Self {
+        let n = nest.depth();
+        let extents: Vec<i64> = nest
+            .rectangular_ranges()
+            .map(|rs| rs.iter().map(|&(lo, hi)| hi - lo + 1).collect())
+            .unwrap_or_else(|| vec![16; n]);
+        let terms = uniform_groups(nest)
+            .into_iter()
+            .filter_map(|g| {
+                if n == 2 && g.matrix.nrows() == 1 {
+                    return Some(GroupTerm::TwoLevel((g.matrix[(0, 0)], g.matrix[(0, 1)])));
+                }
+                let distances: BTreeSet<&[i64]> = deps
+                    .iter()
+                    .filter(|d| d.array == g.array)
+                    .map(|d| d.distance.as_slice())
+                    .collect();
+                (!distances.is_empty()).then(|| {
+                    GroupTerm::LexDelay(distances.into_iter().map(<[i64]>::to_vec).collect())
+                })
+            })
+            .collect();
+        RankingObjective { extents, terms }
     }
-    total
+
+    /// The objective at transformation `t`. `scratch` holds the
+    /// transformed extents and one transformed distance, reused across
+    /// calls.
+    fn score(&self, t: &IMat, scratch: &mut [Vec<i64>; 2]) -> i64 {
+        let n = self.extents.len();
+        let [t_extents, td] = scratch;
+        // Extents of the transformed space, over-approximated per row.
+        t_extents.clear();
+        t_extents.extend((0..n).map(|k| {
+            1 + (0..n)
+                .map(|j| t[(k, j)].abs() * (self.extents[j] - 1))
+                .sum::<i64>()
+        }));
+        let mut total = 0i64;
+        for term in &self.terms {
+            total += match term {
+                GroupTerm::TwoLevel(alpha) => two_level_estimate(
+                    *alpha,
+                    (t[(0, 0)], t[(0, 1)]),
+                    (self.extents[0], self.extents[1]),
+                ),
+                GroupTerm::LexDelay(distances) => {
+                    let mut best = 0i64;
+                    for d in distances {
+                        td.clear();
+                        td.extend((0..n).map(|k| -> i64 {
+                            t.row(k)
+                                .iter()
+                                .zip(d)
+                                .map(|(&a, &b)| (a as i128) * (b as i128))
+                                .sum::<i128>()
+                                .try_into()
+                                .expect("mul_vec overflow")
+                        }));
+                        best = best.max(lex_delay(td, t_extents));
+                    }
+                    best + 1
+                }
+            };
+        }
+        total
+    }
 }
 
 #[cfg(test)]

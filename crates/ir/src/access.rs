@@ -226,10 +226,13 @@ impl ArrayRef {
     /// box: evaluating the reference anywhere inside `var_ranges` yields an
     /// index inside the returned box. Exact over non-empty boxes (affine
     /// extrema sit at corners) whose subscripts stay inside `i64`;
-    /// overflowing endpoints saturate to `i64::MIN`/`i64::MAX`. The dense
-    /// simulator engine uses this to size flat touch tables — a saturated
-    /// (oversized) box is demoted to the sparse path by the planner's own
-    /// per-reference `i64` re-verification, never under-sized.
+    /// overflowing endpoints saturate to `i64::MIN`/`i64::MAX`. Over a
+    /// transformed nest's [`LoopNest::var_ranges`](crate::LoopNest::var_ranges)
+    /// the box can be far larger than the subscripts' range over the
+    /// iteration polytope, so the dense simulator engine only starts from
+    /// it: its planner intersects each range with the polytope range
+    /// before sizing a touch table. The analytic degradation bounds use
+    /// this box as it is.
     pub fn index_ranges(&self, var_ranges: &[(i64, i64)]) -> Vec<(i64, i64)> {
         self.subscripts()
             .iter()

@@ -13,44 +13,67 @@ use crate::constraint::{Constraint, Polyhedron};
 ///
 /// # Panics
 ///
-/// Panics if `k` is out of range.
+/// Panics if `k` is out of range, or if a combined coefficient leaves
+/// `i64` (see [`try_eliminate`] for the checked form).
 pub fn eliminate(p: &Polyhedron, k: usize) -> Polyhedron {
+    try_eliminate(p, k, usize::MAX).expect("fourier-motzkin overflow")
+}
+
+/// [`eliminate`] for callers that must not panic: `None` when a combined
+/// coefficient or constant leaves `i64`, or when the shadow would hold
+/// more than `cap` constraints. The cap is checked before any pair is
+/// combined (against the count before deduplication), so it bounds the
+/// work as well as the result.
+///
+/// # Panics
+///
+/// Panics if `k` is out of range.
+pub fn try_eliminate(p: &Polyhedron, k: usize, cap: usize) -> Option<Polyhedron> {
     assert!(k < p.nvars(), "variable index out of range");
     let mut lowers = Vec::new();
     let mut uppers = Vec::new();
     let mut rest = Vec::new();
     for c in p.constraints() {
         match c.coeffs[k].cmp(&0) {
-            std::cmp::Ordering::Greater => lowers.push(c.clone()),
-            std::cmp::Ordering::Less => uppers.push(c.clone()),
-            std::cmp::Ordering::Equal => rest.push(c.clone()),
+            std::cmp::Ordering::Greater => lowers.push(c),
+            std::cmp::Ordering::Less => uppers.push(c),
+            std::cmp::Ordering::Equal => rest.push(c),
         }
+    }
+    if lowers
+        .len()
+        .saturating_mul(uppers.len())
+        .saturating_add(rest.len())
+        > cap
+    {
+        return None;
     }
     let mut out = Polyhedron::universe(p.nvars());
     for c in rest {
-        out.add(c);
+        out.add(c.clone());
     }
     for l in &lowers {
         for u in &uppers {
-            let a = l.coeffs[k]; // > 0
-            let b = -u.coeffs[k]; // > 0
-            let coeffs: Vec<i64> = l
+            let a = l.coeffs[k] as i128; // > 0
+            let b = -(u.coeffs[k] as i128); // > 0
+            let coeffs = l
                 .coeffs
                 .iter()
                 .zip(&u.coeffs)
                 .map(|(&lc, &uc)| combine(b, lc, a, uc))
-                .collect();
-            let constant = combine(b, l.constant, a, u.constant);
+                .collect::<Option<Vec<i64>>>()?;
+            let constant = combine(b, l.constant, a, u.constant)?;
             debug_assert_eq!(coeffs[k], 0);
             out.add(Constraint::new(coeffs, constant));
         }
     }
-    out
+    Some(out)
 }
 
-fn combine(b: i64, lc: i64, a: i64, uc: i64) -> i64 {
-    let v = (b as i128) * (lc as i128) + (a as i128) * (uc as i128);
-    v.try_into().expect("fourier-motzkin overflow")
+/// `b·lc + a·uc` in `i64`, or `None` when it does not fit. The products
+/// are below 2¹²⁶ in magnitude, so the `i128` sum is exact.
+fn combine(b: i128, lc: i64, a: i128, uc: i64) -> Option<i64> {
+    (b * lc as i128 + a * uc as i128).try_into().ok()
 }
 
 /// Eliminates every variable with index `>= keep`, leaving constraints over

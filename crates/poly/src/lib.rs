@@ -6,11 +6,14 @@
 //! counting techniques of Clauss \[3\] and Pugh \[15\]: ground truth for the
 //! fast dependence-based estimators of `loopmem-core`. It also provides the
 //! Fourier–Motzkin machinery that regenerates loop bounds after a unimodular
-//! transformation (§4's code generation step).
+//! transformation (§4's code generation step), and the subscript ranges
+//! that size the dense simulator's touch tables.
 //!
 //! * [`Constraint`] / [`Polyhedron`] — systems of affine inequalities
-//!   `a·x + c ≥ 0` over the iteration vector;
-//! * [`fm`] — exact Fourier–Motzkin elimination with redundancy pruning;
+//!   `a·x + c ≥ 0` over the iteration vector, and the range of an affine
+//!   function over them ([`Polyhedron::affine_range`]);
+//! * [`fm`] — exact Fourier–Motzkin elimination with redundancy pruning,
+//!   and a checked form that never panics ([`fm::try_eliminate`]);
 //! * [`enumerate`] — lexicographic lattice-point enumeration (holes
 //!   introduced by projection are filtered against the original system, so
 //!   enumeration is exact);

@@ -94,6 +94,29 @@ fn var_range_brackets_all_points() {
 }
 
 #[test]
+fn affine_range_brackets_all_points() {
+    let mut rng = Lcg::new(0x36);
+    for case in 0..512 {
+        let p = random_poly_2d(&mut rng);
+        let pts = brute_force(&p);
+        let f = rng.ivec(2, -4, 4);
+        let c = rng.range_i64(-9, 9);
+        let values = pts.iter().map(|pt| f[0] * pt[0] + f[1] * pt[1] + c);
+        match p.affine_range(&f, c, 64) {
+            Some((lo, hi)) => {
+                for v in values {
+                    assert!(
+                        lo <= v && v <= hi,
+                        "case {case}: {v} outside {lo}..={hi}, {p:?}"
+                    );
+                }
+            }
+            None => assert!(pts.is_empty(), "case {case}: {p:?}"),
+        }
+    }
+}
+
+#[test]
 fn regenerated_loops_scan_the_same_points() {
     let mut rng = Lcg::new(0x35);
     for case in 0..256 {

@@ -5,11 +5,17 @@
 //! coordinate vector in a `HashMap`, paying an allocation plus a hash per
 //! access. This engine removes both costs:
 //!
-//! * **Pass 1 (touch recording).** Each array gets a conservative bounding
-//!   box of its subscripts, computed by interval analysis of the affine
-//!   references over the nest's per-variable ranges
-//!   ([`LoopNest::var_ranges`] / [`ArrayRef::index_ranges`]). Coordinates
-//!   flatten to offsets in a pair of dense structure-of-arrays lanes —
+//! * **Pass 1 (touch recording).** Each array gets a bounding box of its
+//!   subscripts at every executed iteration. Interval analysis of the
+//!   affine references over the nest's per-variable ranges
+//!   ([`LoopNest::var_ranges`] / [`ArrayRef::index_ranges`]) gives the
+//!   box of a rectangular nest exactly; for any other nest each subscript
+//!   range is intersected with its range over the iteration polytope
+//!   ([`Polyhedron::affine_range`]), because a transformed nest's
+//!   variable box can be hundreds of times its polytope. A projection
+//!   that fails (overflow, too many constraints) keeps the interval
+//!   range. Coordinates flatten to offsets in a pair of dense
+//!   structure-of-arrays lanes —
 //!   `first: Vec<u32>` / `last: Vec<u32>` — and the sweep walks the nest
 //!   one *innermost run* at a time ([`try_for_each_inner_run`]): the
 //!   outer-iteration part of each reference's linear form is hoisted out
@@ -56,6 +62,7 @@ use loopmem_ir::{
     AnalysisError, ArrayId, ArrayRef, Bounds, BoundsMethod, ElementBox, LoopNest, TripReason,
 };
 use loopmem_obs::{EventKind, Phase, TraceEvent};
+use loopmem_poly::Polyhedron;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::ControlFlow;
@@ -134,11 +141,13 @@ pub fn thread_count() -> usize {
 enum RefMode {
     /// Flattened linear form, split for the run kernels:
     /// `offset = outer · iter[..depth-1] + stride · iter[depth-1] + constant`,
-    /// indexing the array's dense lanes. In-range by construction (the
-    /// table's box encloses the reference over the nest's variable
-    /// ranges), and free of `i64` overflow on every reachable term
-    /// product and partial sum ([`dense_form`] verified both against the
-    /// i128 interval — the run kernels rely on that invariant).
+    /// indexing the array's dense lanes. In range at every *executed*
+    /// iteration (the table's box encloses the reference over the
+    /// nest's polytope, not over its whole variable box, so only the
+    /// iterations the run kernels visit are covered), and free of `i64`
+    /// overflow on every term product and partial sum over the variable
+    /// box ([`dense_form`] verified both against the i128 interval — the
+    /// run kernels rely on that invariant).
     Dense {
         outer: Vec<i64>,
         stride: i64,
@@ -241,6 +250,74 @@ fn dense_form(r: &ArrayRef, bx: &ElementBox, vr: &[(i64, i64)]) -> Option<(Vec<i
     Some((coeffs.iter().map(|&c| c as i64).collect(), constant as i64))
 }
 
+/// Most constraints an intermediate system of a planner projection may
+/// hold (see [`Polyhedron::affine_range`]); past it a subscript keeps its
+/// interval range. Loop nests and their transforms stay far below it.
+const PROJECTION_CAP: usize = 256;
+
+/// Subscript ranges over the nest's iteration polytope, for the planner.
+/// Interval analysis over [`LoopNest::var_ranges`] is exact for
+/// rectangular nests, but a skewed nest's variable box can be hundreds of
+/// times its polytope, and so can the subscript boxes taken over it. The
+/// polytope range of each subscript row, from a checked Fourier–Motzkin
+/// projection ([`Polyhedron::affine_range`]), is exact up to integer
+/// rounding; it is cached per row, because the uniformly generated
+/// references of a nest share their rows and differ only in offsets.
+struct PolytopeRanges {
+    /// `None` for rectangular nests (nothing to gain) and for nests whose
+    /// bounds are too large for a checked translation.
+    poly: Option<Polyhedron>,
+    rows: HashMap<Vec<i64>, Option<(i64, i64)>>,
+}
+
+impl PolytopeRanges {
+    fn new(nest: &LoopNest) -> Self {
+        let poly = if nest.is_rectangular() {
+            None
+        } else {
+            Polyhedron::try_from_nest(nest)
+        };
+        PolytopeRanges {
+            poly,
+            rows: HashMap::new(),
+        }
+    }
+
+    /// Per-dimension ranges of `r` at every executed iteration: the
+    /// interval ranges over `vr` ([`ArrayRef::index_ranges`]), intersected
+    /// with the polytope range wherever the projection succeeds. A failed
+    /// projection, or an empty intersection (possible only when no
+    /// iteration executes or the interval range saturated at the `i64`
+    /// limits), keeps the interval range.
+    fn subscript_box(&mut self, r: &ArrayRef, vr: &[(i64, i64)]) -> Vec<(i64, i64)> {
+        let mut ranges = r.index_ranges(vr);
+        let Some(poly) = &self.poly else {
+            return ranges;
+        };
+        for (d, range) in ranges.iter_mut().enumerate() {
+            let row = r.matrix.row(d);
+            let exact = match self.rows.get(row) {
+                Some(&exact) => exact,
+                None => {
+                    let exact = poly.affine_range(row, 0, PROJECTION_CAP);
+                    self.rows.insert(row.to_vec(), exact);
+                    exact
+                }
+            };
+            let offset = r.offset[d];
+            let shifted =
+                exact.and_then(|(lo, hi)| Some((lo.checked_add(offset)?, hi.checked_add(offset)?)));
+            if let Some((lo, hi)) = shifted {
+                let (lo, hi) = (lo.max(range.0), hi.min(range.1));
+                if lo <= hi {
+                    *range = (lo, hi);
+                }
+            }
+        }
+        ranges
+    }
+}
+
 /// Plans dense vs. sparse representation per array. `max_table_bytes`
 /// tightens the built-in [`DENSE_BUDGET_BYTES`] cap: arrays whose box would
 /// exceed the caller's byte budget are demoted to the hashmap (sparse)
@@ -254,12 +331,13 @@ fn make_plan(nest: &LoopNest, threads: usize, max_table_bytes: Option<u64>) -> P
 
     if let Some(vr) = nest.var_ranges() {
         let est_iters = estimated_iterations(nest);
-        // Union of each reference's conservative subscript box, per array.
+        // Union of each reference's subscript box, per array.
         let mut arr_ranges: Vec<Option<Vec<(i64, i64)>>> = vec![None; narrays];
         let mut ref_count = vec![0u128; narrays];
+        let mut polytope = PolytopeRanges::new(nest);
         for r in &refs {
             ref_count[r.array.0] += 1;
-            let ir = r.index_ranges(&vr);
+            let ir = polytope.subscript_box(r, &vr);
             match &mut arr_ranges[r.array.0] {
                 slot @ None => *slot = Some(ir),
                 Some(acc) => {
@@ -389,7 +467,8 @@ pub(crate) struct ChunkOut {
 /// segments, so the newest store always wins anyway.
 ///
 /// Offsets never leave the table (the planner's box encloses the
-/// reference) and never wrap in `i64` (the planner's `dense_form`
+/// reference at every executed iteration, and a run holds only executed
+/// iterations) and never wrap in `i64` (the planner's `dense_form`
 /// verified every reachable term product and partial sum).
 #[inline]
 #[allow(clippy::too_many_arguments)] // flat scalars keep the hot kernel monomorphic
@@ -1605,6 +1684,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `C[i][j] = A[i][j] + A[i][j]` over `i in 2..=n, j in 1..=n` after
+    /// T = [[-5,-3],[2,1]], as the optimizer builds it: the subscripts
+    /// become `(t1 + 3·t2, -2·t1 - 5·t2)` and the regenerated inner bounds
+    /// divide by 3 and 5.
+    fn skewed_consumer(n: i64) -> LoopNest {
+        use loopmem_ir::bounds::BoundPiece;
+        use loopmem_ir::{AccessKind, Affine, ArrayDecl, Bound, Loop, Statement};
+        use loopmem_linalg::IMat;
+        let piece = |coeffs: Vec<i64>, constant, div| BoundPiece {
+            expr: Affine::new(coeffs, constant),
+            div,
+        };
+        let t1 = Loop {
+            var: "t1".into(),
+            lower: Bound::constant(2, -8 * n),
+            upper: Bound::constant(2, -13),
+        };
+        let t2 = Loop {
+            var: "t2".into(),
+            lower: Bound::from_pieces(vec![piece(vec![-1, 0], 2, 3), piece(vec![-2, 0], -n, 5)]),
+            upper: Bound::from_pieces(vec![piece(vec![-1, 0], n, 3), piece(vec![-2, 0], -1, 5)]),
+        };
+        let at = |a: usize, kind| {
+            let m = IMat::from_rows(&[vec![1, 3], vec![-2, -5]]);
+            ArrayRef::new(ArrayId(a), m, vec![0, 0], kind)
+        };
+        let decls = ["A", "C"].map(|name| ArrayDecl::new(name, vec![n + 4, n + 4]));
+        let refs = vec![
+            at(1, AccessKind::Write),
+            at(0, AccessKind::Read),
+            at(0, AccessKind::Read),
+        ];
+        LoopNest::new(vec![t1, t2], decls.to_vec(), vec![Statement::new(refs)]).unwrap()
+    }
+
+    /// An optimizer candidate of the benchmark's largest `program` input:
+    /// its tables cover the untransformed nest's box, 2 × 81 × 82 cells
+    /// for 6,642 iterations, where interval analysis over the skewed
+    /// variable box would plan ~7.8·10⁶.
+    #[test]
+    fn skewed_candidate_plans_the_untransformed_box() {
+        let skewed = skewed_consumer(82);
+        let plain = parse(
+            "array A[86][86]\narray C[86][86]\n\
+             for i = 2 to 82 { for j = 1 to 82 { C[i][j] = A[i][j] + A[i][j]; } }",
+        )
+        .unwrap();
+        let (sp, pp) = (make_plan(&skewed, 1, None), make_plan(&plain, 1, None));
+        assert_eq!(sp.boxes, pp.boxes);
+        let cells: u128 = sp.boxes.iter().flatten().map(ElementBox::cells).sum();
+        assert_eq!(cells, 13_284);
+        let vr = skewed.var_ranges().unwrap();
+        let mut interval: u128 = 0;
+        for a in 0..2 {
+            let mut union: Option<Vec<(i64, i64)>> = None;
+            for r in skewed.refs().filter(|r| r.array.0 == a) {
+                let ir = r.index_ranges(&vr);
+                union = Some(match union {
+                    None => ir,
+                    Some(u) => u
+                        .iter()
+                        .zip(&ir)
+                        .map(|(x, y)| (x.0.min(y.0), x.1.max(y.1)))
+                        .collect(),
+                });
+            }
+            interval += ElementBox::new(&union.unwrap()).cells();
+        }
+        assert_eq!(interval, 7_820_956);
+        let dense = run(&skewed, true, 1);
+        assert_eq!(dense.iterations, 6_642);
+        assert_same(&dense, &simulate_hashmap_with_profile(&skewed));
     }
 
     #[test]
