@@ -323,7 +323,7 @@ trace_step() {
     # A mangled counters line must be rejected — the recount is not a
     # rubber stamp.
     ./target/release/loopmem trace kernels/example8.loop --out "$tmp/ex8.ndjson" > /dev/null
-    sed 's/"memo_hits":1/"memo_hits":2/' "$tmp/ex8.ndjson" > "$tmp/ex8-tampered.ndjson"
+    sed 's/"certificates":6/"certificates":7/' "$tmp/ex8.ndjson" > "$tmp/ex8-tampered.ndjson"
     if cmp -s "$tmp/ex8.ndjson" "$tmp/ex8-tampered.ndjson"; then
         echo "FAIL: tamper sed matched nothing in example8's trace stream"
         rm -rf "$tmp"

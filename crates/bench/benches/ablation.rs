@@ -10,8 +10,8 @@
 
 mod util;
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
 use loopmem_core::{branch_and_bound, two_level_objective};
+use loopmem_core::{SearchMode, Session};
 use loopmem_dep::legality::row_tileable;
 use loopmem_dep::{analyze, DependenceSet};
 use loopmem_ir::parse;
@@ -62,13 +62,12 @@ fn main() {
         .nest();
     for top in [1usize, 4, 12, 24] {
         bench(&format!("simulate_top/{top}"), || {
-            minimize_mws(
-                &nest,
-                SearchMode::Compound {
+            Session::new()
+                .search_mode(SearchMode::Compound {
                     max_coeff: 6,
                     simulate_top: top,
-                },
-            )
+                })
+                .optimize(&nest)
         });
     }
 }

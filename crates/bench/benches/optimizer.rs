@@ -10,18 +10,20 @@
 mod util;
 
 use loopmem_bench::all_kernels;
-use loopmem_core::optimize::{minimize_mws, SearchMode};
+use loopmem_core::{SearchMode, Session};
 use util::bench;
 
 fn main() {
-    println!("== minimize_mws: compound vs interchange+reversal ==");
+    println!("== optimize: compound vs interchange+reversal ==");
     for k in all_kernels() {
         let nest = k.nest();
         bench(&format!("compound/{}", k.name), || {
-            minimize_mws(&nest, SearchMode::default())
+            Session::new().optimize(&nest)
         });
         bench(&format!("interchange_reversal/{}", k.name), || {
-            minimize_mws(&nest, SearchMode::InterchangeReversal)
+            Session::new()
+                .search_mode(SearchMode::InterchangeReversal)
+                .optimize(&nest)
         });
     }
 }

@@ -21,10 +21,8 @@
 //! skipped with a note — they would only report scheduler noise.
 
 use loopmem_bench::all_kernels;
-use loopmem_core::optimize::{minimize_mws_with_threads, SearchMode};
-use loopmem_core::{
-    optimize_program_with_threads, scratchpad_program_with_threads, scratchpad_with_fusion,
-};
+use loopmem_core::{SearchMode, Session};
+use loopmem_ir::json::escape_json;
 use loopmem_ir::{parse, parse_program, LoopNest, Program};
 use loopmem_obs::NullSink;
 use loopmem_sim::{
@@ -89,9 +87,9 @@ fn synthetic_reuse(smoke: bool) -> LoopNest {
 }
 
 /// Multi-nest batch workload: a four-phase pipeline over shared arrays.
-/// Nest 2 repeats nest 0's kernel under different loop-variable names
-/// (exercising the canonical-key memo), and nest 1 is triangular
-/// (exercising volume-balanced chunking inside a nest).
+/// Nest 2 repeats nest 0's kernel under different loop-variable names,
+/// and nest 1 is triangular (exercising volume-balanced chunking inside
+/// a nest).
 fn synthetic_program(smoke: bool) -> Program {
     let n = if smoke { 60 } else { 400 };
     parse_program(&format!(
@@ -168,10 +166,6 @@ fn optimizer_examples() -> Vec<(&'static str, LoopNest)> {
     ]
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn write_json(
     path: &std::path::Path,
     rows: &[Row],
@@ -187,8 +181,8 @@ fn write_json(
     for (k, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"bench\": \"{}\", \"subject\": \"{}\", \"threads\": {}, \"millis\": {:.3}, \"iterations\": {}, \"mws_total\": {}, \"outcome\": \"{}\"}}{}\n",
-            json_escape(&r.bench),
-            json_escape(&r.subject),
+            escape_json(&r.bench),
+            escape_json(&r.subject),
             r.threads,
             r.millis,
             r.iterations,
@@ -201,7 +195,7 @@ fn write_json(
     for (k, (name, v)) in speedups.iter().enumerate() {
         out.push_str(&format!(
             "    \"{}\": {:.3}{}\n",
-            json_escape(name),
+            escape_json(name),
             v,
             if k + 1 == speedups.len() { "" } else { "," },
         ));
@@ -430,7 +424,7 @@ fn main() {
             nests_total_ms / program_1t_ms,
         ));
         // Batch optimizer over a program that repeats Example 7 under
-        // renamed variables: the shared memo pays for the search once.
+        // renamed variables: two independent searches, one per nest.
         let opt_program = parse_program(
             "array X[100]\n\
              for i = 1 to 20 { for j = 1 to 30 { X[2i - 3j]; } }\n\
@@ -439,9 +433,11 @@ fn main() {
         .expect("optimizer program parses");
         for &threads in &sweep {
             let (ms, r) = time_ms(|| {
-                optimize_program_with_threads(&opt_program, SearchMode::default(), threads)
+                Session::new()
+                    .threads(threads)
+                    .optimize_program(&opt_program)
             });
-            let mws = r.as_ref().ok().map(|o| o.mws_after);
+            let mws = r.as_ref().ok().map(|o| o.mws_after.upper);
             record(
                 &mut rows,
                 "optimize-program",
@@ -462,7 +458,13 @@ fn main() {
         let program = synthetic_program(smoke);
         let mut baseline_words = None;
         for &threads in &sweep {
-            let (ms, s) = time_median3(|| scratchpad_program_with_threads(&program, threads));
+            let (ms, gov) = time_median3(|| {
+                Session::new()
+                    .threads(threads)
+                    .scratchpad_sizing(&program)
+                    .expect("the pipeline sizes within an unlimited budget")
+            });
+            let s = gov.sizing;
             let iters: u64 = simulate_program_with_threads(&program, threads)
                 .per_nest_iterations
                 .iter()
@@ -491,7 +493,13 @@ fn main() {
             m = n + 1,
         ))
         .expect("producer/consumer parses");
-        let (ms, plan) = time_median3(|| scratchpad_with_fusion(&pc, 1));
+        let (ms, (_, plan)) = time_median3(|| {
+            Session::new()
+                .threads(1)
+                .scratchpad(&pc)
+                .expect("the pair sizes within an unlimited budget")
+        });
+        let plan = plan.expect("an exact baseline runs the fusion search");
         assert!(
             plan.fused.words < plan.unfused.words,
             "fusion must shrink the producer/consumer scratchpad"
@@ -520,7 +528,8 @@ fn main() {
             ("interchange-reversal", SearchMode::InterchangeReversal),
             ("li-pingali", SearchMode::LiPingali),
         ] {
-            let (ms, r) = time_median3(|| minimize_mws_with_threads(&nest, mode, nthreads));
+            let session = Session::new().threads(nthreads).search_mode(mode);
+            let (ms, r) = time_median3(|| session.optimize(&nest));
             let mws = r.as_ref().ok().map(|o| o.mws_after);
             record(
                 &mut rows,
@@ -628,11 +637,6 @@ fn main() {
         );
         speedups.push(("trace_overhead".to_string(), plain_ms / null_ms));
     }
-
-    let (hits, misses) = loopmem_core::optimize::memo_stats();
-    println!();
-    println!("optimizer memo: {hits} hits / {misses} misses");
-    speedups.push(("optimizer_memo_hits".to_string(), hits as f64));
 
     write_json(&out_path, &rows, &speedups, nthreads, avail);
     println!("wrote {}", out_path.display());

@@ -2,7 +2,7 @@
 //! kernel over execution, before and after optimization — the dynamic view
 //! behind Figure 2's static MWS numbers.
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
+use loopmem_core::Session;
 use loopmem_sim::simulate_with_profile;
 
 fn sparkline(profile: &[u64], width: usize) -> String {
@@ -32,7 +32,7 @@ fn main() {
     for k in loopmem_bench::all_kernels() {
         let nest = k.nest();
         let before = simulate_with_profile(&nest);
-        let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+        let opt = Session::new().optimize(&nest).expect("search succeeds");
         let after = simulate_with_profile(&opt.transformed);
         let pb = before.profile.expect("profile");
         let pa = after.profile.expect("profile");

@@ -5,10 +5,9 @@
 //! output next to the paper's numbers.
 
 use crate::kernels::all_kernels;
-use loopmem_core::optimize::{minimize_mws, OptimizeError, SearchMode};
-use loopmem_core::{analyze_memory, two_level_objective};
+use loopmem_core::{analyze_memory, two_level_objective, SearchMode, Session};
 use loopmem_dep::analyze;
-use loopmem_ir::{parse, LoopNest};
+use loopmem_ir::{parse, AnalysisError, LoopNest};
 use loopmem_linalg::IMat;
 use loopmem_sim::simulate;
 use std::fmt;
@@ -67,7 +66,8 @@ pub fn figure2() -> Fig2 {
         .into_iter()
         .map(|k| {
             let nest = k.nest();
-            let opt = minimize_mws(&nest, SearchMode::default())
+            let opt = Session::new()
+                .optimize(&nest)
                 .unwrap_or_else(|e| panic!("{}: {e}", k.name));
             Fig2Row {
                 name: k.name,
@@ -313,7 +313,7 @@ pub struct Ex8Study {
     /// The chosen transformation.
     pub transform: IMat,
     /// The Li–Pingali baseline's outcome (paper: no legal completion).
-    pub li_pingali: Result<u64, OptimizeError>,
+    pub li_pingali: Result<u64, AnalysisError>,
     /// The interchange/reversal baseline's best MWS (paper: unchanged).
     pub interchange_reversal: u64,
 }
@@ -325,10 +325,17 @@ pub fn example8_study() -> Ex8Study {
     )
     .unwrap();
     let deps = analyze(&nest);
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("compound search succeeds");
-    let li = minimize_mws(&nest, SearchMode::LiPingali).map(|o| o.mws_after);
-    let ir =
-        minimize_mws(&nest, SearchMode::InterchangeReversal).expect("identity is always available");
+    let opt = Session::new()
+        .optimize(&nest)
+        .expect("compound search succeeds");
+    let li = Session::new()
+        .search_mode(SearchMode::LiPingali)
+        .optimize(&nest)
+        .map(|o| o.mws_after);
+    let ir = Session::new()
+        .search_mode(SearchMode::InterchangeReversal)
+        .optimize(&nest)
+        .expect("identity is always available");
     Ex8Study {
         distances: deps.distances(true),
         objective_at_optimum: two_level_objective((2, 5), (2, 3), (25, 10)),
@@ -356,7 +363,10 @@ impl fmt::Display for Ex8Study {
         writeln!(f, "chosen T:\n{}", self.transform)?;
         match &self.li_pingali {
             Ok(m) => writeln!(f, "Li-Pingali: reaches {m} (paper expected failure!)")?,
-            Err(e) => writeln!(f, "Li-Pingali: {e} (matches the paper)")?,
+            Err(AnalysisError::Invalid { message }) => {
+                writeln!(f, "Li-Pingali: {message} (matches the paper)")?
+            }
+            Err(e) => writeln!(f, "Li-Pingali: {e}")?,
         }
         writeln!(
             f,
@@ -393,7 +403,7 @@ pub fn example10_study() -> Ex10Study {
     let reuse = loopmem_dep::reuse_vectors(&nest)[0].1.clone();
     let estimate = loopmem_core::three_level_estimate((reuse[0], reuse[1], reuse[2]), (10, 20, 30));
     let exact_before = simulate(&nest).mws_total;
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    let opt = Session::new().optimize(&nest).expect("search succeeds");
     Ex10Study {
         reuse_vector: reuse,
         estimate,

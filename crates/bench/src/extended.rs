@@ -78,7 +78,7 @@ pub fn extended_kernels() -> Vec<Kernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loopmem_core::optimize::{minimize_mws, SearchMode};
+    use loopmem_core::Session;
     use loopmem_sim::simulate;
 
     #[test]
@@ -109,7 +109,7 @@ mod tests {
         // (or two columns, or two anti-diagonals) of A live in every
         // order, so the optimizer correctly reports no improvement.
         let nest = JACOBI_2D.nest();
-        let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+        let opt = Session::new().optimize(&nest).expect("search succeeds");
         assert_eq!(opt.mws_before, 44); // ~2 rows of the 22-wide interior
         assert_eq!(opt.mws_after, opt.mws_before);
     }
@@ -129,7 +129,7 @@ mod tests {
     fn optimizer_never_regresses_on_extended_suite() {
         for k in extended_kernels() {
             let nest = k.nest();
-            let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+            let opt = Session::new().optimize(&nest).expect("search succeeds");
             assert!(opt.mws_after <= opt.mws_before, "{}", k.name);
         }
     }

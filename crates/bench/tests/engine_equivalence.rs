@@ -4,8 +4,7 @@
 //! its serial path exactly.
 
 use loopmem_bench::all_kernels;
-use loopmem_core::apply_transform;
-use loopmem_core::optimize::{minimize_mws, minimize_mws_with_threads, SearchMode};
+use loopmem_core::{apply_transform, Session};
 use loopmem_ir::{parse, LoopNest};
 use loopmem_linalg::{IMat, Lcg};
 use loopmem_sim::{
@@ -204,7 +203,7 @@ fn dense_engine_matches_hashmap_on_transformed_nests() {
         .collect();
     let mut cases: Vec<(String, LoopNest, bool)> = Vec::new();
     for (name, nest) in &corpus {
-        let opt = minimize_mws(nest, SearchMode::default()).unwrap();
+        let opt = Session::new().optimize(nest).unwrap();
         for (t, _) in &opt.evaluated {
             cases.push((
                 format!("{name} {t:?}"),
@@ -249,10 +248,14 @@ fn dense_engine_matches_hashmap_on_transformed_nests() {
 fn compound_search_is_deterministic_across_thread_counts() {
     for (name, src) in paper_examples() {
         let nest = parse(src).unwrap();
-        let serial = minimize_mws_with_threads(&nest, SearchMode::default(), 1)
+        let serial = Session::new()
+            .threads(1)
+            .optimize(&nest)
             .unwrap_or_else(|e| panic!("{name}: serial search failed: {e}"));
         for threads in [2, 4, 8] {
-            let par = minimize_mws_with_threads(&nest, SearchMode::default(), threads)
+            let par = Session::new()
+                .threads(threads)
+                .optimize(&nest)
                 .unwrap_or_else(|e| panic!("{name}: parallel search failed: {e}"));
             assert_eq!(
                 par.transform, serial.transform,
@@ -271,21 +274,4 @@ fn compound_search_is_deterministic_across_thread_counts() {
             );
         }
     }
-}
-
-#[test]
-fn memoization_reports_hits_on_repeated_search() {
-    let nest = parse(
-        "array X[300]\nfor i = 1 to 23 { for j = 1 to 19 { X[4i - 5j + 100] = X[4i - 5j + 96]; } }",
-    )
-    .unwrap();
-    let first = minimize_mws_with_threads(&nest, SearchMode::default(), 2).unwrap();
-    let again = minimize_mws_with_threads(&nest, SearchMode::default(), 2).unwrap();
-    assert!(first.cache_hits > 0, "identity candidate must hit the memo");
-    assert!(
-        again.cache_hits > first.cache_hits,
-        "repeat must be mostly cached"
-    );
-    assert_eq!(again.transform, first.transform);
-    assert_eq!(again.mws_after, first.mws_after);
 }

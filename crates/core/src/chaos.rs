@@ -55,8 +55,8 @@ use loopmem_sim::{
     FaultKind, FaultPlan, INJECTED_PANIC,
 };
 
-use crate::optimize::{try_minimize_mws_with_threads, SearchMode};
-use crate::scratchpad::try_scratchpad_program_with_threads;
+use crate::optimize::SearchMode;
+use crate::Session;
 
 /// Iteration cap for each chaos case: big enough that the small kernels
 /// complete exactly and every injected fault threshold (at most 16 poll
@@ -100,11 +100,11 @@ impl ChaosReport {
 enum Entry {
     /// `try_simulate_with_threads` on the program's first nest.
     Simulate,
-    /// `try_minimize_mws_with_threads` on the program's first nest.
+    /// `Session::optimize` on the program's first nest.
     Optimize,
     /// `try_simulate_program_with_threads` on the whole program.
     Pipeline,
-    /// `try_scratchpad_program_with_threads` on the whole program.
+    /// `Session::scratchpad_sizing` on the whole program.
     Scratchpad,
 }
 
@@ -288,9 +288,11 @@ fn run_case(
                 // candidate evaluation, error normalization — is identical
                 // to the compound mode's.
                 let mode = SearchMode::InterchangeReversal;
-                match try_minimize_mws_with_threads(nest, mode, threads, &budget) {
-                    // `cache_hits` is volatile by contract (always 0 on the
-                    // governed path) and excluded from the canonical form.
+                let session = Session::new()
+                    .threads(threads)
+                    .search_mode(mode)
+                    .budget(budget.clone());
+                match session.optimize(nest) {
                     Ok(opt) => (
                         format!(
                             "ok before={} after={} considered={} transform={:?}",
@@ -354,7 +356,8 @@ fn run_case(
                 ),
             },
             Entry::Scratchpad => {
-                match try_scratchpad_program_with_threads(program, threads, &budget) {
+                let session = Session::new().threads(threads).budget(budget.clone());
+                match session.scratchpad_sizing(program) {
                     Ok(gov) => {
                         let per: Vec<String> = gov
                             .per_nest
@@ -477,7 +480,10 @@ pub fn chaos_program(name: &str, program: &Program, seed: u64) -> ChaosReport {
         .filter(|g| g.all_exact())
         .map(|g| g.sim.mws_total);
     report.runs += 1;
-    let exact_words = try_scratchpad_program_with_threads(program, 1, &exact_budget)
+    let exact_words = Session::new()
+        .threads(1)
+        .budget(exact_budget.clone())
+        .scratchpad_sizing(program)
         .ok()
         .filter(|g| g.words.is_exact())
         .map(|g| g.words.lower);

@@ -31,10 +31,14 @@
 //!   interchange+reversal only (Eisenbeis et al.) and Li–Pingali
 //!   access-matrix completion.
 //!
+//! [`Session`] is the entry point to every search and sizing: it carries
+//! the thread count, budget, search mode, trace sink and certificate
+//! switch into each call.
+//!
 //! # Quickstart
 //!
 //! ```
-//! use loopmem_core::{estimator::analyze_memory, optimize::{minimize_mws, SearchMode}};
+//! use loopmem_core::{estimator::analyze_memory, Session};
 //!
 //! // Example 8 of the paper.
 //! let nest = loopmem_ir::parse(r#"
@@ -43,7 +47,7 @@
 //! "#).unwrap();
 //!
 //! let before = analyze_memory(&nest);
-//! let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+//! let opt = Session::new().optimize(&nest).unwrap();
 //! assert!(opt.mws_after < before.mws_exact);
 //! assert_eq!(opt.mws_after, 21); // the paper's "actual minimum MWS"
 //! ```
@@ -80,21 +84,9 @@ pub use distinct::{
 pub use estimator::{analyze_memory, MemoryAnalysis};
 pub use fusion::{fuse, FusionError};
 pub use mws::{estimate_nest_mws, three_level_estimate, two_level_estimate, two_level_objective};
-pub use optimize::{
-    memo_stats, minimize_mws, minimize_mws_traced, minimize_mws_with_threads, nest_mws_memoized,
-    try_minimize_mws, try_minimize_mws_with_threads, Optimization, OptimizeError, SearchMode,
-};
-pub use program_opt::{
-    analyze_program, optimize_program, optimize_program_with_threads, try_optimize_program,
-    try_optimize_program_with_threads, GovernedProgramOptimization, ProgramAnalysis,
-    ProgramOptimization,
-};
-pub use scratchpad::{
-    scratchpad_program, scratchpad_program_with_threads, scratchpad_with_fusion,
-    scratchpad_with_fusion_traced, try_scratchpad_program, try_scratchpad_program_tracked,
-    try_scratchpad_program_with_threads, try_scratchpad_with_fusion, FusionStep,
-    GovernedScratchpad, NestTerm, ScratchpadPlan, ScratchpadSizing,
-};
+pub use optimize::{memo_stats, Optimization, SearchMode};
+pub use program_opt::GovernedProgramOptimization;
+pub use scratchpad::{FusionStep, GovernedScratchpad, NestTerm, ScratchpadPlan, ScratchpadSizing};
 pub use session::Session;
 pub use symbolic::{distinct_formulas, Poly, SymbolicEstimate};
 pub use tile::{tile, tile_count, TileError};

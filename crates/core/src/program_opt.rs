@@ -1,181 +1,18 @@
-//! Program-level analysis and optimization (multi-nest extension).
+//! Program-level optimization (multi-nest extension).
 //!
 //! Each nest is transformed with the §4 search; the program is then
 //! re-simulated as a whole, because inter-nest liveness (values crossing a
-//! nest boundary) caps what loop reordering alone can achieve — a producer
-//!/consumer pair needs fusion, not reordering, to shrink its boundary set.
-//! The analysis reports both numbers so the gap is visible.
+//! nest boundary) caps what loop reordering alone can achieve — a
+//! producer/consumer pair needs fusion, not reordering, to shrink its
+//! boundary set. The result reports both numbers so the gap is visible.
+//! [`Session::optimize_program`](crate::Session::optimize_program) is the
+//! entry point.
 
-use crate::optimize::{
-    minimize_mws_with_threads, nest_mws_memoized, try_minimize_mws_tracked, Optimization,
-    OptimizeError, SearchMode,
-};
-use loopmem_ir::{AnalysisError, ArrayId, Bounds, Program};
-use loopmem_sim::{
-    simulate_program, simulate_program_with_threads, try_simulate_program_tracked, AnalysisBudget,
-    BudgetTracker, ProgramSimResult,
-};
-use std::collections::HashMap;
+use crate::optimize::{try_minimize_mws_tracked, Optimization, SearchMode};
+use loopmem_ir::{AnalysisError, Bounds, Program};
+use loopmem_sim::{try_simulate_program_tracked, AnalysisBudget, BudgetTracker};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Memory analysis of a whole program.
-#[derive(Clone, Debug)]
-pub struct ProgramAnalysis {
-    /// Declared words over all arrays.
-    pub default_words: i64,
-    /// Exact whole-program MWS.
-    pub mws_exact: u64,
-    /// Live words at each internal nest boundary.
-    pub boundary_live: Vec<u64>,
-    /// Distinct elements per array.
-    pub distinct: HashMap<ArrayId, u64>,
-    /// Which nest hosts the window peak.
-    pub peak_nest: usize,
-    /// Exact single-nest MWS per nest (memoized: a kernel repeated under
-    /// different loop-variable names is simulated once).
-    pub per_nest_mws: Vec<u64>,
-}
-
-/// Analyzes a program's memory behaviour exactly.
-pub fn analyze_program(program: &Program) -> ProgramAnalysis {
-    let sim: ProgramSimResult = simulate_program(program);
-    ProgramAnalysis {
-        default_words: program.default_memory(),
-        mws_exact: sim.mws_total,
-        boundary_live: sim.boundary_live,
-        distinct: sim.distinct,
-        peak_nest: sim.peak_nest,
-        per_nest_mws: program.nests().iter().map(nest_mws_memoized).collect(),
-    }
-}
-
-/// Result of optimizing every nest of a program.
-#[derive(Clone, Debug)]
-pub struct ProgramOptimization {
-    /// The program with each nest transformed.
-    pub transformed: Program,
-    /// Whole-program MWS before.
-    pub mws_before: u64,
-    /// Whole-program MWS after.
-    pub mws_after: u64,
-    /// Per-nest `(before, after)` single-nest windows.
-    pub per_nest: Vec<(u64, u64)>,
-}
-
-/// Runs the §4 search on every nest independently and re-evaluates the
-/// whole program. `mws_after <= mws_before` is *not* guaranteed at the
-/// program level (a per-nest win can shift a boundary), so the result
-/// keeps whichever whole-program choice is better per nest, greedily in
-/// execution order.
-///
-/// Uses every available worker thread ([`loopmem_sim::thread_count`]).
-///
-/// # Errors
-///
-/// Propagates the first nest-level [`OptimizeError`].
-pub fn optimize_program(
-    program: &Program,
-    mode: SearchMode,
-) -> Result<ProgramOptimization, OptimizeError> {
-    optimize_program_with_threads(program, mode, loopmem_sim::thread_count())
-}
-
-/// [`optimize_program`] with a pinned worker-thread count.
-///
-/// The per-nest §4 searches are independent, so they shard across one
-/// scoped-thread pool (workers steal nest indices from an atomic queue;
-/// each search then runs its own evaluation single-threaded to avoid
-/// oversubscribing). All searches share the process-wide simulation memo,
-/// so a kernel repeated across nests — even under different loop-variable
-/// names — is simulated once. The greedy accept pass that follows is
-/// serial and the searches themselves are deterministic, so the result is
-/// bit-identical for every `threads` value.
-///
-/// # Errors
-///
-/// Propagates the earliest (by nest index) nest-level [`OptimizeError`],
-/// matching the serial path's first-failure semantics.
-pub fn optimize_program_with_threads(
-    program: &Program,
-    mode: SearchMode,
-    threads: usize,
-) -> Result<ProgramOptimization, OptimizeError> {
-    let mws_before = simulate_program_with_threads(program, threads).mws_total;
-    let opts = optimize_nests_sharded(program, mode, threads)?;
-    let mut current = program.clone();
-    let mut current_mws = mws_before;
-    let mut per_nest = Vec::with_capacity(program.len());
-    for (k, opt) in opts.into_iter().enumerate() {
-        per_nest.push((opt.mws_before, opt.mws_after));
-        let candidate = current
-            .with_nest(k, opt.transformed)
-            .expect("transformation preserves the array table");
-        // Keep the per-nest transformation only if the whole program does
-        // not regress.
-        let candidate_mws = simulate_program_with_threads(&candidate, threads).mws_total;
-        if candidate_mws <= current_mws {
-            current = candidate;
-            current_mws = candidate_mws;
-        }
-    }
-    Ok(ProgramOptimization {
-        transformed: current,
-        mws_before,
-        mws_after: current_mws,
-        per_nest,
-    })
-}
-
-/// Runs the nest-level search for every nest, sharded across `threads`
-/// scoped workers pulling nest indices from an atomic queue. In the
-/// serial loop each nest is searched in its *original* form (earlier
-/// replacements never touch later nests), so the searches are independent
-/// and order-free; outputs land in their nest's slot.
-fn optimize_nests_sharded(
-    program: &Program,
-    mode: SearchMode,
-    threads: usize,
-) -> Result<Vec<Optimization>, OptimizeError> {
-    let nests = program.nests();
-    if nests.len() == 1 {
-        // A single nest cannot shard; give the search every thread.
-        return Ok(vec![minimize_mws_with_threads(&nests[0], mode, threads)?]);
-    }
-    let workers = threads.max(1).min(nests.len());
-    if workers <= 1 {
-        return nests
-            .iter()
-            .map(|n| minimize_mws_with_threads(n, mode, 1))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<Optimization, OptimizeError>>>> =
-        nests.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= nests.len() {
-                    break;
-                }
-                let r = minimize_mws_with_threads(&nests[k], mode, 1);
-                *slots[k].lock().expect("slot poisoned") = Some(r);
-            });
-        }
-    });
-    // Earliest failing nest wins, as in the serial scan.
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every nest searched")
-        })
-        .collect()
-}
-
-// --------------------------------------------------- governed optimizer --
 
 /// Outcome of a governed program optimization: every nest either improved
 /// or kept its original form with a typed reason, and the whole-program
@@ -196,53 +33,26 @@ pub struct GovernedProgramOptimization {
     pub per_nest: Vec<Result<(u64, u64), AnalysisError>>,
 }
 
-/// Governed [`optimize_program`]: auto thread count, see
-/// [`try_optimize_program_with_threads`].
+/// Runs the §4 search on every nest independently and re-evaluates the
+/// whole program. A per-nest win can shift a boundary, so each nest's
+/// transformation is kept greedily, in execution order, only when the
+/// whole program does not regress.
 ///
-/// Thin wrapper over [`Session::optimize_program`](crate::Session) —
-/// prefer the session builder in new code.
-pub fn try_optimize_program(
-    program: &Program,
-    mode: SearchMode,
-    budget: &AnalysisBudget,
-) -> Result<GovernedProgramOptimization, AnalysisError> {
-    crate::Session::new()
-        .search_mode(mode)
-        .budget(budget.clone())
-        .optimize_program(program)
-}
-
-/// Governed [`optimize_program_with_threads`]: never panics and runs the
-/// whole pipeline — baseline simulation, per-nest §4 searches, greedy
-/// accept re-simulations — under one [`BudgetTracker`] (one deadline, one
-/// cumulative iteration count, one search-node count).
+/// The pipeline — baseline simulation, per-nest searches, greedy accept
+/// re-simulations — runs under one [`BudgetTracker`] (one deadline, one
+/// cumulative iteration count, one search-node count). Per-nest failures
+/// are contained: a nest whose search trips the budget, overflows, or
+/// panics keeps its original form and reports the typed error in
+/// `per_nest` while every other nest completes. A candidate is accepted
+/// only when its program re-simulation is exact and does not worsen the
+/// current upper bound, so `mws_after.upper <= mws_before.upper` always
+/// holds. The top-level `Err` is reserved for whole-program failures of
+/// the *baseline* simulation (e.g. the global table fold exceeding
+/// `max_table_bytes`).
 ///
-/// Per-nest failures are contained: a nest whose search trips the budget,
-/// overflows, or panics keeps its original form and reports the typed
-/// error in `per_nest` while every other nest completes. A candidate
-/// acceptance is taken only when its governed program re-simulation is
-/// exact and does not worsen the current upper bound, so `mws_after.upper
-/// <= mws_before.upper` always holds. The top-level `Err` is reserved for
-/// whole-program failures of the *baseline* simulation (e.g. the global
-/// table fold exceeding `max_table_bytes`).
-///
-/// Thin wrapper over [`Session::optimize_program`](crate::Session) —
-/// prefer the session builder in new code.
-pub fn try_optimize_program_with_threads(
-    program: &Program,
-    mode: SearchMode,
-    threads: usize,
-    budget: &AnalysisBudget,
-) -> Result<GovernedProgramOptimization, AnalysisError> {
-    crate::Session::new()
-        .threads(threads)
-        .search_mode(mode)
-        .budget(budget.clone())
-        .optimize_program(program)
-}
-
-/// The governed optimizer body shared by [`crate::Session`] and the
-/// legacy `try_optimize_program*` wrappers above.
+/// The per-nest searches are independent (each sees its nest in original
+/// form), so they shard across a scoped-thread pool; the accept pass is
+/// serial, so the result is bit-identical for every `threads` value.
 pub(crate) fn governed_optimize_program(
     program: &Program,
     mode: SearchMode,
@@ -290,9 +100,11 @@ pub(crate) fn governed_optimize_program(
     })
 }
 
-/// Governed sibling of [`optimize_nests_sharded`]: same sharding, but
-/// failures stay in their nest's slot instead of aborting the batch, and
-/// every search charges the shared tracker.
+/// Runs the nest-level search for every nest, sharded across `threads`
+/// scoped workers pulling nest indices from an atomic queue (a single
+/// nest gets every thread for its own candidate evaluation). Failures
+/// stay in their nest's slot, and every search charges the shared
+/// tracker.
 fn try_optimize_nests_sharded(
     program: &Program,
     mode: SearchMode,
@@ -341,8 +153,8 @@ fn try_optimize_nests_sharded(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use loopmem_ir::parse_program;
+    use crate::{SearchMode, Session};
+    use loopmem_ir::{parse_program, AnalysisError};
 
     #[test]
     fn analysis_reports_boundary_sets() {
@@ -352,10 +164,10 @@ mod tests {
              for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }",
         )
         .unwrap();
-        let a = analyze_program(&p);
-        assert_eq!(a.default_words, 192);
-        assert_eq!(a.boundary_live, vec![64]);
-        assert!(a.mws_exact >= 64);
+        let sim = Session::new().simulate_program(&p).unwrap().sim;
+        assert_eq!(p.default_memory(), 192);
+        assert_eq!(sim.boundary_live, vec![64]);
+        assert!(sim.mws_total >= 64);
     }
 
     #[test]
@@ -366,21 +178,22 @@ mod tests {
              for i = 1 to 24 { for j = 1 to 24 { B[i][j] = B[i][j] + 1; } }",
         )
         .unwrap();
-        let o = optimize_program(&p, SearchMode::default()).unwrap();
+        let o = Session::new().optimize_program(&p).unwrap();
         assert!(
-            o.mws_after <= o.mws_before,
+            o.mws_after.upper <= o.mws_before.upper,
             "{} -> {}",
             o.mws_before,
             o.mws_after
         );
         // The stencil nest improves on its own.
-        assert!(o.per_nest[0].1 < o.per_nest[0].0);
+        let (before, after) = o.per_nest[0].clone().unwrap();
+        assert!(after < before);
     }
 
     #[test]
     fn sharded_optimize_matches_serial_for_all_thread_counts() {
         // One stencil, one triangular nest, one Example-8-style reuse
-        // kernel — exercised at t ∈ {1, 2, 4} against the serial path.
+        // kernel — exercised at t ∈ {2, 4} and the default against t = 1.
         let p = parse_program(
             "array A[24][24]\narray X[200]\n\
              for i = 2 to 24 { for j = 1 to 24 { A[i][j] = A[i-1][j] + A[i][j]; } }\n\
@@ -388,33 +201,47 @@ mod tests {
              for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }",
         )
         .unwrap();
-        let serial = optimize_program_with_threads(&p, SearchMode::default(), 1).unwrap();
-        for threads in [2, 4] {
-            let par = optimize_program_with_threads(&p, SearchMode::default(), threads).unwrap();
+        let serial = Session::new().threads(1).optimize_program(&p).unwrap();
+        assert!(serial.mws_before.is_exact() && serial.mws_after.is_exact());
+        for session in [
+            Session::new().threads(2),
+            Session::new().threads(4),
+            Session::new(),
+        ] {
+            let par = session.optimize_program(&p).unwrap();
             assert_eq!(par.mws_before, serial.mws_before);
             assert_eq!(par.mws_after, serial.mws_after);
             assert_eq!(par.per_nest, serial.per_nest);
             assert_eq!(par.transformed, serial.transformed);
         }
-        let auto = optimize_program(&p, SearchMode::default()).unwrap();
-        assert_eq!(auto.transformed, serial.transformed);
     }
 
     #[test]
     fn sharded_optimize_propagates_earliest_error() {
-        // Li–Pingali fails on Example 8 (no legal completion); the batch
-        // path must surface that error just like the serial scan.
+        // Li–Pingali fails on Example 8 (no legal completion): every nest
+        // reports that error in its own slot and keeps its form, at every
+        // thread count.
         let p = parse_program(
             "array X[200]\narray Y[200]\n\
              for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }\n\
              for i = 1 to 25 { for j = 1 to 10 { Y[2i + 5j + 1] = Y[2i + 5j + 5]; } }",
         )
         .unwrap();
+        let no_legal = AnalysisError::Invalid {
+            message: "no legal transformation in the search space".into(),
+        };
         for threads in [1, 4] {
+            let o = Session::new()
+                .threads(threads)
+                .search_mode(SearchMode::LiPingali)
+                .optimize_program(&p)
+                .unwrap();
             assert_eq!(
-                optimize_program_with_threads(&p, SearchMode::LiPingali, threads).unwrap_err(),
-                OptimizeError::NoLegalTransform
+                o.per_nest,
+                vec![Err(no_legal.clone()), Err(no_legal.clone())]
             );
+            assert_eq!(o.transformed, p);
+            assert_eq!(o.mws_after, o.mws_before);
         }
     }
 
@@ -426,10 +253,10 @@ mod tests {
              for i = 1 to 16 { for j = 1 to 16 { A[i][j] = A[i][j] + 1; } }",
         )
         .unwrap();
-        let a = analyze_program(&p);
-        assert_eq!(a.per_nest_mws.len(), 2);
-        assert!((16..=17).contains(&a.per_nest_mws[0]));
-        assert_eq!(a.per_nest_mws[1], 0, "single-touch nest has no window");
+        let sim = Session::new().simulate_program(&p).unwrap().sim;
+        assert_eq!(sim.per_nest_mws.len(), 2);
+        assert!((16..=17).contains(&sim.per_nest_mws[0]));
+        assert_eq!(sim.per_nest_mws[1], 0, "single-touch nest has no window");
     }
 
     #[test]
@@ -443,9 +270,9 @@ mod tests {
              for i = 1 to 6 { for j = 1 to 6 { C[i][j] = A[i][j]; } }",
         )
         .unwrap();
-        let o = optimize_program(&p, SearchMode::default()).unwrap();
+        let o = Session::new().optimize_program(&p).unwrap();
         assert!(
-            o.mws_after >= 36,
+            o.mws_after.lower >= 36,
             "boundary set is irreducible by reordering"
         );
     }

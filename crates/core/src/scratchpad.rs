@@ -32,20 +32,21 @@
 //! `live_through` term; but it can also inflate `MWS_k` of the merged
 //! nest, so acceptance is decided on the re-sized whole, never assumed.
 //!
-//! Governed variants (`try_scratchpad_*`) consume the budgeted program
-//! simulation end to end: when any nest degrades to analytical `Bounds`
-//! instead of an exact sweep, the scratchpad size propagates as an
-//! interval — sized to the upper bound, slack reported — and stays
-//! bit-identical for every worker-thread count.
+//! [`Session::scratchpad_sizing`](crate::Session::scratchpad_sizing) and
+//! [`Session::scratchpad`](crate::Session::scratchpad) are the entry
+//! points. Sizing consumes the budgeted program simulation end to end:
+//! when any nest degrades to analytical `Bounds` instead of an exact
+//! sweep, the scratchpad size propagates as an interval — sized to the
+//! upper bound, slack reported — and stays bit-identical for every
+//! worker-thread count.
 
 use crate::fusion::fuse;
 use loopmem_ir::{AnalysisError, Bounds, BoundsMethod, Program};
-use loopmem_obs::{EventKind, Phase, TraceEvent, TraceSink};
+use loopmem_obs::{EventKind, Phase, TraceEvent};
 use loopmem_sim::{
-    analytic_nest_bounds, simulate_program_with_threads, try_simulate_program_tracked,
-    AnalysisBudget, BudgetTracker, GovernedProgramSim, ProgramSimResult,
+    analytic_nest_bounds, try_simulate_program_tracked, BudgetTracker, GovernedProgramSim,
+    ProgramSimResult,
 };
-use std::sync::Arc;
 
 /// One nest's contribution to the shared-scratchpad size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,19 +115,6 @@ fn sizing_from_sim(sim: &ProgramSimResult) -> ScratchpadSizing {
     }
 }
 
-/// Sizes one shared scratchpad over the whole program, exactly. Uses
-/// every available worker thread ([`loopmem_sim::thread_count`]).
-pub fn scratchpad_program(program: &Program) -> ScratchpadSizing {
-    scratchpad_program_with_threads(program, loopmem_sim::thread_count())
-}
-
-/// [`scratchpad_program`] with a pinned worker-thread count. The
-/// underlying program simulation is bit-identical for every `threads`
-/// value, so this is too.
-pub fn scratchpad_program_with_threads(program: &Program, threads: usize) -> ScratchpadSizing {
-    sizing_from_sim(&simulate_program_with_threads(program, threads))
-}
-
 /// One accepted fusion during the greedy search.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FusionStep {
@@ -156,18 +144,30 @@ pub struct ScratchpadPlan {
     pub groups: Vec<Vec<usize>>,
 }
 
-/// Greedy fusion search: repeatedly scan adjacent pairs from the start,
-/// fuse the first legal pair whose fusion *strictly shrinks* the
-/// scratchpad size, re-size, and rescan. Terminates because every
-/// accepted step reduces both the nest count and `words`; the scan order
-/// is fixed, so the result is deterministic and bit-identical for every
-/// `threads` value.
+/// Greedy fusion search from `unfused`, the program's exact sizing:
+/// repeatedly scan adjacent pairs from the start, fuse the first legal
+/// pair whose fusion *strictly shrinks* the scratchpad size, re-size, and
+/// rescan. Terminates because every accepted step reduces both the nest
+/// count and `words`; the scan order is fixed, so the result is
+/// deterministic and bit-identical for every `threads` value.
 ///
 /// Legal-but-harmful fusions (conformable, dependence-preserving, yet
 /// `words` grows — e.g. merging two fat independent working sets into one
-/// window) are rejected by the strict-decrease test.
-pub fn scratchpad_with_fusion(program: &Program, threads: usize) -> ScratchpadPlan {
-    let unfused = scratchpad_program_with_threads(program, threads);
+/// window) are rejected by the strict-decrease test. Candidate re-sizings
+/// run under an unlimited tracker of their own, not the caller's budget;
+/// a candidate whose re-sizing is not exact is rejected too.
+pub(crate) fn fusion_search(
+    program: &Program,
+    unfused: ScratchpadSizing,
+    threads: usize,
+) -> ScratchpadPlan {
+    let tracker = BudgetTracker::unlimited();
+    let resize = |p: &Program| {
+        try_simulate_program_tracked(p, threads, &tracker, None)
+            .ok()
+            .filter(GovernedProgramSim::all_exact)
+            .map(|gov| sizing_from_sim(&gov.sim))
+    };
     let mut current = program.clone();
     let mut sizing = unfused.clone();
     let mut groups: Vec<Vec<usize>> = (0..program.len()).map(|k| vec![k]).collect();
@@ -178,7 +178,9 @@ pub fn scratchpad_with_fusion(program: &Program, threads: usize) -> ScratchpadPl
             let Ok(candidate) = fuse(&current, k) else {
                 continue;
             };
-            let resized = scratchpad_program_with_threads(&candidate, threads);
+            let Some(resized) = resize(&candidate) else {
+                continue;
+            };
             if resized.words < sizing.words {
                 steps.push(FusionStep {
                     at: k,
@@ -275,35 +277,6 @@ pub(crate) fn fusion_step_events(steps: &[FusionStep]) -> Vec<TraceEvent> {
         .collect()
 }
 
-/// [`scratchpad_with_fusion`] narrating its work into `sink`: a `sizing`
-/// span bracketing one `sizing-term` event per nest of the *unfused*
-/// program and one `fusion-step` event per accepted fusion. The search is
-/// bit-identical for every `threads` value, so the event stream is too.
-/// Falls back to the plain search when `sink` is disabled.
-pub fn scratchpad_with_fusion_traced(
-    program: &Program,
-    threads: usize,
-    sink: &Arc<dyn TraceSink>,
-) -> ScratchpadPlan {
-    if !sink.enabled() {
-        return scratchpad_with_fusion(program, threads);
-    }
-    let started = std::time::Instant::now();
-    let plan = scratchpad_with_fusion(program, threads);
-    let mut events = vec![sizing_span_begin()];
-    events.extend(sizing_term_events(
-        plan.unfused.per_nest.iter().map(|&t| Some(t)),
-    ));
-    events.extend(fusion_step_events(&plan.steps));
-    let charged = plan.unfused.per_nest.len() as u64 + plan.steps.len() as u64;
-    events.push(sizing_span_end(
-        started.elapsed().as_micros() as u64,
-        charged,
-    ));
-    sink.record_all(events);
-    plan
-}
-
 /// Governed shared-scratchpad sizing: per-nest outcomes plus an interval
 /// on the scratchpad size that stays honest when nests degrade.
 #[derive(Debug)]
@@ -384,59 +357,20 @@ fn governed_sizing(program: &Program, gov: GovernedProgramSim) -> GovernedScratc
     }
 }
 
-/// Governed [`scratchpad_program`]: auto thread count, see
-/// [`try_scratchpad_program_with_threads`].
-///
-/// Thin wrapper over [`Session::scratchpad_sizing`](crate::Session) —
-/// prefer the session builder in new code.
+/// Governed shared-scratchpad sizing, charging `tracker` (one deadline,
+/// one cumulative iteration budget). Per-nest failures are contained —
+/// the failing nest degrades to its analytical bounds and widens the
+/// interval; every other nest still contributes exactly. Results are
+/// bit-identical for every `threads` value. With a trace sink attached,
+/// narrates a `sizing` span bracketing one `sizing-term` event per
+/// exactly-sized nest.
 ///
 /// # Errors
 ///
 /// Only whole-program failures of the underlying simulation (e.g. the
 /// global table fold exceeding `max_table_bytes`); per-nest failures
 /// degrade to the interval instead.
-pub fn try_scratchpad_program(
-    program: &Program,
-    budget: &AnalysisBudget,
-) -> Result<GovernedScratchpad, AnalysisError> {
-    crate::Session::new()
-        .budget(budget.clone())
-        .scratchpad_sizing(program)
-}
-
-/// Governed [`scratchpad_program_with_threads`]: sizes the scratchpad
-/// under one [`BudgetTracker`] (one deadline, one cumulative iteration
-/// budget). Per-nest failures are contained — the failing nest degrades
-/// to its analytical bounds and widens the interval; every other nest
-/// still contributes exactly. Results are bit-identical for every
-/// `threads` value.
-///
-/// Thin wrapper over [`Session::scratchpad_sizing`](crate::Session) —
-/// prefer the session builder in new code.
-///
-/// # Errors
-///
-/// See [`try_scratchpad_program`].
-pub fn try_scratchpad_program_with_threads(
-    program: &Program,
-    threads: usize,
-    budget: &AnalysisBudget,
-) -> Result<GovernedScratchpad, AnalysisError> {
-    crate::Session::new()
-        .threads(threads)
-        .budget(budget.clone())
-        .scratchpad_sizing(program)
-}
-
-/// [`try_scratchpad_program_with_threads`] charging an externally owned
-/// tracker, so a caller interleaving the sizing with other governed work
-/// shares one deadline and one cumulative iteration count across all of
-/// it.
-///
-/// # Errors
-///
-/// See [`try_scratchpad_program`].
-pub fn try_scratchpad_program_tracked(
+pub(crate) fn try_scratchpad_program_tracked(
     program: &Program,
     threads: usize,
     tracker: &BudgetTracker,
@@ -458,33 +392,12 @@ pub fn try_scratchpad_program_tracked(
     Ok(governed)
 }
 
-/// Governed sizing plus the fusion search. The search runs only when the
-/// baseline sizing is exact: `fuse`'s legality check sweeps the candidate
-/// pair's full trace ungoverned, which is affordable exactly when the
-/// budget already covered the whole-program sweep. On a degraded
-/// baseline the plan is `None` and the interval stands alone.
-///
-/// Thin wrapper over [`Session::scratchpad`](crate::Session) — prefer
-/// the session builder in new code.
-///
-/// # Errors
-///
-/// See [`try_scratchpad_program`].
-pub fn try_scratchpad_with_fusion(
-    program: &Program,
-    threads: usize,
-    budget: &AnalysisBudget,
-) -> Result<(GovernedScratchpad, Option<ScratchpadPlan>), AnalysisError> {
-    crate::Session::new()
-        .threads(threads)
-        .budget(budget.clone())
-        .scratchpad(program)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use loopmem_ir::parse_program;
+    use loopmem_sim::AnalysisBudget;
 
     fn producer_consumer() -> Program {
         parse_program(
@@ -495,10 +408,20 @@ mod tests {
         .unwrap()
     }
 
+    /// The exact sizing of `p` at `threads` workers.
+    fn sizing(p: &Program, threads: usize) -> ScratchpadSizing {
+        let gov = Session::new()
+            .threads(threads)
+            .scratchpad_sizing(p)
+            .unwrap();
+        assert!(gov.all_exact());
+        gov.sizing
+    }
+
     #[test]
     fn sizing_dominates_program_mws_and_boundaries() {
         let p = producer_consumer();
-        let s = scratchpad_program(&p);
+        let s = sizing(&p, 1);
         assert_eq!(s.per_nest.len(), 2);
         assert_eq!(s.boundary_live, vec![64]);
         assert!(s.words >= s.program_mws);
@@ -511,7 +434,7 @@ mod tests {
     #[test]
     fn fusion_shrinks_the_producer_consumer_scratchpad() {
         let p = producer_consumer();
-        let plan = scratchpad_with_fusion(&p, 1);
+        let plan = fusion_search(&p, sizing(&p, 1), 1);
         assert_eq!(plan.steps.len(), 1);
         assert_eq!(plan.groups, vec![vec![0, 1]]);
         assert!(
@@ -526,17 +449,22 @@ mod tests {
     #[test]
     fn sizing_is_thread_count_invariant() {
         let p = producer_consumer();
-        let one = scratchpad_program_with_threads(&p, 1);
+        let one = sizing(&p, 1);
         for t in [2, 4] {
-            assert_eq!(scratchpad_program_with_threads(&p, t), one);
+            assert_eq!(sizing(&p, t), one);
         }
     }
 
     #[test]
     fn governed_exact_matches_ungoverned() {
+        // A budget that never trips sizes exactly what the unlimited one
+        // does, as a point interval.
         let p = producer_consumer();
-        let exact = scratchpad_program_with_threads(&p, 1);
-        let gov = try_scratchpad_program(&p, &AnalysisBudget::default()).unwrap();
+        let exact = sizing(&p, 1);
+        let gov = Session::new()
+            .budget(AnalysisBudget::unlimited().with_max_iterations(1_000_000))
+            .scratchpad_sizing(&p)
+            .unwrap();
         assert!(gov.all_exact());
         assert_eq!(gov.words, Bounds::exact(exact.words));
         assert_eq!(gov.sizing, exact);
@@ -550,7 +478,7 @@ mod tests {
              for i = 2 to 16 { for j = 1 to 16 { A[i][j] = A[i-1][j]; } }",
         )
         .unwrap();
-        let s = scratchpad_program(&p);
+        let s = sizing(&p, 2);
         assert_eq!(s.per_nest.len(), 1);
         assert_eq!(s.per_nest[0].live_through, 0);
         assert_eq!(s.words, s.program_mws);

@@ -2,14 +2,12 @@
 //! concern — worker threads, analysis budget, fault injection, trace
 //! sink, certificate emission — into every analysis entry point.
 //!
-//! Prior to this module the workspace's public surface had sprawled into
-//! ~28 `simulate` / `try_*` / `*_with_threads` / `*_tracked` permutations
-//! across `loopmem-sim` and `loopmem-core`; threading one more concern (a
-//! [`TraceSink`]) through that zoo was the forcing function to collapse
-//! it. A [`Session`] is built once and reused across calls; each legacy
-//! entry point is now a thin wrapper over the equivalent `Session` call
-//! (pinned bit-identical by the facade's `session_equivalence` tests),
-//! kept for source compatibility.
+//! A [`Session`] is built once and reused across calls. It is the only
+//! way into the optimizer: the §4 search, the program optimizer and the
+//! shared-scratchpad sizing each have exactly one (governed)
+//! implementation, and an unlimited budget with no trace sink is simply
+//! its fast path. The optimizer keeps no process-wide state, so equal
+//! calls do equal work.
 //!
 //! ```
 //! use loopmem_core::Session;
@@ -32,7 +30,7 @@
 use crate::optimize::{try_minimize_mws_tracked, Optimization, SearchMode};
 use crate::program_opt::{governed_optimize_program, GovernedProgramOptimization};
 use crate::scratchpad::{
-    fusion_step_events, scratchpad_with_fusion, try_scratchpad_program_tracked, GovernedScratchpad,
+    fusion_search, fusion_step_events, try_scratchpad_program_tracked, GovernedScratchpad,
     ScratchpadPlan,
 };
 use loopmem_ir::{AnalysisError, Bounds, LoopNest, Program};
@@ -50,12 +48,10 @@ use std::sync::Arc;
 /// and an example.
 ///
 /// Every method is governed: it respects the configured
-/// [`AnalysisBudget`], never panics, and returns the same typed results
-/// as the legacy `try_*` entry points it replaces. The default session
-/// (`Session::new()`) carries an unlimited budget, so it matches the
-/// legacy ungoverned functions bit-for-bit on everything they report —
-/// except the optimizer's `cache_hits`, which is 0 on governed paths by
-/// contract.
+/// [`AnalysisBudget`], never panics, and reports failure as a typed
+/// [`AnalysisError`]. The default session (`Session::new()`) carries an
+/// unlimited budget, so its answers are exact whenever the input can be
+/// simulated at all.
 #[derive(Clone, Debug, Default)]
 pub struct Session {
     threads: Option<usize>,
@@ -96,8 +92,8 @@ impl Session {
     }
 
     /// Attaches a trace sink; every governed call narrates its phases,
-    /// polls, chunk commits, memo probes, prunes, faults, sizing terms
-    /// and fusion steps into it. A disabled sink (e.g.
+    /// polls, chunk commits, prunes, faults, sizing terms and fusion
+    /// steps into it. A disabled sink (e.g.
     /// [`loopmem_obs::NullSink`]) keeps the zero-cost fast paths.
     pub fn trace(self, sink: Arc<dyn TraceSink>) -> Self {
         Self {
@@ -106,9 +102,8 @@ impl Session {
         }
     }
 
-    /// Selects the transformation search mode used by [`optimize`]
-    /// (`Session::optimize`) and [`optimize_program`]
-    /// (`Session::optimize_program`).
+    /// Selects the transformation search mode used by
+    /// [`Session::optimize`] and [`Session::optimize_program`].
     pub fn search_mode(mut self, mode: SearchMode) -> Self {
         self.mode = mode;
         self
@@ -142,8 +137,8 @@ impl Session {
         }
     }
 
-    /// Governed exact simulation of one nest (legacy:
-    /// `loopmem_sim::try_simulate_with_threads`).
+    /// Governed exact simulation of one nest (the session's equivalent of
+    /// `loopmem_sim::try_simulate_with_threads` without a window profile).
     ///
     /// # Errors
     ///
@@ -164,7 +159,7 @@ impl Session {
         Ok(sim)
     }
 
-    /// Governed whole-program simulation (legacy:
+    /// Governed whole-program simulation (the session's equivalent of
     /// `loopmem_sim::try_simulate_program_with_threads`). Per-nest
     /// failures degrade inside the result; see [`GovernedProgramSim`].
     ///
@@ -176,12 +171,23 @@ impl Session {
         try_simulate_program_with_threads(program, self.thread_count(), &self.budget)
     }
 
-    /// Governed §4 transformation search on one nest (legacy:
-    /// [`crate::optimize::try_minimize_mws_with_threads`]).
+    /// Governed §4 transformation search on one nest (see
+    /// [`crate::optimize`]) for the transformation minimizing the exact
+    /// MWS. The identity is a candidate in the compound and
+    /// interchange/reversal modes, so `mws_after <= mws_before` there.
+    /// Candidates are ranked in closed form and the best few simulated
+    /// exactly; the budget governs the whole search (one deadline, one
+    /// cumulative iteration count, one search node per candidate). The
+    /// answer is bit-identical for every thread count.
     ///
     /// # Errors
     ///
-    /// See [`crate::optimize::try_minimize_mws_with_threads`].
+    /// A budget trip degrades to [`AnalysisError::Exhausted`] carrying
+    /// the original nest's analytical MWS bounds. An empty candidate space
+    /// (Li–Pingali on the paper's Example 8) reports
+    /// [`AnalysisError::Invalid`] ("no legal transformation in the search
+    /// space"); contained panics surface as
+    /// [`AnalysisError::NestPanicked`].
     pub fn optimize(&self, nest: &LoopNest) -> Result<Optimization, AnalysisError> {
         let tracker = BudgetTracker::new(&self.budget);
         let opt = try_minimize_mws_tracked(
@@ -198,12 +204,17 @@ impl Session {
         Ok(opt)
     }
 
-    /// Governed program-wide optimization (legacy:
-    /// [`crate::program_opt::try_optimize_program_with_threads`]).
+    /// Governed program-wide optimization: the §4 search on every nest,
+    /// then a greedy accept pass that keeps a nest's transformation only
+    /// when the whole program does not regress (see
+    /// [`crate::program_opt`]). Per-nest failures stay in
+    /// [`GovernedProgramOptimization::per_nest`] and keep the nest's
+    /// original form.
     ///
     /// # Errors
     ///
-    /// See [`crate::program_opt::try_optimize_program_with_threads`].
+    /// Whole-program failures of the baseline simulation only (e.g. the
+    /// global table fold exceeding the budget's table cap).
     pub fn optimize_program(
         &self,
         program: &Program,
@@ -211,12 +222,15 @@ impl Session {
         governed_optimize_program(program, self.mode, self.thread_count(), &self.budget)
     }
 
-    /// Governed shared-scratchpad sizing without the fusion search
-    /// (legacy: [`crate::scratchpad::try_scratchpad_program_with_threads`]).
+    /// Governed shared-scratchpad sizing without the fusion search (see
+    /// [`crate::scratchpad`]). A nest that degrades widens
+    /// [`GovernedScratchpad::words`] into an interval; every other nest
+    /// still contributes exactly.
     ///
     /// # Errors
     ///
-    /// See [`crate::scratchpad::try_scratchpad_program`].
+    /// Whole-program failures of the underlying simulation only (e.g. the
+    /// global table fold exceeding the budget's table cap).
     pub fn scratchpad_sizing(
         &self,
         program: &Program,
@@ -234,14 +248,17 @@ impl Session {
         Ok(governed)
     }
 
-    /// Governed scratchpad sizing plus the greedy fusion search (legacy:
-    /// [`crate::scratchpad::try_scratchpad_with_fusion`]). The search
-    /// runs only when the baseline sizing is exact; on a degraded
-    /// baseline the plan is `None` and the interval stands alone.
+    /// Governed scratchpad sizing plus the greedy fusion search. The
+    /// search starts from the baseline's exact sizing and runs only when
+    /// every nest sized exactly; on a degraded baseline the plan is `None`
+    /// and the interval stands alone. The candidate re-sizings are not
+    /// charged to the session's budget: fusion's legality check sweeps
+    /// each candidate pair ungoverned, which is affordable exactly when
+    /// the budget already covered the whole-program sweep.
     ///
     /// # Errors
     ///
-    /// See [`crate::scratchpad::try_scratchpad_program`].
+    /// As [`Session::scratchpad_sizing`].
     pub fn scratchpad(
         &self,
         program: &Program,
@@ -249,7 +266,7 @@ impl Session {
         let baseline = self.scratchpad_sizing(program)?;
         let plan = baseline
             .all_exact()
-            .then(|| scratchpad_with_fusion(program, self.thread_count()));
+            .then(|| fusion_search(program, baseline.sizing.clone(), self.thread_count()));
         if let (Some(sink), Some(plan)) = (self.budget.trace(), plan.as_ref()) {
             sink.record_all(fusion_step_events(&plan.steps));
         }

@@ -9,15 +9,20 @@
 //!    certificate kind makes the independent checker reject. (Provenance
 //!    strings like `reason` are deliberately unchecked.)
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
 use loopmem_core::{
     branch_and_bound, certify_bnb, certify_fusion, certify_optimization, certify_sizing,
-    scratchpad_with_fusion,
+    ScratchpadPlan, Session,
 };
 use loopmem_ir::{parse, parse_program, LoopNest, Program};
 use loopmem_verify::{
     check_certificates, parse_certificates, Certificate, FrontierEntry, PrunedBox,
 };
+
+/// The fusion search's plan for `program` (single thread, unlimited).
+fn fusion_plan(program: &Program) -> ScratchpadPlan {
+    let (_, plan) = Session::new().threads(1).scratchpad(program).unwrap();
+    plan.expect("an exact baseline runs the fusion search")
+}
 
 fn example8() -> LoopNest {
     parse(
@@ -57,7 +62,7 @@ fn pipeline_program() -> Program {
 /// Every certificate kind, emitted from real runs on its program.
 fn all_real_certs() -> Vec<(Program, Vec<Certificate>)> {
     let nest = example8();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     let opt_certs = certify_optimization(0, &nest, &opt);
 
     let cone = cone_nest();
@@ -66,7 +71,7 @@ fn all_real_certs() -> Vec<(Program, Vec<Certificate>)> {
     let bnb_cert = certify_bnb(0, 8, &bnb).expect("rank-1 cone certifies its prunes");
 
     let program = pipeline_program();
-    let plan = scratchpad_with_fusion(&program, 1);
+    let plan = fusion_plan(&program);
     let sp_certs = vec![certify_sizing(&plan.unfused), certify_fusion(&plan)];
 
     vec![
@@ -101,7 +106,7 @@ fn assert_rejected(program: &Program, cert: Certificate, what: &str) {
 #[test]
 fn legality_mutations_are_rejected() {
     let nest = example8();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     let certs = certify_optimization(0, &nest, &opt);
     let program = example8_program();
     let Certificate::Legality(base) = &certs[0] else {
@@ -201,7 +206,7 @@ fn cone_prune_mutations_are_rejected() {
 #[test]
 fn optimality_mutations_are_rejected() {
     let nest = example8();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     let certs = certify_optimization(0, &nest, &opt);
     let program = example8_program();
     let Certificate::Optimality(base) = &certs[1] else {
@@ -270,7 +275,7 @@ fn optimality_mutations_are_rejected() {
 #[test]
 fn bounds_mutations_are_rejected() {
     let nest = example8();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     let certs = certify_optimization(0, &nest, &opt);
     let program = example8_program();
     let Certificate::Bounds(base) = &certs[2] else {
@@ -305,7 +310,7 @@ fn bounds_mutations_are_rejected() {
 #[test]
 fn sizing_and_fusion_mutations_are_rejected() {
     let program = pipeline_program();
-    let plan = scratchpad_with_fusion(&program, 1);
+    let plan = fusion_plan(&program);
     let sizing = certify_sizing(&plan.unfused);
     let fusion = certify_fusion(&plan);
     let Certificate::Sizing(sbase) = &sizing else {

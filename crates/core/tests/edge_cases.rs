@@ -1,7 +1,7 @@
 //! Edge cases across the whole analysis stack: degenerate depths, empty
 //! ranges, single iterations, and extreme offsets.
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
+use loopmem_core::Session;
 use loopmem_core::{analyze_memory, apply_transform, estimate_distinct};
 use loopmem_ir::{parse, ArrayId};
 use loopmem_linalg::IMat;
@@ -17,7 +17,7 @@ fn one_deep_nest_full_stack() {
     assert_eq!(est.value(), Some(2 * 10 - 9)); // §3.1 with r = 2
                                                // Optimizer on a 1-deep nest: only identity and reversal exist, and
                                                // reversal is illegal here.
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     assert_eq!(opt.mws_after, 1);
     assert_eq!(opt.transform, IMat::identity(1));
 }
@@ -91,7 +91,7 @@ fn four_deep_optimizer_handles_identity_only_spaces() {
          } } } }",
     )
     .unwrap();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     assert_eq!(opt.mws_after, opt.mws_before);
     assert_eq!(opt.mws_after, 2, "both scalars stay live throughout");
 }

@@ -2,7 +2,7 @@
 //! the branch-and-bound search. Deterministic (seeded `Lcg`), no external
 //! dependencies.
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
+use loopmem_core::Session;
 use loopmem_core::{
     apply_transform, branch_and_bound, three_level_estimate, tile, two_level_estimate,
     two_level_objective,
@@ -192,8 +192,8 @@ fn optimizer_output_is_reproducible() {
             b = d2 + 4,
         );
         let nest = parse(&src).expect("parses");
-        let o1 = minimize_mws(&nest, SearchMode::default()).expect("search");
-        let o2 = minimize_mws(&nest, SearchMode::default()).expect("search");
+        let o1 = Session::new().optimize(&nest).expect("search");
+        let o2 = Session::new().optimize(&nest).expect("search");
         assert_eq!(o1.transform, o2.transform, "{src}");
         assert_eq!(o1.mws_after, o2.mws_after);
     }

@@ -4,14 +4,35 @@
 //! every worker-thread count).
 
 use loopmem_core::{
-    fuse, scratchpad_program_with_threads, scratchpad_with_fusion, try_scratchpad_program,
-    try_scratchpad_program_with_threads, try_scratchpad_with_fusion, FusionError,
+    fuse, FusionError, GovernedScratchpad, ScratchpadPlan, ScratchpadSizing, Session,
 };
 use loopmem_ir::{parse_program, AnalysisError, BoundsMethod, Program};
 use loopmem_sim::AnalysisBudget;
 
 fn pc(src: &str) -> Program {
     parse_program(src).unwrap()
+}
+
+/// Governed sizing of `p` at `threads` workers under `budget`.
+fn sizing(p: &Program, threads: usize, budget: &AnalysisBudget) -> GovernedScratchpad {
+    Session::new()
+        .threads(threads)
+        .budget(budget.clone())
+        .scratchpad_sizing(p)
+        .unwrap()
+}
+
+/// The exact single-thread sizing of `p`.
+fn exact(p: &Program) -> ScratchpadSizing {
+    let gov = sizing(p, 1, &AnalysisBudget::unlimited());
+    assert!(gov.all_exact());
+    gov.sizing
+}
+
+/// The fusion plan of `p` (single thread, unlimited budget).
+fn plan(p: &Program) -> ScratchpadPlan {
+    let (_, plan) = Session::new().threads(1).scratchpad(p).unwrap();
+    plan.expect("an exact baseline runs the fusion search")
 }
 
 #[test]
@@ -22,7 +43,7 @@ fn non_conformable_ranges_leave_the_program_unfused() {
          for i = 1 to 8 { A[i] = A[i] + 1; }\n\
          for i = 1 to 4 { A[i] = A[i] + 1; }");
     assert_eq!(fuse(&p, 0).unwrap_err(), FusionError::NotConformable);
-    let plan = scratchpad_with_fusion(&p, 1);
+    let plan = plan(&p);
     assert!(plan.steps.is_empty());
     assert_eq!(plan.fused, plan.unfused);
     assert_eq!(plan.groups, vec![vec![0], vec![1]]);
@@ -41,7 +62,7 @@ fn write_write_flip_prevents_fusion() {
         fuse(&p, 0).unwrap_err(),
         FusionError::FusionPreventingDependence { .. }
     ));
-    let plan = scratchpad_with_fusion(&p, 1);
+    let plan = plan(&p);
     assert!(plan.steps.is_empty());
     assert_eq!(plan.program.len(), 2);
 }
@@ -57,7 +78,7 @@ fn chain_of_three_fuses_greedily_to_one_nest() {
          for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j]; } }\n\
          for i = 1 to 8 { for j = 1 to 8 { D[i][j] = C[i][j]; } }",
     );
-    let plan = scratchpad_with_fusion(&p, 1);
+    let plan = plan(&p);
     // The middle nest pays for both boundaries before fusion.
     assert_eq!(plan.unfused.per_nest[1].live_through, 128);
     assert_eq!(plan.unfused.words, 128);
@@ -82,11 +103,10 @@ fn legal_but_harmful_fusion_is_rejected() {
          for i = 2 to 16 { for j = 1 to 16 { B[i][j] = B[i-1][j] + B[i][j]; } }");
     let fused = fuse(&p, 0).expect("fusion is legal");
     assert!(
-        scratchpad_program_with_threads(&fused, 1).words
-            > scratchpad_program_with_threads(&p, 1).words,
+        exact(&fused).words > exact(&p).words,
         "precondition: fusing these nests must inflate the window"
     );
-    let plan = scratchpad_with_fusion(&p, 1);
+    let plan = plan(&p);
     assert!(plan.steps.is_empty());
     assert_eq!(plan.fused, plan.unfused);
     assert_eq!(plan.program.len(), 2);
@@ -100,9 +120,9 @@ fn exhausted_budget_yields_partial_program_interval_containing_exact() {
     let p = pc("array A[8][8]\narray B[8][8]\narray C[8][8]\n\
          for i = 1 to 8 { for j = 1 to 8 { A[i][j] = B[i][j]; } }\n\
          for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }");
-    let exact = scratchpad_program_with_threads(&p, 1);
+    let exact = exact(&p);
     let budget = AnalysisBudget::unlimited().with_max_iterations(0);
-    let one = try_scratchpad_program_with_threads(&p, 1, &budget).unwrap();
+    let one = sizing(&p, 1, &budget);
     assert!(!one.all_exact());
     assert_eq!(one.words.method, BoundsMethod::PartialProgram);
     assert!(
@@ -114,7 +134,7 @@ fn exhausted_budget_yields_partial_program_interval_containing_exact() {
     );
     assert_eq!(one.words.slack(), one.words.upper - one.words.lower);
     for t in [2, 4] {
-        let par = try_scratchpad_program_with_threads(&p, t, &budget).unwrap();
+        let par = sizing(&p, t, &budget);
         assert_eq!(par.words, one.words, "t={t} interval differs");
         assert_eq!(par.sizing, one.sizing, "t={t} subset sizing differs");
         assert_eq!(par.per_nest, one.per_nest, "t={t} per-nest outcomes differ");
@@ -130,7 +150,7 @@ fn mid_program_failure_keeps_subset_boundary_live() {
          for i = 1 to 3 { A[i]; }\n\
          for i = 800 to 900 { for j = i + 9223372036854775000 to 9223372036854775807 { B[1]; } }\n\
          for i = 1 to 3 { A[i]; }");
-    let one = try_scratchpad_program_with_threads(&p, 1, &AnalysisBudget::unlimited()).unwrap();
+    let one = sizing(&p, 1, &AnalysisBudget::unlimited());
     assert!(!one.all_exact());
     assert!(matches!(
         one.per_nest[1],
@@ -142,7 +162,7 @@ fn mid_program_failure_keeps_subset_boundary_live() {
     assert_eq!(one.words.lower, 3);
     assert_eq!(one.words.method, BoundsMethod::PartialProgram);
     for t in [2, 4] {
-        let par = try_scratchpad_program_with_threads(&p, t, &AnalysisBudget::unlimited()).unwrap();
+        let par = sizing(&p, t, &AnalysisBudget::unlimited());
         assert_eq!(par.words, one.words);
         assert_eq!(par.sizing, one.sizing);
         assert_eq!(par.per_nest, one.per_nest);
@@ -155,11 +175,15 @@ fn degraded_baseline_skips_the_fusion_search() {
          for i = 1 to 8 { A[i] = A[i] + 1; }\n\
          for i = 1 to 8 { A[i] = A[i] + 2; }");
     let budget = AnalysisBudget::unlimited().with_max_iterations(0);
-    let (gov, plan) = try_scratchpad_with_fusion(&p, 1, &budget).unwrap();
+    let (gov, plan) = Session::new()
+        .threads(1)
+        .budget(budget)
+        .scratchpad(&p)
+        .unwrap();
     assert!(!gov.all_exact());
     assert!(plan.is_none(), "no fusion search on a degraded baseline");
     // With the budget lifted the same call fuses.
-    let (gov, plan) = try_scratchpad_with_fusion(&p, 1, &AnalysisBudget::unlimited()).unwrap();
+    let (gov, plan) = Session::new().threads(1).scratchpad(&p).unwrap();
     assert!(gov.all_exact());
     let plan = plan.expect("exact baseline runs the search");
     assert_eq!(plan.steps.len(), 1);
@@ -171,8 +195,8 @@ fn governed_auto_thread_entry_matches_pinned() {
     let p = pc("array A[6][6]\narray B[6][6]\n\
          for i = 1 to 6 { for j = 1 to 6 { A[i][j] = B[i][j]; } }\n\
          for i = 1 to 6 { for j = 1 to 6 { B[i][j] = A[i][j]; } }");
-    let auto = try_scratchpad_program(&p, &AnalysisBudget::unlimited()).unwrap();
-    let pinned = try_scratchpad_program_with_threads(&p, 1, &AnalysisBudget::unlimited()).unwrap();
+    let auto = Session::new().scratchpad_sizing(&p).unwrap();
+    let pinned = sizing(&p, 1, &AnalysisBudget::unlimited());
     assert_eq!(auto.words, pinned.words);
     assert_eq!(auto.sizing, pinned.sizing);
 }

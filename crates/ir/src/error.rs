@@ -1,7 +1,7 @@
 //! Typed analysis errors and analytical result bounds.
 //!
-//! Every `try_*` entry point in the workspace (`loopmem_sim::try_simulate*`,
-//! `loopmem_core::try_minimize_mws*`, ...) reports failure through
+//! Every governed entry point in the workspace (`loopmem_sim::try_simulate*`,
+//! the `loopmem_core::Session` methods, ...) reports failure through
 //! [`AnalysisError`] instead of panicking. The variants mirror the failure
 //! modes of a governed analysis service:
 //!

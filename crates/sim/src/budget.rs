@@ -146,20 +146,6 @@ impl AnalysisBudget {
         self.trace.as_ref().filter(|s| s.enabled())
     }
 
-    /// True when no limit is set (the legacy fast path). A fault plan counts
-    /// as a limit: injected faults must flow through the governed machinery.
-    /// An *enabled* trace sink also counts — events only flow on governed
-    /// paths — while a disabled one preserves the fast path untouched.
-    pub fn is_unlimited(&self) -> bool {
-        self.timeout.is_none()
-            && self.max_iterations.is_none()
-            && self.max_table_bytes.is_none()
-            && self.max_search_nodes.is_none()
-            && self.cancel.is_none()
-            && self.fault.is_none()
-            && self.trace().is_none()
-    }
-
     /// The touch-table byte cap, if any.
     pub fn max_table_bytes(&self) -> Option<u64> {
         self.max_table_bytes

@@ -1273,19 +1273,6 @@ impl NestPass1 {
     }
 }
 
-/// Runs pass 1 only and hands the merged tables to the caller.
-pub(crate) fn pass1(nest: &LoopNest, threads: usize) -> NestPass1 {
-    let tracker = BudgetTracker::unlimited();
-    match sweep_all(nest, 0, threads, &tracker, None) {
-        Ok((plan, merged)) => NestPass1::new(plan, merged),
-        // An unlimited tracker never trips; overflow keeps the legacy
-        // contract (panic) for callers without a governed path.
-        Err(SweepError::Trip(_)) => unreachable!("unlimited budget tripped"),
-        Err(SweepError::Overflow(msg)) => panic!("{msg}"),
-        Err(SweepError::Stopped) => unreachable!("no prefix quota was set"),
-    }
-}
-
 /// Benchmark hook: runs the lane-split pass-1 sweep only (no pass-2
 /// window fold) with an unlimited budget and returns the iteration
 /// count. The touch tables are routed through [`std::hint::black_box`]
@@ -1671,7 +1658,8 @@ mod tests {
                 (sparse_in_time, FoldPath::Sparse),
                 (dense_in_time, FoldPath::Dense),
             ] {
-                let np = pass1(&parse(src).unwrap(), 1);
+                let tracker = BudgetTracker::unlimited();
+                let np = try_pass1(0, &parse(src).unwrap(), 1, &tracker, None).unwrap();
                 for per_array in [false, true] {
                     let f = np.tables.fold(&np.refs, per_array, false);
                     assert_eq!(f.path, path, "{class}:\n{src}");

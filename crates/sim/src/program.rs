@@ -7,7 +7,7 @@
 //! inter-phase buffer.
 //!
 //! Pass 1 (touch recording) is *sharded across nests*: each nest runs the
-//! dense engine's pass 1 ([`crate::dense::pass1`] — flat touch tables,
+//! dense engine's pass 1 (`dense::try_pass1` — flat touch tables,
 //! work-stealing chunks) in nest-local time, so a scoped-thread pool can
 //! sweep the nests concurrently — workers pull nest indices from an
 //! atomic queue, exactly like the dense engine's chunk queue. The
@@ -88,47 +88,10 @@ impl ProgramSimResult {
 /// so downstream merging is independent of completion order. A
 /// single-nest program hands the whole pool to that nest's chunk queue;
 /// otherwise leftover threads (`threads > nests`) split evenly across the
-/// nest sweeps.
-fn sweep_nests_sharded(program: &Program, threads: usize) -> Vec<NestPass1> {
-    let nests = program.nests();
-    let threads = threads.max(1);
-    if threads == 1 {
-        return nests.iter().map(|n| dense::pass1(n, 1)).collect();
-    }
-    if nests.len() == 1 {
-        return vec![dense::pass1(&nests[0], threads)];
-    }
-    let workers = threads.min(nests.len());
-    let per_nest = (threads / workers).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<NestPass1>>> = nests.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= nests.len() {
-                    break;
-                }
-                let out = dense::pass1(&nests[k], per_nest);
-                *slots[k].lock().expect("slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every nest swept")
-        })
-        .collect()
-}
-
-/// Governed pass 1 over every nest: same sharding as
-/// [`sweep_nests_sharded`], but each nest runs through
-/// [`dense::try_pass1`], which contains panics with `catch_unwind` and
-/// polls the shared tracker — so one poisoned or over-budget nest yields a
-/// per-nest error while the remaining nests complete.
+/// nest sweeps. Each nest runs through [`dense::try_pass1`], which
+/// contains panics with `catch_unwind` and polls the shared tracker — so
+/// one poisoned or over-budget nest yields a per-nest error while the
+/// remaining nests complete.
 ///
 /// An iteration cap or an injected fault trips at a fixed position in the
 /// cumulative charged-iteration stream, which nests swept side by side
@@ -355,10 +318,23 @@ pub fn simulate_program(program: &Program) -> ProgramSimResult {
 /// [`simulate_program`] with a pinned worker-thread count. Pass-1 sweeps
 /// shard across nests; the fold and pass-2 sweep are serial, so the result
 /// is bit-identical for every `threads` value.
+///
+/// # Panics
+///
+/// When a nest overflows or panics: the governed sweep contains the
+/// failure, and this ungoverned entry point re-raises it.
 pub fn simulate_program_with_threads(program: &Program, threads: usize) -> ProgramSimResult {
-    let narrays = program.arrays().len();
-    let per_nest = sweep_nests_sharded(program, threads);
-    assemble(narrays, per_nest.into_iter().map(Some).collect(), None)
+    let tracker = BudgetTracker::unlimited();
+    let per_nest = try_sweep_nests_sharded(program, threads, &tracker, None)
+        .into_iter()
+        .map(|r| match r {
+            Ok(np) => Some(np),
+            Err(AnalysisError::Overflow { context }) => panic!("{context}"),
+            Err(AnalysisError::NestPanicked { message, .. }) => panic!("{message}"),
+            Err(e) => unreachable!("an unlimited budget cannot fail with {e}"),
+        })
+        .collect();
+    assemble(program.arrays().len(), per_nest, None)
 }
 
 /// Fold + pass-2 sweep over per-nest pass-1 tables. `None` slots are nests

@@ -6,9 +6,8 @@
 //!
 //! Run with `cargo run --release --example image_pipeline`.
 
-use loopmem::core::optimize::SearchMode;
-use loopmem::core::{analyze_program, optimize_program};
 use loopmem::ir::parse_program;
+use loopmem::Session;
 
 fn main() {
     let program = parse_program(
@@ -38,25 +37,26 @@ fn main() {
     )
     .expect("pipeline parses");
 
-    let a = analyze_program(&program);
+    let session = Session::new();
+    let a = session.simulate_program(&program).expect("simulates").sim;
     println!("== image pipeline: blur -> downsample -> accumulate ==");
-    println!("declared arrays     : {} words", a.default_words);
-    println!(
-        "distinct touched    : {} words",
-        a.distinct.values().sum::<u64>()
-    );
+    println!("declared arrays     : {} words", program.default_memory());
+    println!("distinct touched    : {} words", a.distinct_total());
     println!(
         "whole-program MWS   : {} words (peak inside phase {})",
-        a.mws_exact,
+        a.mws_total,
         a.peak_nest + 1
     );
     for (k, live) in a.boundary_live.iter().enumerate() {
         println!("live across boundary {}->{}: {} words", k + 1, k + 2, live);
     }
 
-    let opt = optimize_program(&program, SearchMode::default()).expect("optimization succeeds");
+    let opt = session
+        .optimize_program(&program)
+        .expect("optimization succeeds");
     println!("\nper-nest windows (before -> after the §4 search):");
-    for (k, (b, aa)) in opt.per_nest.iter().enumerate() {
+    for (k, r) in opt.per_nest.iter().enumerate() {
+        let (b, aa) = r.as_ref().expect("every phase searches");
         println!("  phase {}: {} -> {}", k + 1, b, aa);
     }
     println!("whole-program MWS: {} -> {}", opt.mws_before, opt.mws_after);
@@ -68,9 +68,9 @@ fn main() {
 
     // Phases 2 and 3 are conformable (both 16x16): fuse them.
     let fused = loopmem::core::fuse(&program, 1).expect("phases 2+3 fuse legally");
-    let fa = analyze_program(&fused);
+    let fa = session.simulate_program(&fused).expect("simulates").sim;
     println!("\n== after fusing downsample + accumulate ==");
-    println!("whole-program MWS   : {} words", fa.mws_exact);
+    println!("whole-program MWS   : {} words", fa.mws_total);
     for (k, live) in fa.boundary_live.iter().enumerate() {
         println!("live across boundary {}->{}: {} words", k + 1, k + 2, live);
     }

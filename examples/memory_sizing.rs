@@ -3,8 +3,8 @@
 //!
 //! Run with `cargo run --example memory_sizing`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
 use loopmem::sim::{simulate_with_profile, ScratchpadModel};
+use loopmem::Session;
 use loopmem_bench::all_kernels;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     );
     for k in all_kernels() {
         let nest = k.nest();
-        let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+        let opt = Session::new().optimize(&nest).expect("search succeeds");
         let default = nest.default_memory() as u64;
         let sized = opt.mws_after.max(1);
         let (big, small) = (model.report(default), model.report(sized));

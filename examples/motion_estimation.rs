@@ -8,10 +8,10 @@
 //!
 //! Run with `cargo run --example motion_estimation`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
 use loopmem::core::{analyze_memory, estimate_distinct};
 use loopmem::ir::parse;
 use loopmem::sim::ScratchpadModel;
+use loopmem::Session;
 
 fn main() {
     // An 8x8 current block matched against every candidate of a +/-16
@@ -47,7 +47,7 @@ fn main() {
         );
     }
 
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    let opt = Session::new().optimize(&nest).expect("search succeeds");
     println!(
         "\noptimizer: MWS {} -> {} over {} candidates",
         opt.mws_before, opt.mws_after, opt.candidates_considered

@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run --release --example paper_tour`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
+use loopmem::core::SearchMode;
 use loopmem::core::{
     branch_and_bound, estimate_distinct, three_level_estimate, two_level_estimate,
 };
@@ -10,6 +10,7 @@ use loopmem::dep::{analyze, reuse_vectors};
 use loopmem::ir::{parse, ArrayId};
 use loopmem::poly::count::distinct_accesses_for;
 use loopmem::sim::simulate;
+use loopmem::Session;
 
 fn heading(s: &str) {
     println!("\n=== {s} ===");
@@ -91,8 +92,11 @@ fn main() {
         two_level_estimate((2, -3), (1, 0), (20, 30)),
         two_level_estimate((2, -3), (0, 1), (20, 30)),
     );
-    let best = minimize_mws(&e7, SearchMode::default()).expect("search succeeds");
-    let baseline = minimize_mws(&e7, SearchMode::InterchangeReversal).expect("search succeeds");
+    let best = Session::new().optimize(&e7).expect("search succeeds");
+    let baseline = Session::new()
+        .search_mode(SearchMode::InterchangeReversal)
+        .optimize(&e7)
+        .expect("search succeeds");
     println!(
         "exact MWS: original {}, best elementary {}, compound {} (paper: ... -> 1)",
         best.mws_before, baseline.mws_after, best.mws_after
@@ -113,12 +117,15 @@ fn main() {
         "branch & bound: row {:?}, objective {} (paper: (2,3) with 22), {} nodes / {} pruned",
         bnb.row, bnb.objective, bnb.nodes_explored, bnb.nodes_pruned
     );
-    let opt = minimize_mws(&e8, SearchMode::default()).expect("search succeeds");
+    let opt = Session::new().optimize(&e8).expect("search succeeds");
     println!(
         "compound search: MWS {} -> {} (paper: actual 21)",
         opt.mws_before, opt.mws_after
     );
-    match minimize_mws(&e8, SearchMode::LiPingali) {
+    match Session::new()
+        .search_mode(SearchMode::LiPingali)
+        .optimize(&e8)
+    {
         Err(e) => println!("Li-Pingali: {e} (paper: no legal completion)"),
         Ok(o) => println!("Li-Pingali unexpectedly reached {}", o.mws_after),
     }
@@ -131,7 +138,7 @@ fn main() {
         three_level_estimate((rv[0], rv[1], rv[2]), (10, 20, 30)),
         simulate(&e5).mws_total
     );
-    let opt10 = minimize_mws(&e5, SearchMode::default()).expect("search succeeds");
+    let opt10 = Session::new().optimize(&e5).expect("search succeeds");
     println!(
         "after access-matrix transformation: MWS {} (paper: 1)",
         opt10.mws_after

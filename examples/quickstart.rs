@@ -3,10 +3,10 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
 use loopmem::core::{analyze_memory, apply_transform};
 use loopmem::ir::{parse, print_nest};
 use loopmem::sim::simulate;
+use loopmem::Session;
 
 fn main() {
     // Example 8 of the paper: a 1-D signal accessed along a skewed
@@ -33,7 +33,7 @@ fn main() {
     );
 
     // 2. Optimize: find a legal unimodular transformation minimizing MWS.
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    let opt = Session::new().optimize(&nest).expect("search succeeds");
     println!(
         "\n== after compound transformation (searched {} candidates) ==",
         opt.candidates_considered

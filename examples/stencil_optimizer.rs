@@ -7,12 +7,13 @@
 //!
 //! Run with `cargo run --example stencil_optimizer`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
 use loopmem::core::two_level_estimate;
+use loopmem::core::SearchMode;
 use loopmem::dep::analyze;
 use loopmem::dep::legality::row_tileable;
 use loopmem::ir::{parse, print_nest};
 use loopmem::sim::simulate;
+use loopmem::Session;
 
 fn main() {
     // The 2-point vertical stencil of Figure 2: the outer loop carries
@@ -50,8 +51,11 @@ fn main() {
     }
 
     // 3. Full searches.
-    let compound = minimize_mws(&nest, SearchMode::default()).expect("compound search");
-    let baseline = minimize_mws(&nest, SearchMode::InterchangeReversal).expect("baseline search");
+    let compound = Session::new().optimize(&nest).expect("compound search");
+    let baseline = Session::new()
+        .search_mode(SearchMode::InterchangeReversal)
+        .optimize(&nest)
+        .expect("baseline search");
     println!("\n== results ==");
     println!(
         "original MWS: {}  (simulator: {})",

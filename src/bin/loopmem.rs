@@ -55,12 +55,15 @@
 //! bit-identical results for every thread count. Exit 1 on any oracle
 //! violation.
 //!
-//! `simulate`, `optimize`, and `pipeline` accept resource budgets:
-//! `--timeout-ms N` caps wall-clock time, `--max-iters N` caps swept
-//! iterations. With a budget the run is *governed* — it never crashes, and
-//! when a budget trips the analysis degrades to guaranteed analytical
-//! bounds (`outcome : bounded`) instead of an exact answer; the process
-//! still exits 0 because a degraded answer is a result, not an error.
+//! Every analysis run is *governed*: it never crashes, and when a budget
+//! trips or a nest cannot be simulated the analysis degrades to
+//! guaranteed analytical bounds (`outcome : bounded`) or a typed failure
+//! instead of an exact answer; the process still exits 0 because a
+//! degraded answer is a result, not an error. `simulate`, `optimize`,
+//! `pipeline` and `scratchpad` accept resource budgets: `--timeout-ms N`
+//! caps wall-clock time, `--max-iters N` caps swept iterations (the
+//! budget is unlimited without them). Budget flags also make an exact run
+//! print its `outcome` line and the governed per-nest report.
 //!
 //! `trace` runs the whole governed surface (program simulation,
 //! scratchpad sizing + fusion, per-nest §4 searches, cone prunes,
@@ -71,23 +74,25 @@
 //! NDJSON bytes are bit-identical for every `--threads` value.
 //! `pipeline`, `scratchpad`, `chaos`, and `verify` accept `--trace
 //! out.ndjson` to capture the same stream for their own runs (on
-//! `pipeline`/`scratchpad` this selects the governed path, with an
-//! unlimited budget unless budget flags say otherwise; on `chaos` it
-//! captures the fault-free traced baseline of each file).
+//! `pipeline`/`scratchpad` it also selects the governed report; on
+//! `chaos` it captures the fault-free traced baseline of each file).
 
 use loopmem::analyze::{check_source, CheckOptions, Diagnostic, Severity};
-use loopmem::core::optimize::{minimize_mws, SearchMode};
-use loopmem::core::{analyze_memory, apply_transform, estimate_distinct};
+use loopmem::core::{analyze_memory, apply_transform, estimate_distinct, SearchMode};
 use loopmem::dep::analyze;
-use loopmem::ir::{parse, print_nest, AnalysisError, LoopNest};
+use loopmem::ir::{parse, print_nest, AnalysisError, Bounds, LoopNest, Program};
 use loopmem::linalg::IMat;
 use loopmem::obs::{CollectingSink, TraceSink};
-use loopmem::sim::{simulate, simulate_with_profile, AnalysisBudget, ScratchpadModel};
+use loopmem::sim::{AnalysisBudget, ScratchpadModel};
 use loopmem::Session;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Set once budget flags are parsed: governed runs contain panics with
+/// Coefficient box half-width of the cone-prune scans `verify` certifies
+/// and `trace` narrates.
+const BNB_BOUND: i64 = 6;
+
+/// Set by the analysis subcommands: governed runs contain panics with
 /// `catch_unwind` and report them as per-nest outcomes, so the panic hook
 /// must not splatter the already-reported message on stderr.
 static GOVERNED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
@@ -155,6 +160,12 @@ const VALUE_FLAGS: &[&str] = &[
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
+    if matches!(
+        cmd.as_str(),
+        "simulate" | "optimize" | "pipeline" | "scratchpad" | "chaos" | "verify" | "trace"
+    ) {
+        GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
+    }
     if cmd == "check" {
         return cmd_check(rest);
     }
@@ -170,12 +181,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let r = match cmd.as_str() {
         "analyze" => cmd_analyze(&load(rest)?),
         "deps" => cmd_deps(&load(rest)?),
-        "optimize" => cmd_optimize(&load(rest)?, parse_mode(rest)?, parse_budget(rest)?),
-        "simulate" => cmd_simulate(
-            &load(rest)?,
-            rest.iter().any(|a| a == "--profile"),
-            parse_budget(rest)?,
-        ),
+        "optimize" => cmd_optimize(rest),
+        "simulate" => cmd_simulate(rest),
         "formulas" => cmd_formulas(&load(rest)?),
         "pipeline" => cmd_pipeline(rest),
         "scratchpad" => cmd_scratchpad(rest),
@@ -222,8 +229,7 @@ struct CommonOpts {
     /// `--threads N`, defaulting to available parallelism.
     threads: usize,
     /// `--timeout-ms` / `--max-iters` combined; `None` when neither was
-    /// given (the run is ungoverned unless something else demands a
-    /// budget, e.g. `--trace`).
+    /// given.
     budget: Option<AnalysisBudget>,
     /// `--trace out.ndjson`: capture the run's deterministic trace.
     trace: Option<String>,
@@ -275,10 +281,6 @@ impl CommonOpts {
                 other => return Err(format!("bad --format {other:?} (expected text or json)")),
             },
         };
-        if any || trace.is_some() {
-            // Governed and traced runs both contain panics in-band.
-            GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
         Ok(CommonOpts {
             threads,
             budget: any.then_some(budget),
@@ -304,6 +306,23 @@ impl CommonOpts {
         self.trace.as_ref().map(|_| Arc::new(CollectingSink::new()))
     }
 
+    /// The session an analysis subcommand runs on: the budget flags'
+    /// budget (unlimited without them) carrying `sink`, if any.
+    fn session(&self, sink: Option<&Arc<CollectingSink>>) -> Session {
+        let budget = self.budget.clone().unwrap_or_default();
+        let budget = match sink {
+            Some(sink) => budget.with_trace(sink.clone() as Arc<dyn TraceSink>),
+            None => budget,
+        };
+        Session::new().threads(self.threads).budget(budget)
+    }
+
+    /// Budget or trace flags ask for the governed report: `outcome` and
+    /// per-nest lines even when the run is exact.
+    fn governed_report(&self) -> bool {
+        self.budget.is_some() || self.trace.is_some()
+    }
+
     /// Drain `sink` and write its NDJSON stream to the `--trace` path.
     fn write_trace(&self, sink: &Arc<CollectingSink>) -> Result<(), String> {
         let Some(path) = &self.trace else {
@@ -323,10 +342,6 @@ fn load(rest: &[String]) -> Result<LoopNest, String> {
     let path = positional(rest).ok_or("missing <file.loop> argument")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parse(&src).map_err(|e| format!("{path}: {e}"))
-}
-
-fn parse_budget(rest: &[String]) -> Result<Option<AnalysisBudget>, String> {
-    Ok(CommonOpts::parse(rest)?.budget)
 }
 
 /// Report a governed run that could not finish exactly. A tripped budget or
@@ -456,7 +471,6 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
 /// file failed to load. Injected panics are contained by the engines, so
 /// the panic hook is quieted like any governed run.
 fn cmd_chaos(rest: &[String]) -> Result<ExitCode, String> {
-    GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
     let opts = CommonOpts::parse(rest)?;
     let seed: u64 = match rest.iter().position(|a| a == "--seed") {
         None => 0xC0FFEE,
@@ -521,9 +535,6 @@ fn cmd_chaos(rest: &[String]) -> Result<ExitCode, String> {
 /// degraded answer still yields a checkable bounds certificate, so the
 /// robustness corpus verifies rather than timing out.
 fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
-    // Generation replays governed searches; contained failures are
-    // reported as degraded certificates, not stack traces.
-    GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
     let opts = CommonOpts::parse(rest)?;
     let json = opts.json;
     let path = positional(rest).ok_or("missing <file.loop> argument")?;
@@ -620,18 +631,13 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
 
 /// `loopmem trace`: run the whole governed analysis surface over the
 /// program — simulation, scratchpad sizing + fusion, per-nest §4
-/// searches (with a serial memoized replay for memo events), cone-prune
-/// scans, certificate emission — with a collecting `loopmem-obs` sink
-/// attached, and render the deterministic trace. `--format text`
+/// searches, cone-prune scans, certificate emission — with a collecting
+/// `loopmem-obs` sink attached, and render the deterministic trace. `--format text`
 /// (default) prints per-phase totals; `--format json` prints the
 /// canonical NDJSON stream, whose bytes are identical for every
 /// `--threads` value; `--out` writes the NDJSON to a file either way.
 fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    /// Coefficient box half-width for the cone-prune stage (matches
-    /// `verify`).
-    const BNB_BOUND: i64 = 6;
-    GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
     let opts = CommonOpts::parse(rest)?;
     let out_path = CommonOpts::path_flag(rest, "--out")?;
     let path = positional(rest).ok_or("missing <file.loop> argument")?;
@@ -657,18 +663,11 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     dyn_sink.begin_epoch();
     let _ = catch_unwind(AssertUnwindSafe(|| session.scratchpad(&program)));
 
-    // Stage 2: per-nest §4 searches, one epoch each. The governed search
-    // contributes the search span and its certificates; when it completes
-    // within budget, the serial memoized search replays for memo hit/miss
-    // events (nests that trip the budget skip the replay).
+    // Stage 2: per-nest §4 searches, one epoch each: the search span and
+    // its certificates.
     for nest in program.nests() {
         dyn_sink.begin_epoch();
-        let searched = catch_unwind(AssertUnwindSafe(|| session.optimize(nest)));
-        if matches!(searched, Ok(Ok(_))) {
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                loopmem::core::minimize_mws_traced(nest, SearchMode::default(), &dyn_sink)
-            }));
-        }
+        let _ = catch_unwind(AssertUnwindSafe(|| session.optimize(nest)));
     }
 
     // Stage 3: cone-prune scans for 2-deep nests (the same scan `verify`
@@ -739,20 +738,15 @@ fn generate_certificates(
     budget: &AnalysisBudget,
 ) -> Vec<loopmem::verify::Certificate> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    /// Coefficient box half-width certified by the cone-prune run.
-    const BNB_BOUND: i64 = 6;
+    let session = Session::new().threads(threads).budget(budget.clone());
     let mut certs = Vec::new();
     for (k, nest) in program.nests().iter().enumerate() {
         // The robustness corpus deliberately overflows ungoverned
         // arithmetic; like the chaos harness, contain the panic and
         // degrade to a bounds certificate rather than crash.
-        let nest_certs = catch_unwind(AssertUnwindSafe(|| {
-            let mut out = Vec::new();
-            match loopmem::core::try_minimize_mws(nest, SearchMode::default(), budget) {
-                Ok(opt) => out.extend(loopmem::core::certify_optimization(k, nest, &opt)),
-                Err(e) => out.push(loopmem::core::certify_degraded(k, nest, &e)),
-            }
-            out
+        let nest_certs = catch_unwind(AssertUnwindSafe(|| match session.optimize(nest) {
+            Ok(opt) => loopmem::core::certify_optimization(k, nest, &opt),
+            Err(e) => vec![loopmem::core::certify_degraded(k, nest, &e)],
         }))
         .or_else(|_| {
             catch_unwind(AssertUnwindSafe(|| {
@@ -771,7 +765,7 @@ fn generate_certificates(
             vec![loopmem::core::certify_bounds(
                 Some(k),
                 "nest-mws",
-                &loopmem::ir::Bounds {
+                &Bounds {
                     lower: 0,
                     upper: u64::MAX,
                     method: loopmem::ir::BoundsMethod::UnionBox,
@@ -781,44 +775,21 @@ fn generate_certificates(
         });
         certs.extend(nest_certs);
         let cone = catch_unwind(AssertUnwindSafe(|| {
-            if nest.depth() != 2 {
-                return None;
-            }
-            let vr = nest.var_ranges()?;
-            let extents = (
-                vr[0].1.checked_sub(vr[0].0)?.checked_add(1)?,
-                vr[1].1.checked_sub(vr[1].0)?.checked_add(1)?,
-            );
-            if extents.0 <= 1 || extents.1 <= 1 {
-                return None;
-            }
-            let deps = analyze(nest);
-            let r = loopmem::core::try_branch_and_bound(
-                leading_alpha(nest),
-                &deps,
-                extents,
-                BNB_BOUND,
-                budget,
-            )
-            .ok()??;
+            let r = cone_scan(nest, budget, BNB_BOUND)?;
             loopmem::core::certify_bnb(k, BNB_BOUND, &r)
         }))
         .unwrap_or(None);
         certs.extend(cone);
     }
-    let scratchpad = catch_unwind(AssertUnwindSafe(|| {
-        match loopmem::core::try_scratchpad_with_fusion(program, threads, budget) {
-            Ok((gov, plan)) => {
-                let mut out = loopmem::core::certify_governed_scratchpad(&gov);
-                if let Some(p) = plan {
-                    out.push(loopmem::core::certify_fusion(&p));
-                }
-                out
-            }
-            // A whole-program scratchpad failure is already visible
-            // through the per-nest degraded certificates above.
-            Err(_) => Vec::new(),
+    let scratchpad = catch_unwind(AssertUnwindSafe(|| match session.scratchpad(program) {
+        Ok((gov, plan)) => {
+            let mut out = loopmem::core::certify_governed_scratchpad(&gov);
+            out.extend(plan.as_ref().map(loopmem::core::certify_fusion));
+            out
         }
+        // A whole-program scratchpad failure is already visible
+        // through the per-nest degraded certificates above.
+        Err(_) => Vec::new(),
     }))
     .unwrap_or_default();
     certs.extend(scratchpad);
@@ -925,21 +896,19 @@ fn cmd_deps(nest: &LoopNest) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_optimize(
-    nest: &LoopNest,
-    mode: SearchMode,
-    budget: Option<AnalysisBudget>,
-) -> Result<(), String> {
-    let opt = match budget {
-        None => minimize_mws(nest, mode).map_err(|e| e.to_string())?,
-        Some(b) => match loopmem::core::try_minimize_mws(nest, mode, &b) {
-            Ok(opt) => {
-                println!("outcome    : exact");
-                opt
-            }
-            Err(e) => return report_governed_failure(&e),
-        },
+fn cmd_optimize(rest: &[String]) -> Result<(), String> {
+    let nest = load(rest)?;
+    let mode = parse_mode(rest)?;
+    let opts = CommonOpts::parse(rest)?;
+    let opt = match opts.session(None).search_mode(mode).optimize(&nest) {
+        Ok(opt) => opt,
+        // Without budget flags an empty search space is a usage error.
+        Err(AnalysisError::Invalid { message }) if opts.budget.is_none() => return Err(message),
+        Err(e) => return report_governed_failure(&e),
     };
+    if opts.budget.is_some() {
+        println!("outcome    : exact");
+    }
     println!(
         "MWS {} -> {}  ({} candidates considered)",
         opt.mws_before, opt.mws_after, opt.candidates_considered
@@ -949,35 +918,20 @@ fn cmd_optimize(
     Ok(())
 }
 
-fn cmd_simulate(
-    nest: &LoopNest,
-    profile: bool,
-    budget: Option<AnalysisBudget>,
-) -> Result<(), String> {
-    let s = match budget {
-        None => {
-            if profile {
-                simulate_with_profile(nest)
-            } else {
-                simulate(nest)
-            }
-        }
-        Some(b) => {
-            let r = loopmem::sim::try_simulate_with_threads(
-                nest,
-                profile,
-                loopmem::sim::thread_count(),
-                &b,
-            );
-            match r {
-                Ok(s) => {
-                    println!("outcome    : exact");
-                    s
-                }
-                Err(e) => return report_governed_failure(&e),
-            }
-        }
+fn cmd_simulate(rest: &[String]) -> Result<(), String> {
+    let nest = load(rest)?;
+    let profile = rest.iter().any(|a| a == "--profile");
+    let opts = CommonOpts::parse(rest)?;
+    // `--profile` needs the window profile, which `Session::simulate`
+    // does not record.
+    let budget = opts.budget.clone().unwrap_or_default();
+    let s = match loopmem::sim::try_simulate_with_threads(&nest, profile, opts.threads, &budget) {
+        Ok(s) => s,
+        Err(e) => return report_governed_failure(&e),
     };
+    if opts.budget.is_some() {
+        println!("outcome    : exact");
+    }
     println!("iterations : {}", s.iterations);
     println!("total MWS  : {}", s.mws_total);
     println!(
@@ -1051,7 +1005,6 @@ fn cmd_pipeline(rest: &[String]) -> Result<(), String> {
     let path = positional(rest).ok_or("missing <file.loop> argument")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut program = loopmem::ir::parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
-    let threads = opts.threads;
     if let Some(pos) = rest.iter().position(|a| a == "--fuse") {
         let k: usize = rest
             .get(pos + 1)
@@ -1062,171 +1015,135 @@ fn cmd_pipeline(rest: &[String]) -> Result<(), String> {
         println!("fused nests {k} and {}:", k + 1);
         println!("{}", loopmem::ir::print_program(&program));
     }
-    // `--trace` needs a budget to carry the sink, so it selects the
-    // governed path even without budget flags.
-    if opts.budget.is_some() || opts.trace.is_some() {
-        let mut budget = opts
-            .budget
-            .clone()
-            .unwrap_or_else(AnalysisBudget::unlimited);
-        let trace_sink = opts.trace_sink();
-        if let Some(sink) = &trace_sink {
-            budget = budget.with_trace(sink.clone() as Arc<dyn TraceSink>);
-        }
-        cmd_pipeline_governed(&program, threads, &budget, rest)?;
-        if let Some(sink) = &trace_sink {
-            opts.write_trace(sink)?;
-        }
-        return Ok(());
-    }
-    // Batch analysis: pass 1 shards across nests on `threads` workers;
-    // results are bit-identical for every worker count.
-    let sim = loopmem::sim::simulate_program_with_threads(&program, threads);
-    println!(
-        "nests             : {} ({} worker threads)",
-        program.len(),
-        threads
-    );
-    println!("declared storage  : {} words", program.default_memory());
-    println!(
-        "distinct touched  : {} words",
-        sim.distinct.values().sum::<u64>()
-    );
-    println!(
-        "whole-program MWS : {} words (peak inside nest {})",
-        sim.mws_total, sim.peak_nest
-    );
-    for (k, live) in sim.boundary_live.iter().enumerate() {
-        println!("boundary {}->{}      : {} words live", k, k + 1, live);
-    }
-    println!("\n{:<7} {:>12} {:>10}", "nest", "iterations", "MWS");
-    let mut certs = Vec::new();
-    for (k, nest) in program.nests().iter().enumerate() {
-        // Memoized: a kernel repeated across the pipeline (even under
-        // renamed loop variables) is simulated once.
-        let mws = loopmem::core::nest_mws_memoized(nest);
-        certs.push(loopmem::core::certify_bounds(
-            Some(k),
-            "nest-mws",
-            &loopmem::ir::Bounds::exact(mws),
-            "exact simulation (pipeline pass 1)",
-        ));
-        println!(
-            "{:<7} {:>12} {:>10}",
-            format!("nest{k}"),
-            sim.per_nest_iterations[k],
-            mws
-        );
-    }
-    emit_certs(opts.emit_cert.as_deref(), &certs)?;
-    // Point out fusable adjacent pairs.
-    for k in 0..program.len().saturating_sub(1) {
-        match loopmem::core::fuse(&program, k) {
-            Ok(_) => println!("nests {k}+{}: fusable (try --fuse {k})", k + 1),
-            Err(e) => println!("nests {k}+{}: not fusable ({e})", k + 1),
-        }
-    }
-    if rest.iter().any(|a| a == "--optimize") {
-        let mode = parse_mode(rest)?;
-        let opt = loopmem::core::optimize_program_with_threads(&program, mode, threads)
-            .map_err(|e| e.to_string())?;
-        println!();
-        println!(
-            "batch optimize    : whole-program MWS {} -> {}",
-            opt.mws_before, opt.mws_after
-        );
-        for (k, (before, after)) in opt.per_nest.iter().enumerate() {
-            println!("  nest{k}: single-nest MWS {before} -> {after}");
-        }
+    let trace_sink = opts.trace_sink();
+    pipeline_report(&program, &opts.session(trace_sink.as_ref()), &opts, rest)?;
+    if let Some(sink) = &trace_sink {
+        opts.write_trace(sink)?;
     }
     Ok(())
 }
 
-/// Budgeted pipeline analysis: every nest reports an outcome
-/// (exact / bounded / failed) and the whole run shares one deadline and
-/// one cumulative iteration budget. Always exits 0 — a degraded answer
-/// is still an answer.
-fn cmd_pipeline_governed(
-    program: &loopmem::ir::Program,
-    threads: usize,
-    budget: &AnalysisBudget,
+/// The pipeline analysis: the sharded program simulation (bit-identical
+/// for every worker count), then the batch optimizer under `--optimize`.
+/// An exact run without budget or trace flags prints the batch report
+/// (peak nest, per-nest table, fusable pairs); otherwise every nest
+/// reports an outcome (exact / bounded / failed) and the whole run shares
+/// one deadline and one cumulative iteration budget.
+fn pipeline_report(
+    program: &Program,
+    session: &Session,
+    opts: &CommonOpts,
     rest: &[String],
 ) -> Result<(), String> {
+    let sim = session.simulate_program(program);
+    let governed = opts.governed_report() || !matches!(&sim, Ok(g) if g.all_exact());
     println!(
-        "nests             : {} ({} worker threads, governed)",
+        "nests             : {} ({} worker threads{})",
         program.len(),
-        threads
+        opts.threads,
+        if governed { ", governed" } else { "" }
     );
     println!("declared storage  : {} words", program.default_memory());
-    let gov = match loopmem::sim::try_simulate_program_with_threads(program, threads, budget) {
+    let gov = match sim {
         Ok(gov) => gov,
         Err(e) => return report_governed_failure(&e),
     };
-    if gov.mws_bounds.is_exact() {
-        println!("outcome           : exact");
-        println!("whole-program MWS : {} words", gov.mws_bounds.lower);
-    } else {
-        println!("outcome           : bounded");
-        println!("whole-program MWS : in {}", gov.mws_bounds);
-    }
-    let emit_cert = CommonOpts::path_flag(rest, "--emit-cert")?;
-    let want_certs = emit_cert.is_some();
     let mut certs = Vec::new();
-    for (k, r) in gov.per_nest.iter().enumerate() {
-        match r {
-            Ok(iters) => {
-                println!("  nest{k} : exact ({iters} iterations)");
-                if want_certs {
-                    // The nest simulated within budget, so re-deriving its
-                    // MWS through the memo is affordable.
-                    let mws = loopmem::core::nest_mws_memoized(&program.nests()[k]);
+    if governed {
+        if gov.mws_bounds.is_exact() {
+            println!("outcome           : exact");
+            println!("whole-program MWS : {} words", gov.mws_bounds.lower);
+        } else {
+            println!("outcome           : bounded");
+            println!("whole-program MWS : in {}", gov.mws_bounds);
+        }
+        for (k, r) in gov.per_nest.iter().enumerate() {
+            match r {
+                Ok(iters) => {
+                    println!("  nest{k} : exact ({iters} iterations)");
                     certs.push(loopmem::core::certify_bounds(
                         Some(k),
                         "nest-mws",
-                        &loopmem::ir::Bounds::exact(mws),
+                        &Bounds::exact(gov.sim.per_nest_mws[k]),
                         "exact simulation (governed pipeline)",
                     ));
                 }
-            }
-            Err(e) => {
-                match e {
-                    AnalysisError::Exhausted { reason, partial } => {
-                        println!("  nest{k} : bounded {partial}; budget exhausted ({reason})");
+                Err(e) => {
+                    match e {
+                        AnalysisError::Exhausted { reason, partial } => {
+                            println!("  nest{k} : bounded {partial}; budget exhausted ({reason})");
+                        }
+                        AnalysisError::Overflow { .. } => println!("  nest{k} : overflow; {e}"),
+                        _ => println!("  nest{k} : failed; {e}"),
                     }
-                    AnalysisError::Overflow { .. } => println!("  nest{k} : overflow; {e}"),
-                    _ => println!("  nest{k} : failed; {e}"),
-                }
-                if want_certs {
                     certs.push(loopmem::core::certify_degraded(k, &program.nests()[k], e));
                 }
             }
         }
+        emit_certs(opts.emit_cert.as_deref(), &certs)?;
+    } else {
+        let sim = &gov.sim;
+        println!("distinct touched  : {} words", sim.distinct_total());
+        println!(
+            "whole-program MWS : {} words (peak inside nest {})",
+            sim.mws_total, sim.peak_nest
+        );
+        for (k, live) in sim.boundary_live.iter().enumerate() {
+            println!("boundary {}->{}      : {} words live", k, k + 1, live);
+        }
+        println!("\n{:<7} {:>12} {:>10}", "nest", "iterations", "MWS");
+        for (k, &mws) in sim.per_nest_mws.iter().enumerate() {
+            certs.push(loopmem::core::certify_bounds(
+                Some(k),
+                "nest-mws",
+                &Bounds::exact(mws),
+                "exact simulation (pipeline pass 1)",
+            ));
+            println!(
+                "{:<7} {:>12} {:>10}",
+                format!("nest{k}"),
+                sim.per_nest_iterations[k],
+                mws
+            );
+        }
+        emit_certs(opts.emit_cert.as_deref(), &certs)?;
+        // Point out fusable adjacent pairs.
+        for k in 0..program.len().saturating_sub(1) {
+            match loopmem::core::fuse(program, k) {
+                Ok(_) => println!("nests {k}+{}: fusable (try --fuse {k})", k + 1),
+                Err(e) => println!("nests {k}+{}: not fusable ({e})", k + 1),
+            }
+        }
     }
-    emit_certs(emit_cert.as_deref(), &certs)?;
     if rest.iter().any(|a| a == "--optimize") {
         let mode = parse_mode(rest)?;
         println!();
-        if let Some(sink) = budget.trace() {
+        if let Some(sink) = session.analysis_budget().trace() {
             // A fresh epoch keeps the optimize stage's events ordered
             // after the simulation's in the drained stream.
             sink.begin_epoch();
         }
-        match loopmem::core::try_optimize_program_with_threads(program, mode, threads, budget) {
-            Ok(opt) => {
-                println!(
-                    "batch optimize    : whole-program MWS {} -> {}",
-                    opt.mws_before, opt.mws_after
-                );
-                for (k, r) in opt.per_nest.iter().enumerate() {
-                    match r {
-                        Ok((before, after)) => {
-                            println!("  nest{k}: single-nest MWS {before} -> {after}");
-                        }
-                        Err(e) => println!("  nest{k}: kept original ({e})"),
-                    }
-                }
-            }
+        let opt = match session.clone().search_mode(mode).optimize_program(program) {
+            Ok(opt) => opt,
             Err(e) => return report_governed_failure(&e),
+        };
+        let show = |b: Bounds| {
+            if governed || !b.is_exact() {
+                b.to_string()
+            } else {
+                b.lower.to_string()
+            }
+        };
+        println!(
+            "batch optimize    : whole-program MWS {} -> {}",
+            show(opt.mws_before),
+            show(opt.mws_after)
+        );
+        for (k, r) in opt.per_nest.iter().enumerate() {
+            match r {
+                Ok((before, after)) => println!("  nest{k}: single-nest MWS {before} -> {after}"),
+                Err(e) => println!("  nest{k}: kept original ({e})"),
+            }
         }
     }
     Ok(())
@@ -1234,8 +1151,8 @@ fn cmd_pipeline_governed(
 
 /// `loopmem scratchpad`: size one shared scratchpad over the whole
 /// program (`loopmem_core::scratchpad`). Bare `--fuse` runs the greedy
-/// fusion search; budget flags make the run governed, degrading to a
-/// size interval (`outcome : bounded`) instead of crashing.
+/// fusion search. A nest that cannot be sized exactly (a tripped budget,
+/// an overflow) degrades the size to an interval (`outcome : bounded`).
 fn cmd_scratchpad(rest: &[String]) -> Result<(), String> {
     let opts = CommonOpts::parse(rest)?;
     // `--fuse` is a bare switch here, unlike pipeline's `--fuse k`.
@@ -1250,92 +1167,86 @@ fn cmd_scratchpad(rest: &[String]) -> Result<(), String> {
         .ok_or("missing <file.loop> argument")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let program = loopmem::ir::parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
-    let threads = opts.threads;
-    let want_fuse = rest.iter().any(|a| a == "--fuse");
     println!(
         "nests             : {} ({} worker threads)",
         program.len(),
-        threads
+        opts.threads
     );
     println!("declared storage  : {} words", program.default_memory());
-
-    if opts.budget.is_some() || opts.trace.is_some() {
-        let mut budget = opts
-            .budget
-            .clone()
-            .unwrap_or_else(AnalysisBudget::unlimited);
-        let trace_sink = opts.trace_sink();
-        if let Some(sink) = &trace_sink {
-            budget = budget.with_trace(sink.clone() as Arc<dyn TraceSink>);
-        }
-        let r = if want_fuse {
-            loopmem::core::try_scratchpad_with_fusion(&program, threads, &budget)
-        } else {
-            loopmem::core::try_scratchpad_program_with_threads(&program, threads, &budget)
-                .map(|g| (g, None))
-        };
-        let (gov, plan) = match r {
-            Ok(x) => x,
-            Err(e) => return report_governed_failure(&e),
-        };
-        if gov.all_exact() {
-            println!("outcome           : exact");
-            print_scratchpad_sizing(&gov.sizing);
-        } else {
-            println!("outcome           : bounded");
-            println!(
-                "scratchpad        : <= {} words (slack {}; in {})",
-                gov.words.upper,
-                gov.words.slack(),
-                gov.words
-            );
-            println!("whole-program MWS : >= {} words", gov.sizing.program_mws);
-            for (k, r) in gov.per_nest.iter().enumerate() {
-                match r {
-                    Ok(t) => println!(
-                        "  nest{k} : mws {} + live-through {} = {}",
-                        t.mws,
-                        t.live_through,
-                        t.words()
-                    ),
-                    Err(AnalysisError::Exhausted { reason, partial }) => {
-                        println!("  nest{k} : bounded {partial}; budget exhausted ({reason})");
-                    }
-                    Err(e @ AnalysisError::Overflow { .. }) => {
-                        println!("  nest{k} : overflow; {e}")
-                    }
-                    Err(e) => println!("  nest{k} : failed; {e}"),
-                }
-            }
-        }
-        if want_fuse {
-            match &plan {
-                Some(p) => print_scratchpad_plan(p),
-                None => println!("fusion            : skipped (baseline not exact)"),
-            }
-        }
-        let mut certs = loopmem::core::certify_governed_scratchpad(&gov);
-        if let Some(p) = &plan {
-            certs.push(loopmem::core::certify_fusion(p));
-        }
-        emit_certs(opts.emit_cert.as_deref(), &certs)?;
-        if let Some(sink) = &trace_sink {
-            opts.write_trace(sink)?;
-        }
-        return Ok(());
+    let trace_sink = opts.trace_sink();
+    let session = opts.session(trace_sink.as_ref());
+    scratchpad_report(
+        &program,
+        &session,
+        &opts,
+        rest.iter().any(|a| a == "--fuse"),
+    )?;
+    if let Some(sink) = &trace_sink {
+        opts.write_trace(sink)?;
     }
-
-    let sizing = loopmem::core::scratchpad_program_with_threads(&program, threads);
-    println!("outcome           : exact");
-    print_scratchpad_sizing(&sizing);
-    let mut certs = vec![loopmem::core::certify_sizing(&sizing)];
-    if want_fuse {
-        let plan = loopmem::core::scratchpad_with_fusion(&program, threads);
-        print_scratchpad_plan(&plan);
-        certs.push(loopmem::core::certify_fusion(&plan));
-    }
-    emit_certs(opts.emit_cert.as_deref(), &certs)?;
     Ok(())
+}
+
+fn scratchpad_report(
+    program: &Program,
+    session: &Session,
+    opts: &CommonOpts,
+    want_fuse: bool,
+) -> Result<(), String> {
+    let r = if want_fuse {
+        session.scratchpad(program)
+    } else {
+        session.scratchpad_sizing(program).map(|g| (g, None))
+    };
+    let (gov, plan) = match r {
+        Ok(x) => x,
+        Err(e) => return report_governed_failure(&e),
+    };
+    if gov.all_exact() {
+        println!("outcome           : exact");
+        print_scratchpad_sizing(&gov.sizing);
+    } else {
+        println!("outcome           : bounded");
+        println!(
+            "scratchpad        : <= {} words (slack {}; in {})",
+            gov.words.upper,
+            gov.words.slack(),
+            gov.words
+        );
+        println!("whole-program MWS : >= {} words", gov.sizing.program_mws);
+        for (k, r) in gov.per_nest.iter().enumerate() {
+            match r {
+                Ok(t) => println!(
+                    "  nest{k} : mws {} + live-through {} = {}",
+                    t.mws,
+                    t.live_through,
+                    t.words()
+                ),
+                Err(AnalysisError::Exhausted { reason, partial }) => {
+                    println!("  nest{k} : bounded {partial}; budget exhausted ({reason})");
+                }
+                Err(e @ AnalysisError::Overflow { .. }) => {
+                    println!("  nest{k} : overflow; {e}")
+                }
+                Err(e) => println!("  nest{k} : failed; {e}"),
+            }
+        }
+    }
+    if want_fuse {
+        match &plan {
+            Some(p) => print_scratchpad_plan(p),
+            None => println!("fusion            : skipped (baseline not exact)"),
+        }
+    }
+    // An exact run without budget or trace flags certifies the sizing
+    // arithmetic alone; the governed report adds the words interval.
+    let mut certs = if opts.governed_report() || !gov.all_exact() {
+        loopmem::core::certify_governed_scratchpad(&gov)
+    } else {
+        vec![loopmem::core::certify_sizing(&gov.sizing)]
+    };
+    certs.extend(plan.as_ref().map(loopmem::core::certify_fusion));
+    emit_certs(opts.emit_cert.as_deref(), &certs)
 }
 
 fn print_scratchpad_sizing(s: &loopmem::core::ScratchpadSizing) {

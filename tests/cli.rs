@@ -319,3 +319,46 @@ fn chaos_subcommand_reports_a_clean_sweep() {
     assert!(stdout.contains("violations : 0"), "{stdout}");
     assert!(stdout.contains("28 cases"), "{stdout}");
 }
+
+#[test]
+fn runs_without_budget_flags_degrade_instead_of_panicking() {
+    // Every analysis run is governed, budget flags or not: an overflowing
+    // or panicking nest degrades to a typed outcome and the run exits 0.
+    for args in [
+        &["simulate", "tests/robustness/overflow_coeffs.loop"][..],
+        &["optimize", "tests/robustness/overflow_coeffs.loop"],
+        &["pipeline", "tests/robustness/overflow_coeffs.loop"],
+        &[
+            "scratchpad",
+            "tests/robustness/overflow_coeffs.loop",
+            "--fuse",
+        ],
+        &["pipeline", "tests/robustness/panicking_program.loop"],
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(ok, "{args:?} must exit 0: {stderr}");
+        let typed = stdout.lines().any(|l| {
+            l.starts_with("outcome")
+                && [": bounded", ": overflow", ": failed"]
+                    .iter()
+                    .any(|o| l.ends_with(o))
+        });
+        assert!(typed, "{args:?}: no typed outcome line in {stdout}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn trace_records_one_search_span_per_nest() {
+    for (file, nests) in [("kernels/example8.loop", 1), ("kernels/pipeline.loop", 2)] {
+        let (ok, stdout, stderr) = run(&["trace", file, "--format", "json"]);
+        assert!(ok, "{file}: {stderr}");
+        let searches = stdout
+            .lines()
+            .filter(|l| {
+                l.contains("\"event\":\"span-begin\"") && l.contains("\"label\":\"search\"")
+            })
+            .count();
+        assert_eq!(searches, nests, "{file}: one search span per nest");
+    }
+}

@@ -1,9 +1,9 @@
 //! The `kernels/*.loop` files shipped for the CLI stay valid and keep the
 //! properties their comments advertise.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
 use loopmem::ir::parse;
 use loopmem::sim::simulate;
+use loopmem::Session;
 use std::fs;
 
 fn load(name: &str) -> loopmem::ir::LoopNest {
@@ -35,7 +35,7 @@ fn all_kernel_files_parse() {
 fn example8_file_matches_its_comment() {
     let nest = load("example8.loop");
     assert_eq!(simulate(&nest).mws_total, 44);
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    let opt = Session::new().optimize(&nest).expect("search succeeds");
     assert_eq!(opt.mws_after, 21);
     assert_eq!(opt.transform.row(0), &[2, 3]);
 }
@@ -49,6 +49,6 @@ fn matmult_file_matches_its_comment() {
 #[test]
 fn rasta_file_improves_64x() {
     let nest = load("rasta_flt.loop");
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    let opt = Session::new().optimize(&nest).expect("search succeeds");
     assert!(opt.mws_before >= 64 * opt.mws_after);
 }

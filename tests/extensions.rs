@@ -2,10 +2,8 @@
 //! symbolic formulas, inclusion–exclusion counting, programs, fusion,
 //! tiling, direction vectors, and the replacement/layout machinery.
 
-use loopmem::core::optimize::SearchMode;
 use loopmem::core::{
-    analyze_program, distinct_formulas, estimate_distinct, estimate_distinct_exact,
-    estimate_nest_mws, fuse, optimize_program, tile,
+    distinct_formulas, estimate_distinct, estimate_distinct_exact, estimate_nest_mws, fuse, tile,
 };
 use loopmem::dep::{direction_vector, Direction};
 use loopmem::ir::{parse, parse_program, print_program, ArrayId};
@@ -13,6 +11,7 @@ use loopmem::sim::{
     line_analysis, min_perfect_capacity, simulate, simulate_program, Layout, Policy,
     ReuseHistogram, Trace,
 };
+use loopmem::Session;
 use std::collections::HashMap;
 
 #[test]
@@ -68,14 +67,15 @@ fn fusion_then_program_optimization_compose() {
          for i = 2 to 12 { for j = 1 to 12 { C[i][j] = A[i][j]; } }",
     )
     .unwrap();
-    let before = analyze_program(&p);
+    let session = Session::new();
+    let before = session.simulate_program(&p).unwrap();
     // Nests conform (2..12 x 1..12) and A flows forward: fusable.
     let fused = fuse(&p, 0).unwrap();
-    let mid = analyze_program(&fused);
-    assert!(mid.mws_exact <= before.mws_exact);
+    let mid = session.simulate_program(&fused).unwrap();
+    assert!(mid.sim.mws_total <= before.sim.mws_total);
     // Per-nest optimization still applies to the fused program.
-    let opt = optimize_program(&fused, SearchMode::default()).unwrap();
-    assert!(opt.mws_after <= opt.mws_before);
+    let opt = session.optimize_program(&fused).unwrap();
+    assert!(opt.mws_after.upper <= opt.mws_before.upper);
 }
 
 #[test]

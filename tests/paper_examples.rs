@@ -1,16 +1,17 @@
 //! End-to-end reproduction of every worked example in the paper, driven
 //! through the `loopmem` facade exactly as a downstream user would.
 
-use loopmem::core::optimize::{minimize_mws, OptimizeError, SearchMode};
+use loopmem::core::SearchMode;
 use loopmem::core::{
     analyze_memory, apply_transform, estimate_distinct, three_level_estimate, two_level_estimate,
     two_level_objective,
 };
 use loopmem::dep::{analyze, reuse_vectors};
-use loopmem::ir::{parse, ArrayId};
+use loopmem::ir::{parse, AnalysisError, ArrayId};
 use loopmem::linalg::{IMat, Rational};
 use loopmem::poly::count::distinct_accesses_for;
 use loopmem::sim::simulate;
+use loopmem::Session;
 
 #[test]
 fn example_1_reuse_area_is_56() {
@@ -97,9 +98,12 @@ fn example_7_compound_beats_interchange_and_reversal() {
     assert_eq!(two_level_estimate((2, -3), (0, 1), (20, 30)), 40);
     // Exact values.
     assert_eq!(simulate(&nest).mws_total, 86);
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     assert_eq!(opt.mws_after, 1, "paper: the cost can be reduced to 1");
-    let baseline = minimize_mws(&nest, SearchMode::InterchangeReversal).unwrap();
+    let baseline = Session::new()
+        .search_mode(SearchMode::InterchangeReversal)
+        .optimize(&nest)
+        .unwrap();
     assert_eq!(baseline.mws_after, 34, "best elementary order");
     assert!(opt.mws_after < baseline.mws_after);
 }
@@ -122,17 +126,25 @@ fn example_8_full_study() {
         two_level_objective((2, 5), (2, 3), (25, 10)),
         Rational::from(22)
     );
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     assert_eq!(opt.mws_after, 21);
     assert_eq!(opt.transform.row(0), &[2, 3], "the paper's leading row");
 
     // Li–Pingali cannot complete a legal transformation here.
     assert_eq!(
-        minimize_mws(&nest, SearchMode::LiPingali).unwrap_err(),
-        OptimizeError::NoLegalTransform
+        Session::new()
+            .search_mode(SearchMode::LiPingali)
+            .optimize(&nest)
+            .unwrap_err(),
+        AnalysisError::Invalid {
+            message: "no legal transformation in the search space".into()
+        }
     );
     // Interchange/reversal cannot improve at all.
-    let ir = minimize_mws(&nest, SearchMode::InterchangeReversal).unwrap();
+    let ir = Session::new()
+        .search_mode(SearchMode::InterchangeReversal)
+        .optimize(&nest)
+        .unwrap();
     assert_eq!(ir.mws_after, ir.mws_before);
 }
 
@@ -178,7 +190,7 @@ fn example_10_three_level_window() {
     assert_eq!(v.iter().map(|x| x.abs()).collect::<Vec<_>>(), vec![1, 3, 3]);
     assert_eq!(three_level_estimate((v[0], v[1], v[2]), (10, 20, 30)), 540);
     // §4.3: the access-matrix transformation collapses the window to 1.
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     assert_eq!(opt.mws_after, 1);
     // The memory analysis ties it together.
     let m = analyze_memory(&nest);

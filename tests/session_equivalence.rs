@@ -1,18 +1,23 @@
-//! Pins every legacy entry point to its `Session` equivalent: the
-//! governed `try_*` / `*_with_threads` zoo now delegates to
-//! [`loopmem::Session`], and these tests keep that delegation honest by
-//! asserting bit-identical results against a hand-built session. The
-//! ungoverned fast paths (which a `Session` with the default unlimited
-//! budget replaces) are pinned too, modulo the optimizer's process-wide
-//! memo (`cache_hits` is 0 on every governed path by contract).
+//! Pins the optimizer's answers to what `loopmem::Session` computes.
+//!
+//! The simulator wrappers (`try_simulate*`, `simulate*_with_threads`) are
+//! compared against a hand-built session directly. The optimizer entry
+//! points that `Session` replaced (`minimize_mws*`, `try_minimize_mws*`,
+//! `optimize_program*`, `try_optimize_program*`, `scratchpad_program*`,
+//! `scratchpad_with_fusion*`, `try_scratchpad_*`, `analyze_program`) are
+//! gone; their recorded answers live in `tests/golden/session_answers.txt`
+//! (every kernel file and the three programs below, at t ∈ {1, 2, 4} and
+//! the default count, with unlimited and 10⁶-iteration budgets), and each
+//! test below recomputes its entry points' lines through `Session`.
 
 use loopmem::core::{
-    minimize_mws_with_threads, optimize_program_with_threads, scratchpad_program_with_threads,
-    scratchpad_with_fusion, try_minimize_mws, try_minimize_mws_with_threads, try_optimize_program,
-    try_optimize_program_with_threads, try_scratchpad_program, try_scratchpad_program_with_threads,
-    try_scratchpad_with_fusion, SearchMode,
+    GovernedProgramOptimization, GovernedScratchpad, Optimization, ScratchpadPlan,
+    ScratchpadSizing, SearchMode,
 };
-use loopmem::ir::{parse, parse_program, ArrayId, LoopNest, Program};
+use loopmem::ir::{
+    parse, parse_program, print_nest, print_program, AnalysisError, ArrayId, LoopNest, Program,
+};
+use loopmem::obs::CollectingSink;
 use loopmem::sim::{
     simulate_program_with_threads, simulate_with_threads, try_simulate, try_simulate_program,
     try_simulate_program_with_threads, try_simulate_with_threads, AnalysisBudget, ArrayStats,
@@ -20,32 +25,26 @@ use loopmem::sim::{
 };
 use loopmem::Session;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+const EXAMPLE8: &str = "array X[200]\n\
+     for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }";
+
+const THREE_NEST: &str = "array A[24][24]\narray X[200]\n\
+     for i = 2 to 24 { for j = 1 to 24 { A[i][j] = A[i-1][j] + A[i][j]; } }\n\
+     for i = 1 to 24 { for j = i to 24 { A[i][j] = A[j][i]; } }\n\
+     for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }";
+
+const FUSION: &str = "array A[8][8]\narray B[8][8]\narray C[8][8]\n\
+     for i = 1 to 8 { for j = 1 to 8 { A[i][j] = B[i][j]; } }\n\
+     for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }";
 
 fn example8() -> LoopNest {
-    parse(
-        "array X[200]\n\
-         for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }",
-    )
-    .unwrap()
+    parse(EXAMPLE8).unwrap()
 }
 
 fn three_nest_program() -> Program {
-    parse_program(
-        "array A[24][24]\narray X[200]\n\
-         for i = 2 to 24 { for j = 1 to 24 { A[i][j] = A[i-1][j] + A[i][j]; } }\n\
-         for i = 1 to 24 { for j = i to 24 { A[i][j] = A[j][i]; } }\n\
-         for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }",
-    )
-    .unwrap()
-}
-
-fn fusion_program() -> Program {
-    parse_program(
-        "array A[8][8]\narray B[8][8]\narray C[8][8]\n\
-         for i = 1 to 8 { for j = 1 to 8 { A[i][j] = B[i][j]; } }\n\
-         for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }",
-    )
-    .unwrap()
+    parse_program(THREE_NEST).unwrap()
 }
 
 fn budget() -> AnalysisBudget {
@@ -165,155 +164,331 @@ fn ungoverned_simulate_program_matches_default_session() {
     assert_eq!(program_sim_key(&legacy), program_sim_key(&session.sim));
 }
 
+// ------------------------------------------------------- golden answers --
+
+/// One line of the golden file: an answer and the entry points (with the
+/// thread counts) that produced it.
+struct Golden {
+    input: String,
+    mode: String,
+    budget: String,
+    entries: Vec<(String, Vec<String>)>,
+    answer: String,
+}
+
+fn golden() -> Vec<Golden> {
+    let text = include_str!("golden/session_answers.txt");
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (head, answer) = l.split_once(" | ").expect("golden line has an answer");
+            let mut fields = head.split(' ');
+            let mut next = || fields.next().expect("golden key field").to_string();
+            let (input, mode, budget) = (next(), next(), next());
+            let entries = fields
+                .map(|e| {
+                    let (name, threads) = e.split_once('@').expect("entry@threads");
+                    (
+                        name.to_string(),
+                        threads.split(',').map(String::from).collect(),
+                    )
+                })
+                .collect();
+            Golden {
+                input,
+                mode,
+                budget,
+                entries,
+                answer: answer.to_string(),
+            }
+        })
+        .collect()
+}
+
+/// The program named by a golden input (`kernels/<file>` or
+/// `session:<name>`, without the `#nest` suffix).
+fn golden_program(name: &str) -> Program {
+    let src = match name {
+        "session:example8" => EXAMPLE8.to_string(),
+        "session:three_nest" => THREE_NEST.to_string(),
+        "session:fusion" => FUSION.to_string(),
+        file => std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR"))).unwrap(),
+    };
+    parse_program(&src).unwrap()
+}
+
+fn golden_session(g: &Golden, threads: &str, traced: bool) -> Session {
+    let mode = match g.mode.as_str() {
+        // `-` marks the sizing entry points, which take no search mode.
+        "compound" | "-" => SearchMode::default(),
+        "interchange" => SearchMode::InterchangeReversal,
+        "li-pingali" => SearchMode::LiPingali,
+        other => panic!("unknown golden mode {other}"),
+    };
+    let budget = match g.budget.as_str() {
+        "unlimited" => AnalysisBudget::unlimited(),
+        "max_iters=1000000" => budget(),
+        other => panic!("unknown golden budget {other}"),
+    };
+    let session = Session::new().search_mode(mode).budget(budget);
+    let session = match threads {
+        "auto" => session,
+        t => session.threads(t.parse().unwrap()),
+    };
+    if traced {
+        session.trace(Arc::new(CollectingSink::new()))
+    } else {
+        session
+    }
+}
+
+fn imat(t: &loopmem::linalg::IMat) -> String {
+    format!(
+        "{:?}",
+        t.rows_iter().map(<[i64]>::to_vec).collect::<Vec<_>>()
+    )
+}
+
+fn opt_answer(r: Result<Optimization, AnalysisError>) -> String {
+    match r {
+        Ok(o) => format!(
+            "ok before={} after={} T={} considered={} evaluated=[{}] nest={:?}",
+            o.mws_before,
+            o.mws_after,
+            imat(&o.transform),
+            o.candidates_considered,
+            o.evaluated
+                .iter()
+                .map(|(t, m)| format!("{}:{m}", imat(t)))
+                .collect::<Vec<_>>()
+                .join(","),
+            print_nest(&o.transformed)
+        ),
+        Err(e) => format!("err {e:?}"),
+    }
+}
+
+fn program_opt_answer(r: Result<GovernedProgramOptimization, AnalysisError>) -> String {
+    match r {
+        Ok(o) => format!(
+            "ok before={:?} after={:?} per_nest={:?} program={:?}",
+            o.mws_before,
+            o.mws_after,
+            o.per_nest,
+            print_program(&o.transformed)
+        ),
+        Err(e) => format!("err {e:?}"),
+    }
+}
+
+fn sizing_answer(s: &ScratchpadSizing) -> String {
+    format!("ok sizing={s:?}")
+}
+
+fn governed_sizing_answer(r: Result<GovernedScratchpad, AnalysisError>) -> String {
+    match r {
+        Ok(g) => format!("ok governed={g:?}"),
+        Err(e) => format!("err {e:?}"),
+    }
+}
+
+fn plan_answer(p: &ScratchpadPlan) -> String {
+    format!(
+        "plan program={:?} steps={:?} groups={:?} unfused={:?} fused={:?}",
+        print_program(&p.program),
+        p.steps,
+        p.groups,
+        p.unfused,
+        p.fused
+    )
+}
+
+/// `analyze_program`'s fields, from the program simulation.
+fn analysis_answer(program: &Program, gov: GovernedProgramSim) -> String {
+    assert!(gov.all_exact());
+    let sim = gov.sim;
+    let distinct: BTreeMap<usize, u64> = sim.distinct.iter().map(|(k, v)| (k.0, *v)).collect();
+    format!(
+        "ok default_words={} mws_exact={} boundary_live={:?} distinct={:?} peak_nest={} per_nest_mws={:?}",
+        program.default_memory(),
+        sim.mws_total,
+        sim.boundary_live,
+        distinct,
+        sim.peak_nest,
+        sim.per_nest_mws
+    )
+}
+
+/// Recomputes `g`'s answer for the removed entry point `entry` at
+/// `threads` through `Session`.
+fn recompute(g: &Golden, entry: &str, threads: &str) -> String {
+    let (name, nest) = match g.input.split_once('#') {
+        Some((name, k)) => (name, Some(k.parse::<usize>().unwrap())),
+        None => (g.input.as_str(), None),
+    };
+    let program = golden_program(name);
+    let session = golden_session(g, threads, entry.ends_with("_traced"));
+    match entry {
+        "minimize_mws"
+        | "minimize_mws_traced"
+        | "minimize_mws_with_threads"
+        | "try_minimize_mws"
+        | "try_minimize_mws_with_threads" => {
+            opt_answer(session.optimize(&program.nests()[nest.expect("nest input")]))
+        }
+        "optimize_program"
+        | "optimize_program_with_threads"
+        | "try_optimize_program"
+        | "try_optimize_program_with_threads" => {
+            program_opt_answer(session.optimize_program(&program))
+        }
+        "scratchpad_program" | "scratchpad_program_with_threads" => {
+            let gov = session.scratchpad_sizing(&program).unwrap();
+            assert!(gov.all_exact());
+            sizing_answer(&gov.sizing)
+        }
+        "try_scratchpad_program" | "try_scratchpad_program_with_threads" => {
+            governed_sizing_answer(session.scratchpad_sizing(&program))
+        }
+        "scratchpad_with_fusion" | "scratchpad_with_fusion_traced" => {
+            let (_, plan) = session.scratchpad(&program).unwrap();
+            plan_answer(&plan.expect("exact baseline runs the fusion search"))
+        }
+        "try_scratchpad_with_fusion" => match session.scratchpad(&program) {
+            Ok((gov, plan)) => format!(
+                "ok governed={gov:?} {}",
+                plan.as_ref().map_or("plan none".to_string(), plan_answer)
+            ),
+            Err(e) => format!("err {e:?}"),
+        },
+        "analyze_program" => analysis_answer(&program, session.simulate_program(&program).unwrap()),
+        other => panic!("unknown golden entry point {other}"),
+    }
+}
+
+/// Recomputes every golden line recorded from one of `entries`.
+fn check_golden(entries: &[&str]) {
+    let mut checked = 0;
+    for g in golden() {
+        for (entry, threads) in &g.entries {
+            if !entries.contains(&entry.as_str()) {
+                continue;
+            }
+            for t in threads {
+                let got = recompute(&g, entry, t);
+                assert_eq!(
+                    got, g.answer,
+                    "{entry}@{t} on {} ({}, {})",
+                    g.input, g.mode, g.budget
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "no golden line for {entries:?}");
+}
+
+const NEST_SEARCH: [&str; 5] = [
+    "minimize_mws",
+    "minimize_mws_traced",
+    "minimize_mws_with_threads",
+    "try_minimize_mws",
+    "try_minimize_mws_with_threads",
+];
+const PROGRAM_SEARCH: [&str; 4] = [
+    "optimize_program",
+    "optimize_program_with_threads",
+    "try_optimize_program",
+    "try_optimize_program_with_threads",
+];
+const SIZING: [&str; 8] = [
+    "scratchpad_program",
+    "scratchpad_program_with_threads",
+    "try_scratchpad_program",
+    "try_scratchpad_program_with_threads",
+    "scratchpad_with_fusion",
+    "scratchpad_with_fusion_traced",
+    "try_scratchpad_with_fusion",
+    "analyze_program",
+];
+
+#[test]
+fn golden_file_names_only_known_entry_points() {
+    let lines = golden();
+    assert!(!lines.is_empty());
+    for g in lines {
+        for (entry, _) in &g.entries {
+            let known = NEST_SEARCH
+                .iter()
+                .chain(&PROGRAM_SEARCH)
+                .chain(&SIZING)
+                .any(|e| e == entry);
+            assert!(known, "unknown entry point {entry} on {}", g.input);
+        }
+    }
+}
+
 #[test]
 fn wrapper_try_minimize_mws_matches_session() {
-    let nest = example8();
-    let b = budget();
-    let legacy = try_minimize_mws(&nest, SearchMode::default(), &b).unwrap();
-    let session = Session::new().budget(b.clone()).optimize(&nest).unwrap();
-    assert_eq!(format!("{legacy:?}"), format!("{session:?}"));
+    check_golden(&["try_minimize_mws"]);
 }
 
 #[test]
 fn wrapper_try_minimize_mws_with_threads_matches_session() {
-    let nest = example8();
-    let b = budget();
-    for t in [1, 2, 4] {
-        let legacy = try_minimize_mws_with_threads(&nest, SearchMode::default(), t, &b).unwrap();
-        let session = Session::new()
-            .threads(t)
-            .budget(b.clone())
-            .optimize(&nest)
-            .unwrap();
-        assert_eq!(format!("{legacy:?}"), format!("{session:?}"), "threads={t}");
-    }
+    check_golden(&["try_minimize_mws_with_threads"]);
 }
 
 #[test]
 fn ungoverned_minimize_mws_matches_default_session_modulo_memo() {
-    let nest = example8();
-    let legacy = minimize_mws_with_threads(&nest, SearchMode::default(), 2).unwrap();
-    let session = Session::new().threads(2).optimize(&nest).unwrap();
-    // The ungoverned path consults the process-wide memo (cache_hits may
-    // be non-zero); the governed path skips it by contract. Everything
-    // the caller acts on is identical.
-    assert_eq!(legacy.transform, session.transform);
-    assert_eq!(legacy.transformed, session.transformed);
-    assert_eq!(legacy.mws_before, session.mws_before);
-    assert_eq!(legacy.mws_after, session.mws_after);
-    assert_eq!(legacy.candidates_considered, session.candidates_considered);
-    assert_eq!(legacy.evaluated, session.evaluated);
-    assert_eq!(session.cache_hits, 0);
+    // The golden projection leaves out the removed memo's hit count.
+    check_golden(&[
+        "minimize_mws",
+        "minimize_mws_traced",
+        "minimize_mws_with_threads",
+    ]);
 }
 
 #[test]
 fn wrapper_try_optimize_program_matches_session() {
-    let program = three_nest_program();
-    let b = budget();
-    let legacy = try_optimize_program(&program, SearchMode::default(), &b).unwrap();
-    let session = Session::new()
-        .budget(b.clone())
-        .optimize_program(&program)
-        .unwrap();
-    assert_eq!(format!("{legacy:?}"), format!("{session:?}"));
+    check_golden(&["try_optimize_program"]);
 }
 
 #[test]
 fn wrapper_try_optimize_program_with_threads_matches_session() {
-    let program = three_nest_program();
-    let b = budget();
-    for t in [1, 2] {
-        let legacy =
-            try_optimize_program_with_threads(&program, SearchMode::default(), t, &b).unwrap();
-        let session = Session::new()
-            .threads(t)
-            .budget(b.clone())
-            .optimize_program(&program)
-            .unwrap();
-        assert_eq!(format!("{legacy:?}"), format!("{session:?}"), "threads={t}");
-    }
+    check_golden(&["try_optimize_program_with_threads"]);
 }
 
 #[test]
 fn ungoverned_optimize_program_matches_default_session() {
-    let program = three_nest_program();
-    let legacy = optimize_program_with_threads(&program, SearchMode::default(), 2).unwrap();
-    let session = Session::new()
-        .threads(2)
-        .optimize_program(&program)
-        .unwrap();
-    assert_eq!(legacy.transformed, session.transformed);
-    assert_eq!(legacy.mws_before, session.mws_before.lower);
-    assert_eq!(legacy.mws_before, session.mws_before.upper);
-    assert_eq!(legacy.mws_after, session.mws_after.lower);
-    assert_eq!(legacy.mws_after, session.mws_after.upper);
-    let governed_per_nest: Vec<(u64, u64)> = session
-        .per_nest
-        .iter()
-        .map(|r| *r.as_ref().expect("unlimited budget cannot degrade"))
-        .collect();
-    assert_eq!(legacy.per_nest, governed_per_nest);
+    check_golden(&["optimize_program", "optimize_program_with_threads"]);
 }
 
 #[test]
 fn wrapper_try_scratchpad_program_matches_session() {
-    let program = fusion_program();
-    let b = budget();
-    let legacy = try_scratchpad_program(&program, &b).unwrap();
-    let session = Session::new()
-        .budget(b.clone())
-        .scratchpad_sizing(&program)
-        .unwrap();
-    assert_eq!(format!("{legacy:?}"), format!("{session:?}"));
+    check_golden(&["try_scratchpad_program"]);
 }
 
 #[test]
 fn wrapper_try_scratchpad_program_with_threads_matches_session() {
-    let program = fusion_program();
-    let b = budget();
-    for t in [1, 2, 4] {
-        let legacy = try_scratchpad_program_with_threads(&program, t, &b).unwrap();
-        let session = Session::new()
-            .threads(t)
-            .budget(b.clone())
-            .scratchpad_sizing(&program)
-            .unwrap();
-        assert_eq!(format!("{legacy:?}"), format!("{session:?}"), "threads={t}");
-    }
+    check_golden(&["try_scratchpad_program_with_threads"]);
 }
 
 #[test]
 fn ungoverned_scratchpad_program_matches_default_session() {
-    let program = fusion_program();
-    let legacy = scratchpad_program_with_threads(&program, 2);
-    let session = Session::new()
-        .threads(2)
-        .scratchpad_sizing(&program)
-        .unwrap();
-    assert!(session.all_exact());
-    assert_eq!(format!("{legacy:?}"), format!("{:?}", session.sizing));
+    check_golden(&["scratchpad_program", "scratchpad_program_with_threads"]);
 }
 
 #[test]
 fn wrapper_try_scratchpad_with_fusion_matches_session() {
-    let program = fusion_program();
-    let b = budget();
-    for t in [1, 2] {
-        let legacy = try_scratchpad_with_fusion(&program, t, &b).unwrap();
-        let session = Session::new()
-            .threads(t)
-            .budget(b.clone())
-            .scratchpad(&program)
-            .unwrap();
-        assert_eq!(format!("{legacy:?}"), format!("{session:?}"), "threads={t}");
-    }
+    check_golden(&["try_scratchpad_with_fusion"]);
 }
 
 #[test]
 fn ungoverned_scratchpad_with_fusion_matches_default_session() {
-    let program = fusion_program();
-    let legacy = scratchpad_with_fusion(&program, 1);
-    let (_, plan) = Session::new().threads(1).scratchpad(&program).unwrap();
-    let plan = plan.expect("exact baseline runs the fusion search");
-    assert_eq!(format!("{legacy:?}"), format!("{plan:?}"));
+    check_golden(&["scratchpad_with_fusion", "scratchpad_with_fusion_traced"]);
+}
+
+#[test]
+fn analyze_program_matches_session_simulate_program() {
+    check_golden(&["analyze_program"]);
 }

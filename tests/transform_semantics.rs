@@ -4,11 +4,12 @@
 //! `Lcg`), no external dependencies.
 
 use loopmem::core::apply_transform;
-use loopmem::core::optimize::{minimize_mws, SearchMode};
+use loopmem::core::SearchMode;
 use loopmem::dep::{analyze, is_legal};
 use loopmem::ir::parse;
 use loopmem::linalg::{IMat, Lcg};
 use loopmem::sim::{count_iterations, simulate};
+use loopmem::Session;
 
 /// Random 2×2 unimodular matrices via products of elementary generators
 /// (skews and the signed swap), so every sample is exactly unimodular.
@@ -84,7 +85,9 @@ fn optimizer_never_regresses() {
     for _ in 0..24 {
         let src = small_nest(&mut rng);
         let nest = parse(&src).expect("generated source parses");
-        let opt = minimize_mws(&nest, SearchMode::default()).expect("identity is a candidate");
+        let opt = Session::new()
+            .optimize(&nest)
+            .expect("identity is a candidate");
         assert!(opt.mws_after <= opt.mws_before, "{src}");
         // The reported transformation is legal and reproduces mws_after.
         let deps = analyze(&nest);
@@ -100,8 +103,11 @@ fn interchange_reversal_is_never_better_than_compound() {
     for _ in 0..24 {
         let src = small_nest(&mut rng);
         let nest = parse(&src).expect("generated source parses");
-        let compound = minimize_mws(&nest, SearchMode::default()).expect("compound");
-        let baseline = minimize_mws(&nest, SearchMode::InterchangeReversal).expect("baseline");
+        let compound = Session::new().optimize(&nest).expect("compound");
+        let baseline = Session::new()
+            .search_mode(SearchMode::InterchangeReversal)
+            .optimize(&nest)
+            .expect("baseline");
         assert!(
             compound.mws_after <= baseline.mws_after,
             "compound {} vs baseline {} for {src}",
