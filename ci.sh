@@ -26,8 +26,9 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Runs the governed CLI on one pathological input and asserts (a) exit 0
-# and (b) an expected token in stdout. Every input here would hang,
-# overflow, or panic an ungoverned run.
+# and (b) an expected token in stdout. The inputs are pathological (huge,
+# overflowing, panicking or empty iteration spaces): every run must end
+# in its typed outcome, never hang or crash.
 robustness_case() {
     local expect="$1"
     shift
@@ -376,14 +377,19 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
 # trace bytes across thread counts, each run 20 times in release. A race
 # between workers shows up in only some runs (the cross-nest trip race
 # failed 3-17 of 20), so one passing run proves little. Binaries run from
-# their package directory, as `cargo test` runs them.
+# their package directory, as `cargo test` runs them (`.` is the facade
+# package, whose golden suite pins every Session verb at t in {1, 2, 4}).
 THREAD_IDENTITY_RUNS=20
 thread_identity_step() {
     echo "== thread-identity: thread-invariance suites, $THREAD_IDENTITY_RUNS runs each =="
-    local spec pkg test bin i run out start
+    local spec pkg dir test bin i run out start
     local -a dirs=() bins=()
-    for spec in obs:determinism sim:faults sim:kernel_equivalence bench:engine_equivalence; do
-        pkg="loopmem-${spec%%:*}"
+    for spec in obs:determinism sim:faults sim:kernel_equivalence sim:program_batch \
+        bench:engine_equivalence .:session_equivalence; do
+        case "${spec%%:*}" in
+        .) pkg=loopmem dir=. ;;
+        *) pkg="loopmem-${spec%%:*}" dir="crates/${spec%%:*}" ;;
+        esac
         test="${spec##*:}"
         if ! out="$(cargo test --release --offline -p "$pkg" --test "$test" --no-run 2>&1)"; then
             echo "$out"
@@ -397,7 +403,7 @@ thread_identity_step() {
             return 1
         fi
         case "$bin" in /*) ;; *) bin="$PWD/$bin" ;; esac
-        dirs+=("crates/${spec%%:*}")
+        dirs+=("$dir")
         bins+=("$bin")
     done
     start=$(date +%s)

@@ -8,9 +8,14 @@
 mod util;
 
 use loopmem_bench::all_kernels;
-use loopmem_ir::parse;
-use loopmem_sim::{count_iterations, simulate};
+use loopmem_core::Session;
+use loopmem_ir::{parse, LoopNest};
+use loopmem_sim::{count_iterations, SimResult};
 use util::bench;
+
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).expect("simulates")
+}
 
 fn main() {
     println!("== simulate: paper kernels ==");

@@ -5,11 +5,10 @@
 //! 2i + 3j + c), every legal transformation with small coefficients is
 //! applied; the table reports eq. (2) vs. the simulated MWS.
 
-use loopmem_core::{apply_transform, two_level_estimate};
+use loopmem_core::{apply_transform, two_level_estimate, Session};
 use loopmem_dep::{analyze, is_legal};
 use loopmem_linalg::gcd::gcd_i64;
 use loopmem_linalg::IMat;
-use loopmem_sim::simulate;
 
 fn main() {
     sweep(
@@ -57,7 +56,7 @@ fn sweep(title: &str, src: &str, alphas: &[((i64, i64), ())], n: (i64, i64)) {
                         .map(|&(alpha, ())| two_level_estimate(alpha, (a, b), n))
                         .sum();
                     let out = apply_transform(&nest, &t).expect("unimodular");
-                    let exact = simulate(&out).mws_total;
+                    let exact = Session::new().simulate(&out).expect("simulates").mws_total;
                     println!(
                         "{:>3} {:>3} {:>3} {:>3} {:>13} {:>10} {:>7.2}",
                         a,

@@ -2,12 +2,13 @@
 //! reuse-distance histogram pass — misses at every capacity, with the MWS
 //! marked. The knee of each curve sits at (or just past) the window size.
 
-use loopmem_sim::{simulate, ReuseHistogram, Trace};
+use loopmem_core::Session;
+use loopmem_sim::{ReuseHistogram, Trace};
 
 fn main() {
     for k in loopmem_bench::all_kernels() {
         let nest = k.nest();
-        let mws = simulate(&nest).mws_total as usize;
+        let mws = Session::new().simulate(&nest).expect("simulates").mws_total as usize;
         let t = Trace::from_nest(&nest);
         let h = ReuseHistogram::from_trace(&t);
         println!("{} (cold {}, MWS {mws}):", k.name, h.cold());

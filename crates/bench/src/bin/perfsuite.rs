@@ -26,9 +26,8 @@ use loopmem_ir::json::escape_json;
 use loopmem_ir::{parse, parse_program, LoopNest, Program};
 use loopmem_obs::NullSink;
 use loopmem_sim::{
-    bench_pass1, bench_pass1_interleaved, simulate_hashmap, simulate_program_with_threads,
-    simulate_with_profile, simulate_with_threads, thread_count, try_simulate,
-    try_simulate_with_threads, AnalysisBudget,
+    bench_pass1, bench_pass1_interleaved, simulate_hashmap, thread_count,
+    try_simulate_with_threads, AnalysisBudget, ProgramSimResult, SimResult,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,6 +50,22 @@ fn time_ms<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     let start = Instant::now();
     let out = f();
     (start.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// The nest's exact simulation under an unlimited budget.
+fn simulate(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
+    try_simulate_with_threads(nest, want_profile, threads, &AnalysisBudget::unlimited())
+        .expect("an unlimited budget is exact")
+}
+
+/// The program's exact simulation under an unlimited budget.
+fn simulate_program(program: &Program, threads: usize) -> ProgramSimResult {
+    let gov = Session::new()
+        .threads(threads)
+        .simulate_program(program)
+        .expect("an unlimited budget is exact");
+    assert!(gov.all_exact(), "an unlimited budget is exact");
+    gov.sim
 }
 
 /// Median-of-3 timing for cheap subjects; single-shot for expensive ones.
@@ -271,7 +286,7 @@ fn main() {
     // --- paper kernels: dense vs hashmap, plus the profile variant -------
     for k in all_kernels() {
         let nest = k.nest();
-        let (ms, s) = time_median3(|| simulate_with_threads(&nest, false, 1));
+        let (ms, s) = time_median3(|| simulate(&nest, false, 1));
         record(
             &mut rows,
             "simulate",
@@ -291,7 +306,7 @@ fn main() {
             s.iterations,
             Some(s.mws_total),
         );
-        let (ms, s) = time_median3(|| simulate_with_profile(&nest));
+        let (ms, s) = time_median3(|| simulate(&nest, true, nthreads));
         record(
             &mut rows,
             "simulate-profile",
@@ -322,7 +337,7 @@ fn main() {
             Some(s.mws_total),
         );
         for &threads in &sweep {
-            let (ms, s) = time_median3(|| simulate_with_threads(&nest, false, threads));
+            let (ms, s) = time_median3(|| simulate(&nest, false, threads));
             assert_eq!(s.mws_total, baseline, "engines disagree on {name}");
             record(
                 &mut rows,
@@ -335,7 +350,7 @@ fn main() {
             );
             speedups.push((format!("{name}_dense{threads}t_vs_hashmap"), hash_ms / ms));
         }
-        let (profile_ms, s) = time_ms(|| simulate_with_profile(&nest));
+        let (profile_ms, s) = time_ms(|| simulate(&nest, true, nthreads));
         record(
             &mut rows,
             "simulate-profile",
@@ -378,7 +393,7 @@ fn main() {
         // without the batch API would take).
         let mut nests_total_ms = 0.0;
         for (k, nest) in program.nests().iter().enumerate() {
-            let (ms, s) = time_ms(|| simulate_with_threads(nest, false, 1));
+            let (ms, s) = time_ms(|| simulate(nest, false, 1));
             nests_total_ms += ms;
             record(
                 &mut rows,
@@ -394,7 +409,7 @@ fn main() {
         let mut program_1t_ms = f64::NAN;
         let mut baseline_mws = None;
         for &threads in &sweep {
-            let (ms, s) = time_ms(|| simulate_program_with_threads(&program, threads));
+            let (ms, s) = time_ms(|| simulate_program(&program, threads));
             let iters: u64 = s.per_nest_iterations.iter().sum();
             match baseline_mws {
                 None => baseline_mws = Some(s.mws_total),
@@ -465,7 +480,7 @@ fn main() {
                     .expect("the pipeline sizes within an unlimited budget")
             });
             let s = gov.sizing;
-            let iters: u64 = simulate_program_with_threads(&program, threads)
+            let iters: u64 = simulate_program(&program, threads)
                 .per_nest_iterations
                 .iter()
                 .sum();
@@ -553,7 +568,7 @@ fn main() {
         )
         .expect("pathological nest parses");
         let budget = AnalysisBudget::unlimited().with_max_iterations(1_000_000);
-        let (ms, r) = time_ms(|| try_simulate(&pathological, &budget));
+        let (ms, r) = time_ms(|| try_simulate_with_threads(&pathological, false, 1, &budget));
         let (outcome, mws) = match &r {
             Ok(s) => ("exact", Some(s.mws_total)),
             Err(loopmem_ir::AnalysisError::Exhausted { partial, .. }) => {
@@ -581,9 +596,9 @@ fn main() {
     // both runs take the identical untraced fast path. The gated ratio
     // (~1.0) pins the "zero-cost when disabled" claim against structural
     // drift — e.g. an emission site that stops consulting the sink, or a
-    // future budget change that routes disabled sinks onto the governed
-    // path. Repeats per sample tame scheduler noise on the sub-ms smoke
-    // subject.
+    // future budget change that treats a disabled sink as an enabled one
+    // (pinning the traced chunk grid, buffering events). Repeats per
+    // sample tame scheduler noise on the sub-ms smoke subject.
     {
         let nest = synthetic_reuse(smoke);
         let repeats: u32 = if smoke { 16 } else { 2 };

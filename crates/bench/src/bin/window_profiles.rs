@@ -3,7 +3,14 @@
 //! behind Figure 2's static MWS numbers.
 
 use loopmem_core::Session;
-use loopmem_sim::simulate_with_profile;
+use loopmem_ir::LoopNest;
+use loopmem_sim::{thread_count, try_simulate_with_threads, AnalysisBudget, SimResult};
+
+/// The nest's exact simulation with its window profile.
+fn simulate_with_profile(nest: &LoopNest) -> SimResult {
+    try_simulate_with_threads(nest, true, thread_count(), &AnalysisBudget::unlimited())
+        .expect("simulates")
+}
 
 fn sparkline(profile: &[u64], width: usize) -> String {
     if profile.is_empty() {

@@ -9,7 +9,6 @@ use loopmem_core::{analyze_memory, two_level_objective, SearchMode, Session};
 use loopmem_dep::analyze;
 use loopmem_ir::{parse, AnalysisError, LoopNest};
 use loopmem_linalg::IMat;
-use loopmem_sim::simulate;
 use std::fmt;
 
 // ---------------------------------------------------------------- fig 2 --
@@ -266,7 +265,7 @@ pub fn example7_comparison() -> Vec<Ex7Row> {
             let t = IMat::from_rows(&rows);
             let estimate = loopmem_core::two_level_estimate(alpha, (t[(0, 0)], t[(0, 1)]), n);
             let out = loopmem_core::apply_transform(&nest, &t).expect("unimodular");
-            let exact = simulate(&out).mws_total;
+            let exact = Session::new().simulate(&out).expect("simulates").mws_total;
             Ex7Row {
                 label,
                 transform: t,
@@ -402,7 +401,7 @@ pub fn example10_study() -> Ex10Study {
     .unwrap();
     let reuse = loopmem_dep::reuse_vectors(&nest)[0].1.clone();
     let estimate = loopmem_core::three_level_estimate((reuse[0], reuse[1], reuse[2]), (10, 20, 30));
-    let exact_before = simulate(&nest).mws_total;
+    let exact_before = Session::new().simulate(&nest).expect("simulates").mws_total;
     let opt = Session::new().optimize(&nest).expect("search succeeds");
     Ex10Study {
         reuse_vector: reuse,
@@ -457,7 +456,7 @@ pub fn accuracy_table() -> Vec<AccuracyRow> {
         .into_iter()
         .map(|k| {
             let nest = k.nest();
-            let m = analyze_memory(&nest);
+            let m = analyze_memory(&nest).expect("kernel simulates");
             let improved: i64 = loopmem_core::estimate_distinct_exact(&nest)
                 .values()
                 .map(|e| e.upper)
@@ -530,7 +529,7 @@ pub fn capacity_sweep() -> Vec<CapacityRow> {
         .into_iter()
         .map(|k| {
             let nest = k.nest();
-            let mws = simulate(&nest).mws_total;
+            let mws = Session::new().simulate(&nest).expect("simulates").mws_total;
             let t = Trace::from_nest(&nest);
             CapacityRow {
                 name: k.name,

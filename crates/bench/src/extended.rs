@@ -79,7 +79,12 @@ pub fn extended_kernels() -> Vec<Kernel> {
 mod tests {
     use super::*;
     use loopmem_core::Session;
-    use loopmem_sim::simulate;
+    use loopmem_ir::LoopNest;
+    use loopmem_sim::SimResult;
+
+    fn simulate(nest: &LoopNest) -> SimResult {
+        Session::new().simulate(nest).unwrap()
+    }
 
     #[test]
     fn extended_kernels_parse_and_analyze() {

@@ -8,9 +8,14 @@ use loopmem_core::{apply_transform, Session};
 use loopmem_ir::{parse, LoopNest};
 use loopmem_linalg::{IMat, Lcg};
 use loopmem_sim::{
-    simulate_hashmap, simulate_hashmap_with_profile, simulate_with_threads, sweep_threads,
-    SimResult,
+    simulate_hashmap, simulate_hashmap_with_profile, sweep_threads, try_simulate_with_threads,
+    AnalysisBudget, SimResult,
 };
+
+/// The dense engine's exact answer at `threads` workers.
+fn simulate(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
+    try_simulate_with_threads(nest, want_profile, threads, &AnalysisBudget::unlimited()).unwrap()
+}
 
 fn assert_same(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.iterations, b.iterations, "{what}: iterations");
@@ -24,7 +29,7 @@ fn dense_engine_matches_hashmap_on_every_kernel() {
     for k in all_kernels() {
         let nest = k.nest();
         let legacy = simulate_hashmap_with_profile(&nest);
-        let dense = simulate_with_threads(&nest, true, 1);
+        let dense = simulate(&nest, true, 1);
         assert_same(&dense, &legacy, k.name);
     }
 }
@@ -33,9 +38,9 @@ fn dense_engine_matches_hashmap_on_every_kernel() {
 fn thread_count_is_invisible_on_every_kernel() {
     for k in all_kernels() {
         let nest = k.nest();
-        let one = simulate_with_threads(&nest, true, 1);
+        let one = simulate(&nest, true, 1);
         for threads in [2, 3, 4, 8] {
-            let n = simulate_with_threads(&nest, true, threads);
+            let n = simulate(&nest, true, threads);
             assert_same(&n, &one, &format!("{} x{}", k.name, threads));
         }
     }
@@ -49,7 +54,7 @@ fn profile_off_matches_hashmap_on_every_kernel() {
         let nest = k.nest();
         let legacy = simulate_hashmap(&nest);
         for threads in [1, 2, 4] {
-            let dense = simulate_with_threads(&nest, false, threads);
+            let dense = simulate(&nest, false, threads);
             assert_same(
                 &dense,
                 &legacy,
@@ -117,7 +122,7 @@ fn scaled_kernels() -> Vec<(&'static str, &'static str)> {
 fn thread_count_is_invisible_on_scaled_kernels() {
     for (name, src) in scaled_kernels() {
         let nest = parse(src).unwrap();
-        let one = simulate_with_threads(&nest, true, 1);
+        let one = simulate(&nest, true, 1);
         let one_off = SimResult {
             profile: None,
             ..one.clone()
@@ -129,8 +134,8 @@ fn thread_count_is_invisible_on_scaled_kernels() {
                 "{name} x{threads} would sweep serially"
             );
             let what = format!("{name} x{threads}");
-            assert_same(&simulate_with_threads(&nest, true, threads), &one, &what);
-            let off = simulate_with_threads(&nest, false, threads);
+            assert_same(&simulate(&nest, true, threads), &one, &what);
+            let off = simulate(&nest, false, threads);
             assert_same(&off, &one_off, &format!("{what} profile off"));
         }
     }
@@ -237,8 +242,8 @@ fn dense_engine_matches_hashmap_on_transformed_nests() {
         let (on, off) = (simulate_hashmap_with_profile(nest), simulate_hashmap(nest));
         for threads in [1, 2, 4] {
             let what = format!("{what} x{threads}");
-            assert_same(&simulate_with_threads(nest, true, threads), &on, &what);
-            let dense = simulate_with_threads(nest, false, threads);
+            assert_same(&simulate(nest, true, threads), &on, &what);
+            let dense = simulate(nest, false, threads);
             assert_same(&dense, &off, &format!("{what} profile off"));
         }
     }

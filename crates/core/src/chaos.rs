@@ -51,8 +51,7 @@ use loopmem_ir::{parse_program, AnalysisError, Bounds, BoundsMethod, LoopNest, P
 use loopmem_linalg::rng::Lcg;
 use loopmem_obs::{CollectingSink, TraceSink};
 use loopmem_sim::{
-    try_simulate_program_with_threads, try_simulate_with_threads, AnalysisBudget, CancelToken,
-    FaultKind, FaultPlan, INJECTED_PANIC,
+    try_simulate_with_threads, AnalysisBudget, CancelToken, FaultKind, FaultPlan, INJECTED_PANIC,
 };
 
 use crate::optimize::SearchMode;
@@ -102,7 +101,7 @@ enum Entry {
     Simulate,
     /// `Session::optimize` on the program's first nest.
     Optimize,
-    /// `try_simulate_program_with_threads` on the whole program.
+    /// `Session::simulate_program` on the whole program.
     Pipeline,
     /// `Session::scratchpad_sizing` on the whole program.
     Scratchpad,
@@ -308,7 +307,11 @@ fn run_case(
                     ),
                 }
             }
-            Entry::Pipeline => match try_simulate_program_with_threads(program, threads, &budget) {
+            Entry::Pipeline => match Session::new()
+                .threads(threads)
+                .budget(budget.clone())
+                .simulate_program(program)
+            {
                 Ok(gov) => {
                     let per: Vec<String> = gov
                         .per_nest
@@ -475,7 +478,10 @@ pub fn chaos_program(name: &str, program: &Program, seed: u64) -> ChaosReport {
             .map(|s| s.mws_total)
     });
     report.runs += 1;
-    let exact_program = try_simulate_program_with_threads(program, 1, &exact_budget)
+    let exact_program = Session::new()
+        .threads(1)
+        .budget(exact_budget.clone())
+        .simulate_program(program)
         .ok()
         .filter(|g| g.all_exact())
         .map(|g| g.sim.mws_total);

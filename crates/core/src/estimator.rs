@@ -1,8 +1,8 @@
 //! One-call memory analysis: the numbers behind Figure 2's columns.
 
 use crate::distinct::{estimate_distinct, DistinctEstimate};
-use loopmem_ir::{ArrayId, LoopNest};
-use loopmem_sim::simulate;
+use crate::Session;
+use loopmem_ir::{AnalysisError, ArrayId, LoopNest};
 use std::collections::HashMap;
 
 /// Memory-requirement analysis of one nest.
@@ -37,28 +37,30 @@ impl MemoryAnalysis {
     }
 }
 
-/// Runs both the closed-form estimators and the exact simulator on a nest.
+/// Runs both the closed-form estimators and the exact simulator (a
+/// default [`Session`]) on a nest; fails with the simulation's typed
+/// error (subscript overflow, a contained panic).
 ///
 /// ```
 /// let nest = loopmem_ir::parse(r#"
 ///     array A[111]
 ///     for i = 1 to 20 { for j = 1 to 10 { A[2i + 5j + 1]; } }
 /// "#).unwrap();
-/// let m = loopmem_core::analyze_memory(&nest);
+/// let m = loopmem_core::analyze_memory(&nest).unwrap();
 /// assert_eq!(m.default_words, 111);
 /// assert_eq!(m.distinct_exact_total, 80);
 /// assert_eq!(m.distinct[&loopmem_ir::ArrayId(0)].value(), Some(80));
 /// ```
-pub fn analyze_memory(nest: &LoopNest) -> MemoryAnalysis {
+pub fn analyze_memory(nest: &LoopNest) -> Result<MemoryAnalysis, AnalysisError> {
     let distinct = estimate_distinct(nest);
-    let sim = simulate(nest);
-    MemoryAnalysis {
+    let sim = Session::new().simulate(nest)?;
+    Ok(MemoryAnalysis {
         default_words: nest.default_memory(),
         distinct,
         mws_per_array: sim.per_array.iter().map(|(&id, s)| (id, s.mws)).collect(),
         mws_exact: sim.mws_total,
         distinct_exact_total: sim.distinct_total(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -75,7 +77,7 @@ mod tests {
             "array A[61][51]\nfor i = 1 to 10 { for j = 1 to 20 { for k = 1 to 30 { A[3i + k][j + k]; } } }",
         ] {
             let nest = parse(src).unwrap();
-            let m = analyze_memory(&nest);
+            let m = analyze_memory(&nest).unwrap();
             for (id, est) in &m.distinct {
                 if let Some(v) = est.value() {
                     let exact = loopmem_poly::count::distinct_accesses_for(&nest, *id) as i64;
@@ -97,7 +99,7 @@ mod tests {
              for i = 1 to 20 { for j = 1 to 20 { A[3i + 7j - 10] = A[4i - 3j + 60]; } }",
         )
         .unwrap();
-        let m = analyze_memory(&nest);
+        let m = analyze_memory(&nest).unwrap();
         let e = m.distinct[&ArrayId(0)];
         let exact = m.distinct_exact_total as i64;
         assert!(e.lower <= exact && exact <= e.upper);
@@ -106,7 +108,7 @@ mod tests {
     #[test]
     fn reduction_percent_math() {
         let nest = parse("array A[1000]\nfor i = 1 to 10 { A[i]; }").unwrap();
-        let m = analyze_memory(&nest);
+        let m = analyze_memory(&nest).unwrap();
         assert_eq!(m.default_words, 1000);
         assert!((m.reduction_percent(100) - 90.0).abs() < 1e-9);
         assert!((m.reduction_percent(1000) - 0.0).abs() < 1e-9);

@@ -171,7 +171,11 @@ fn check_legality(
 mod tests {
     use super::*;
     use loopmem_ir::parse_program;
-    use loopmem_sim::simulate_program;
+    use loopmem_sim::ProgramSimResult;
+
+    fn simulate_program(p: &Program) -> ProgramSimResult {
+        crate::Session::new().simulate_program(p).unwrap().sim
+    }
 
     fn producer_consumer() -> Program {
         parse_program(

@@ -31,9 +31,9 @@
 //!   interchange+reversal only (Eisenbeis et al.) and Li–Pingali
 //!   access-matrix completion.
 //!
-//! [`Session`] is the entry point to every search and sizing: it carries
-//! the thread count, budget, search mode, trace sink and certificate
-//! switch into each call.
+//! [`Session`] is the entry point to every simulation, search and sizing:
+//! it carries the thread count, budget, search mode, trace sink and
+//! certificate switch into each call.
 //!
 //! # Quickstart
 //!
@@ -46,8 +46,9 @@
 //!     for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }
 //! "#).unwrap();
 //!
-//! let before = analyze_memory(&nest);
+//! let before = analyze_memory(&nest).unwrap();
 //! let opt = Session::new().optimize(&nest).unwrap();
+//! assert_eq!(before.mws_exact, Session::new().simulate(&nest).unwrap().mws_total);
 //! assert!(opt.mws_after < before.mws_exact);
 //! assert_eq!(opt.mws_after, 21); // the paper's "actual minimum MWS"
 //! ```

@@ -198,6 +198,10 @@ mod tests {
     use super::*;
     use loopmem_ir::parse;
 
+    fn simulate(nest: &loopmem_ir::LoopNest) -> loopmem_sim::SimResult {
+        crate::Session::new().simulate(nest).unwrap()
+    }
+
     #[test]
     fn maxspan_identity_rows() {
         // Row (1,0): inner loop is the original j loop => span N2.
@@ -294,7 +298,7 @@ mod tests {
         ] {
             let nest = parse(src).unwrap();
             let est = estimate_nest_mws(&nest).unwrap();
-            let exact = loopmem_sim::simulate(&nest).mws_total as i64;
+            let exact = simulate(&nest).mws_total as i64;
             assert!(exact <= est + 1, "{src}: exact {exact} vs est {est}");
         }
     }

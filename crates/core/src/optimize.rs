@@ -31,11 +31,9 @@ use loopmem_ir::{AnalysisError, TripReason};
 use loopmem_linalg::gcd::{extended_gcd, gcd_i64};
 use loopmem_linalg::{complete_unimodular_rows, IMat};
 use loopmem_obs::{EventKind, Phase, TraceEvent};
-use loopmem_sim::{panic_message, try_simulate_tracked, AnalysisBudget, BudgetTracker};
+use loopmem_sim::{panic_message, shard_map, try_simulate_tracked, BudgetTracker};
 use std::collections::{BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which transformation space to search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,10 +125,11 @@ fn exact_iteration_count(nest: &LoopNest) -> Option<u128> {
 
 /// The §4 search, behind [`Session::optimize`](crate::Session::optimize)
 /// and [`Session::optimize_program`](crate::Session::optimize_program).
-/// It never panics and respects `budget`, which governs the *whole*
-/// search through `tracker`: one deadline, one cumulative iteration count
-/// across every candidate simulation, and one search node charged per
-/// candidate (capped by [`AnalysisBudget::with_max_search_nodes`]).
+/// It never panics and respects `tracker`, which governs the *whole*
+/// search: one deadline, one cumulative iteration count across every
+/// candidate simulation, and one search node charged per candidate
+/// (capped by
+/// [`AnalysisBudget::with_max_search_nodes`](loopmem_sim::AnalysisBudget::with_max_search_nodes)).
 ///
 /// The winner is chosen by `(exact MWS, candidate rank)`, so the result is
 /// bit-identical for every `threads` value. On a budget trip the error
@@ -146,10 +145,9 @@ pub(crate) fn try_minimize_mws_tracked(
     mode: SearchMode,
     threads: usize,
     tracker: &BudgetTracker,
-    budget: &AnalysisBudget,
 ) -> Result<Optimization, AnalysisError> {
     match catch_unwind(AssertUnwindSafe(|| {
-        try_minimize_impl(nest, mode, threads, tracker, budget)
+        try_minimize_impl(nest, mode, threads, tracker)
     })) {
         Ok(r) => r.map_err(|e| match e {
             // Panics contained deeper in the stack (inside a single-nest
@@ -172,12 +170,11 @@ fn try_minimize_impl(
     mode: SearchMode,
     threads: usize,
     tracker: &BudgetTracker,
-    budget: &AnalysisBudget,
 ) -> Result<Optimization, AnalysisError> {
     // Pre-flight: a rectangular nest's iteration count is exact and free,
     // so refuse immediately when even one candidate simulation would blow
     // the iteration cap (unimodular transformations preserve the count).
-    if let (Some(cap), Some(n)) = (budget.max_iterations(), exact_iteration_count(nest)) {
+    if let (Some(cap), Some(n)) = (tracker.max_iterations(), exact_iteration_count(nest)) {
         if n > u128::from(cap) {
             return Err(exhausted(nest, TripReason::MaxIterations));
         }
@@ -195,7 +192,7 @@ fn try_minimize_impl(
         });
     }
     let simulate = |n: &LoopNest| -> Result<u64, AnalysisError> {
-        try_simulate_tracked(n, false, 1, tracker, budget.max_table_bytes()).map(|s| s.mws_total)
+        try_simulate_tracked(n, 1, tracker).map(|s| s.mws_total)
     };
     let mws_before = simulate(nest).map_err(|e| normalize_error(nest, e))?;
     let considered = candidates.len();
@@ -209,72 +206,37 @@ fn try_minimize_impl(
         })?;
         simulate(&out)
     };
+    // Results land in rank order whatever the schedule.
     let workers = threads.max(1).min(candidates.len());
-    let evals: Vec<(usize, Result<u64, AnalysisError>)> = if workers <= 1 {
-        candidates
-            .iter()
-            .enumerate()
-            .map(|(rank, t)| (rank, eval_one(t)))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let results = Mutex::new(Vec::with_capacity(candidates.len()));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let rank = next.fetch_add(1, Ordering::Relaxed);
-                    if rank >= candidates.len() {
-                        break;
-                    }
-                    let r = eval_one(&candidates[rank]);
-                    results.lock().expect("results poisoned").push((rank, r));
-                });
-            }
-        });
-        results.into_inner().expect("results poisoned")
-    };
+    let evals = shard_map(candidates.len(), workers, |rank| {
+        eval_one(&candidates[rank])
+    });
 
     // Budget trips dominate other failures (once the shared counters trip,
     // *which* candidates observe it depends on scheduling — the normalized
     // error does not); among equals the earliest candidate wins.
-    let pick = |errs: &[(usize, &AnalysisError)]| -> Option<AnalysisError> {
-        errs.iter()
-            .min_by_key(|(rank, _)| *rank)
-            .map(|(_, e)| (*e).clone())
+    let first_err = |trip: bool| {
+        evals.iter().find_map(|r| match r {
+            Err(e) if matches!(e, AnalysisError::Exhausted { .. }) == trip => Some(e.clone()),
+            _ => None,
+        })
     };
-    let trips: Vec<(usize, &AnalysisError)> = evals
-        .iter()
-        .filter_map(|(rank, r)| match r {
-            Err(e @ AnalysisError::Exhausted { .. }) => Some((*rank, e)),
-            _ => None,
-        })
-        .collect();
-    let others: Vec<(usize, &AnalysisError)> = evals
-        .iter()
-        .filter_map(|(rank, r)| match r {
-            Err(e) if !matches!(e, AnalysisError::Exhausted { .. }) => Some((*rank, e)),
-            _ => None,
-        })
-        .collect();
-    if let Some(e) = pick(&trips).or_else(|| pick(&others)) {
+    if let Some(e) = first_err(true).or_else(|| first_err(false)) {
         return Err(normalize_error(nest, e));
     }
 
-    let mut by_rank: Vec<(usize, u64)> = evals
+    let mws: Vec<u64> = evals
         .into_iter()
-        .map(|(rank, r)| (rank, r.expect("errors were handled above")))
+        .map(|r| r.expect("errors were handled above"))
         .collect();
-    by_rank.sort_unstable_by_key(|&(rank, _)| rank);
-    let (mws_after, rank) = by_rank
+    let (mws_after, rank) = mws
         .iter()
-        .map(|&(rank, mws)| (mws, rank))
+        .enumerate()
+        .map(|(rank, &m)| (m, rank))
         .min()
         .expect("candidates were non-empty");
-    let evaluated: Vec<(IMat, u64)> = by_rank
-        .into_iter()
-        .map(|(rank, mws)| (candidates[rank].clone(), mws))
-        .collect();
-    let transform = candidates.into_iter().nth(rank).expect("rank is in range");
+    let evaluated: Vec<(IMat, u64)> = candidates.into_iter().zip(mws).collect();
+    let transform = evaluated[rank].0.clone();
     let transformed = apply_transform(nest, &transform).map_err(|e| AnalysisError::Invalid {
         message: e.to_string(),
     })?;

@@ -8,11 +8,9 @@
 //! [`Session::optimize_program`](crate::Session::optimize_program) is the
 //! entry point.
 
-use crate::optimize::{try_minimize_mws_tracked, Optimization, SearchMode};
+use crate::optimize::{try_minimize_mws_tracked, SearchMode};
 use loopmem_ir::{AnalysisError, Bounds, Program};
-use loopmem_sim::{try_simulate_program_tracked, AnalysisBudget, BudgetTracker};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use loopmem_sim::{shard_map, try_simulate_program_tracked, AnalysisBudget, BudgetTracker};
 
 /// Outcome of a governed program optimization: every nest either improved
 /// or kept its original form with a typed reason, and the whole-program
@@ -47,12 +45,14 @@ pub struct GovernedProgramOptimization {
 /// only when its program re-simulation is exact and does not worsen the
 /// current upper bound, so `mws_after.upper <= mws_before.upper` always
 /// holds. The top-level `Err` is reserved for whole-program failures of
-/// the *baseline* simulation (e.g. the global table fold exceeding
-/// `max_table_bytes`).
+/// the *baseline* simulation (e.g. the global table fold exceeding the
+/// budget's table cap).
 ///
 /// The per-nest searches are independent (each sees its nest in original
-/// form), so they shard across a scoped-thread pool; the accept pass is
-/// serial, so the result is bit-identical for every `threads` value.
+/// form), so they shard across `threads` workers of [`shard_map`] (a
+/// single nest gets every thread for its own candidate evaluation); the
+/// accept pass is serial, so the result is bit-identical for every
+/// `threads` value.
 pub(crate) fn governed_optimize_program(
     program: &Program,
     mode: SearchMode,
@@ -60,11 +60,14 @@ pub(crate) fn governed_optimize_program(
     budget: &AnalysisBudget,
 ) -> Result<GovernedProgramOptimization, AnalysisError> {
     let tracker = BudgetTracker::new(budget);
-    let table_cap = budget.max_table_bytes();
-    let baseline = try_simulate_program_tracked(program, threads, &tracker, table_cap)?;
+    let baseline = try_simulate_program_tracked(program, threads, &tracker)?;
     let mws_before = baseline.mws_bounds;
 
-    let searches = try_optimize_nests_sharded(program, mode, threads, &tracker, budget);
+    let nests = program.nests();
+    let per_nest = if nests.len() == 1 { threads } else { 1 };
+    let searches = shard_map(nests.len(), threads.max(1), |k| {
+        try_minimize_mws_tracked(k, &nests[k], mode, per_nest, &tracker)
+    });
 
     let mut current = program.clone();
     let mut current_bounds = mws_before;
@@ -85,7 +88,7 @@ pub(crate) fn governed_optimize_program(
         // verifiably does not regress: the governed re-simulation must be
         // exact (a degraded candidate cannot be compared) and its MWS must
         // not exceed the current upper bound.
-        if let Ok(gov) = try_simulate_program_tracked(&candidate, threads, &tracker, table_cap) {
+        if let Ok(gov) = try_simulate_program_tracked(&candidate, threads, &tracker) {
             if gov.all_exact() && gov.mws_bounds.upper <= current_bounds.upper {
                 current = candidate;
                 current_bounds = gov.mws_bounds;
@@ -98,57 +101,6 @@ pub(crate) fn governed_optimize_program(
         mws_after: current_bounds,
         per_nest,
     })
-}
-
-/// Runs the nest-level search for every nest, sharded across `threads`
-/// scoped workers pulling nest indices from an atomic queue (a single
-/// nest gets every thread for its own candidate evaluation). Failures
-/// stay in their nest's slot, and every search charges the shared
-/// tracker.
-fn try_optimize_nests_sharded(
-    program: &Program,
-    mode: SearchMode,
-    threads: usize,
-    tracker: &BudgetTracker,
-    budget: &AnalysisBudget,
-) -> Vec<Result<Optimization, AnalysisError>> {
-    let nests = program.nests();
-    if nests.len() == 1 {
-        return vec![try_minimize_mws_tracked(
-            0, &nests[0], mode, threads, tracker, budget,
-        )];
-    }
-    let workers = threads.max(1).min(nests.len());
-    if workers <= 1 {
-        return nests
-            .iter()
-            .enumerate()
-            .map(|(k, n)| try_minimize_mws_tracked(k, n, mode, 1, tracker, budget))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<Optimization, AnalysisError>>>> =
-        nests.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= nests.len() {
-                    break;
-                }
-                let r = try_minimize_mws_tracked(k, &nests[k], mode, 1, tracker, budget);
-                *slots[k].lock().expect("slot poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every nest searched")
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -163,7 +163,7 @@ pub(crate) fn fusion_search(
 ) -> ScratchpadPlan {
     let tracker = BudgetTracker::unlimited();
     let resize = |p: &Program| {
-        try_simulate_program_tracked(p, threads, &tracker, None)
+        try_simulate_program_tracked(p, threads, &tracker)
             .ok()
             .filter(GovernedProgramSim::all_exact)
             .map(|gov| sizing_from_sim(&gov.sim))
@@ -368,16 +368,15 @@ fn governed_sizing(program: &Program, gov: GovernedProgramSim) -> GovernedScratc
 /// # Errors
 ///
 /// Only whole-program failures of the underlying simulation (e.g. the
-/// global table fold exceeding `max_table_bytes`); per-nest failures
-/// degrade to the interval instead.
+/// global table fold exceeding the tracker's table cap); per-nest
+/// failures degrade to the interval instead.
 pub(crate) fn try_scratchpad_program_tracked(
     program: &Program,
     threads: usize,
     tracker: &BudgetTracker,
-    max_table_bytes: Option<u64>,
 ) -> Result<GovernedScratchpad, AnalysisError> {
     let started = tracker.trace().map(|_| std::time::Instant::now());
-    let gov = try_simulate_program_tracked(program, threads, tracker, max_table_bytes)?;
+    let gov = try_simulate_program_tracked(program, threads, tracker)?;
     let governed = governed_sizing(program, gov);
     if let Some(sink) = tracker.trace() {
         let mut events = vec![sizing_span_begin()];

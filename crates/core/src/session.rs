@@ -3,11 +3,13 @@
 //! sink, certificate emission — into every analysis entry point.
 //!
 //! A [`Session`] is built once and reused across calls. It is the only
-//! way into the optimizer: the §4 search, the program optimizer and the
-//! shared-scratchpad sizing each have exactly one (governed)
+//! way into the optimizer and the front door to the simulator: nest
+//! simulation, program simulation, the §4 search, the program optimizer
+//! and the shared-scratchpad sizing each have exactly one (governed)
 //! implementation, and an unlimited budget with no trace sink is simply
-//! its fast path. The optimizer keeps no process-wide state, so equal
-//! calls do equal work.
+//! its fast path. Each call materializes its budget into one tracker that
+//! every layer beneath it reads. The optimizer keeps no process-wide
+//! state, so equal calls do equal work.
 //!
 //! ```
 //! use loopmem_core::Session;
@@ -36,7 +38,7 @@ use crate::scratchpad::{
 use loopmem_ir::{AnalysisError, Bounds, LoopNest, Program};
 use loopmem_obs::TraceSink;
 use loopmem_sim::{
-    try_simulate_program_with_threads, try_simulate_with_threads, AnalysisBudget, BudgetTracker,
+    try_simulate_program_tracked, try_simulate_with_threads, AnalysisBudget, BudgetTracker,
     FaultPlan, GovernedProgramSim, SimResult,
 };
 use loopmem_verify::Certificate;
@@ -137,8 +139,9 @@ impl Session {
         }
     }
 
-    /// Governed exact simulation of one nest (the session's equivalent of
-    /// `loopmem_sim::try_simulate_with_threads` without a window profile).
+    /// Governed exact simulation of one nest:
+    /// `loopmem_sim::try_simulate_with_threads` without a window profile,
+    /// on the session's threads and budget.
     ///
     /// # Errors
     ///
@@ -159,16 +162,18 @@ impl Session {
         Ok(sim)
     }
 
-    /// Governed whole-program simulation (the session's equivalent of
-    /// `loopmem_sim::try_simulate_program_with_threads`). Per-nest
-    /// failures degrade inside the result; see [`GovernedProgramSim`].
+    /// Governed whole-program simulation:
+    /// `loopmem_sim::try_simulate_program_tracked` on a tracker built from
+    /// the session's budget. Per-nest failures degrade inside the result;
+    /// see [`GovernedProgramSim`].
     ///
     /// # Errors
     ///
     /// Whole-program failures only (e.g. the global table fold exceeding
     /// the budget's table cap).
     pub fn simulate_program(&self, program: &Program) -> Result<GovernedProgramSim, AnalysisError> {
-        try_simulate_program_with_threads(program, self.thread_count(), &self.budget)
+        let tracker = BudgetTracker::new(&self.budget);
+        try_simulate_program_tracked(program, self.thread_count(), &tracker)
     }
 
     /// Governed §4 transformation search on one nest (see
@@ -190,14 +195,7 @@ impl Session {
     /// [`AnalysisError::NestPanicked`].
     pub fn optimize(&self, nest: &LoopNest) -> Result<Optimization, AnalysisError> {
         let tracker = BudgetTracker::new(&self.budget);
-        let opt = try_minimize_mws_tracked(
-            0,
-            nest,
-            self.mode,
-            self.thread_count(),
-            &tracker,
-            &self.budget,
-        )?;
+        let opt = try_minimize_mws_tracked(0, nest, self.mode, self.thread_count(), &tracker)?;
         if self.wants_certs() {
             self.emit_certs(&crate::cert::certify_optimization(0, nest, &opt));
         }
@@ -236,12 +234,7 @@ impl Session {
         program: &Program,
     ) -> Result<GovernedScratchpad, AnalysisError> {
         let tracker = BudgetTracker::new(&self.budget);
-        let governed = try_scratchpad_program_tracked(
-            program,
-            self.thread_count(),
-            &tracker,
-            self.budget.max_table_bytes(),
-        )?;
+        let governed = try_scratchpad_program_tracked(program, self.thread_count(), &tracker)?;
         if self.wants_certs() {
             self.emit_certs(&crate::cert::certify_governed_scratchpad(&governed));
         }

@@ -152,7 +152,11 @@ mod tests {
     use super::*;
     use loopmem_dep::{analyze, is_tileable};
     use loopmem_ir::parse;
-    use loopmem_sim::{count_iterations, misses, simulate, Policy, Trace};
+    use loopmem_sim::{count_iterations, misses, Policy, Trace};
+
+    fn simulate(nest: &LoopNest) -> loopmem_sim::SimResult {
+        crate::Session::new().simulate(nest).unwrap()
+    }
 
     fn matmult() -> LoopNest {
         parse(

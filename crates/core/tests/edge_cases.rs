@@ -3,14 +3,18 @@
 
 use loopmem_core::Session;
 use loopmem_core::{analyze_memory, apply_transform, estimate_distinct};
-use loopmem_ir::{parse, ArrayId};
+use loopmem_ir::{parse, ArrayId, LoopNest};
 use loopmem_linalg::IMat;
-use loopmem_sim::{count_iterations, simulate};
+use loopmem_sim::{count_iterations, SimResult};
+
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).unwrap()
+}
 
 #[test]
 fn one_deep_nest_full_stack() {
     let nest = parse("array A[20]\nfor i = 1 to 10 { A[i] = A[i - 1]; }").unwrap();
-    let m = analyze_memory(&nest);
+    let m = analyze_memory(&nest).unwrap();
     assert_eq!(m.distinct_exact_total, 11);
     assert_eq!(m.mws_exact, 1, "one element live between iterations");
     let est = estimate_distinct(&nest)[&ArrayId(0)];

@@ -8,10 +8,14 @@ use loopmem_core::{
     two_level_objective,
 };
 use loopmem_dep::analyze;
-use loopmem_ir::parse;
+use loopmem_ir::{parse, LoopNest};
 use loopmem_linalg::gcd::gcd_i64;
 use loopmem_linalg::{IMat, Lcg, Rational};
-use loopmem_sim::{count_iterations, simulate};
+use loopmem_sim::{count_iterations, SimResult};
+
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).unwrap()
+}
 
 #[test]
 fn eq2_equals_continuous_objective_rounded_down_or_matches() {

@@ -6,7 +6,8 @@
 use loopmem_ir::parse_program;
 use loopmem_obs::{CollectingSink, TraceSink};
 use loopmem_sim::{
-    sweep_threads, try_simulate_program_with_threads, AnalysisBudget, FaultKind, FaultPlan,
+    sweep_threads, try_simulate_program_tracked, AnalysisBudget, BudgetTracker, FaultKind,
+    FaultPlan,
 };
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ fn traced_ndjson(threads: usize, fault: Option<(FaultKind, u64, usize)>) -> Stri
         // Plans carry fire-once state, so each run builds its own.
         budget = budget.with_fault_plan(Arc::new(FaultPlan::new(kind, at_poll, nest)));
     }
-    let _ = try_simulate_program_with_threads(&program, threads, &budget);
+    let _ = try_simulate_program_tracked(&program, threads, &BudgetTracker::new(&budget));
     sink.drain().render_ndjson()
 }
 

@@ -85,7 +85,8 @@ impl std::fmt::Debug for AnalysisBudget {
 }
 
 impl AnalysisBudget {
-    /// No limits: governed entry points behave exactly like the legacy ones.
+    /// No limits: every governed run completes exactly (or reports a typed
+    /// overflow or contained panic), never a budget trip.
     pub fn unlimited() -> Self {
         Self::default()
     }
@@ -145,29 +146,16 @@ impl AnalysisBudget {
     pub fn trace(&self) -> Option<&Arc<dyn TraceSink>> {
         self.trace.as_ref().filter(|s| s.enabled())
     }
-
-    /// The touch-table byte cap, if any.
-    pub fn max_table_bytes(&self) -> Option<u64> {
-        self.max_table_bytes
-    }
-
-    /// The iteration cap, if any.
-    pub fn max_iterations(&self) -> Option<u64> {
-        self.max_iterations
-    }
-
-    /// The search-node cap, if any.
-    pub fn max_search_nodes(&self) -> Option<u64> {
-        self.max_search_nodes
-    }
 }
 
-/// One run's live view of an [`AnalysisBudget`]: shared atomic counters plus
-/// the resolved deadline. Create one per governed run and share it (by
-/// reference) across the run's worker threads.
+/// One run's live view of an [`AnalysisBudget`]: every limit of the budget,
+/// shared atomic counters and the resolved deadline. Create one per
+/// governed run and share it (by reference) across the run's worker
+/// threads; it is the only budget object the engines read.
 pub struct BudgetTracker {
     deadline: Option<Instant>,
     max_iterations: Option<u64>,
+    max_table_bytes: Option<u64>,
     max_search_nodes: Option<u64>,
     iterations: AtomicU64,
     nodes: AtomicU64,
@@ -181,6 +169,7 @@ impl std::fmt::Debug for BudgetTracker {
         f.debug_struct("BudgetTracker")
             .field("deadline", &self.deadline)
             .field("max_iterations", &self.max_iterations)
+            .field("max_table_bytes", &self.max_table_bytes)
             .field("max_search_nodes", &self.max_search_nodes)
             .field("iterations", &self.iterations)
             .field("nodes", &self.nodes)
@@ -197,6 +186,7 @@ impl BudgetTracker {
         BudgetTracker {
             deadline: budget.timeout.map(|t| Instant::now() + t),
             max_iterations: budget.max_iterations,
+            max_table_bytes: budget.max_table_bytes,
             max_search_nodes: budget.max_search_nodes,
             iterations: AtomicU64::new(0),
             nodes: AtomicU64::new(0),
@@ -213,9 +203,21 @@ impl BudgetTracker {
         self.trace.as_ref()
     }
 
-    /// A tracker that never trips (legacy paths).
+    /// A tracker that never trips.
     pub fn unlimited() -> Self {
         Self::new(&AnalysisBudget::unlimited())
+    }
+
+    /// The iteration cap, if any (the search's pre-flight refuses a nest
+    /// whose exact iteration count already exceeds it).
+    pub fn max_iterations(&self) -> Option<u64> {
+        self.max_iterations
+    }
+
+    /// The touch-table byte cap, if any: it tightens the planner's dense
+    /// table budget and gates the pass-2 fold's scratch.
+    pub(crate) fn max_table_bytes(&self) -> Option<u64> {
+        self.max_table_bytes
     }
 
     /// Charges `n` swept iterations and polls. Trip checks are ordered so

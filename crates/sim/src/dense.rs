@@ -52,8 +52,7 @@
 //!   charge. Profile mode is the same fold with the running sum kept.
 
 use crate::budget::{
-    analytic_nest_bounds, estimated_iterations_of, panic_message, AnalysisBudget, BudgetTracker,
-    POLL_INTERVAL,
+    analytic_nest_bounds, estimated_iterations_of, panic_message, BudgetTracker, POLL_INTERVAL,
 };
 use crate::exec::{outer_range, try_for_each_inner_run, try_for_each_iteration_outer};
 use crate::fold::{fold, Fold, FoldSpec, Stamps};
@@ -137,6 +136,40 @@ pub fn thread_count() -> usize {
     }
 }
 
+/// Runs `f(0), …, f(n-1)` on a scoped pool of `workers` threads and
+/// returns the results in index order. Workers pull indices from an
+/// atomic counter, so a slow item never idles the rest of the pool; with
+/// `workers <= 1` the items run serially on the calling thread. The
+/// result never depends on the schedule unless `f` does.
+pub fn shard_map<R: Send>(n: usize, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= n {
+                    break;
+                }
+                let r = f(k);
+                *slots[k].lock().expect("slot poisoned") = Some(r);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("slot poisoned")
+                .expect("every index ran")
+        })
+        .collect()
+}
+
 /// How one reference records its touches.
 enum RefMode {
     /// Flattened linear form, split for the run kernels:
@@ -188,19 +221,13 @@ impl Plan {
     }
 }
 
-/// Conservative upper bound on the iteration count: the volume of the
-/// per-variable range box (`0` when the nest provably never runs).
-fn estimated_iterations(nest: &LoopNest) -> u128 {
-    estimated_iterations_of(nest)
-}
-
 /// Worker threads a pass-1 sweep of `nest` uses when the caller asks for
 /// `threads`: one below 2¹⁷ estimated iterations (`PARALLEL_THRESHOLD`),
 /// where spawning and merging cost more than they save. Results never
 /// depend on it; thread-invariance tests use it to check that their
 /// `threads > 1` legs really run in parallel.
 pub fn sweep_threads(nest: &LoopNest, threads: usize) -> usize {
-    if threads > 1 && estimated_iterations(nest) < PARALLEL_THRESHOLD {
+    if threads > 1 && estimated_iterations_of(nest) < PARALLEL_THRESHOLD {
         1
     } else {
         threads.max(1)
@@ -330,7 +357,7 @@ fn make_plan(nest: &LoopNest, threads: usize, max_table_bytes: Option<u64>) -> P
     let mut boxes: Vec<Option<ElementBox>> = vec![None; narrays];
 
     if let Some(vr) = nest.var_ranges() {
-        let est_iters = estimated_iterations(nest);
+        let est_iters = estimated_iterations_of(nest);
         // Union of each reference's subscript box, per array.
         let mut arr_ranges: Vec<Option<Vec<(i64, i64)>>> = vec![None; narrays];
         let mut ref_count = vec![0u128; narrays];
@@ -927,31 +954,6 @@ impl ChunkOut {
     }
 }
 
-/// Pass 2 of a simulation: per-array and total MWS (and the profile when
-/// asked) through the window fold.
-fn finish(plan: &Plan, merged: ChunkOut, want_profile: bool) -> SimResult {
-    let refs = plan.ref_counts();
-    let fold = merged.fold(&refs, true, want_profile);
-    let mws = fold.mws.expect("per-array fold");
-    let per_array = (0..refs.len())
-        .filter(|&a| merged.accesses[a] > 0)
-        .map(|a| {
-            let stats = ArrayStats {
-                distinct: fold.distinct[a],
-                accesses: merged.accesses[a],
-                mws: mws[a],
-            };
-            (ArrayId(a), stats)
-        })
-        .collect();
-    SimResult {
-        iterations: merged.iters,
-        per_array,
-        mws_total: fold.mws_total,
-        profile: fold.profile,
-    }
-}
-
 /// Even split of the outer range into at most `parts` contiguous chunks —
 /// the fallback when no volume information is available.
 fn split_range(lo: i64, hi: i64, parts: usize) -> Vec<(i64, i64)> {
@@ -1072,18 +1074,17 @@ fn sweep_all(
     nest_index: usize,
     threads: usize,
     tracker: &BudgetTracker,
-    max_table_bytes: Option<u64>,
 ) -> Result<(Plan, ChunkOut), SweepError> {
     let (olo, ohi) = outer_range(nest);
     let threads = sweep_threads(nest, threads);
     let tracing = tracker.trace().is_some();
     let started = tracing.then(std::time::Instant::now);
-    // An injected table-rejection fault plans as if `max_table_bytes` were
+    // An injected table-rejection fault plans as if the table cap were
     // zero: every array demotes to the sparse path (results stay exact).
     let plan_cap = if tracker.fault_reject_tables() {
         Some(0)
     } else {
-        max_table_bytes
+        tracker.max_table_bytes()
     };
     let plan = make_plan(nest, threads, plan_cap);
     // Tracing pins the chunk grid (see [`TRACE_CHUNK_PARTS`]) so the
@@ -1271,6 +1272,31 @@ impl NestPass1 {
             tables,
         }
     }
+
+    /// Pass 2 of a nest simulation: per-array and total MWS (and the
+    /// profile when asked) through the window fold.
+    pub(crate) fn finish(self, want_profile: bool) -> SimResult {
+        let fold = self.tables.fold(&self.refs, true, want_profile);
+        let mws = fold.mws.expect("per-array fold");
+        let accesses = &self.tables.accesses;
+        let per_array = (0..self.refs.len())
+            .filter(|&a| accesses[a] > 0)
+            .map(|a| {
+                let stats = ArrayStats {
+                    distinct: fold.distinct[a],
+                    accesses: accesses[a],
+                    mws: mws[a],
+                };
+                (ArrayId(a), stats)
+            })
+            .collect();
+        SimResult {
+            iterations: self.tables.iters,
+            per_array,
+            mws_total: fold.mws_total,
+            profile: fold.profile,
+        }
+    }
 }
 
 /// Benchmark hook: runs the lane-split pass-1 sweep only (no pass-2
@@ -1278,19 +1304,10 @@ impl NestPass1 {
 /// count. The touch tables are routed through [`std::hint::black_box`]
 /// so the optimizer cannot discard the recording work being measured.
 pub fn bench_pass1(nest: &LoopNest, threads: usize) -> u64 {
-    let tracker = BudgetTracker::unlimited();
-    match sweep_all(nest, 0, threads, &tracker, None) {
-        Ok((_, merged)) => {
-            let iters = merged.iters;
-            std::hint::black_box(&merged.first);
-            std::hint::black_box(&merged.last);
-            std::hint::black_box(&merged.sparse);
-            iters
-        }
-        Err(SweepError::Trip(_)) => unreachable!("unlimited budget tripped"),
-        Err(SweepError::Overflow(msg)) => panic!("{msg}"),
-        Err(SweepError::Stopped) => unreachable!("no prefix quota was set"),
-    }
+    let np = try_pass1(0, nest, threads, &BudgetTracker::unlimited(), false)
+        .unwrap_or_else(|e| panic!("{e}"));
+    std::hint::black_box(&np.tables);
+    np.tables.iters
 }
 
 /// The pre-lane-split pass-1 inner loop, kept as the perfsuite's
@@ -1418,12 +1435,12 @@ fn salvage_nest_bounds(
     nest_index: usize,
     tracker: &BudgetTracker,
     reason: TripReason,
-    max_table_bytes: Option<u64>,
 ) -> Bounds {
     let analytic = analytic_nest_bounds(nest);
     let Some(quota) = tracker.salvage_quota(reason) else {
         return analytic;
     };
+    let max_table_bytes = tracker.max_table_bytes();
     let mut quota = quota.min(SALVAGE_MAX_ITERS);
     if let Some(cap) = max_table_bytes {
         // The prefix fold's scratch is at most 4 bytes per iteration;
@@ -1463,22 +1480,41 @@ fn salvage_nest_bounds(
     }
 }
 
-/// Governed pass 1 of one nest: panics are contained with `catch_unwind`
-/// (a poisoned nest yields [`AnalysisError::NestPanicked`] tagged with
-/// `nest_index`), budget trips degrade to salvaged-prefix or analytic
-/// bounds ([`salvage_nest_bounds`]), and overflow reports
-/// [`AnalysisError::Overflow`]. Nests whose pass-2 fold alone could
-/// exceed `max_table_bytes` (its scratch bound of 4 bytes per estimated
+/// Runs `f` with panics contained: a panic anywhere inside it surfaces as
+/// [`AnalysisError::NestPanicked`] tagged with `nest_index`.
+pub(crate) fn contain<T>(
+    nest_index: usize,
+    f: impl FnOnce() -> Result<T, AnalysisError>,
+) -> Result<T, AnalysisError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(AnalysisError::NestPanicked {
+            nest: nest_index,
+            message: panic_message(payload),
+        })
+    })
+}
+
+/// Governed pass 1 of one nest, the first half of every nest simulation
+/// (alone or inside a program). Nests whose pass-2 fold alone could exceed
+/// the tracker's table cap (its scratch bound of 4 bytes per estimated
 /// iteration, the same criterion as the program engine's global gate) are
 /// refused up front, so one oversized nest in a batch degrades alone.
+/// Panics are contained ([`contain`]), overflow reports
+/// [`AnalysisError::Overflow`], and a budget trip reports
+/// [`AnalysisError::Exhausted`]: with `salvage`, the bounds of
+/// [`salvage_nest_bounds`]; without, the purely analytic ones. Salvage is
+/// the choice of whoever owns the tracker: the §4 search compares many
+/// candidates against one shared budget, and re-sweeping a prefix per
+/// failed candidate would multiply the tripped budget's cost for bounds
+/// nobody reads.
 pub(crate) fn try_pass1(
     nest_index: usize,
     nest: &LoopNest,
     threads: usize,
     tracker: &BudgetTracker,
-    max_table_bytes: Option<u64>,
+    salvage: bool,
 ) -> Result<NestPass1, AnalysisError> {
-    if let Some(cap) = max_table_bytes {
+    if let Some(cap) = tracker.max_table_bytes() {
         if estimated_iterations_of(nest).saturating_mul(4) > cap as u128 {
             return Err(AnalysisError::Exhausted {
                 reason: TripReason::MaxTableBytes,
@@ -1486,121 +1522,38 @@ pub(crate) fn try_pass1(
             });
         }
     }
-    let swept = catch_unwind(AssertUnwindSafe(|| {
+    let swept = contain(nest_index, || {
         if tracker.fault_take_panic(nest_index) {
             panic!("{}", crate::faults::INJECTED_PANIC);
         }
-        sweep_all(nest, nest_index, threads, tracker, max_table_bytes)
-    }));
+        Ok(sweep_all(nest, nest_index, threads, tracker))
+    })?;
     match swept {
-        Ok(Ok((plan, merged))) => Ok(NestPass1::new(plan, merged)),
-        Ok(Err(SweepError::Trip(reason))) => Err(AnalysisError::Exhausted {
-            reason,
-            partial: salvage_nest_bounds(nest, nest_index, tracker, reason, max_table_bytes),
-        }),
-        Ok(Err(SweepError::Overflow(context))) => Err(AnalysisError::Overflow { context }),
-        Ok(Err(SweepError::Stopped)) => unreachable!("no prefix quota was set"),
-        Err(payload) => Err(AnalysisError::NestPanicked {
-            nest: nest_index,
-            message: panic_message(payload),
-        }),
-    }
-}
-
-/// Runs the dense engine with exactly the given worker-thread count.
-/// Results are bit-identical for every `threads` value and to the legacy
-/// hashmap engine: chunks partition the lexicographic iteration stream in
-/// order, and [`MergeState`] folds them strictly in chunk order no matter
-/// which worker swept which chunk.
-pub(crate) fn run(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
-    let tracker = BudgetTracker::unlimited();
-    match sweep_all(nest, 0, threads, &tracker, None) {
-        Ok((plan, merged)) => finish(&plan, merged, want_profile),
-        Err(SweepError::Trip(_)) => unreachable!("unlimited budget tripped"),
-        Err(SweepError::Overflow(msg)) => panic!("{msg}"),
-        Err(SweepError::Stopped) => unreachable!("no prefix quota was set"),
-    }
-}
-
-/// Governed dense-engine run: like [`run`], but never panics and never
-/// exceeds `budget`. On a budget trip the result degrades to analytical
-/// bounds carried inside [`AnalysisError::Exhausted`]; the payload depends
-/// only on the nest (interval analysis), not on sweep progress, so it is
-/// bit-identical for every thread count and steal order.
-pub(crate) fn try_run(
-    nest: &LoopNest,
-    want_profile: bool,
-    threads: usize,
-    budget: &AnalysisBudget,
-) -> Result<SimResult, AnalysisError> {
-    let tracker = BudgetTracker::new(budget);
-    try_run_impl(
-        nest,
-        want_profile,
-        threads,
-        &tracker,
-        budget.max_table_bytes(),
-        true,
-    )
-}
-
-/// [`try_run`] charging an externally owned tracker, so a caller running
-/// many simulations (the optimizer's candidate sweep) shares one deadline
-/// and one cumulative iteration count across all of them. Trip payloads
-/// stay purely analytic here: the optimizer compares many candidates
-/// against one shared budget, and re-sweeping a salvage prefix per failed
-/// candidate would multiply the tripped budget's cost for bounds nobody
-/// reads (the search reports the *original* nest's bounds, not a
-/// candidate's).
-pub(crate) fn try_run_tracked(
-    nest: &LoopNest,
-    want_profile: bool,
-    threads: usize,
-    tracker: &BudgetTracker,
-    max_table_bytes: Option<u64>,
-) -> Result<SimResult, AnalysisError> {
-    try_run_impl(nest, want_profile, threads, tracker, max_table_bytes, false)
-}
-
-fn try_run_impl(
-    nest: &LoopNest,
-    want_profile: bool,
-    threads: usize,
-    tracker: &BudgetTracker,
-    max_table_bytes: Option<u64>,
-    salvage: bool,
-) -> Result<SimResult, AnalysisError> {
-    let swept = catch_unwind(AssertUnwindSafe(|| {
-        if tracker.fault_take_panic(0) {
-            panic!("{}", crate::faults::INJECTED_PANIC);
-        }
-        let (plan, merged) = sweep_all(nest, 0, threads, tracker, max_table_bytes)?;
-        Ok(finish(&plan, merged, want_profile))
-    }));
-    match swept {
-        Ok(Ok(res)) => Ok(res),
-        Ok(Err(SweepError::Trip(reason))) => Err(AnalysisError::Exhausted {
+        Ok((plan, merged)) => Ok(NestPass1::new(plan, merged)),
+        Err(SweepError::Trip(reason)) => Err(AnalysisError::Exhausted {
             reason,
             partial: if salvage {
-                salvage_nest_bounds(nest, 0, tracker, reason, max_table_bytes)
+                salvage_nest_bounds(nest, nest_index, tracker, reason)
             } else {
                 analytic_nest_bounds(nest)
             },
         }),
-        Ok(Err(SweepError::Overflow(context))) => Err(AnalysisError::Overflow { context }),
-        Ok(Err(SweepError::Stopped)) => unreachable!("no prefix quota was set"),
-        Err(payload) => Err(AnalysisError::NestPanicked {
-            nest: 0,
-            message: panic_message(payload),
-        }),
+        Err(SweepError::Overflow(context)) => Err(AnalysisError::Overflow { context }),
+        Err(SweepError::Stopped) => unreachable!("no prefix quota was set"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{simulate_hashmap_with_profile, SimResult};
+    use crate::budget::AnalysisBudget;
+    use crate::window::{simulate_hashmap_with_profile, try_simulate_with_threads, SimResult};
     use loopmem_ir::parse;
+
+    /// The dense engine's exact answer, with the window profile.
+    fn simulate(nest: &LoopNest, threads: usize) -> SimResult {
+        try_simulate_with_threads(nest, true, threads, &AnalysisBudget::unlimited()).unwrap()
+    }
 
     fn assert_same(a: &SimResult, b: &SimResult) {
         assert_eq!(a.iterations, b.iterations);
@@ -1618,7 +1571,7 @@ mod tests {
             "array A[10][10]\nfor i = 1 to 10 { for j = i to 10 { A[i][j] = A[j][i]; } }",
         ] {
             let nest = parse(src).unwrap();
-            assert_same(&run(&nest, true, 1), &simulate_hashmap_with_profile(&nest));
+            assert_same(&simulate(&nest, 1), &simulate_hashmap_with_profile(&nest));
         }
     }
 
@@ -1638,9 +1591,9 @@ mod tests {
         ] {
             let nest = parse(src).unwrap();
             assert_eq!(sweep_threads(&nest, 16), workers, "{src}");
-            let one = run(&nest, true, 1);
+            let one = simulate(&nest, 1);
             for threads in [2, 3, 5, 16] {
-                assert_same(&run(&nest, true, threads), &one);
+                assert_same(&simulate(&nest, threads), &one);
             }
         }
     }
@@ -1659,7 +1612,7 @@ mod tests {
                 (dense_in_time, FoldPath::Dense),
             ] {
                 let tracker = BudgetTracker::unlimited();
-                let np = try_pass1(0, &parse(src).unwrap(), 1, &tracker, None).unwrap();
+                let np = try_pass1(0, &parse(src).unwrap(), 1, &tracker, true).unwrap();
                 for per_array in [false, true] {
                     let f = np.tables.fold(&np.refs, per_array, false);
                     assert_eq!(f.path, path, "{class}:\n{src}");
@@ -1743,7 +1696,7 @@ mod tests {
             interval += ElementBox::new(&union.unwrap()).cells();
         }
         assert_eq!(interval, 7_820_956);
-        let dense = run(&skewed, true, 1);
+        let dense = simulate(&skewed, 1);
         assert_eq!(dense.iterations, 6_642);
         assert_same(&dense, &simulate_hashmap_with_profile(&skewed));
     }
@@ -1756,7 +1709,7 @@ mod tests {
                 .unwrap();
         let plan = make_plan(&nest, 1, None);
         assert!(plan.boxes.iter().all(Option::is_none), "expected fallback");
-        assert_same(&run(&nest, true, 1), &simulate_hashmap_with_profile(&nest));
+        assert_same(&simulate(&nest, 1), &simulate_hashmap_with_profile(&nest));
     }
 
     /// Satellite regression: a box whose linear form needs a term product
@@ -1776,8 +1729,8 @@ mod tests {
         );
         // The sparse path then reports the genuine subscript overflow
         // instead of simulating a wrapped offset.
-        let err = crate::window::try_simulate(&nest, &crate::budget::AnalysisBudget::unlimited())
-            .unwrap_err();
+        let err =
+            try_simulate_with_threads(&nest, false, 1, &AnalysisBudget::unlimited()).unwrap_err();
         assert!(
             matches!(err, loopmem_ir::AnalysisError::Overflow { .. }),
             "expected a subscript overflow report, got {err:?}"
@@ -1800,14 +1753,14 @@ mod tests {
             "array A[40]\nfor i = 1 to 5 { for j = 1 to 6 { A[i] = A[j]; } }",
         ] {
             let nest = parse(src).unwrap();
-            assert_same(&run(&nest, true, 1), &simulate_hashmap_with_profile(&nest));
+            assert_same(&simulate(&nest, 1), &simulate_hashmap_with_profile(&nest));
         }
     }
 
     #[test]
     fn empty_nest() {
         let nest = parse("array A[10]\nfor i = 5 to 4 { A[i]; }").unwrap();
-        let s = run(&nest, true, 4);
+        let s = simulate(&nest, 4);
         assert_eq!(s.iterations, 0);
         assert!(s.per_array.is_empty());
         assert_eq!(s.profile.as_deref(), Some(&[][..]));
@@ -1960,10 +1913,10 @@ mod tests {
             "array X[160]\nfor i = 1 to 51 { for j = i to 51 { for k = j to 51 { X[i + j + k]; } } }",
         ] {
             let nest = parse(src).unwrap();
-            assert!(estimated_iterations(&nest) >= PARALLEL_THRESHOLD, "{src}");
-            let one = run(&nest, true, 1);
+            assert!(estimated_iterations_of(&nest) >= PARALLEL_THRESHOLD, "{src}");
+            let one = simulate(&nest, 1);
             for threads in [2, 3, 4, 8] {
-                assert_same(&run(&nest, true, threads), &one);
+                assert_same(&simulate(&nest, threads), &one);
             }
             assert_same(&one, &simulate_hashmap_with_profile(&nest));
         }
@@ -1976,12 +1929,12 @@ mod tests {
         // legs cut chunks around the empty half.
         let nest =
             parse("array A[801][401]\nfor i = 1 to 800 { for j = i to 400 { A[i][j]; } }").unwrap();
-        assert!(estimated_iterations(&nest) >= PARALLEL_THRESHOLD);
+        assert!(estimated_iterations_of(&nest) >= PARALLEL_THRESHOLD);
         assert_eq!(volume(&nest, 500), 0);
         assert_eq!(volume(&nest, 400), 1);
-        let one = run(&nest, true, 1);
+        let one = simulate(&nest, 1);
         for threads in [2, 5] {
-            assert_same(&run(&nest, true, threads), &one);
+            assert_same(&simulate(&nest, threads), &one);
         }
     }
 }

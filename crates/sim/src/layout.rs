@@ -172,7 +172,8 @@ mod tests {
         let nest =
             parse("array A[20][20]\nfor i = 2 to 18 { for j = 1 to 18 { A[i][j] = A[i-1][j]; } }")
                 .unwrap();
-        let sim = crate::window::simulate(&nest);
+        let budget = crate::AnalysisBudget::unlimited();
+        let sim = crate::try_simulate_with_threads(&nest, false, 1, &budget).unwrap();
         let (stats, _) = line_analysis(&nest, &[Layout::RowMajor], 1);
         assert_eq!(stats.distinct_lines, sim.distinct_total());
         assert_eq!(stats.mws_lines, sim.mws_total);

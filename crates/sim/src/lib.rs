@@ -21,13 +21,18 @@
 //! Example 8's exact window behaviour:
 //!
 //! ```
+//! use loopmem_sim::{try_simulate_with_threads, AnalysisBudget};
+//!
 //! let nest = loopmem_ir::parse(r#"
 //!     array X[200]
 //!     for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }
 //! "#).unwrap();
-//! let stats = loopmem_sim::simulate(&nest);
+//! let stats = try_simulate_with_threads(&nest, false, 1, &AnalysisBudget::unlimited()).unwrap();
 //! assert_eq!(stats.mws_total, 44); // the closed form estimates 50
 //! ```
+//!
+//! Outside this crate, `loopmem::Session` is the front door to both
+//! simulator verbs (a nest, a program).
 
 pub mod budget;
 pub mod dense;
@@ -45,7 +50,7 @@ pub use budget::{
     analytic_nest_bounds, analytic_program_bounds, panic_message, AnalysisBudget, BudgetTracker,
     CancelToken,
 };
-pub use dense::{bench_pass1, bench_pass1_interleaved, sweep_threads, thread_count};
+pub use dense::{bench_pass1, bench_pass1_interleaved, shard_map, sweep_threads, thread_count};
 pub use exec::{
     count_iterations, for_each_iteration, for_each_iteration_outer, outer_range,
     try_for_each_inner_run, try_for_each_iteration_outer,
@@ -53,15 +58,10 @@ pub use exec::{
 pub use faults::{FaultKind, FaultPlan, INJECTED_PANIC};
 pub use layout::{line_analysis, AddressMap, Layout, LineStats};
 pub use memory::{MemoryReport, ScratchpadModel};
-pub use program::{
-    simulate_program, simulate_program_with_threads, try_simulate_program,
-    try_simulate_program_tracked, try_simulate_program_with_threads, GovernedProgramSim,
-    ProgramSimResult,
-};
+pub use program::{try_simulate_program_tracked, GovernedProgramSim, ProgramSimResult};
 pub use replacement::{min_perfect_capacity, miss_curve, misses, Policy, Trace};
 pub use reuse_distance::ReuseHistogram;
 pub use window::{
-    oracle_simulate, simulate, simulate_hashmap, simulate_hashmap_with_profile,
-    simulate_with_profile, simulate_with_threads, try_simulate, try_simulate_tracked,
+    oracle_simulate, simulate_hashmap, simulate_hashmap_with_profile, try_simulate_tracked,
     try_simulate_with_threads, ArrayStats, SimResult,
 };

@@ -8,9 +8,9 @@
 //!
 //! Pass 1 (touch recording) is *sharded across nests*: each nest runs the
 //! dense engine's pass 1 (`dense::try_pass1` — flat touch tables,
-//! work-stealing chunks) in nest-local time, so a scoped-thread pool can
-//! sweep the nests concurrently — workers pull nest indices from an
-//! atomic queue, exactly like the dense engine's chunk queue. The
+//! work-stealing chunks) in nest-local time, so the nests sweep
+//! concurrently on [`shard_map`](crate::dense::shard_map)'s scoped pool,
+//! whose workers pull nest indices from an atomic queue. The
 //! per-nest tables then fold into per-array *global* tables in execution
 //! order with cumulative time offsets (the earliest nest keeps `first`,
 //! the latest overwrites `last`), which reproduces the serial global-time
@@ -25,15 +25,13 @@
 //! the nest boundaries as time marks (total MWS, boundary live sets,
 //! live-through counts and the peak's nest).
 
-use crate::budget::{analytic_nest_bounds, analytic_program_bounds, AnalysisBudget, BudgetTracker};
-use crate::dense::{self, NestPass1, UNTOUCHED};
+use crate::budget::{analytic_nest_bounds, analytic_program_bounds, BudgetTracker};
+use crate::dense::{shard_map, try_pass1, NestPass1, UNTOUCHED};
 use crate::fold::{fold, FoldSpec, Stamps};
 use loopmem_ir::{AnalysisError, ArrayId, Bounds, BoundsMethod, ElementBox, Program, TripReason};
 use loopmem_obs::{EventKind, Phase, TraceEvent};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Global-time "never touched" sentinel for the `first` slot.
 const NEVER: u64 = u64::MAX;
@@ -64,8 +62,9 @@ pub struct ProgramSimResult {
     /// window occurred.
     pub peak_nest: usize,
     /// Exact single-nest MWS per nest, computed from each nest's own
-    /// pass-1 tables in nest-local time (equals `simulate(nest).mws_total`
-    /// for every nest, without re-sweeping the iteration space).
+    /// pass-1 tables in nest-local time (equals the nest's
+    /// [`try_simulate_with_threads`](crate::window::try_simulate_with_threads)
+    /// `mws_total`, without re-sweeping the iteration space).
     pub per_nest_mws: Vec<u64>,
     /// Per nest `k`: elements whose lifetime crosses a boundary of nest
     /// `k` — live at its entry (`first` in an earlier nest), at its exit
@@ -83,15 +82,14 @@ impl ProgramSimResult {
     }
 }
 
-/// Pass 1 over every nest, sharded on a scoped-thread pool. Workers steal
-/// nest indices from an atomic queue; outputs land in their nest's slot,
-/// so downstream merging is independent of completion order. A
-/// single-nest program hands the whole pool to that nest's chunk queue;
-/// otherwise leftover threads (`threads > nests`) split evenly across the
-/// nest sweeps. Each nest runs through [`dense::try_pass1`], which
-/// contains panics with `catch_unwind` and polls the shared tracker — so
-/// one poisoned or over-budget nest yields a per-nest error while the
-/// remaining nests complete.
+/// Pass 1 over every nest, sharded on [`shard_map`]'s scoped pool:
+/// outputs land in their nest's slot, so downstream merging is independent
+/// of completion order. A single-nest program hands the whole pool to that
+/// nest's chunk queue; otherwise leftover threads (`threads > nests`)
+/// split evenly across the nest sweeps. Each nest runs through
+/// [`try_pass1`], which contains panics with `catch_unwind` and polls the
+/// shared tracker — so one poisoned or over-budget nest yields a per-nest
+/// error (salvaged on a trip) while the remaining nests complete.
 ///
 /// An iteration cap or an injected fault trips at a fixed position in the
 /// cumulative charged-iteration stream, which nests swept side by side
@@ -102,42 +100,18 @@ fn try_sweep_nests_sharded(
     program: &Program,
     threads: usize,
     tracker: &BudgetTracker,
-    max_table_bytes: Option<u64>,
 ) -> Vec<Result<NestPass1, AnalysisError>> {
     let nests = program.nests();
     let threads = threads.max(1);
-    if threads == 1 || nests.len() == 1 || tracker.trips_on_count() {
-        return nests
-            .iter()
-            .enumerate()
-            .map(|(k, n)| dense::try_pass1(k, n, threads, tracker, max_table_bytes))
-            .collect();
-    }
-    let workers = threads.min(nests.len());
-    let per_nest = (threads / workers).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<NestPass1, AnalysisError>>>> =
-        nests.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= nests.len() {
-                    break;
-                }
-                let out = dense::try_pass1(k, &nests[k], per_nest, tracker, max_table_bytes);
-                *slots[k].lock().expect("slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every nest swept")
-        })
-        .collect()
+    let (workers, per_nest) = if nests.len() == 1 || tracker.trips_on_count() {
+        (1, threads)
+    } else {
+        let workers = threads.min(nests.len());
+        (workers, (threads / workers).max(1))
+    };
+    shard_map(nests.len(), workers, |k| {
+        try_pass1(k, &nests[k], per_nest, tracker, true)
+    })
 }
 
 /// Global first/last table of one array: a dense lane over the union of
@@ -305,38 +279,6 @@ fn fold_dense_table(
     }
 }
 
-/// Simulates the program (every nest in order) with exact window
-/// tracking across nest boundaries. Uses every available worker thread
-/// ([`crate::thread_count`]); results are bit-identical for any count.
-///
-/// The unified front door for analysis is `loopmem::Session` (defined in
-/// `loopmem-core`); see `Session::simulate_program`.
-pub fn simulate_program(program: &Program) -> ProgramSimResult {
-    simulate_program_with_threads(program, crate::dense::thread_count())
-}
-
-/// [`simulate_program`] with a pinned worker-thread count. Pass-1 sweeps
-/// shard across nests; the fold and pass-2 sweep are serial, so the result
-/// is bit-identical for every `threads` value.
-///
-/// # Panics
-///
-/// When a nest overflows or panics: the governed sweep contains the
-/// failure, and this ungoverned entry point re-raises it.
-pub fn simulate_program_with_threads(program: &Program, threads: usize) -> ProgramSimResult {
-    let tracker = BudgetTracker::unlimited();
-    let per_nest = try_sweep_nests_sharded(program, threads, &tracker, None)
-        .into_iter()
-        .map(|r| match r {
-            Ok(np) => Some(np),
-            Err(AnalysisError::Overflow { context }) => panic!("{context}"),
-            Err(AnalysisError::NestPanicked { message, .. }) => panic!("{message}"),
-            Err(e) => unreachable!("an unlimited budget cannot fail with {e}"),
-        })
-        .collect();
-    assemble(program.arrays().len(), per_nest, None)
-}
-
 /// Fold + pass-2 sweep over per-nest pass-1 tables. `None` slots are nests
 /// whose governed sweep failed: they contribute zero iterations and no
 /// touches, so the result is the exact simulation of the program restricted
@@ -459,8 +401,8 @@ pub struct GovernedProgramSim {
     /// analysis failed (`Exhausted` entries carry that nest's own
     /// analytical MWS bounds).
     pub per_nest: Vec<Result<u64, AnalysisError>>,
-    /// Exact window tracking over the successful nests only. Equal to the
-    /// full [`simulate_program_with_threads`] result when
+    /// Exact window tracking over the successful nests only: the whole
+    /// program's exact simulation when
     /// [`all_exact`](GovernedProgramSim::all_exact) holds.
     pub sim: ProgramSimResult,
     /// Bounds on the *full* program's MWS. A point interval when every
@@ -478,47 +420,29 @@ impl GovernedProgramSim {
     }
 }
 
-/// Governed [`simulate_program`]: auto thread count, see
-/// [`try_simulate_program_with_threads`].
-pub fn try_simulate_program(
-    program: &Program,
-    budget: &AnalysisBudget,
-) -> Result<GovernedProgramSim, AnalysisError> {
-    try_simulate_program_with_threads(program, crate::dense::thread_count(), budget)
-}
-
-/// Governed whole-program simulation. Each nest's pass 1 is wrapped in
-/// `catch_unwind` (a poisoned nest yields [`AnalysisError::NestPanicked`]
-/// for that nest while the rest of the program completes) and polls the
-/// shared budget tracker. Per-nest failures degrade that nest to
-/// analytical bounds; the program-level result composes the exact subset
-/// simulation with those bounds. The top-level `Err` is reserved for
-/// whole-program failures (the global fold itself exceeding
-/// `max_table_bytes`).
+/// Governed whole-program simulation with exact window tracking across
+/// nest boundaries, charging `tracker` (one deadline and one cumulative
+/// iteration count, shared with whatever other governed work its owner
+/// runs). Each nest's pass 1 is wrapped in `catch_unwind` (a poisoned nest
+/// yields [`AnalysisError::NestPanicked`] for that nest while the rest of
+/// the program completes) and polls the tracker. Per-nest failures degrade
+/// that nest to salvaged or analytical bounds; the program-level result
+/// composes the exact subset simulation with those bounds. The top-level
+/// `Err` is reserved for whole-program failures (the global fold itself
+/// exceeding the tracker's table cap). Pass-1 sweeps shard across nests;
+/// the fold and pass-2 sweep are serial, so the result is bit-identical
+/// for every `threads` value.
 ///
-/// `loopmem::Session::simulate_program` is the front-door equivalent;
-/// the facade's `session_equivalence` tests pin the two bit-identical.
-pub fn try_simulate_program_with_threads(
-    program: &Program,
-    threads: usize,
-    budget: &AnalysisBudget,
-) -> Result<GovernedProgramSim, AnalysisError> {
-    let tracker = BudgetTracker::new(budget);
-    try_simulate_program_tracked(program, threads, &tracker, budget.max_table_bytes())
-}
-
-/// [`try_simulate_program_with_threads`] charging an externally owned
-/// tracker, so a caller interleaving program simulations with other
-/// governed work (the program-level optimizer's greedy accept loop) shares
-/// one deadline and one cumulative iteration count across all of it.
+/// `loopmem::Session::simulate_program` is the front door: it builds the
+/// tracker from the session's budget.
 pub fn try_simulate_program_tracked(
     program: &Program,
     threads: usize,
     tracker: &BudgetTracker,
-    max_table_bytes: Option<u64>,
 ) -> Result<GovernedProgramSim, AnalysisError> {
     let narrays = program.arrays().len();
-    let results = try_sweep_nests_sharded(program, threads, tracker, max_table_bytes);
+    let max_table_bytes = tracker.max_table_bytes();
+    let results = try_sweep_nests_sharded(program, threads, tracker);
 
     // The pass-2 fold's scratch is at most 4 bytes per global iteration;
     // gate it on the same byte budget as the touch tables before allocating.
@@ -617,15 +541,26 @@ pub fn try_simulate_program_tracked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::simulate;
-    use loopmem_ir::parse_program;
+    use crate::budget::AnalysisBudget;
+    use crate::window::{try_simulate_with_threads, SimResult};
+    use loopmem_ir::{parse_program, LoopNest};
+
+    fn simulate_program(p: &Program, threads: usize) -> ProgramSimResult {
+        let gov = try_simulate_program_tracked(p, threads, &BudgetTracker::unlimited()).unwrap();
+        assert!(gov.all_exact());
+        gov.sim
+    }
+
+    fn simulate(nest: &LoopNest) -> SimResult {
+        try_simulate_with_threads(nest, false, 1, &AnalysisBudget::unlimited()).unwrap()
+    }
 
     #[test]
     fn single_nest_program_matches_nest_simulation() {
         let src = "array X[200]\n\
                    for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }";
         let p = parse_program(src).unwrap();
-        let ps = simulate_program(&p);
+        let ps = simulate_program(&p, 2);
         let ns = simulate(&p.nests()[0]);
         assert_eq!(ps.mws_total, ns.mws_total);
         assert_eq!(ps.distinct_total(), ns.distinct_total());
@@ -644,7 +579,7 @@ mod tests {
              for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = simulate_program(&p, 2);
         assert_eq!(ps.boundary_live, vec![64], "all of A crosses the boundary");
         assert!(ps.mws_total >= 64);
         // Per-nest analysis sees only tiny windows — the whole point.
@@ -659,7 +594,7 @@ mod tests {
              for i = 1 to 8 { B[i] = B[i] + 1; }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = simulate_program(&p, 2);
         assert_eq!(ps.boundary_live, vec![0]);
         assert_eq!(ps.distinct_total(), 16);
     }
@@ -675,7 +610,7 @@ mod tests {
              for i = 1 to 6 { for j = 1 to 6 { C[i][j] = C[i][j] + 1; } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = simulate_program(&p, 2);
         assert_eq!(ps.per_nest_iterations, vec![36, 36, 36]);
         assert_eq!(ps.boundary_live.len(), 2);
         assert_eq!(ps.boundary_live[0], 36, "B crosses boundary 0");
@@ -691,9 +626,9 @@ mod tests {
              for i = 2 to 20 { for j = 1 to 20 { A[i][j] = A[i-1][j]; } }",
         )
         .unwrap();
-        let one = simulate_program_with_threads(&p, 1);
+        let one = simulate_program(&p, 1);
         for threads in [2, 3, 4, 8] {
-            let par = simulate_program_with_threads(&p, threads);
+            let par = simulate_program(&p, threads);
             assert_eq!(par.per_nest_iterations, one.per_nest_iterations);
             assert_eq!(par.mws_total, one.mws_total);
             assert_eq!(par.boundary_live, one.boundary_live);
@@ -716,7 +651,7 @@ mod tests {
              for i = 1 to 20 { for j = 1 to 20 { B[i][j] = B[i][j] + 1; } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = simulate_program(&p, 2);
         for (k, nest) in p.nests().iter().enumerate() {
             assert_eq!(
                 ps.per_nest_mws[k],
@@ -736,7 +671,7 @@ mod tests {
              for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = simulate_program(&p, 2);
         assert_eq!(ps.live_through, vec![64, 64]);
         // An element spanning all three nests counts once per nest it
         // crosses, not once per boundary: union, not sum.
@@ -747,7 +682,7 @@ mod tests {
              for i = 1 to 5 { A[i] = A[i] + B[i]; }",
         )
         .unwrap();
-        let ps3 = simulate_program(&p3);
+        let ps3 = simulate_program(&p3, 2);
         // Nest 1: A passes over it (5, in cross set), B enters and exits
         // within... B first-touched in nest 1, last in nest 2: crosses its
         // exit only (5). Union = 10.
@@ -771,7 +706,7 @@ mod tests {
              for i = 1 to 8 { B[i] = A[i]; }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = simulate_program(&p, 2);
         assert_eq!(ps.per_nest_iterations, vec![0, 8, 8]);
         assert_eq!(ps.boundary_live, vec![0, 16]);
         assert_eq!(ps.live_through, vec![0, 16, 16]);
@@ -787,7 +722,7 @@ mod tests {
              for t = 1 to 2 { for i = 1 to 12 { for j = 1 to 12 { B[i][j] = B[i][j] + 1; } } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = simulate_program(&p, 2);
         assert_eq!(ps.peak_nest, 1);
         assert_eq!(ps.mws_total, 144);
     }

@@ -260,7 +260,9 @@ mod tests {
             "array A[60]\nfor i = 1 to 10 { for j = 1 to 10 { A[2i + 3j]; } }",
         ] {
             let nest = parse(src).expect("source parses");
-            let mws = crate::window::simulate(&nest).mws_total as usize;
+            let budget = crate::AnalysisBudget::unlimited();
+            let sim = crate::try_simulate_with_threads(&nest, false, 1, &budget).unwrap();
+            let mws = sim.mws_total as usize;
             let refs = nest.refs().count();
             let t = Trace::from_nest(&nest);
             let perfect = min_perfect_capacity(&t, Policy::Opt);

@@ -14,8 +14,10 @@
 //!    dropping them at their last, maximizing the live count per array and
 //!    in total.
 
+use crate::budget::{AnalysisBudget, BudgetTracker};
+use crate::dense::{contain, try_pass1};
 use crate::exec::for_each_iteration;
-use loopmem_ir::{ArrayId, LoopNest};
+use loopmem_ir::{AnalysisError, ArrayId, LoopNest};
 use std::collections::HashMap;
 
 /// Per-array simulation statistics.
@@ -39,8 +41,9 @@ pub struct SimResult {
     /// Maximum over iterations of the *summed* per-array window sizes —
     /// the multi-array MWS of §2.3.
     pub mws_total: u64,
-    /// Total live-element count after each iteration (only populated by
-    /// [`simulate_with_profile`]); `profile[t]` is `Σ_X |W_X(I_t)|`.
+    /// Total live-element count after each iteration (only populated when
+    /// [`try_simulate_with_threads`] is asked for it); `profile[t]` is
+    /// `Σ_X |W_X(I_t)|`.
     pub profile: Option<Vec<u64>>,
 }
 
@@ -62,74 +65,57 @@ impl SimResult {
     }
 }
 
-/// Simulates the nest and returns exact statistics (no profile).
+/// Exact simulation of one nest on the dense-event engine
+/// ([`crate::dense`]), on `threads` workers, with the per-iteration window
+/// profile when `want_profile` is set (one `u64` per iteration).
 ///
-/// Runs the dense-event engine ([`crate::dense`]): flat touch tables with
-/// a hashmap fallback, swept in parallel for large nests (worker count
-/// from `LOOPMEM_THREADS`, defaulting to the available parallelism).
-///
-/// The unified front door for analysis — carrying threads, budget, fault
-/// plan and trace sink in one builder — is `loopmem::Session` (defined in
-/// `loopmem-core`, which this crate cannot depend on).
-pub fn simulate(nest: &LoopNest) -> SimResult {
-    crate::dense::run(nest, false, crate::dense::thread_count())
-}
-
-/// Simulates the nest, additionally recording the per-iteration total
-/// window profile (costs one `u64` per iteration).
-pub fn simulate_with_profile(nest: &LoopNest) -> SimResult {
-    crate::dense::run(nest, true, crate::dense::thread_count())
-}
-
-/// Simulates with a pinned worker-thread count (and optional profile).
-/// The result is bit-identical for every `threads` value; use `threads =
-/// 1` when the caller is itself running simulations on a thread pool.
-pub fn simulate_with_threads(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
-    crate::dense::run(nest, want_profile, threads)
-}
-
-/// Governed simulation: like [`simulate`], but never panics and respects
-/// `budget`. On a budget trip the error carries analytical MWS bounds
+/// Governed: never panics and respects `budget`. On a budget trip the
+/// error carries salvaged-prefix or analytical MWS bounds
 /// ([`crate::budget::analytic_nest_bounds`]); arithmetic overflow and
-/// contained panics surface as typed [`AnalysisError`] variants.
-pub fn try_simulate(
-    nest: &LoopNest,
-    budget: &crate::budget::AnalysisBudget,
-) -> Result<SimResult, loopmem_ir::AnalysisError> {
-    crate::dense::try_run(nest, false, crate::dense::thread_count(), budget)
-}
-
-/// Governed variant of [`simulate_with_threads`]. Exact results and
-/// `Exhausted` payloads are both bit-identical for every `threads` value
-/// (the analytical fallback depends only on the nest, never on how far a
-/// particular sweep got).
+/// contained panics (`nest: 0`) surface as typed [`AnalysisError`]
+/// variants. Exact results and `Exhausted` payloads are both bit-identical
+/// for every `threads` value.
 ///
-/// `loopmem::Session::simulate` is the front-door equivalent; the
-/// facade's `session_equivalence` tests pin the two bit-identical.
+/// `loopmem::Session::simulate` is the front door (in `loopmem-core`,
+/// which this crate cannot depend on); this function serves callers that
+/// need the profile or live inside this crate.
 pub fn try_simulate_with_threads(
     nest: &LoopNest,
     want_profile: bool,
     threads: usize,
-    budget: &crate::budget::AnalysisBudget,
-) -> Result<SimResult, loopmem_ir::AnalysisError> {
-    crate::dense::try_run(nest, want_profile, threads, budget)
+    budget: &AnalysisBudget,
+) -> Result<SimResult, AnalysisError> {
+    let tracker = BudgetTracker::new(budget);
+    simulate_nest(nest, want_profile, threads, &tracker, true)
 }
 
-/// Governed simulation charging an externally owned
-/// [`BudgetTracker`](crate::budget::BudgetTracker) — for callers
-/// coordinating several simulations under one deadline and one cumulative
-/// iteration budget (the §4 optimizer sweeps every candidate against a
-/// single tracker). `max_table_bytes` caps the dense touch tables exactly
-/// as [`AnalysisBudget::with_max_table_bytes`](crate::budget::AnalysisBudget::with_max_table_bytes)
-/// would.
+/// [`try_simulate_with_threads`] without a profile, charging an externally
+/// owned tracker: for callers coordinating several simulations under one
+/// deadline and one cumulative iteration budget (the §4 search sweeps
+/// every candidate against a single tracker). A budget trip reports the
+/// purely analytic bounds, never a salvaged prefix: salvage is the choice
+/// of the tracker's owner, and the search reports the original nest's
+/// bounds, not a candidate's.
 pub fn try_simulate_tracked(
+    nest: &LoopNest,
+    threads: usize,
+    tracker: &BudgetTracker,
+) -> Result<SimResult, AnalysisError> {
+    simulate_nest(nest, false, threads, tracker, false)
+}
+
+/// The one nest simulation: governed pass 1 ([`try_pass1`], which owns the
+/// table gate, the trip mapping and panic containment) followed by the
+/// per-array window fold, itself contained too.
+fn simulate_nest(
     nest: &LoopNest,
     want_profile: bool,
     threads: usize,
-    tracker: &crate::budget::BudgetTracker,
-    max_table_bytes: Option<u64>,
-) -> Result<SimResult, loopmem_ir::AnalysisError> {
-    crate::dense::try_run_tracked(nest, want_profile, threads, tracker, max_table_bytes)
+    tracker: &BudgetTracker,
+    salvage: bool,
+) -> Result<SimResult, AnalysisError> {
+    let np = try_pass1(0, nest, threads, tracker, salvage)?;
+    contain(0, || Ok(np.finish(want_profile)))
 }
 
 /// Differential-sanitizer oracle: exact single-threaded simulation of
@@ -145,7 +131,7 @@ pub fn oracle_simulate(nest: &LoopNest, max_iters: u64) -> Option<SimResult> {
     if crate::budget::estimated_iterations_of(nest) > u128::from(max_iters) {
         return None;
     }
-    let budget = crate::budget::AnalysisBudget::unlimited()
+    let budget = AnalysisBudget::unlimited()
         .with_max_iterations(max_iters)
         .with_max_table_bytes(64 << 20);
     try_simulate_with_threads(nest, false, 1, &budget).ok()
@@ -240,6 +226,10 @@ mod tests {
     use super::*;
     use loopmem_ir::parse;
 
+    fn simulate(nest: &LoopNest) -> SimResult {
+        try_simulate_with_threads(nest, false, 1, &AnalysisBudget::unlimited()).unwrap()
+    }
+
     #[test]
     fn single_use_elements_never_enter_window() {
         // Every element touched exactly once: window stays empty.
@@ -280,7 +270,7 @@ mod tests {
         // loop of its i, so the window is 1 while inside a row, 0 after
         // the last reuse. Profile length equals iteration count.
         let nest = parse("array A[10]\nfor i = 1 to 10 { for j = 1 to 5 { A[i]; } }").unwrap();
-        let s = simulate_with_profile(&nest);
+        let s = try_simulate_with_threads(&nest, true, 1, &AnalysisBudget::unlimited()).unwrap();
         let p = s.profile.as_ref().unwrap();
         assert_eq!(p.len(), 50);
         assert_eq!(s.mws_total, 1);

@@ -1,4 +1,4 @@
-//! Budget semantics of the governed (`try_*`) simulation entry points.
+//! Budget semantics of the governed simulation entry points.
 //!
 //! The contracts under test:
 //!
@@ -6,16 +6,30 @@
 //!   is purely *analytical* — bit-identical across worker-thread counts
 //!   and valid (`lower ≤ exact ≤ upper`) against the true answer;
 //! * cancellation is observed within one polling chunk;
-//! * an unlimited budget reproduces the legacy panicking API exactly;
+//! * a nest alone and the same nest inside a program pass one table gate;
 //! * overflow and panics inside a nest surface as typed errors, and in a
 //!   multi-nest program they poison only their own nest.
 
-use loopmem_ir::{parse, parse_program, AnalysisError, TripReason};
+use loopmem_ir::{parse, parse_program, AnalysisError, LoopNest, Program, TripReason};
 use loopmem_sim::{
-    simulate, try_simulate, try_simulate_program, try_simulate_with_threads, AnalysisBudget,
-    CancelToken,
+    thread_count, try_simulate_program_tracked, try_simulate_with_threads, AnalysisBudget,
+    BudgetTracker, CancelToken, GovernedProgramSim, SimResult,
 };
 use std::time::Duration;
+
+/// The governed nest simulation at the default worker count.
+fn simulate(nest: &LoopNest, budget: &AnalysisBudget) -> Result<SimResult, AnalysisError> {
+    try_simulate_with_threads(nest, false, thread_count(), budget)
+}
+
+/// The governed program simulation, its tracker built from `budget`.
+fn simulate_program(
+    program: &Program,
+    threads: usize,
+    budget: &AnalysisBudget,
+) -> Result<GovernedProgramSim, AnalysisError> {
+    try_simulate_program_tracked(program, threads, &BudgetTracker::new(budget))
+}
 
 fn huge_nest() -> loopmem_ir::LoopNest {
     // ~10¹² iterations: unsimulatable, so any governed run must trip.
@@ -72,7 +86,7 @@ fn pre_cancelled_token_trips_before_sweeping() {
     let token = CancelToken::new();
     token.cancel();
     let budget = AnalysisBudget::unlimited().with_cancel_token(token);
-    let err = try_simulate(&huge_nest(), &budget).unwrap_err();
+    let err = simulate(&huge_nest(), &budget).unwrap_err();
     assert!(matches!(
         err,
         AnalysisError::Exhausted {
@@ -91,7 +105,7 @@ fn cancellation_is_observed_within_one_chunk() {
     let token = CancelToken::new();
     let budget = AnalysisBudget::unlimited().with_cancel_token(token.clone());
     let nest = huge_nest();
-    let worker = std::thread::spawn(move || try_simulate(&nest, &budget));
+    let worker = std::thread::spawn(move || simulate(&nest, &budget));
     std::thread::sleep(Duration::from_millis(50));
     token.cancel();
     let start = std::time::Instant::now();
@@ -121,9 +135,11 @@ fn exhausted_bounds_sandwich_the_exact_answer() {
     ];
     for src in sources {
         let nest = parse(src).unwrap();
-        let exact = simulate(&nest).mws_total;
+        let exact = simulate(&nest, &AnalysisBudget::unlimited())
+            .unwrap()
+            .mws_total;
         let budget = AnalysisBudget::unlimited().with_max_iterations(3);
-        let err = try_simulate(&nest, &budget).unwrap_err();
+        let err = simulate(&nest, &budget).unwrap_err();
         let AnalysisError::Exhausted { partial, .. } = err else {
             panic!("expected Exhausted on {src}");
         };
@@ -134,25 +150,37 @@ fn exhausted_bounds_sandwich_the_exact_answer() {
     }
 }
 
+/// A nest alone and the same nest as a one-nest program pass the same
+/// gate: the pass-2 fold's 4 bytes per iteration (999,000 iterations
+/// here) must fit the table cap, or both degrade to `MaxTableBytes`.
 #[test]
-fn unlimited_budget_matches_legacy_simulate() {
-    for src in [
-        "array X[200]\nfor i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }",
-        "array A[34][34]\nfor i = 1 to 32 { for j = i to 32 { A[i][j] = A[j][i]; } }",
-    ] {
-        let nest = parse(src).unwrap();
-        let legacy = simulate(&nest);
-        let governed = try_simulate(&nest, &AnalysisBudget::unlimited()).unwrap();
-        assert_eq!(governed.iterations, legacy.iterations);
-        assert_eq!(governed.mws_total, legacy.mws_total);
-        assert_eq!(governed.per_array, legacy.per_array);
+fn a_nest_alone_and_in_a_program_pass_one_table_gate() {
+    let src = "array A[1100][1100]\n\
+               for i = 2 to 1000 { for j = 1 to 1000 { A[i][j] = A[i-1][j]; } }";
+    let nest = parse(src).unwrap();
+    let program = parse_program(src).unwrap();
+    let tight = AnalysisBudget::unlimited().with_max_table_bytes(2 << 20);
+    let roomy = AnalysisBudget::unlimited().with_max_table_bytes(64 << 20);
+    for t in [1usize, 2, 4] {
+        let alone = try_simulate_with_threads(&nest, false, t, &tight).unwrap_err();
+        let AnalysisError::Exhausted { reason, .. } = &alone else {
+            panic!("t={t}: {alone:?}");
+        };
+        assert_eq!(*reason, TripReason::MaxTableBytes, "t={t}");
+        let gov = simulate_program(&program, t, &tight).unwrap();
+        assert_eq!(gov.per_nest, vec![Err(alone)], "t={t}");
+
+        let alone = try_simulate_with_threads(&nest, false, t, &roomy).unwrap();
+        let gov = simulate_program(&program, t, &roomy).unwrap();
+        assert_eq!(alone.mws_total, 1000, "t={t}");
+        assert!(gov.all_exact() && gov.sim.mws_total == 1000, "t={t}");
     }
 }
 
 #[test]
 fn subscript_overflow_is_a_typed_error() {
     let nest = parse("array X[10]\nfor i = 1 to 5 { X[4000000000000000000i]; }").unwrap();
-    let err = try_simulate(&nest, &AnalysisBudget::unlimited()).unwrap_err();
+    let err = simulate(&nest, &AnalysisBudget::unlimited()).unwrap_err();
     assert!(
         matches!(err, AnalysisError::Overflow { .. }),
         "expected Overflow, got {err:?}"
@@ -171,7 +199,7 @@ fn panicking_nest_poisons_only_itself_in_a_program() {
          for i = 1 to 3 { B[i]; }",
     )
     .unwrap();
-    let gov = try_simulate_program(&program, &AnalysisBudget::unlimited()).unwrap();
+    let gov = simulate_program(&program, thread_count(), &AnalysisBudget::unlimited()).unwrap();
     assert_eq!(gov.per_nest.len(), 3);
     assert_eq!(gov.per_nest[0], Ok(3));
     assert_eq!(gov.per_nest[2], Ok(3));
@@ -200,7 +228,7 @@ fn near_max_loop_bounds_trip_instead_of_hanging() {
     )
     .unwrap();
     let budget = AnalysisBudget::unlimited().with_max_iterations(1_000);
-    let err = try_simulate(&nest, &budget).unwrap_err();
+    let err = simulate(&nest, &budget).unwrap_err();
     let AnalysisError::Exhausted { reason, partial } = err else {
         panic!("expected Exhausted");
     };

@@ -19,11 +19,27 @@
 
 use std::sync::Arc;
 
-use loopmem_ir::{parse, parse_program, AnalysisError, BoundsMethod, TripReason};
-use loopmem_sim::{
-    simulate, try_simulate_program_with_threads, try_simulate_with_threads, AnalysisBudget,
-    FaultKind, FaultPlan, INJECTED_PANIC,
+use loopmem_ir::{
+    parse, parse_program, AnalysisError, BoundsMethod, LoopNest, Program, TripReason,
 };
+use loopmem_sim::{
+    try_simulate_program_tracked, try_simulate_with_threads, AnalysisBudget, BudgetTracker,
+    FaultKind, FaultPlan, GovernedProgramSim, SimResult, INJECTED_PANIC,
+};
+
+/// The nest's exact, fault-free answer.
+fn simulate(nest: &LoopNest) -> SimResult {
+    try_simulate_with_threads(nest, false, 1, &AnalysisBudget::unlimited()).unwrap()
+}
+
+/// The governed program simulation, its tracker built from `budget`.
+fn simulate_program(
+    program: &Program,
+    threads: usize,
+    budget: &AnalysisBudget,
+) -> Result<GovernedProgramSim, AnalysisError> {
+    try_simulate_program_tracked(program, threads, &BudgetTracker::new(budget))
+}
 
 /// Exactly 2 × 1024 iterations: two outer rows of one poll quantum each.
 fn boundary_nest() -> loopmem_ir::LoopNest {
@@ -137,7 +153,7 @@ fn injected_panic_surfaces_at_the_targeted_program_nest() {
     .unwrap();
     for t in [1usize, 2, 4] {
         let budget = budget_with(FaultPlan::new(FaultKind::PanicNest, 1, 1));
-        let gov = try_simulate_program_with_threads(&program, t, &budget).unwrap();
+        let gov = simulate_program(&program, t, &budget).unwrap();
         assert_eq!(gov.per_nest[0], Ok(3));
         assert_eq!(gov.per_nest[2], Ok(3));
         match &gov.per_nest[1] {
@@ -165,7 +181,7 @@ fn oversized_nest_in_a_batch_degrades_alone() {
     .unwrap();
     let budget = AnalysisBudget::unlimited().with_max_table_bytes(1 << 20);
     for t in [1usize, 2, 4] {
-        let gov = try_simulate_program_with_threads(&program, t, &budget).unwrap();
+        let gov = simulate_program(&program, t, &budget).unwrap();
         assert_eq!(gov.per_nest[0], Ok(3));
         assert_eq!(gov.per_nest[2], Ok(3));
         match &gov.per_nest[1] {
@@ -198,7 +214,7 @@ fn counted_trips_fall_in_program_order_at_every_thread_count() {
         || AnalysisBudget::unlimited().with_max_iterations(30_000),
     ];
     for budget in budgets {
-        let serial = try_simulate_program_with_threads(&program, 1, &budget()).unwrap();
+        let serial = simulate_program(&program, 1, &budget()).unwrap();
         assert!(
             serial.per_nest.iter().all(Result::is_err),
             "{:?}",
@@ -207,7 +223,7 @@ fn counted_trips_fall_in_program_order_at_every_thread_count() {
         for t in [2usize, 4] {
             // Repeated: one run can slip through a race.
             for _ in 0..8 {
-                let gov = try_simulate_program_with_threads(&program, t, &budget()).unwrap();
+                let gov = simulate_program(&program, t, &budget()).unwrap();
                 assert_eq!(gov.per_nest, serial.per_nest, "t={t}");
                 assert_eq!(gov.mws_bounds, serial.mws_bounds, "t={t}");
             }

@@ -11,12 +11,17 @@
 //! legs really sweep in parallel. Every generated source is reproducible
 //! from the fixed per-class seed, so a failure names the exact nest.
 
-use loopmem_ir::parse;
+use loopmem_ir::{parse, LoopNest};
 use loopmem_linalg::rng::Lcg;
 use loopmem_sim::{
-    bench_pass1_interleaved, simulate_hashmap, simulate_hashmap_with_profile,
-    simulate_with_threads, sweep_threads,
+    bench_pass1_interleaved, simulate_hashmap, simulate_hashmap_with_profile, sweep_threads,
+    try_simulate_with_threads, AnalysisBudget, SimResult,
 };
+
+/// The dense engine's exact answer at `threads` workers.
+fn simulate(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
+    try_simulate_with_threads(nest, want_profile, threads, &AnalysisBudget::unlimited()).unwrap()
+}
 
 include!("common/fold_boundary.rs");
 
@@ -31,7 +36,7 @@ fn assert_engines_agree(src: &str) {
     let reference = simulate_hashmap_with_profile(&nest);
     let reference_off = simulate_hashmap(&nest);
     for threads in [1usize, 2, 4] {
-        let got = simulate_with_threads(&nest, true, threads);
+        let got = simulate(&nest, true, threads);
         assert_eq!(
             got.iterations, reference.iterations,
             "iterations diverge at t={threads} for:\n{src}"
@@ -48,7 +53,7 @@ fn assert_engines_agree(src: &str) {
             got.profile, reference.profile,
             "window profile diverges at t={threads} for:\n{src}"
         );
-        let off = simulate_with_threads(&nest, false, threads);
+        let off = simulate(&nest, false, threads);
         assert_eq!(
             off.iterations, reference_off.iterations,
             "profile off, t={threads}:\n{src}"

@@ -4,14 +4,21 @@
 //!
 //! The reference implementation below is deliberately independent of the
 //! production code: one global hashmap keyed by (array, coordinates) over
-//! a single global clock, the way `simulate_program` worked before pass 1
+//! a single global clock, the way the program engine worked before pass 1
 //! was sharded.
 
 use loopmem_ir::{parse_program, ArrayId, Program};
 use loopmem_sim::{
-    for_each_iteration, simulate_program, simulate_program_with_threads, ProgramSimResult,
+    for_each_iteration, thread_count, try_simulate_program_tracked, BudgetTracker, ProgramSimResult,
 };
 use std::collections::HashMap;
+
+/// The program engine's exact answer at `threads` workers.
+fn simulate_program(program: &Program, threads: usize) -> ProgramSimResult {
+    let gov = try_simulate_program_tracked(program, threads, &BudgetTracker::unlimited()).unwrap();
+    assert!(gov.all_exact());
+    gov.sim
+}
 
 /// Serial global-clock reference: nests swept in order, one shared touch
 /// table, one sweep.
@@ -153,15 +160,18 @@ fn batch_matches_reference_for_all_thread_counts() {
     for p in programs() {
         let want = reference_simulate(&p);
         for threads in [1, 2, 4] {
-            assert_same(&simulate_program_with_threads(&p, threads), &want);
+            assert_same(&simulate_program(&p, threads), &want);
         }
-        assert_same(&simulate_program(&p), &want);
+        assert_same(&simulate_program(&p, thread_count()), &want);
     }
 }
 
 #[test]
 fn batch_default_equals_pinned_one_thread() {
     for p in programs() {
-        assert_same(&simulate_program(&p), &simulate_program_with_threads(&p, 1));
+        assert_same(
+            &simulate_program(&p, thread_count()),
+            &simulate_program(&p, 1),
+        );
     }
 }

@@ -2,9 +2,17 @@
 //! optimality ordering, window/capacity duality). Deterministic (seeded
 //! `Lcg`), no external dependencies.
 
-use loopmem_ir::parse;
+use loopmem_ir::{parse, LoopNest};
 use loopmem_linalg::Lcg;
-use loopmem_sim::{min_perfect_capacity, misses, simulate, simulate_with_profile, Policy, Trace};
+use loopmem_sim::{
+    min_perfect_capacity, misses, try_simulate_with_threads, AnalysisBudget, Policy, SimResult,
+    Trace,
+};
+
+/// The nest's exact answer, with the window profile.
+fn simulate(nest: &LoopNest) -> SimResult {
+    try_simulate_with_threads(nest, true, 1, &AnalysisBudget::unlimited()).unwrap()
+}
 
 fn random_nest(rng: &mut Lcg) -> String {
     let n1 = rng.range_i64(3, 9);
@@ -98,7 +106,7 @@ fn profile_peak_equals_mws() {
     for _ in 0..48 {
         let src = random_nest(&mut rng);
         let nest = parse(&src).expect("parses");
-        let s = simulate_with_profile(&nest);
+        let s = simulate(&nest);
         let peak = s
             .profile
             .as_ref()

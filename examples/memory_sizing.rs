@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example memory_sizing`.
 
-use loopmem::sim::{simulate_with_profile, ScratchpadModel};
+use loopmem::sim::{thread_count, try_simulate_with_threads, AnalysisBudget, ScratchpadModel};
 use loopmem::Session;
 use loopmem_bench::all_kernels;
 
@@ -32,7 +32,13 @@ fn main() {
 
     // Show one window profile: how the live set evolves over execution.
     let k = loopmem_bench::kernel_by_name("rasta_flt").expect("kernel exists");
-    let s = simulate_with_profile(&k.nest());
+    let s = try_simulate_with_threads(
+        &k.nest(),
+        true,
+        thread_count(),
+        &AnalysisBudget::unlimited(),
+    )
+    .expect("kernel simulates");
     let profile = s.profile.expect("profile requested");
     println!("\nrasta_flt window profile (live words after each iteration, downsampled):");
     let step = (profile.len() / 20).max(1);

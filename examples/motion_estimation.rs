@@ -30,7 +30,7 @@ fn main() {
     )
     .expect("kernel parses");
 
-    let m = analyze_memory(&nest);
+    let m = analyze_memory(&nest).expect("kernel simulates");
     println!("== full-search motion estimation ==");
     println!("declared arrays : {} words (R + C + S)", m.default_words);
     println!("distinct touched: {} words", m.distinct_exact_total);

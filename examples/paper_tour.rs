@@ -7,10 +7,15 @@ use loopmem::core::{
     branch_and_bound, estimate_distinct, three_level_estimate, two_level_estimate,
 };
 use loopmem::dep::{analyze, reuse_vectors};
-use loopmem::ir::{parse, ArrayId};
+use loopmem::ir::{parse, ArrayId, LoopNest};
 use loopmem::poly::count::distinct_accesses_for;
-use loopmem::sim::simulate;
+use loopmem::sim::SimResult;
 use loopmem::Session;
+
+/// The nest's exact simulation (default session).
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).expect("kernel simulates")
+}
 
 fn heading(s: &str) {
     println!("\n=== {s} ===");

@@ -5,7 +5,6 @@
 
 use loopmem::core::{analyze_memory, apply_transform};
 use loopmem::ir::{parse, print_nest};
-use loopmem::sim::simulate;
 use loopmem::Session;
 
 fn main() {
@@ -24,7 +23,7 @@ fn main() {
     println!("== input nest ==\n{}", print_nest(&nest));
 
     // 1. Estimate: how much memory does this loop actually need?
-    let analysis = analyze_memory(&nest);
+    let analysis = analyze_memory(&nest).expect("kernel simulates");
     println!("declared storage      : {} words", analysis.default_words);
     println!("distinct elements     : {}", analysis.distinct_exact_total);
     println!(
@@ -44,7 +43,9 @@ fn main() {
 
     // 3. Verify: the transformed nest performs the same accesses.
     let reapplied = apply_transform(&nest, &opt.transform).expect("transformation applies");
-    let (a, b) = (simulate(&nest), simulate(&reapplied));
+    let session = Session::new();
+    let a = session.simulate(&nest).expect("kernel simulates");
+    let b = session.simulate(&reapplied).expect("kernel simulates");
     assert_eq!(a.distinct_total(), b.distinct_total());
     assert_eq!(b.mws_total, opt.mws_after);
     println!(

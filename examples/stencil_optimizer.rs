@@ -12,7 +12,6 @@ use loopmem::core::SearchMode;
 use loopmem::dep::analyze;
 use loopmem::dep::legality::row_tileable;
 use loopmem::ir::{parse, print_nest};
-use loopmem::sim::simulate;
 use loopmem::Session;
 
 fn main() {
@@ -60,7 +59,10 @@ fn main() {
     println!(
         "original MWS: {}  (simulator: {})",
         compound.mws_before,
-        simulate(&nest).mws_total
+        Session::new()
+            .simulate(&nest)
+            .expect("kernel simulates")
+            .mws_total
     );
     println!(
         "interchange+reversal: MWS {} with T =\n{}",

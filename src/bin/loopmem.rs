@@ -162,7 +162,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
     if matches!(
         cmd.as_str(),
-        "simulate" | "optimize" | "pipeline" | "scratchpad" | "chaos" | "verify" | "trace"
+        "analyze"
+            | "simulate"
+            | "optimize"
+            | "pipeline"
+            | "scratchpad"
+            | "chaos"
+            | "verify"
+            | "trace"
     ) {
         GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
     }
@@ -499,7 +506,10 @@ fn cmd_chaos(rest: &[String]) -> Result<ExitCode, String> {
                 let budget = AnalysisBudget::unlimited()
                     .with_max_iterations(2_000_000)
                     .with_trace(dyn_sink.clone());
-                let _ = loopmem::sim::try_simulate_program_with_threads(&program, 1, &budget);
+                let _ = Session::new()
+                    .threads(1)
+                    .budget(budget)
+                    .simulate_program(&program);
             }
         }
         let report = loopmem::core::chaos_source(path, &src, seed).map_err(|e| e.to_string())?;
@@ -813,7 +823,10 @@ fn emit_certs(path: Option<&str>, certs: &[loopmem::verify::Certificate]) -> Res
 }
 
 fn cmd_analyze(nest: &LoopNest) -> Result<(), String> {
-    let m = analyze_memory(nest);
+    let m = match analyze_memory(nest) {
+        Ok(m) => m,
+        Err(e) => return report_governed_failure(&e),
+    };
     println!("declared storage : {} words", m.default_words);
     println!("distinct touched : {} words", m.distinct_exact_total);
     println!("exact MWS        : {} words", m.mws_exact);

@@ -325,7 +325,9 @@ fn runs_without_budget_flags_degrade_instead_of_panicking() {
     // Every analysis run is governed, budget flags or not: an overflowing
     // or panicking nest degrades to a typed outcome and the run exits 0.
     for args in [
-        &["simulate", "tests/robustness/overflow_coeffs.loop"][..],
+        &["analyze", "tests/robustness/overflow_coeffs.loop"][..],
+        &["analyze", "tests/robustness/near_max_bounds.loop"],
+        &["simulate", "tests/robustness/overflow_coeffs.loop"],
         &["optimize", "tests/robustness/overflow_coeffs.loop"],
         &["pipeline", "tests/robustness/overflow_coeffs.loop"],
         &[

@@ -1,10 +1,15 @@
 //! The `kernels/*.loop` files shipped for the CLI stay valid and keep the
 //! properties their comments advertise.
 
-use loopmem::ir::parse;
-use loopmem::sim::simulate;
+use loopmem::ir::{parse, LoopNest};
+use loopmem::sim::SimResult;
 use loopmem::Session;
 use std::fs;
+
+/// The nest's exact simulation (default session).
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).unwrap()
+}
 
 fn load(name: &str) -> loopmem::ir::LoopNest {
     let path = format!("{}/kernels/{name}", env!("CARGO_MANIFEST_DIR"));

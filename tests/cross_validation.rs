@@ -4,10 +4,16 @@
 //! (seeded `Lcg`), no external dependencies.
 
 use loopmem::core::estimate_distinct;
-use loopmem::ir::{parse, ArrayId};
+use loopmem::ir::{parse, ArrayId, LoopNest};
 use loopmem::linalg::Lcg;
 use loopmem::poly::count::distinct_accesses_for;
-use loopmem::sim::simulate;
+use loopmem::sim::SimResult;
+use loopmem::Session;
+
+/// The nest's exact simulation (default session).
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).unwrap()
+}
 
 /// Random single-reference 1-D access `A[p*i + q*j + c]` over a random box.
 fn nullspace_case(rng: &mut Lcg) -> String {

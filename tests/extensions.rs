@@ -6,13 +6,17 @@ use loopmem::core::{
     distinct_formulas, estimate_distinct, estimate_distinct_exact, estimate_nest_mws, fuse, tile,
 };
 use loopmem::dep::{direction_vector, Direction};
-use loopmem::ir::{parse, parse_program, print_program, ArrayId};
+use loopmem::ir::{parse, parse_program, print_program, ArrayId, LoopNest};
 use loopmem::sim::{
-    line_analysis, min_perfect_capacity, simulate, simulate_program, Layout, Policy,
-    ReuseHistogram, Trace,
+    line_analysis, min_perfect_capacity, Layout, Policy, ReuseHistogram, SimResult, Trace,
 };
 use loopmem::Session;
 use std::collections::HashMap;
+
+/// The nest's exact simulation (default session).
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).unwrap()
+}
 
 #[test]
 fn improved_estimator_fixes_example3() {
@@ -138,5 +142,5 @@ fn closed_form_nest_mws_covers_the_kernel_suite() {
 fn simulate_program_of(nest: &loopmem::ir::LoopNest) -> u64 {
     // Exercise the program path even for single nests.
     let p = loopmem::ir::Program::new(vec![nest.clone()]).unwrap();
-    simulate_program(&p).mws_total
+    Session::new().simulate_program(&p).unwrap().sim.mws_total
 }

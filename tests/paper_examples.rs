@@ -7,11 +7,16 @@ use loopmem::core::{
     two_level_objective,
 };
 use loopmem::dep::{analyze, reuse_vectors};
-use loopmem::ir::{parse, AnalysisError, ArrayId};
+use loopmem::ir::{parse, AnalysisError, ArrayId, LoopNest};
 use loopmem::linalg::{IMat, Rational};
 use loopmem::poly::count::distinct_accesses_for;
-use loopmem::sim::simulate;
+use loopmem::sim::SimResult;
 use loopmem::Session;
+
+/// The nest's exact simulation (default session).
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).unwrap()
+}
 
 #[test]
 fn example_1_reuse_area_is_56() {
@@ -193,7 +198,7 @@ fn example_10_three_level_window() {
     let opt = Session::new().optimize(&nest).unwrap();
     assert_eq!(opt.mws_after, 1);
     // The memory analysis ties it together.
-    let m = analyze_memory(&nest);
+    let m = analyze_memory(&nest).unwrap();
     assert_eq!(m.distinct_exact_total, 1869);
     assert!(m.mws_exact <= 540, "closed form is an upper estimate");
 }
@@ -211,7 +216,7 @@ fn section_2_3_uniformly_generated_example() {
     )
     .unwrap();
     assert!(loopmem::dep::uniform::is_uniformly_generated(&nest));
-    let m = analyze_memory(&nest);
+    let m = analyze_memory(&nest).unwrap();
     assert!(m.mws_exact > 0);
     // Every element of Y is reused (read then written shifted by one).
     assert!(m.mws_per_array[&nest.array_by_name("Y").unwrap()] >= 1);

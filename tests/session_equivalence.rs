@@ -1,27 +1,28 @@
-//! Pins the optimizer's answers to what `loopmem::Session` computes.
+//! Pins the answers of removed entry points to what `loopmem::Session`
+//! computes.
 //!
-//! The simulator wrappers (`try_simulate*`, `simulate*_with_threads`) are
-//! compared against a hand-built session directly. The optimizer entry
-//! points that `Session` replaced (`minimize_mws*`, `try_minimize_mws*`,
-//! `optimize_program*`, `try_optimize_program*`, `scratchpad_program*`,
-//! `scratchpad_with_fusion*`, `try_scratchpad_*`, `analyze_program`) are
-//! gone; their recorded answers live in `tests/golden/session_answers.txt`
+//! The optimizer entry points that `Session` replaced (`minimize_mws*`,
+//! `try_minimize_mws*`, `optimize_program*`, `try_optimize_program*`,
+//! `scratchpad_program*`, `scratchpad_with_fusion*`, `try_scratchpad_*`,
+//! `analyze_program`) and the simulator entry points removed after them
+//! (`simulate`, `simulate_with_profile`, `simulate_with_threads`,
+//! `try_simulate`, `simulate_program*`, `try_simulate_program*`) are gone;
+//! their recorded answers live in `tests/golden/session_answers.txt`
 //! (every kernel file and the three programs below, at t ∈ {1, 2, 4} and
 //! the default count, with unlimited and 10⁶-iteration budgets), and each
-//! test below recomputes its entry points' lines through `Session`.
+//! test below recomputes its entry points' lines through `Session` — or,
+//! for window profiles, which `Session::simulate` does not return,
+//! through `loopmem::sim::try_simulate_with_threads`.
 
 use loopmem::core::{
     GovernedProgramOptimization, GovernedScratchpad, Optimization, ScratchpadPlan,
     ScratchpadSizing, SearchMode,
 };
-use loopmem::ir::{
-    parse, parse_program, print_nest, print_program, AnalysisError, ArrayId, LoopNest, Program,
-};
+use loopmem::ir::{parse_program, print_nest, print_program, AnalysisError, Program};
 use loopmem::obs::CollectingSink;
 use loopmem::sim::{
-    simulate_program_with_threads, simulate_with_threads, try_simulate, try_simulate_program,
-    try_simulate_program_with_threads, try_simulate_with_threads, AnalysisBudget, ArrayStats,
-    GovernedProgramSim, ProgramSimResult, SimResult,
+    thread_count, try_simulate_with_threads, AnalysisBudget, GovernedProgramSim, ProgramSimResult,
+    SimResult,
 };
 use loopmem::Session;
 use std::collections::BTreeMap;
@@ -38,131 +39,6 @@ const THREE_NEST: &str = "array A[24][24]\narray X[200]\n\
 const FUSION: &str = "array A[8][8]\narray B[8][8]\narray C[8][8]\n\
      for i = 1 to 8 { for j = 1 to 8 { A[i][j] = B[i][j]; } }\n\
      for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }";
-
-fn example8() -> LoopNest {
-    parse(EXAMPLE8).unwrap()
-}
-
-fn three_nest_program() -> Program {
-    parse_program(THREE_NEST).unwrap()
-}
-
-fn budget() -> AnalysisBudget {
-    AnalysisBudget::unlimited().with_max_iterations(1_000_000)
-}
-
-/// `SimResult` holds a `HashMap`, whose `Debug` order is unstable —
-/// compare through a sorted projection instead of the raw `Debug` string.
-fn sim_key(sim: &SimResult) -> (u64, u64, BTreeMap<ArrayId, ArrayStats>) {
-    (
-        sim.iterations,
-        sim.mws_total,
-        sim.per_array.iter().map(|(k, v)| (*k, v.clone())).collect(),
-    )
-}
-
-/// Same story for `ProgramSimResult::distinct`: sort the per-array map,
-/// keep everything else as its (stable) `Debug` rendering.
-fn program_sim_key(sim: &ProgramSimResult) -> (String, BTreeMap<ArrayId, u64>) {
-    let sorted: BTreeMap<ArrayId, u64> = sim.distinct.iter().map(|(k, v)| (*k, *v)).collect();
-    let rest = format!(
-        "{:?} {:?} {:?} {:?} {:?} {:?}",
-        sim.per_nest_iterations,
-        sim.mws_total,
-        sim.boundary_live,
-        sim.peak_nest,
-        sim.per_nest_mws,
-        sim.live_through
-    );
-    (rest, sorted)
-}
-
-fn governed_program_key(gov: &GovernedProgramSim) -> (String, (String, BTreeMap<ArrayId, u64>)) {
-    (
-        format!("{:?} {:?}", gov.per_nest, gov.mws_bounds),
-        program_sim_key(&gov.sim),
-    )
-}
-
-#[test]
-fn wrapper_try_simulate_matches_session() {
-    let nest = example8();
-    let b = budget();
-    let legacy = try_simulate(&nest, &b).unwrap();
-    let session = Session::new().budget(b.clone()).simulate(&nest).unwrap();
-    assert_eq!(sim_key(&legacy), sim_key(&session));
-}
-
-#[test]
-fn wrapper_try_simulate_with_threads_matches_session() {
-    let nest = example8();
-    let b = budget();
-    for t in [1, 2, 4] {
-        let legacy = try_simulate_with_threads(&nest, false, t, &b).unwrap();
-        let session = Session::new()
-            .threads(t)
-            .budget(b.clone())
-            .simulate(&nest)
-            .unwrap();
-        assert_eq!(sim_key(&legacy), sim_key(&session), "threads={t}");
-    }
-}
-
-#[test]
-fn ungoverned_simulate_matches_default_session() {
-    let nest = example8();
-    for t in [1, 2, 4] {
-        let legacy = simulate_with_threads(&nest, false, t);
-        let session = Session::new().threads(t).simulate(&nest).unwrap();
-        assert_eq!(sim_key(&legacy), sim_key(&session), "threads={t}");
-    }
-}
-
-#[test]
-fn wrapper_try_simulate_program_matches_session() {
-    let program = three_nest_program();
-    let b = budget();
-    let legacy = try_simulate_program(&program, &b).unwrap();
-    let session = Session::new()
-        .budget(b.clone())
-        .simulate_program(&program)
-        .unwrap();
-    assert_eq!(
-        governed_program_key(&legacy),
-        governed_program_key(&session)
-    );
-}
-
-#[test]
-fn wrapper_try_simulate_program_with_threads_matches_session() {
-    let program = three_nest_program();
-    let b = budget();
-    for t in [1, 2, 4] {
-        let legacy = try_simulate_program_with_threads(&program, t, &b).unwrap();
-        let session = Session::new()
-            .threads(t)
-            .budget(b.clone())
-            .simulate_program(&program)
-            .unwrap();
-        assert_eq!(
-            governed_program_key(&legacy),
-            governed_program_key(&session),
-            "threads={t}"
-        );
-    }
-}
-
-#[test]
-fn ungoverned_simulate_program_matches_default_session() {
-    let program = three_nest_program();
-    let legacy = simulate_program_with_threads(&program, 2);
-    let session = Session::new()
-        .threads(2)
-        .simulate_program(&program)
-        .unwrap();
-    assert!(session.all_exact());
-    assert_eq!(program_sim_key(&legacy), program_sim_key(&session.sim));
-}
 
 // ------------------------------------------------------- golden answers --
 
@@ -217,20 +93,23 @@ fn golden_program(name: &str) -> Program {
     parse_program(&src).unwrap()
 }
 
+fn golden_budget(g: &Golden) -> AnalysisBudget {
+    match g.budget.as_str() {
+        "unlimited" => AnalysisBudget::unlimited(),
+        "max_iters=1000000" => AnalysisBudget::unlimited().with_max_iterations(1_000_000),
+        other => panic!("unknown golden budget {other}"),
+    }
+}
+
 fn golden_session(g: &Golden, threads: &str, traced: bool) -> Session {
     let mode = match g.mode.as_str() {
-        // `-` marks the sizing entry points, which take no search mode.
+        // `-` marks the entry points that take no search mode.
         "compound" | "-" => SearchMode::default(),
         "interchange" => SearchMode::InterchangeReversal,
         "li-pingali" => SearchMode::LiPingali,
         other => panic!("unknown golden mode {other}"),
     };
-    let budget = match g.budget.as_str() {
-        "unlimited" => AnalysisBudget::unlimited(),
-        "max_iters=1000000" => budget(),
-        other => panic!("unknown golden budget {other}"),
-    };
-    let session = Session::new().search_mode(mode).budget(budget);
+    let session = Session::new().search_mode(mode).budget(golden_budget(g));
     let session = match threads {
         "auto" => session,
         t => session.threads(t.parse().unwrap()),
@@ -319,8 +198,72 @@ fn analysis_answer(program: &Program, gov: GovernedProgramSim) -> String {
     )
 }
 
+fn fnv1a(p: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &x in p {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn sim_answer(r: Result<SimResult, AnalysisError>) -> String {
+    match r {
+        Ok(s) => {
+            let per: BTreeMap<usize, (u64, u64, u64)> = s
+                .per_array
+                .iter()
+                .map(|(k, v)| (k.0, (v.distinct, v.accesses, v.mws)))
+                .collect();
+            let profile = match &s.profile {
+                None => "none".to_string(),
+                Some(p) => format!(
+                    "len={} sum={} max={} fnv={:016x}",
+                    p.len(),
+                    p.iter().sum::<u64>(),
+                    p.iter().max().copied().unwrap_or(0),
+                    fnv1a(p)
+                ),
+            };
+            format!(
+                "ok iterations={} mws={} per_array={per:?} profile={profile}",
+                s.iterations, s.mws_total
+            )
+        }
+        Err(e) => format!("err {e:?}"),
+    }
+}
+
+fn program_fields(sim: &ProgramSimResult) -> String {
+    let distinct: BTreeMap<usize, u64> = sim.distinct.iter().map(|(k, v)| (k.0, *v)).collect();
+    format!(
+        "iterations={:?} mws={} boundary_live={:?} peak_nest={} per_nest_mws={:?} live_through={:?} distinct={distinct:?}",
+        sim.per_nest_iterations,
+        sim.mws_total,
+        sim.boundary_live,
+        sim.peak_nest,
+        sim.per_nest_mws,
+        sim.live_through
+    )
+}
+
+fn governed_program_answer(r: Result<GovernedProgramSim, AnalysisError>) -> String {
+    match r {
+        Ok(g) => format!(
+            "ok per_nest={:?} bounds={:?} {}",
+            g.per_nest,
+            g.mws_bounds,
+            program_fields(&g.sim)
+        ),
+        Err(e) => format!("err {e:?}"),
+    }
+}
+
 /// Recomputes `g`'s answer for the removed entry point `entry` at
-/// `threads` through `Session`.
+/// `threads` through `Session` (window profiles through
+/// `try_simulate_with_threads`).
 fn recompute(g: &Golden, entry: &str, threads: &str) -> String {
     let (name, nest) = match g.input.split_once('#') {
         Some((name, k)) => (name, Some(k.parse::<usize>().unwrap())),
@@ -328,14 +271,36 @@ fn recompute(g: &Golden, entry: &str, threads: &str) -> String {
     };
     let program = golden_program(name);
     let session = golden_session(g, threads, entry.ends_with("_traced"));
+    let nest = || &program.nests()[nest.expect("nest input")];
     match entry {
+        "simulate" | "simulate_with_threads" | "try_simulate" => {
+            sim_answer(session.simulate(nest()))
+        }
+        "simulate_with_profile" | "simulate_with_threads+profile" => {
+            let t = match threads {
+                "auto" => thread_count(),
+                t => t.parse().unwrap(),
+            };
+            sim_answer(try_simulate_with_threads(
+                nest(),
+                true,
+                t,
+                &golden_budget(g),
+            ))
+        }
+        "simulate_program" | "simulate_program_with_threads" => {
+            let gov = session.simulate_program(&program).unwrap();
+            assert!(gov.all_exact());
+            format!("ok {}", program_fields(&gov.sim))
+        }
+        "try_simulate_program" | "try_simulate_program_with_threads" => {
+            governed_program_answer(session.simulate_program(&program))
+        }
         "minimize_mws"
         | "minimize_mws_traced"
         | "minimize_mws_with_threads"
         | "try_minimize_mws"
-        | "try_minimize_mws_with_threads" => {
-            opt_answer(session.optimize(&program.nests()[nest.expect("nest input")]))
-        }
+        | "try_minimize_mws_with_threads" => opt_answer(session.optimize(nest())),
         "optimize_program"
         | "optimize_program_with_threads"
         | "try_optimize_program"
@@ -401,6 +366,17 @@ const PROGRAM_SEARCH: [&str; 4] = [
     "try_optimize_program",
     "try_optimize_program_with_threads",
 ];
+const SIMULATION: [&str; 9] = [
+    "simulate",
+    "simulate_with_threads",
+    "simulate_with_profile",
+    "simulate_with_threads+profile",
+    "try_simulate",
+    "simulate_program",
+    "simulate_program_with_threads",
+    "try_simulate_program",
+    "try_simulate_program_with_threads",
+];
 const SIZING: [&str; 8] = [
     "scratchpad_program",
     "scratchpad_program_with_threads",
@@ -422,6 +398,7 @@ fn golden_file_names_only_known_entry_points() {
                 .iter()
                 .chain(&PROGRAM_SEARCH)
                 .chain(&SIZING)
+                .chain(&SIMULATION)
                 .any(|e| e == entry);
             assert!(known, "unknown entry point {entry} on {}", g.input);
         }
@@ -491,4 +468,35 @@ fn ungoverned_scratchpad_with_fusion_matches_default_session() {
 #[test]
 fn analyze_program_matches_session_simulate_program() {
     check_golden(&["analyze_program"]);
+}
+
+#[test]
+fn wrapper_try_simulate_matches_session() {
+    check_golden(&["try_simulate"]);
+}
+
+#[test]
+fn wrapper_try_simulate_with_threads_matches_session() {
+    // The profile lines, through the surviving try_simulate_with_threads.
+    check_golden(&["simulate_with_profile", "simulate_with_threads+profile"]);
+}
+
+#[test]
+fn ungoverned_simulate_matches_default_session() {
+    check_golden(&["simulate", "simulate_with_threads"]);
+}
+
+#[test]
+fn wrapper_try_simulate_program_matches_session() {
+    check_golden(&["try_simulate_program"]);
+}
+
+#[test]
+fn wrapper_try_simulate_program_with_threads_matches_session() {
+    check_golden(&["try_simulate_program_with_threads"]);
+}
+
+#[test]
+fn ungoverned_simulate_program_matches_default_session() {
+    check_golden(&["simulate_program", "simulate_program_with_threads"]);
 }

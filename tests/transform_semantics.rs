@@ -6,10 +6,15 @@
 use loopmem::core::apply_transform;
 use loopmem::core::SearchMode;
 use loopmem::dep::{analyze, is_legal};
-use loopmem::ir::parse;
+use loopmem::ir::{parse, LoopNest};
 use loopmem::linalg::{IMat, Lcg};
-use loopmem::sim::{count_iterations, simulate};
+use loopmem::sim::{count_iterations, SimResult};
 use loopmem::Session;
+
+/// The nest's exact simulation (default session).
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).unwrap()
+}
 
 /// Random 2×2 unimodular matrices via products of elementary generators
 /// (skews and the signed swap), so every sample is exactly unimodular.
