@@ -122,15 +122,16 @@ check_step() {
     check_case "$c/overflow_coeffs.loop"      1 "LM0009"
     check_case "$c/panicking_program.loop"    1 "LM0005,LM0009"
     check_case "$c/rank_deficient.loop"       1 "LM0002,LM0010"
-    echo "-- differential sanitizer over all kernels --"
+    echo "-- differential sanitizer over all kernels and analyzer goldens --"
     local out
-    out="$(./target/release/loopmem check kernels/*.loop --sanitize --format json)" || true
+    out="$(./target/release/loopmem check kernels/*.loop crates/analyze/tests/golden/*.loop \
+        --sanitize --format json)" || true
     if grep -q '"code":"LM9' <<<"$out"; then
         echo "FAIL: estimator/simulator disagreement (LM9xxx)"
         echo "$out"
         return 1
     fi
-    echo "ok   sanitizer: estimators and simulator agree on every kernel"
+    echo "ok   sanitizer: estimators and simulator agree on every kernel and golden"
     local elapsed=$(( $(date +%s) - start ))
     echo "check step completed in ${elapsed}s"
     if [ "$elapsed" -ge 30 ]; then

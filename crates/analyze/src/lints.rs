@@ -11,7 +11,7 @@
 
 use crate::diag::{Diagnostic, Severity};
 use crate::CheckOptions;
-use loopmem_core::{classify_formulas, FormulaClass};
+use loopmem_core::{classify_formulas, Method};
 use loopmem_dep::cone::{constraining_distances, tileable_row_rank, MAX_CONE_DEPTH};
 use loopmem_dep::uniform::uniform_groups;
 use loopmem_ir::{AccessKind, ArrayId, LoopNest, NestSpans, Span};
@@ -358,55 +358,56 @@ pub fn lint_nest(nest: &LoopNest, spans: &NestSpans, opts: &CheckOptions) -> Vec
     for c in classify_formulas(nest) {
         let span = first_ref_span(nest, spans, c.array);
         let name = &nest.array(c.array).name;
-        match c.class {
-            FormulaClass::NonUniformBounds => {
-                out.push(Diagnostic {
-                    code: "LM0003",
-                    severity: Severity::Warn,
-                    message: format!(
-                        "references to '{name}' are not uniformly generated \
-                         ({} access-matrix groups)",
-                        c.group_count
-                    ),
-                    notes: vec![
-                        "no exact dependence distances exist; the distinct-access count \
-                         degrades to Example-6 value-range bounds (§3.2)"
-                            .into(),
-                    ],
-                    span,
-                    nest: None,
-                });
-            }
-            _ if c.rank < c.depth && c.rank > 0 && !c.kernel.is_empty() => {
-                let mut notes: Vec<String> = c
-                    .kernel
-                    .iter()
-                    .map(|v| format!("reuse flows along null-space vector {}", fmt_vec(v)))
-                    .collect();
-                notes.push(match c.class {
-                    FormulaClass::Nullspace => {
-                        "the §3.2 closed form ΠN_k − Π(N_k − |v_k|) applies exactly".into()
-                    }
-                    FormulaClass::Separable => {
-                        "subscript rows read disjoint variables; the separable product \
-                         is exact"
-                            .into()
-                    }
-                    _ => "outside the §3 closed forms; the estimator enumerates exactly".into(),
-                });
-                out.push(Diagnostic {
-                    code: "LM0002",
-                    severity: Severity::Hint,
-                    message: format!(
-                        "access matrix of '{name}' is rank-deficient (rank {} of depth {})",
-                        c.rank, c.depth
-                    ),
-                    notes,
-                    span,
-                    nest: None,
-                });
-            }
-            _ => {}
+        if c.group_count > 1 {
+            let note = if c.method == Some(Method::NonUniformBounds) {
+                "no exact dependence distances exist; the distinct-access count \
+                 degrades to Example-6 value-range bounds (§3.2)"
+            } else {
+                "no exact dependence distances exist and no §3 closed form applies; \
+                 the exact distinct-access count comes from simulation"
+            };
+            out.push(Diagnostic {
+                code: "LM0003",
+                severity: Severity::Warn,
+                message: format!(
+                    "references to '{name}' are not uniformly generated \
+                     ({} access-matrix groups)",
+                    c.group_count
+                ),
+                notes: vec![note.into()],
+                span,
+                nest: None,
+            });
+        } else if c.rank > 0 && !c.kernel.is_empty() {
+            let mut notes: Vec<String> = c
+                .kernel
+                .iter()
+                .map(|v| format!("reuse flows along null-space vector {}", fmt_vec(v)))
+                .collect();
+            notes.push(match c.method {
+                Some(Method::NullspaceFormula) => {
+                    "the §3.2 closed form ΠN_k − Π(N_k − |v_k|) applies exactly".into()
+                }
+                Some(Method::SeparableProduct) => {
+                    "subscript rows read disjoint variables; the separable product \
+                     is exact"
+                        .into()
+                }
+                _ => "no §3 closed form applies; the exact distinct-access count comes \
+                      from simulation"
+                    .into(),
+            });
+            out.push(Diagnostic {
+                code: "LM0002",
+                severity: Severity::Hint,
+                message: format!(
+                    "access matrix of '{name}' is rank-deficient (rank {} of depth {})",
+                    c.rank, c.depth
+                ),
+                notes,
+                span,
+                nest: None,
+            });
         }
     }
 

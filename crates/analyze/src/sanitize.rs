@@ -3,8 +3,9 @@
 //! For nests small enough to simulate exactly, the §3 closed-form distinct
 //! counts and the analytic MWS bounds from `loopmem-core` are cross-checked
 //! against the dense simulator — the estimator stack becomes its own test
-//! oracle. Any disagreement is an internal-consistency **Error**: either an
-//! estimator, the simulator, or the classification dispatch is wrong.
+//! oracle. Any disagreement is an internal-consistency **Error**: either a
+//! closed form, its case analysis, or the simulator is wrong. Arrays no
+//! closed form covers have no estimate to check.
 //!
 //! What is checked, per array:
 //!
@@ -14,7 +15,9 @@
 //!   references, which over-counts overlap (its Example 3 reports 139
 //!   where the true union is 121) — is skipped, because
 //!   [`loopmem_core::estimate_distinct_exact`] only replaces it when the
-//!   inclusion–exclusion union is available.
+//!   inclusion–exclusion union is available
+//!   ([`loopmem_core::ArrayClassification::closed_form_is_exact`] states
+//!   the rule).
 //! * `LM9003` — a bounds-only estimate (Example-6 non-uniform ranges)
 //!   whose interval does not contain the simulated count.
 //!
@@ -27,7 +30,7 @@
 use crate::diag::{Diagnostic, Severity};
 use crate::lints::first_ref_span;
 use crate::CheckOptions;
-use loopmem_core::{analytic_mws_bounds, estimate_distinct_exact, Method};
+use loopmem_core::{analytic_mws_bounds, classify_formulas, estimate_distinct_exact, Method};
 use loopmem_ir::{LoopNest, NestSpans};
 use loopmem_sim::oracle_simulate;
 
@@ -38,7 +41,7 @@ fn method_name(m: Method) -> &'static str {
         Method::SeparableProduct => "separable product",
         Method::InclusionExclusion => "inclusion-exclusion union",
         Method::NonUniformBounds => "§3.2 non-uniform bounds",
-        Method::Enumerated => "exact enumeration",
+        Method::Enumerated => "simulation",
     }
 }
 
@@ -51,13 +54,16 @@ pub fn sanitize_nest(nest: &LoopNest, spans: &NestSpans, opts: &CheckOptions) ->
     };
     let mut out = Vec::new();
     if sim.iterations > 0 {
+        let approximate: Vec<_> = classify_formulas(nest)
+            .into_iter()
+            .filter(|c| c.method == Some(Method::FullRankFormula) && !c.closed_form_is_exact())
+            .map(|c| c.array)
+            .collect();
         for (array, est) in estimate_distinct_exact(nest) {
             let observed = sim.per_array.get(&array).map_or(0, |s| s.distinct) as i64;
             let name = &nest.array(array).name;
             if est.is_exact() {
-                if est.method == Method::FullRankFormula
-                    && nest.refs().filter(|r| r.array == array).count() > 2
-                {
+                if est.method == Method::FullRankFormula && approximate.contains(&array) {
                     // The documented §3.1 r>2 over-count; not a disagreement.
                     continue;
                 }

@@ -2,11 +2,16 @@
 //! small nests, the §3 closed-form estimators, the analytic MWS bounds,
 //! and the dense simulator must never disagree — zero `LM9xxx`
 //! diagnostics. A disagreement here is an estimator bug, not a property of
-//! the input.
+//! the input. The same nests, plus the kernel, robustness and golden
+//! corpora, also pin that the analyzer's classification, the estimates
+//! and the symbolic formulas report one case analysis.
 
 use loopmem_analyze::{check_source, CheckOptions};
+use loopmem_core::{classify_formulas, distinct_formulas, estimate_distinct, Method};
+use loopmem_ir::parse_program;
 use loopmem_linalg::Lcg;
 use std::fmt::Write as _;
+use std::path::Path;
 
 const CASES: usize = 220;
 
@@ -98,4 +103,49 @@ fn sanitizer_never_disagrees_on_random_nests() {
         sanitized += 1;
     }
     assert_eq!(sanitized, CASES);
+}
+
+/// The classification, the numeric estimates and the symbolic formulas
+/// read one case analysis, so they agree on every array of the kernels,
+/// the robustness and golden corpora, and the seeded nests: the
+/// classified method is the estimate's (absent means none), and a formula
+/// exists exactly for the §3.1 and §3.2 forms.
+#[test]
+fn classification_estimates_and_formulas_agree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut sources = Vec::new();
+    for dir in ["kernels", "tests/robustness", "crates/analyze/tests/golden"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|x| x == "loop") {
+                sources.push(std::fs::read_to_string(path).unwrap());
+            }
+        }
+    }
+    assert!(sources.len() >= 25, "corpus went missing");
+    let mut rng = Lcg::new(0x0100_5ea1_d1ff);
+    sources.extend((0..CASES).map(|_| random_source(&mut rng)));
+    for src in &sources {
+        // Inputs that do not parse or overflow i64 (LM0009) are out of scope.
+        match check_source(src, &CheckOptions::default()) {
+            Ok(r) if !r.diagnostics.iter().any(|d| d.code == "LM0009") => {}
+            _ => continue,
+        }
+        for nest in parse_program(src).unwrap().nests() {
+            let estimates = estimate_distinct(nest);
+            let formulas = distinct_formulas(nest);
+            let classes = classify_formulas(nest);
+            for c in &classes {
+                let method = estimates.get(&c.array).map(|e| e.method);
+                let symbolic = matches!(
+                    method,
+                    Some(Method::FullRankFormula | Method::NullspaceFormula)
+                );
+                assert_eq!(c.method, method, "{src}");
+                assert_eq!(formulas.contains_key(&c.array), symbolic, "{src}");
+            }
+            let classified = classes.iter().filter(|c| c.method.is_some()).count();
+            assert_eq!(estimates.len(), classified, "{src}");
+        }
+    }
 }

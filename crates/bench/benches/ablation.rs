@@ -10,7 +10,7 @@
 
 mod util;
 
-use loopmem_core::{branch_and_bound, two_level_objective};
+use loopmem_core::{try_branch_and_bound, two_level_objective};
 use loopmem_core::{SearchMode, Session};
 use loopmem_dep::legality::row_tileable;
 use loopmem_dep::{analyze, DependenceSet};
@@ -46,10 +46,11 @@ fn exhaustive(alpha: (i64, i64), deps: &DependenceSet, bound: i64) -> Option<Rat
 
 fn main() {
     let deps = example8_deps();
+    let unlimited = loopmem_sim::AnalysisBudget::unlimited();
     println!("== leading-row search: branch & bound vs exhaustive ==");
     for bound in [4i64, 8, 16, 32, 64] {
         bench(&format!("branch_and_bound/{bound}"), || {
-            branch_and_bound((2, 5), &deps, (25, 10), bound)
+            try_branch_and_bound((2, 5), &deps, (25, 10), bound, &unlimited)
         });
         bench(&format!("exhaustive/{bound}"), || {
             exhaustive((2, 5), &deps, bound)

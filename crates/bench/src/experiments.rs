@@ -445,8 +445,8 @@ pub struct AccuracyRow {
     pub estimate_exact: i64,
     /// Exact distinct accesses (simulator).
     pub exact: u64,
-    /// `true` when every per-array estimate was a closed form (no
-    /// enumeration fallback).
+    /// `true` when every per-array estimate was a closed form (none took
+    /// the simulation's exact count).
     pub all_closed_form: bool,
 }
 
@@ -457,9 +457,12 @@ pub fn accuracy_table() -> Vec<AccuracyRow> {
         .map(|k| {
             let nest = k.nest();
             let m = analyze_memory(&nest).expect("kernel simulates");
-            let improved: i64 = loopmem_core::estimate_distinct_exact(&nest)
-                .values()
-                .map(|e| e.upper)
+            // Arrays no closed form covers keep the simulation's count.
+            let exact_forms = loopmem_core::estimate_distinct_exact(&nest);
+            let improved: i64 = m
+                .distinct
+                .iter()
+                .map(|(id, e)| exact_forms.get(id).unwrap_or(e).upper)
                 .sum();
             let all_closed_form = m
                 .distinct

@@ -91,30 +91,13 @@ impl Box2 {
 }
 
 /// Minimizes the §4.2 objective over coprime, tiling-legal leading rows
-/// with `|a|, |b| ≤ bound`. Returns `None` when no feasible row exists
+/// with `|a|, |b| ≤ bound`. Returns `Ok(None)` when no feasible row exists
 /// (then not even `(1, 0)` is tileable, which cannot happen for distance
 /// vectors of a sequentially valid loop).
 ///
-/// # Panics
-///
-/// Panics if `bound <= 0` or extents are not positive.
-pub fn branch_and_bound(
-    alpha: (i64, i64),
-    deps: &DependenceSet,
-    extents: (i64, i64),
-    bound: i64,
-) -> Option<BnbResult> {
-    assert!(bound > 0, "search bound must be positive");
-    assert!(extents.0 > 0 && extents.1 > 0, "extents must be positive");
-    let tracker = BudgetTracker::unlimited();
-    bnb_impl(alpha, deps, extents, bound, &tracker)
-        .unwrap_or_else(|_| unreachable!("unlimited budget tripped"))
-}
-
-/// Governed [`branch_and_bound`]: never panics and charges one search node
-/// per box examined against `budget`
-/// ([`AnalysisBudget::with_max_search_nodes`] and the deadline both
-/// apply). Invalid arguments report [`AnalysisError::Invalid`] instead of
+/// Never panics and charges one search node per box examined against
+/// `budget` ([`AnalysisBudget::with_max_search_nodes`] and the deadline
+/// both apply). Invalid arguments report [`AnalysisError::Invalid`] instead of
 /// panicking. On a trip the `Exhausted` payload bounds the *objective*
 /// (not an MWS): the best feasible value seen so far bounds it from above
 /// (rounded up; `u64::MAX` when none was reached), zero always bounds it
@@ -323,7 +306,6 @@ fn bnb_impl(
             phase: Phase::Search,
             nest: None,
             ord: (0, 1),
-            thread: 0,
             kind: EventKind::ConePrune {
                 boxes: cone_pruned,
                 explored,
@@ -411,6 +393,17 @@ mod tests {
     use loopmem_dep::analyze;
     use loopmem_ir::parse;
 
+    /// The search under an unlimited budget.
+    fn unlimited_bnb(
+        alpha: (i64, i64),
+        deps: &DependenceSet,
+        extents: (i64, i64),
+        bound: i64,
+    ) -> Option<BnbResult> {
+        try_branch_and_bound(alpha, deps, extents, bound, &AnalysisBudget::unlimited())
+            .expect("an unlimited budget never trips")
+    }
+
     fn example8_deps() -> DependenceSet {
         analyze(
             &parse(
@@ -446,7 +439,7 @@ mod tests {
     #[test]
     fn example8_optimum_is_22_at_2_3() {
         let deps = example8_deps();
-        let r = branch_and_bound((2, 5), &deps, (25, 10), 6).unwrap();
+        let r = unlimited_bnb((2, 5), &deps, (25, 10), 6).unwrap();
         assert_eq!(r.objective, Rational::from(22), "the paper's value");
         assert_eq!(r.row, (2, 3), "the paper's optimal leading row");
         assert!(r.nodes_pruned > 0, "bounding must actually prune");
@@ -456,7 +449,7 @@ mod tests {
     fn agrees_with_exhaustive_scan() {
         let deps = example8_deps();
         for bound in [2i64, 4, 6, 8] {
-            let bnb = branch_and_bound((2, 5), &deps, (25, 10), bound).unwrap();
+            let bnb = unlimited_bnb((2, 5), &deps, (25, 10), bound).unwrap();
             let (_, obj) = exhaustive((2, 5), &deps, (25, 10), bound).unwrap();
             assert_eq!(bnb.objective, obj, "bound {bound}");
         }
@@ -469,7 +462,7 @@ mod tests {
         let nest =
             parse("array X[100]\nfor i = 1 to 20 { for j = 1 to 30 { X[2i - 3j]; } }").unwrap();
         let deps = analyze(&nest);
-        let r = branch_and_bound((2, -3), &deps, (20, 30), 4).unwrap();
+        let r = unlimited_bnb((2, -3), &deps, (20, 30), 4).unwrap();
         assert_eq!(r.objective, Rational::ONE);
         let (_, obj) = exhaustive((2, -3), &deps, (20, 30), 4).unwrap();
         assert_eq!(obj, Rational::ONE);
@@ -479,7 +472,7 @@ mod tests {
     fn agrees_across_random_alphas() {
         let deps = example8_deps();
         for alpha in [(1i64, 3i64), (3, 1), (1, -2), (4, 7), (0, 1), (1, 0)] {
-            let bnb = branch_and_bound(alpha, &deps, (25, 10), 5).unwrap();
+            let bnb = unlimited_bnb(alpha, &deps, (25, 10), 5).unwrap();
             let (_, obj) = exhaustive(alpha, &deps, (25, 10), 5).unwrap();
             assert_eq!(bnb.objective, obj, "alpha {alpha:?}");
         }
@@ -488,7 +481,7 @@ mod tests {
     #[test]
     fn pruning_is_effective() {
         let deps = example8_deps();
-        let r = branch_and_bound((2, 5), &deps, (25, 10), 16).unwrap();
+        let r = unlimited_bnb((2, 5), &deps, (25, 10), 16).unwrap();
         // The full box has (2*16+1)^2 = 1089 points; with interior-node
         // overhead a no-prune search would explore ~2x that.
         assert!(
@@ -517,7 +510,7 @@ mod tests {
         .unwrap();
         let deps = analyze(&nest);
         let bound = 8;
-        let r = branch_and_bound((1, 2), &deps, (98, 81), bound).unwrap();
+        let r = unlimited_bnb((1, 2), &deps, (98, 81), bound).unwrap();
         assert!(r.cone_pruned > 0, "certificate must fire: {r:?}");
         assert!(r.cone_pruned <= r.nodes_pruned);
         let (row, obj) = exhaustive((1, 2), &deps, (98, 81), bound).unwrap();
@@ -532,7 +525,7 @@ mod tests {
         // Example 8's cone is full-rank, so the certificate must stay
         // inert and the node counts must match the pre-certificate search.
         let deps = example8_deps();
-        let r = branch_and_bound((2, 5), &deps, (25, 10), 6).unwrap();
+        let r = unlimited_bnb((2, 5), &deps, (25, 10), 6).unwrap();
         assert_eq!(r.cone_pruned, 0);
     }
 
@@ -567,7 +560,7 @@ mod tests {
                 let deps = analyze(nest);
                 for alpha in [(1i64, 0i64), (0, 1), (2, 5), (1, -2), (3, 1)] {
                     for bound in [3i64, 5] {
-                        let bnb = branch_and_bound(alpha, &deps, extents, bound);
+                        let bnb = unlimited_bnb(alpha, &deps, extents, bound);
                         let ex = exhaustive(alpha, &deps, extents, bound);
                         match (&bnb, &ex) {
                             (Some(r), Some((_, obj))) => assert_eq!(

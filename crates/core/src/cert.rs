@@ -224,7 +224,6 @@ pub fn trace_certificates(sink: &Arc<dyn TraceSink>, certs: &[Certificate]) {
                 phase: Phase::Verify,
                 nest: None,
                 ord: (i as u64, 0),
-                thread: 0,
                 kind: EventKind::Certificate { kind: c.kind() },
             })
             .collect(),
@@ -269,7 +268,15 @@ mod tests {
         )
         .unwrap();
         let deps = loopmem_dep::analyze(&nest);
-        let r = crate::bnb::branch_and_bound((1, 2), &deps, (98, 81), 8).unwrap();
+        let r = crate::bnb::try_branch_and_bound(
+            (1, 2),
+            &deps,
+            (98, 81),
+            8,
+            &loopmem_sim::AnalysisBudget::unlimited(),
+        )
+        .unwrap()
+        .unwrap();
         let cert = certify_bnb(0, 8, &r).expect("rank-1 cone must certify its prunes");
         let program = loopmem_ir::Program::new(vec![nest]).unwrap();
         assert_eq!(check_certificates(&program, &[cert]), vec![]);

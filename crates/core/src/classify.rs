@@ -1,43 +1,15 @@
 //! Static classification of which §3 estimator applies to each array.
 //!
-//! [`crate::estimate_distinct`] *runs* an estimate (falling back to exact
-//! enumeration, whose cost grows with the iteration count). This module
-//! answers the cheaper, purely structural question the static analyzer
-//! asks first: *which* formula would apply, and what reuse structure makes
-//! it apply — without enumerating anything. The classification mirrors the
-//! dispatch in `estimate_impl` exactly, so `loopmem check` can explain a
+//! The static analyzer asks which closed form applies to each array and
+//! what reuse structure makes it apply, so `loopmem check` can explain a
 //! nest's analysis path (and the sanitizer can skip knowingly-approximate
-//! paths) in time polynomial in the nest description.
+//! forms). The answer is read straight off the case analysis behind
+//! [`crate::estimate_distinct`], so the two cannot disagree; like the
+//! estimators it costs time polynomial in the nest description and never
+//! enumerates iterations.
 
-use loopmem_dep::uniform::{uniform_groups, UniformGroup};
+use crate::distinct::{cases, Method};
 use loopmem_ir::{ArrayId, LoopNest};
-use loopmem_linalg::integer_nullspace;
-
-/// Which distinct-access estimation path applies to one array (§3).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FormulaClass {
-    /// §3.1: access matrix has full rank `d = n`; the closed form
-    /// `r·ΠN_k − Σ reuse` applies (exact for `r ≤ 2`, the paper's
-    /// over-counting approximation for `r > 2`).
-    FullRank,
-    /// §3.2: rank `n − 1` with a one-dimensional integer null space;
-    /// reuse flows along the stored primitive null-space vector and
-    /// `A_d = ΠN_k − Π(N_k − |v_k|)` is exact.
-    Nullspace,
-    /// Our separable-product extension: kernel dimension ≥ 2 but the
-    /// subscript rows read pairwise-disjoint loop variables, so the count
-    /// is an exact product of per-row counts.
-    Separable,
-    /// §3.2 / Example 6: references are not uniformly generated; only
-    /// value-range *bounds* exist, no exact closed form.
-    NonUniformBounds,
-    /// Outside every closed form (multi-offset rank-deficient groups,
-    /// entangled kernels): the estimator would enumerate exactly.
-    Enumerated,
-    /// The nest is not rectangular (e.g. post-transformation triangular
-    /// bounds); every estimate enumerates.
-    NonRectangular,
-}
 
 /// Structural facts about one array's reference set, enough for the
 /// analyzer to explain (and the sanitizer to trust or skip) the estimate.
@@ -45,8 +17,10 @@ pub enum FormulaClass {
 pub struct ArrayClassification {
     /// Which array.
     pub array: ArrayId,
-    /// Which estimation path applies.
-    pub class: FormulaClass,
+    /// The closed form [`crate::estimate_distinct`] applies at this nest's
+    /// extents; `None` when none applies and the exact count comes from
+    /// simulation.
+    pub method: Option<Method>,
     /// Rank of the (first group's) access matrix.
     pub rank: usize,
     /// Nest depth `n` (the rank ceiling).
@@ -61,13 +35,15 @@ pub struct ArrayClassification {
 }
 
 impl ArrayClassification {
-    /// `true` when the §3 closed form for this array is exact (never
-    /// over-counts): single full-rank reference, any `r ≤ 2` full-rank
-    /// group, the null-space form, or the separable product.
+    /// `true` when the closed form for this array is exact (never
+    /// over-counts): the §3.1 formula with `r ≤ 2` references, the
+    /// null-space form, or the separable product. The §3.1 formula with
+    /// `r > 2` references over-counts overlap (Example 3: 139 against a
+    /// true 121), and bounds are not exact.
     pub fn closed_form_is_exact(&self) -> bool {
-        match self.class {
-            FormulaClass::FullRank => self.ref_count <= 2,
-            FormulaClass::Nullspace | FormulaClass::Separable => true,
+        match self.method {
+            Some(Method::FullRankFormula) => self.ref_count <= 2,
+            Some(Method::NullspaceFormula | Method::SeparableProduct) => true,
             _ => false,
         }
     }
@@ -77,72 +53,24 @@ impl ArrayClassification {
 /// arrays are omitted, as in [`crate::estimate_distinct`]). Deterministic
 /// and polynomial in the nest description; never enumerates iterations.
 pub fn classify_formulas(nest: &LoopNest) -> Vec<ArrayClassification> {
-    let rect = nest.rectangular_ranges();
-    let groups = uniform_groups(nest);
-    let mut out = Vec::new();
-    for (a, _) in nest.arrays().iter().enumerate() {
-        let id = ArrayId(a);
-        let my: Vec<&UniformGroup> = groups.iter().filter(|g| g.array == id).collect();
-        let Some(first) = my.first() else {
-            continue; // never referenced
-        };
-        let rank = first.matrix.rank();
-        let kernel = if my.len() == 1 {
-            integer_nullspace(&first.matrix)
-        } else {
-            Vec::new()
-        };
-        let ref_count = my.iter().map(|g| g.len()).sum();
-        let class = if rect.is_none() {
-            FormulaClass::NonRectangular
-        } else if my.len() > 1 {
-            FormulaClass::NonUniformBounds
-        } else {
-            classify_single_group(first, nest.depth(), &kernel)
-        };
-        out.push(ArrayClassification {
-            array: id,
-            class,
-            rank,
+    cases(nest, false)
+        .into_iter()
+        .map(|c| ArrayClassification {
+            array: c.array,
+            method: c.estimate.map(|e| e.method),
+            rank: c.rank,
             depth: nest.depth(),
-            kernel,
-            group_count: my.len(),
-            ref_count,
-        });
-    }
-    out
-}
-
-/// Mirrors `estimate_single_group`'s dispatch without running it.
-fn classify_single_group(g: &UniformGroup, depth: usize, kernel: &[Vec<i64>]) -> FormulaClass {
-    if g.matrix.rank() == depth {
-        return FormulaClass::FullRank;
-    }
-    let mut offsets: Vec<&Vec<i64>> = g.members.iter().map(|(_, o, _)| o).collect();
-    offsets.sort();
-    offsets.dedup();
-    if offsets.len() > 1 {
-        return FormulaClass::Enumerated;
-    }
-    if kernel.len() == 1 {
-        return FormulaClass::Nullspace;
-    }
-    // Kernel dimension ≥ 2: separable iff no loop variable feeds two
-    // subscript rows (the `separable_product` precondition).
-    let d = g.matrix.nrows();
-    let n = g.matrix.ncols();
-    let disjoint = (0..n).all(|col| (0..d).filter(|&row| g.matrix[(row, col)] != 0).count() <= 1);
-    if disjoint {
-        FormulaClass::Separable
-    } else {
-        FormulaClass::Enumerated
-    }
+            kernel: c.kernel,
+            group_count: c.group_count,
+            ref_count: c.ref_count,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distinct::{estimate_distinct, Method};
+    use crate::distinct::estimate_distinct;
     use loopmem_ir::parse;
 
     fn class_of(src: &str) -> ArrayClassification {
@@ -157,7 +85,7 @@ mod tests {
         let c = class_of(
             "array A[30][30]\nfor i = 1 to 25 { for j = 1 to 20 { A[i][j] = A[i-1][j+2]; } }",
         );
-        assert_eq!(c.class, FormulaClass::FullRank);
+        assert_eq!(c.method, Some(Method::FullRankFormula));
         assert_eq!((c.rank, c.depth, c.ref_count), (2, 2, 2));
         assert!(c.kernel.is_empty());
         assert!(c.closed_form_is_exact());
@@ -166,7 +94,7 @@ mod tests {
     #[test]
     fn example4_nullspace_vector_is_named() {
         let c = class_of("array A[111]\nfor i = 1 to 20 { for j = 1 to 10 { A[2i + 5j + 1]; } }");
-        assert_eq!(c.class, FormulaClass::Nullspace);
+        assert_eq!(c.method, Some(Method::NullspaceFormula));
         assert_eq!(c.kernel, vec![vec![5, -2]]);
         assert!(c.closed_form_is_exact());
     }
@@ -176,7 +104,7 @@ mod tests {
         let c = class_of(
             "array A[200]\nfor i = 1 to 20 { for j = 1 to 20 { A[3i + 7j - 10] = A[4i - 3j + 60]; } }",
         );
-        assert_eq!(c.class, FormulaClass::NonUniformBounds);
+        assert_eq!(c.method, Some(Method::NonUniformBounds));
         assert_eq!(c.group_count, 2);
         assert!(!c.closed_form_is_exact());
     }
@@ -188,47 +116,46 @@ mod tests {
             "array A[11][11]\nfor i = 1 to 10 { for j = 1 to 10 {\n\
              A[i][j] = A[i-1][j] + A[i][j-1] + A[i-1][j-1];\n} }",
         );
-        assert_eq!(c.class, FormulaClass::FullRank);
+        assert_eq!(c.method, Some(Method::FullRankFormula));
         assert_eq!(c.ref_count, 4); // write + three reads
         assert!(!c.closed_form_is_exact());
     }
 
     #[test]
     fn classification_matches_estimator_method() {
-        // The classes must mirror what estimate_distinct actually does.
+        // The classification reports what estimate_distinct does.
         let cases = [
             (
                 "array A[10][20]\nfor i = 1 to 10 { for j = 1 to 20 { A[i][j]; } }",
-                Method::FullRankFormula,
-                FormulaClass::FullRank,
+                Some(Method::FullRankFormula),
             ),
             (
                 "array A[61][51]\nfor i = 1 to 10 { for j = 1 to 20 { for k = 1 to 30 { A[3i + k][j + k]; } } }",
-                Method::NullspaceFormula,
-                FormulaClass::Nullspace,
+                Some(Method::NullspaceFormula),
             ),
             (
                 "array R[40][40]\nfor cy = 1 to 3 { for cx = 1 to 3 { for py = 1 to 16 { for px = 1 to 16 {\nR[8*cy + py][8*cx + px];\n} } } }",
-                Method::SeparableProduct,
-                FormulaClass::Separable,
+                Some(Method::SeparableProduct),
+            ),
+            (
+                "array R[40][40]\nfor cy = 1 to 3 { for cx = 1 to 3 { for py = 1 to 4 { for px = 1 to 4 {\nR[8*cy + py][8*cx + px];\n} } } }",
+                None,
             ),
             (
                 "array X[200]\nfor i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }",
-                Method::Enumerated,
-                FormulaClass::Enumerated,
+                None,
             ),
             (
                 "array A[10][10]\nfor i = 1 to 10 { for j = i to 10 { A[i][j]; } }",
-                Method::Enumerated,
-                FormulaClass::NonRectangular,
+                None,
             ),
         ];
-        for (src, method, class) in cases {
+        for (src, method) in cases {
             let nest = parse(src).unwrap();
             let est = estimate_distinct(&nest);
             let c = classify_formulas(&nest).into_iter().next().unwrap();
-            assert_eq!(est[&c.array].method, method, "{src}");
-            assert_eq!(c.class, class, "{src}");
+            assert_eq!(est.get(&c.array).map(|e| e.method), method, "{src}");
+            assert_eq!(c.method, method, "{src}");
         }
     }
 

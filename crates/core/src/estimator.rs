@@ -1,6 +1,6 @@
 //! One-call memory analysis: the numbers behind Figure 2's columns.
 
-use crate::distinct::{estimate_distinct, DistinctEstimate};
+use crate::distinct::{estimate_distinct, DistinctEstimate, Method};
 use crate::Session;
 use loopmem_ir::{AnalysisError, ArrayId, LoopNest};
 use std::collections::HashMap;
@@ -10,7 +10,9 @@ use std::collections::HashMap;
 pub struct MemoryAnalysis {
     /// Declared elements over all arrays — Figure 2's *default* column.
     pub default_words: i64,
-    /// Estimated distinct accesses per array (§3 formulas or bounds).
+    /// Distinct accesses per referenced array: the §3 closed form or
+    /// bounds where one applies, else the simulation's exact count
+    /// ([`Method::Enumerated`]).
     pub distinct: HashMap<ArrayId, DistinctEstimate>,
     /// Exact per-array MWS from the simulator.
     pub mws_per_array: HashMap<ArrayId, u64>,
@@ -38,8 +40,9 @@ impl MemoryAnalysis {
 }
 
 /// Runs both the closed-form estimators and the exact simulator (a
-/// default [`Session`]) on a nest; fails with the simulation's typed
-/// error (subscript overflow, a contained panic).
+/// default [`Session`]) on a nest; arrays no closed form covers take the
+/// simulation's exact count. Fails with the simulation's typed error
+/// (subscript overflow, a contained panic).
 ///
 /// ```
 /// let nest = loopmem_ir::parse(r#"
@@ -52,8 +55,14 @@ impl MemoryAnalysis {
 /// assert_eq!(m.distinct[&loopmem_ir::ArrayId(0)].value(), Some(80));
 /// ```
 pub fn analyze_memory(nest: &LoopNest) -> Result<MemoryAnalysis, AnalysisError> {
-    let distinct = estimate_distinct(nest);
     let sim = Session::new().simulate(nest)?;
+    let mut distinct = estimate_distinct(nest);
+    for r in nest.refs() {
+        distinct.entry(r.array).or_insert_with(|| {
+            let exact = sim.per_array.get(&r.array).map_or(0, |s| s.distinct);
+            DistinctEstimate::exact(exact as i64, Method::Enumerated)
+        });
+    }
     Ok(MemoryAnalysis {
         default_words: nest.default_memory(),
         distinct,
@@ -70,22 +79,22 @@ mod tests {
 
     #[test]
     fn estimates_match_simulator_when_exact() {
-        // Every §3 "exact" case must agree with the trace.
+        // Every closed form the classification calls exact must agree
+        // with the trace.
         for src in [
             "array A[30][30]\nfor i = 1 to 25 { for j = 1 to 20 { A[i][j] = A[i-1][j+2]; } }",
             "array A[111]\nfor i = 1 to 20 { for j = 1 to 10 { A[2i + 5j + 1]; } }",
             "array A[61][51]\nfor i = 1 to 10 { for j = 1 to 20 { for k = 1 to 30 { A[3i + k][j + k]; } } }",
+            "array A[11][11]\nfor i = 1 to 10 { for j = 1 to 10 { A[i][j] = A[i-1][j] + A[i][j-1]; } }",
         ] {
             let nest = parse(src).unwrap();
             let m = analyze_memory(&nest).unwrap();
-            for (id, est) in &m.distinct {
-                if let Some(v) = est.value() {
-                    let exact = loopmem_poly::count::distinct_accesses_for(&nest, *id) as i64;
-                    if est.method != crate::distinct::Method::FullRankFormula
-                        || nest.refs().count() <= 2
-                    {
-                        assert_eq!(v, exact, "estimate vs trace for {src}");
-                    }
+            for c in crate::classify_formulas(&nest) {
+                let est = m.distinct[&c.array];
+                assert_eq!(Some(est.method), c.method, "{src}");
+                if c.closed_form_is_exact() {
+                    let exact = loopmem_poly::count::distinct_accesses_for(&nest, c.array) as i64;
+                    assert_eq!(est.value(), Some(exact), "estimate vs trace for {src}");
                 }
             }
             assert!(m.mws_exact <= m.distinct_exact_total);

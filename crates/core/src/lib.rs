@@ -71,16 +71,15 @@ pub mod tile;
 pub mod transform;
 pub mod union_count;
 
-pub use bnb::{branch_and_bound, try_branch_and_bound, BnbResult};
+pub use bnb::{try_branch_and_bound, BnbResult};
 pub use cert::{
     certify_bnb, certify_bounds, certify_degraded, certify_fusion, certify_governed_scratchpad,
     certify_optimization, certify_sizing, trace_certificates,
 };
 pub use chaos::{chaos_program, chaos_source, ChaosReport};
-pub use classify::{classify_formulas, ArrayClassification, FormulaClass};
+pub use classify::{classify_formulas, ArrayClassification};
 pub use distinct::{
-    analytic_mws_bounds, estimate_distinct, estimate_distinct_closed_form, estimate_distinct_exact,
-    DistinctEstimate, Method,
+    analytic_mws_bounds, estimate_distinct, estimate_distinct_exact, DistinctEstimate, Method,
 };
 pub use estimator::{analyze_memory, MemoryAnalysis};
 pub use fusion::{fuse, FusionError};

@@ -158,9 +158,10 @@ pub(crate) fn lex_delay(d: &[i64], extents: &[i64]) -> i64 {
 /// formula for 3-deep rank-deficient groups, and the lexicographic-delay
 /// bound for everything else. Returns `None` for non-rectangular nests.
 ///
-/// This is the cheap counterpart of `loopmem_sim::simulate(..).mws_total`
-/// — an upper estimate in the paper's dense-reuse regime, used for quick
-/// sizing and by the optimizer's candidate ranking.
+/// This is the cheap counterpart of the simulated `mws_total` — an
+/// estimate, not a bound (it can fall below the exact MWS, e.g. on
+/// `rasta_flt` or a transpose), used for quick sizing and by the
+/// optimizer's candidate ranking.
 pub fn estimate_nest_mws(nest: &loopmem_ir::LoopNest) -> Option<i64> {
     use loopmem_dep::uniform::uniform_groups;
     use loopmem_linalg::integer_nullspace;

@@ -19,11 +19,14 @@ use crate::distinct::{DistinctEstimate, Method};
 use loopmem_dep::uniform::UniformGroup;
 use loopmem_linalg::gcd::gcd_slice;
 
-/// Value range `(min, max)` of `Σ p_k x_k + c` over the box `ranges`.
-fn value_range(coeffs: &[i64], constant: i64, ranges: &[(i64, i64)]) -> (i64, i64) {
-    let mut lo = constant;
-    let mut hi = constant;
+/// Value range `(min, max)` of `Σ p_k x_k + c` over the box `ranges`, or
+/// `None` when it leaves `±2⁶¹`, where the spans and gap counts built from
+/// it could overflow `i64`.
+fn value_range(coeffs: &[i64], constant: i64, ranges: &[(i64, i64)]) -> Option<(i64, i64)> {
+    let mut lo = i128::from(constant);
+    let mut hi = lo;
     for (&p, &(a, b)) in coeffs.iter().zip(ranges) {
+        let (p, a, b) = (i128::from(p), i128::from(a), i128::from(b));
         if p >= 0 {
             lo += p * a;
             hi += p * b;
@@ -32,14 +35,16 @@ fn value_range(coeffs: &[i64], constant: i64, ranges: &[(i64, i64)]) -> (i64, i6
             hi += p * a;
         }
     }
-    (lo, hi)
+    let limit = 1i128 << 61;
+    (-limit <= lo && hi <= limit).then_some((lo as i64, hi as i64))
 }
 
 /// Exact distinct-value count of one affine function over a box, valid
 /// when every extent exceeds the magnitude of the complementary
 /// coefficient (the regime of all the paper's kernels). Returns `None`
 /// when the closed form does not apply (more than two non-zero
-/// coefficients with gaps, degenerate boxes, or extents too small).
+/// coefficients with gaps, degenerate boxes, extents too small, or values
+/// too large for exact `i64` arithmetic).
 pub fn single_function_count(coeffs: &[i64], ranges: &[(i64, i64)]) -> Option<i64> {
     let g = gcd_slice(coeffs);
     if g == 0 {
@@ -47,7 +52,7 @@ pub fn single_function_count(coeffs: &[i64], ranges: &[(i64, i64)]) -> Option<i6
     }
     // Distinct values are invariant under dividing by the content.
     let reduced: Vec<i64> = coeffs.iter().map(|&p| p / g).collect();
-    let (lo, hi) = value_range(&reduced, 0, ranges);
+    let (lo, hi) = value_range(&reduced, 0, ranges)?;
     let span = hi - lo;
     let nz: Vec<(i64, i64)> = reduced
         .iter()
@@ -78,23 +83,20 @@ pub fn single_function_count(coeffs: &[i64], ranges: &[(i64, i64)]) -> Option<i6
 }
 
 /// §3.2 bounds for several uniformly generated groups referencing the same
-/// one-dimensional array. Returns `None` when any group is
-/// multi-dimensional or a closed form is unavailable — callers then
-/// enumerate.
-pub fn estimate_groups(
+/// array through one-dimensional subscripts (the caller checks that).
+/// Returns `None` when a single-function count is unavailable at these
+/// extents.
+pub(crate) fn estimate_groups(
     groups: &[&UniformGroup],
     ranges: &[(i64, i64)],
 ) -> Option<DistinctEstimate> {
-    if groups.iter().any(|g| g.matrix.nrows() != 1) {
-        return None;
-    }
     let mut union_lo = i64::MAX;
     let mut union_hi = i64::MIN;
     let mut best_single = 0i64;
     for g in groups {
         let coeffs = g.matrix.row(0);
         for (_, offset, _) in &g.members {
-            let (lo, hi) = value_range(coeffs, offset[0], ranges);
+            let (lo, hi) = value_range(coeffs, offset[0], ranges)?;
             union_lo = union_lo.min(lo);
             union_hi = union_hi.max(hi);
         }
@@ -195,13 +197,20 @@ mod tests {
 
     #[test]
     fn multidimensional_groups_are_rejected() {
+        // Example-6 bounds need one-dimensional subscripts: a transpose's
+        // two groups get no estimate.
         let nest = parse(
             "array A[10][10]\n\
              for i = 1 to 10 { for j = 1 to 10 { A[i][j] = A[j][i]; } }",
         )
         .unwrap();
-        let groups = uniform_groups(&nest);
-        let refs: Vec<&UniformGroup> = groups.iter().collect();
-        assert!(estimate_groups(&refs, &[(1, 10), (1, 10)]).is_none());
+        assert!(crate::estimate_distinct(&nest).is_empty());
+    }
+
+    #[test]
+    fn values_beyond_exact_arithmetic_refuse_closed_form() {
+        let near_max = (1i64 << 62, (1i64 << 62) + 9);
+        assert_eq!(single_function_count(&[1, 2], &[near_max, (1, 9)]), None);
+        assert_eq!(single_function_count(&[1, 2], &[(1, 9), (1, 9)]), Some(25));
     }
 }

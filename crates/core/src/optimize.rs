@@ -247,14 +247,12 @@ fn try_minimize_impl(
                 phase: Phase::Search,
                 nest: None,
                 ord: (0, 0),
-                thread: 0,
                 kind: EventKind::SpanBegin { label: "search" },
             },
             TraceEvent {
                 phase: Phase::Search,
                 nest: None,
                 ord: (u64::MAX, 0),
-                thread: 0,
                 kind: EventKind::SpanEnd {
                     label: "search",
                     micros,

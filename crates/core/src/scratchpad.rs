@@ -219,7 +219,6 @@ fn sizing_span_begin() -> TraceEvent {
         phase: Phase::Sizing,
         nest: None,
         ord: (0, 0),
-        thread: 0,
         kind: EventKind::SpanBegin { label: "sizing" },
     }
 }
@@ -229,7 +228,6 @@ fn sizing_span_end(micros: u64, charged: u64) -> TraceEvent {
         phase: Phase::Sizing,
         nest: None,
         ord: (u64::MAX, 0),
-        thread: 0,
         kind: EventKind::SpanEnd {
             label: "sizing",
             micros,
@@ -248,7 +246,6 @@ fn sizing_term_events(terms: impl Iterator<Item = Option<NestTerm>>) -> Vec<Trac
                 phase: Phase::Sizing,
                 nest: Some(k as u32),
                 ord: (1 + k as u64, 0),
-                thread: 0,
                 kind: EventKind::SizingTerm {
                     mws: term.mws,
                     live_through: term.live_through,
@@ -267,7 +264,6 @@ pub(crate) fn fusion_step_events(steps: &[FusionStep]) -> Vec<TraceEvent> {
             phase: Phase::Sizing,
             nest: None,
             ord: (FUSION_ORD_BASE + i as u64, 0),
-            thread: 0,
             kind: EventKind::FusionStep {
                 at: s.at as u64,
                 before: s.words_before,

@@ -5,7 +5,7 @@
 //! an embedded designer sizes memory before freezing the problem size.
 //! This module re-derives those formulas *symbolically*: a small exact
 //! multivariate polynomial type over named parameters, plus generators
-//! that run the same §3/§4.3 case analysis as the numeric estimators but
+//! that read the same §3 case analysis as the numeric estimators but
 //! keep the extents `N₁ … N_n` as variables.
 //!
 //! Dependence distances and reuse vectors never depend on the extents
@@ -13,10 +13,8 @@
 //! numeric paths share them; property tests pin
 //! `formula.eval(sizes) == numeric(sizes)` across random sizes.
 
-use crate::distinct::Method;
-use loopmem_dep::uniform::uniform_groups;
+use crate::distinct::{cases, Method};
 use loopmem_ir::{ArrayId, LoopNest};
-use loopmem_linalg::integer_nullspace;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
@@ -236,95 +234,32 @@ pub struct SymbolicEstimate {
     pub method: Method,
 }
 
-/// Derives symbolic distinct-access formulas for every array the §3 closed
-/// forms cover (full-rank, null-space, and separable cases whose per-row
-/// counts are polynomial). Arrays needing enumeration or bounds are
-/// omitted — there is no closed form to print.
+/// Derives symbolic distinct-access formulas for every array whose
+/// estimate ([`crate::estimate_distinct`]) is the §3.1 full-rank or the
+/// §3.2 null-space form, from the same evidence: the sink distances and
+/// the null-space vector. Arrays under other forms (separable products,
+/// bounds) or none are omitted — there is no closed form to print.
 pub fn distinct_formulas(nest: &LoopNest) -> HashMap<ArrayId, SymbolicEstimate> {
-    let mut out = HashMap::new();
-    let n = nest.depth();
-    let names = extent_names(n);
-    if nest.rectangular_ranges().is_none() {
-        return out;
-    }
+    let names = extent_names(nest.depth());
     let total: Poly = names
         .iter()
         .fold(Poly::constant(1), |acc, nm| acc * Poly::var(nm.clone()));
-    for g in uniform_groups(nest) {
-        // One group per array only (non-uniform arrays have no closed form).
-        if out.contains_key(&g.array) {
-            out.remove(&g.array);
+    let mut out = HashMap::new();
+    for c in cases(nest, false) {
+        let Some(method) = c.estimate.map(|e| e.method) else {
             continue;
-        }
-        let full_rank = g.matrix.rank() == n;
-        let mut offsets: Vec<&Vec<i64>> = g.members.iter().map(|(_, o, _)| o).collect();
-        offsets.sort();
-        offsets.dedup();
-        let est = if full_rank && offsets.len() == 1 {
-            Some(SymbolicEstimate {
-                formula: total.clone(),
-                method: Method::FullRankFormula,
-            })
-        } else if full_rank {
-            full_rank_sym(&g, &names, &total)
-        } else if offsets.len() == 1 {
-            let kernel = integer_nullspace(&g.matrix);
-            if kernel.len() == 1 {
-                Some(SymbolicEstimate {
-                    formula: total.clone() - reuse_volume_sym(&names, &kernel[0]),
-                    method: Method::NullspaceFormula,
-                })
-            } else {
-                None // separable counts are affine in N but need the gap
-                     // analysis; numeric path covers them
-            }
-        } else {
-            None
         };
-        if let Some(est) = est {
-            out.insert(g.array, est);
-        }
+        let formula = match method {
+            Method::FullRankFormula => c.sink_distances.iter().fold(
+                Poly::constant(c.ref_count as i64) * total.clone(),
+                |acc, d| acc - reuse_volume_sym(&names, d),
+            ),
+            Method::NullspaceFormula => total.clone() - reuse_volume_sym(&names, &c.kernel[0]),
+            _ => continue,
+        };
+        out.insert(c.array, SymbolicEstimate { formula, method });
     }
     out
-}
-
-fn full_rank_sym(
-    g: &loopmem_dep::UniformGroup,
-    names: &[String],
-    total: &Poly,
-) -> Option<SymbolicEstimate> {
-    use loopmem_dep::vectors::lex_positive;
-    use loopmem_linalg::hnf::solve_diophantine;
-    let offsets: Vec<&Vec<i64>> = g.members.iter().map(|(_, o, _)| o).collect();
-    let r = offsets.len();
-    let dist = |a: usize, b: usize| -> Option<Vec<i64>> {
-        let rhs: Vec<i64> = offsets[a]
-            .iter()
-            .zip(offsets[b])
-            .map(|(&x, &y)| x - y)
-            .collect();
-        solve_diophantine(&g.matrix, &rhs).map(|s| s.particular)
-    };
-    let sink = (0..r).find(|&s| {
-        (0..r).filter(|&o| o != s).all(|o| {
-            dist(o, s)
-                .map(|d| lex_positive(&d) || d.iter().all(|&x| x == 0))
-                .unwrap_or(true)
-        })
-    })?;
-    let mut reuse = Poly::zero();
-    for o in 0..r {
-        if o == sink {
-            continue;
-        }
-        if let Some(d) = dist(o, sink) {
-            reuse = reuse + reuse_volume_sym(names, &d);
-        }
-    }
-    Some(SymbolicEstimate {
-        formula: Poly::constant(r as i64) * total.clone() - reuse,
-        method: Method::FullRankFormula,
-    })
 }
 
 /// Symbolic §4.3 three-level MWS for reuse vector `d` (lex-positive).
@@ -381,7 +316,7 @@ mod tests {
         let v = extent_values(&nest).unwrap();
         assert_eq!(
             est.formula.eval(&v),
-            crate::distinct::estimate_distinct_for(&nest, ArrayId(0)).upper
+            crate::distinct::estimate_distinct(&nest)[&ArrayId(0)].upper
         );
         // And at a different size, it matches the paper's closed form.
         assert_eq!(
@@ -451,7 +386,7 @@ mod tests {
             .expect("closed form exists");
         for (n1, n2) in [(10i64, 10i64), (14, 9), (20, 20), (7, 13)] {
             let nest = parse(&template(n1, n2)).unwrap();
-            let numeric = crate::distinct::estimate_distinct_for(&nest, ArrayId(0)).upper;
+            let numeric = crate::distinct::estimate_distinct(&nest)[&ArrayId(0)].upper;
             assert_eq!(
                 est.formula.eval(&values(&[("N1", n1), ("N2", n2)])),
                 numeric,

@@ -13,7 +13,6 @@
 
 use crate::distinct::{DistinctEstimate, Method};
 use loopmem_dep::uniform::UniformGroup;
-use loopmem_dep::vectors::lex_positive;
 use loopmem_linalg::hnf::solve_diophantine;
 
 /// Exact distinct-element count of a full-rank uniformly generated group
@@ -95,7 +94,6 @@ pub fn exact_union_count(g: &UniformGroup, ranges: &[(i64, i64)]) -> Option<Dist
             }
         }
     }
-    let _ = lex_positive; // (kept for symmetry with the §3.1 module)
     Some(DistinctEstimate {
         lower: total,
         upper: total,

@@ -10,13 +10,22 @@
 //!    strings like `reason` are deliberately unchecked.)
 
 use loopmem_core::{
-    branch_and_bound, certify_bnb, certify_fusion, certify_optimization, certify_sizing,
-    ScratchpadPlan, Session,
+    certify_bnb, certify_fusion, certify_optimization, certify_sizing, try_branch_and_bound,
+    BnbResult, ScratchpadPlan, Session,
 };
+use loopmem_dep::DependenceSet;
 use loopmem_ir::{parse, parse_program, LoopNest, Program};
+use loopmem_sim::AnalysisBudget;
 use loopmem_verify::{
     check_certificates, parse_certificates, Certificate, FrontierEntry, PrunedBox,
 };
+
+/// The cone-pruned search on the fixture of both bnb tests, unlimited.
+fn unlimited_bnb(deps: &DependenceSet) -> BnbResult {
+    try_branch_and_bound((1, 2), deps, (98, 81), 8, &AnalysisBudget::unlimited())
+        .expect("an unlimited budget never trips")
+        .expect("a feasible row exists")
+}
 
 /// The fusion search's plan for `program` (single thread, unlimited).
 fn fusion_plan(program: &Program) -> ScratchpadPlan {
@@ -67,7 +76,7 @@ fn all_real_certs() -> Vec<(Program, Vec<Certificate>)> {
 
     let cone = cone_nest();
     let deps = loopmem_dep::analyze(&cone);
-    let bnb = branch_and_bound((1, 2), &deps, (98, 81), 8).unwrap();
+    let bnb = unlimited_bnb(&deps);
     let bnb_cert = certify_bnb(0, 8, &bnb).expect("rank-1 cone certifies its prunes");
 
     let program = pipeline_program();
@@ -157,7 +166,7 @@ fn legality_mutations_are_rejected() {
 fn cone_prune_mutations_are_rejected() {
     let cone = cone_nest();
     let deps = loopmem_dep::analyze(&cone);
-    let bnb = branch_and_bound((1, 2), &deps, (98, 81), 8).unwrap();
+    let bnb = unlimited_bnb(&deps);
     let cert = certify_bnb(0, 8, &bnb).unwrap();
     let program = Program::new(vec![cone]).unwrap();
     let Certificate::ConePrune(base) = &cert else {

@@ -63,7 +63,8 @@ fn tripped_search_returns_the_original_nest_bounds_deterministically() {
 #[test]
 fn search_node_cap_trips_branch_and_bound() {
     let deps = analyze(&example8());
-    let exact = loopmem_core::branch_and_bound((2, 5), &deps, (25, 10), 6)
+    let exact = try_branch_and_bound((2, 5), &deps, (25, 10), 6, &AnalysisBudget::unlimited())
+        .expect("an unlimited budget never trips")
         .expect("feasible row exists")
         .objective;
     let budget = AnalysisBudget::unlimited().with_max_search_nodes(2);

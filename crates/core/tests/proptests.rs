@@ -4,7 +4,7 @@
 
 use loopmem_core::Session;
 use loopmem_core::{
-    apply_transform, branch_and_bound, three_level_estimate, tile, two_level_estimate,
+    apply_transform, three_level_estimate, tile, try_branch_and_bound, two_level_estimate,
     two_level_objective,
 };
 use loopmem_dep::analyze;
@@ -135,7 +135,14 @@ fn bnb_matches_exhaustive_on_random_dependence_sets() {
         let nest = parse(&src).expect("parses");
         let deps = analyze(&nest);
         let bound = 4;
-        let bnb = branch_and_bound((a1, a2), &deps, (12, 9), bound);
+        let bnb = try_branch_and_bound(
+            (a1, a2),
+            &deps,
+            (12, 9),
+            bound,
+            &loopmem_sim::AnalysisBudget::unlimited(),
+        )
+        .expect("an unlimited budget never trips");
         // Exhaustive reference.
         let mut best: Option<Rational> = None;
         for a in -bound..=bound {

@@ -111,12 +111,11 @@ mod tests {
     use super::*;
     use crate::{EventKind, Phase};
 
-    fn poll(nest: u32, ord: (u64, u64), thread: u32) -> TraceEvent {
+    fn poll(nest: u32, ord: (u64, u64)) -> TraceEvent {
         TraceEvent {
             phase: Phase::Pass1,
             nest: Some(nest),
             ord,
-            thread,
             kind: EventKind::Poll { delta: 1024 },
         }
     }
@@ -128,15 +127,15 @@ mod tests {
         // same NDJSON bytes.
         let a = CollectingSink::new();
         a.begin_epoch();
-        a.record(poll(0, (0, 0), 0));
-        a.record(poll(0, (2, 0), 1));
-        a.record(poll(0, (1, 0), 2));
+        a.record(poll(0, (0, 0)));
+        a.record(poll(0, (2, 0)));
+        a.record(poll(0, (1, 0)));
 
         let b = CollectingSink::new();
         b.begin_epoch();
-        b.record(poll(0, (2, 0), 5));
-        b.record(poll(0, (1, 0), 5));
-        b.record(poll(0, (0, 0), 5));
+        b.record(poll(0, (2, 0)));
+        b.record(poll(0, (1, 0)));
+        b.record(poll(0, (0, 0)));
 
         assert_eq!(a.drain().render_ndjson(), b.drain().render_ndjson());
     }
@@ -145,9 +144,9 @@ mod tests {
     fn epochs_order_operations() {
         let s = CollectingSink::new();
         s.begin_epoch();
-        s.record(poll(1, (9, 9), 0));
+        s.record(poll(1, (9, 9)));
         s.begin_epoch();
-        s.record(poll(0, (0, 0), 0));
+        s.record(poll(0, (0, 0)));
         let report = s.drain();
         // Epoch 1's nest-1 event sorts before epoch 2's nest-0 event.
         assert_eq!(report.events[0].nest, Some(1));
@@ -166,7 +165,7 @@ mod tests {
                         let s = &s;
                         scope.spawn(move || {
                             for k in 0..8u64 {
-                                s.record(poll(0, (t, k), t as u32));
+                                s.record(poll(0, (t, k)));
                             }
                         });
                     }

@@ -29,9 +29,9 @@
 //! index, serial sequence numbers), (b) buffering chunk-local events and
 //! flushing them only in chunk-commit order after a sweep *succeeds*,
 //! and (c) emitting nothing schedule-dependent on failure paths beyond
-//! the fire-once fault trip itself. Thread ids and wall-clock micros are
-//! carried on events for the human-readable report but are **excluded**
-//! from the canonical NDJSON rendering.
+//! the fire-once fault trip itself. Wall-clock micros are carried on
+//! span ends for the human-readable report but are **excluded** from the
+//! canonical NDJSON rendering.
 //!
 //! # Quickstart
 //!
@@ -45,7 +45,6 @@
 //!     phase: Phase::Pass1,
 //!     nest: Some(0),
 //!     ord: (0, 0),
-//!     thread: 0,
 //!     kind: EventKind::Poll { delta: 1024 },
 //! });
 //! let report = sink.drain();
@@ -207,18 +206,14 @@ pub struct TraceEvent {
     /// engine code assigns this from schedule-independent quantities
     /// only (chunk index, serial sequence number), never from timing.
     pub ord: (u64, u64),
-    /// Worker index that emitted the event. Informational only —
-    /// excluded from the canonical rendering because it is
-    /// schedule-dependent.
-    pub thread: u32,
     /// The payload.
     pub kind: EventKind,
 }
 
 impl TraceEvent {
     /// The canonical single-line JSON rendering of this event: every
-    /// schedule-independent field, and **only** those (no thread id, no
-    /// wall-clock micros). This is both the NDJSON output format and the
+    /// schedule-independent field, and **only** those (no wall-clock
+    /// micros). This is both the NDJSON output format and the
     /// final tiebreak of the deterministic merge.
     pub fn canonical_line(&self) -> String {
         let mut s = String::with_capacity(96);
@@ -371,16 +366,15 @@ mod tests {
 
     #[test]
     fn canonical_line_excludes_thread() {
-        let mk = |thread| TraceEvent {
+        // Events carry no worker id, so the line has no thread field.
+        let e = TraceEvent {
             phase: Phase::Pass1,
             nest: Some(3),
             ord: (1, 2),
-            thread,
             kind: EventKind::Poll { delta: 1024 },
         };
-        assert_eq!(mk(0).canonical_line(), mk(7).canonical_line());
         assert_eq!(
-            mk(0).canonical_line(),
+            e.canonical_line(),
             "{\"phase\":\"pass1\",\"nest\":3,\"ord\":[1,2],\"event\":\"poll\",\"delta\":1024}"
         );
     }
@@ -391,7 +385,6 @@ mod tests {
             phase: Phase::Search,
             nest: None,
             ord: (0, 0),
-            thread: 0,
             kind: EventKind::SpanEnd {
                 label: "search",
                 micros,
@@ -411,7 +404,6 @@ mod tests {
             phase: Phase::Parse,
             nest: None,
             ord: (0, 0),
-            thread: 0,
             kind: EventKind::SpanBegin { label: "parse" },
         });
     }

@@ -202,7 +202,6 @@ mod tests {
             phase: Phase::Search,
             nest: Some(0),
             ord: (0, 0),
-            thread: 0,
             kind,
         }
     }

@@ -302,7 +302,6 @@ impl BudgetTracker {
                 phase: Phase::Pass1,
                 nest: None,
                 ord: (plan.at_poll(), 0),
-                thread: 0,
                 kind: EventKind::FaultTrip {
                     kind: plan.kind().label(),
                     at_poll: plan.at_poll(),

@@ -648,7 +648,6 @@ fn sweep_chunk(
             phase: Phase::Pass1,
             nest: None,
             ord: (0, *seq),
-            thread: 0,
             kind: EventKind::Poll { delta },
         });
         *seq += 1;
@@ -807,7 +806,6 @@ fn sweep_chunk(
             phase: Phase::Pass1,
             nest: None,
             ord: (0, seq),
-            thread: 0,
             kind: EventKind::ChunkCommit {
                 lo,
                 hi,
@@ -1231,7 +1229,6 @@ fn flush_sweep_events(
         phase: Phase::Pass1,
         nest,
         ord: (0, 0),
-        thread: 0,
         kind: EventKind::SpanBegin { label: "pass1" },
     });
     for mut e in events {
@@ -1242,7 +1239,6 @@ fn flush_sweep_events(
         phase: Phase::Pass1,
         nest,
         ord: (u64::MAX, 0),
-        thread: 0,
         kind: EventKind::SpanEnd {
             label: "pass1",
             micros,
@@ -1463,7 +1459,6 @@ fn salvage_nest_bounds(
                     phase: Phase::Pass1,
                     nest: Some(nest_index as u32),
                     ord: (u64::MAX, 1),
-                    thread: 0,
                     kind: EventKind::Salvage {
                         iterations: quota,
                         lower: prefix.max(analytic.lower),

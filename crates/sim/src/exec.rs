@@ -18,7 +18,11 @@ use std::ops::ControlFlow;
 /// ```
 pub fn for_each_iteration<F: FnMut(&[i64])>(nest: &LoopNest, mut f: F) {
     let (lo, hi) = outer_range(nest);
-    for_each_iteration_outer(nest, lo, hi, &mut f);
+    // The adapter closure never breaks, so the result is always `Continue`.
+    let _ = try_for_each_iteration_outer::<(), _>(nest, lo, hi, &mut |it| {
+        f(it);
+        ControlFlow::Continue(())
+    });
 }
 
 /// The (always constant) value range of the outermost loop. The validator
@@ -32,27 +36,10 @@ pub fn outer_range(nest: &LoopNest) -> (i64, i64) {
 
 /// Like [`for_each_iteration`], but restricts the outermost loop variable
 /// to `outer_lo ..= outer_hi` (intersected with the loop's own range by the
-/// caller). This is the parallel sweep's chunking primitive: splitting the
-/// outer range into consecutive chunks and concatenating the per-chunk
-/// iteration streams reproduces the full lexicographic order exactly.
-pub fn for_each_iteration_outer<F: FnMut(&[i64])>(
-    nest: &LoopNest,
-    outer_lo: i64,
-    outer_hi: i64,
-    f: &mut F,
-) {
-    // The adapter closure never breaks, so the result is always `Continue`.
-    let _ = try_for_each_iteration_outer::<(), _>(nest, outer_lo, outer_hi, &mut |it| {
-        f(it);
-        ControlFlow::Continue(())
-    });
-}
-
-/// Early-exiting variant of [`for_each_iteration_outer`]: the callback
-/// returns [`ControlFlow`], and a `Break` stops the sweep immediately (the
-/// governed engines use this to bail out when a budget trips or a subscript
-/// overflows). Returns the first `Break`, or `Continue(())` after the full
-/// stream.
+/// caller), and early-exiting: the callback returns [`ControlFlow`], and a
+/// `Break` stops the sweep immediately (the governed engines use this to
+/// bail out when a budget trips or a subscript overflows). Returns the
+/// first `Break`, or `Continue(())` after the full stream.
 pub fn try_for_each_iteration_outer<B, F: FnMut(&[i64]) -> ControlFlow<B>>(
     nest: &LoopNest,
     outer_lo: i64,

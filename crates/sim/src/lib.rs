@@ -52,8 +52,8 @@ pub use budget::{
 };
 pub use dense::{bench_pass1, bench_pass1_interleaved, shard_map, sweep_threads, thread_count};
 pub use exec::{
-    count_iterations, for_each_iteration, for_each_iteration_outer, outer_range,
-    try_for_each_inner_run, try_for_each_iteration_outer,
+    count_iterations, for_each_iteration, outer_range, try_for_each_inner_run,
+    try_for_each_iteration_outer,
 };
 pub use faults::{FaultKind, FaultPlan, INJECTED_PANIC};
 pub use layout::{line_analysis, AddressMap, Layout, LineStats};

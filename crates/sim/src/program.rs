@@ -485,14 +485,12 @@ pub fn try_simulate_program_tracked(
                 phase: Phase::Pass2,
                 nest: None,
                 ord: (0, 0),
-                thread: 0,
                 kind: EventKind::SpanBegin { label: "pass2" },
             },
             TraceEvent {
                 phase: Phase::Pass2,
                 nest: None,
                 ord: (1, 0),
-                thread: 0,
                 kind: EventKind::SpanEnd {
                     label: "pass2",
                     micros,

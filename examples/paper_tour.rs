@@ -4,7 +4,7 @@
 
 use loopmem::core::SearchMode;
 use loopmem::core::{
-    branch_and_bound, estimate_distinct, three_level_estimate, two_level_estimate,
+    estimate_distinct, three_level_estimate, try_branch_and_bound, two_level_estimate,
 };
 use loopmem::dep::{analyze, reuse_vectors};
 use loopmem::ir::{parse, ArrayId, LoopNest};
@@ -117,7 +117,10 @@ fn main() {
         "distances: {:?} (paper: (3,-2), (2,0), (5,-2))",
         deps.distances(true)
     );
-    let bnb = branch_and_bound((2, 5), &deps, (25, 10), 6).expect("feasible");
+    let unlimited = loopmem::sim::AnalysisBudget::unlimited();
+    let bnb = try_branch_and_bound((2, 5), &deps, (25, 10), 6, &unlimited)
+        .expect("an unlimited budget never trips")
+        .expect("feasible");
     println!(
         "branch & bound: row {:?}, objective {} (paper: (2,3) with 22), {} nodes / {} pruned",
         bnb.row, bnb.objective, bnb.nodes_explored, bnb.nodes_pruned

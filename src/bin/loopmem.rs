@@ -78,7 +78,7 @@
 //! `chaos` it captures the fault-free traced baseline of each file).
 
 use loopmem::analyze::{check_source, CheckOptions, Diagnostic, Severity};
-use loopmem::core::{analyze_memory, apply_transform, estimate_distinct, SearchMode};
+use loopmem::core::{analyze_memory, apply_transform, SearchMode};
 use loopmem::dep::analyze;
 use loopmem::ir::{parse, print_nest, AnalysisError, Bounds, LoopNest, Program};
 use loopmem::linalg::IMat;
@@ -831,14 +831,17 @@ fn cmd_analyze(nest: &LoopNest) -> Result<(), String> {
     println!("distinct touched : {} words", m.distinct_exact_total);
     println!("exact MWS        : {} words", m.mws_exact);
     if let Some(est) = loopmem::core::estimate_nest_mws(nest) {
-        println!("MWS closed form  : {est} words (paper formulas; upper estimate)");
+        println!("MWS closed form  : {est} words (paper formulas; estimate)");
     }
     println!();
     println!(
         "{:<12} {:>9} {:>16} {:>8}  method",
         "array", "declared", "distinct", "MWS"
     );
-    for (id, est) in estimate_distinct(nest) {
+    let mut ids: Vec<_> = m.distinct.keys().copied().collect();
+    ids.sort();
+    for id in ids {
+        let est = m.distinct[&id];
         let decl = nest.array(id);
         let distinct = if est.is_exact() {
             format!("{}", est.lower)

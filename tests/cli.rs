@@ -24,6 +24,56 @@ fn analyze_reports_example8_numbers() {
 }
 
 #[test]
+fn analyze_prints_rows_in_declaration_order() {
+    let (ok, first, _) = run(&["analyze", "kernels/matmult.loop"]);
+    assert!(ok);
+    assert_eq!(first, run(&["analyze", "kernels/matmult.loop"]).1);
+    let rows: Vec<&str> = first
+        .lines()
+        .skip_while(|l| !l.starts_with("array "))
+        .skip(1)
+        .take(3)
+        .map(|l| &l[..1])
+        .collect();
+    assert_eq!(rows, ["C", "A", "B"], "{first}");
+}
+
+/// Inputs where the §3 case analysis once drifted between commands: a
+/// transpose, separable and non-uniform accesses on boxes too small for
+/// their closed forms, and two arrays with several access-matrix groups.
+const REPRODUCERS: [&str; 5] = [
+    "crates/analyze/tests/golden/lm0003_transpose.loop",
+    "crates/analyze/tests/golden/lm0002_separable_small_box.loop",
+    "crates/analyze/tests/golden/lm0003_small_box.loop",
+    "crates/analyze/tests/golden/lm0003_multi_offset_and_index.loop",
+    "crates/analyze/tests/golden/lm0003_three_groups.loop",
+];
+
+#[test]
+fn formulas_omit_arrays_with_several_groups() {
+    for path in &REPRODUCERS[3..] {
+        let (ok, stdout, _) = run(&["formulas", path]);
+        let none = "no closed-form distinct-access formula applies";
+        assert!(ok && stdout.contains(none), "{path}: {stdout}");
+    }
+}
+
+#[test]
+fn check_notes_name_what_analyze_reports() {
+    for path in REPRODUCERS {
+        let (ok, analyze, _) = run(&["analyze", path]);
+        let note = if analyze.contains("NonUniformBounds") {
+            "degrades to Example-6 value-range bounds"
+        } else {
+            assert!(analyze.contains("Enumerated"), "{analyze}");
+            "the exact distinct-access count comes from simulation"
+        };
+        let (_, check, _) = run(&["check", path]);
+        assert!(ok && check.contains(note), "{path}: {analyze}\n{check}");
+    }
+}
+
+#[test]
 fn optimize_reaches_21_and_prints_the_transformed_loop() {
     let (ok, stdout, _) = run(&["optimize", "kernels/example8.loop"]);
     assert!(ok);

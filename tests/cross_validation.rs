@@ -107,14 +107,57 @@ fn window_never_exceeds_distinct() {
     }
 }
 
+/// Seeded nests of the shapes no closed form covers: transposes,
+/// Example 8's several offsets to one rank-deficient access, separable
+/// and 1-D non-uniform accesses on boxes narrower than their coefficients,
+/// and triangular nests. Each `<lo,hi>` hole takes a random value.
+const UNCOVERED_SHAPES: [&str; 5] = [
+    "array A[16][16]\nfor i = 1 to <2,9> { for j = 1 to <2,9> { A[i + <0,3>][j + <0,3>] = A[j + <0,3>][i + <0,3>]; } }",
+    "array X[200]\nfor i = 1 to <3,12> { for j = 1 to <3,12> { X[2i + 5j + <0,6>] = X[2i + 5j + <0,6>] + X[2i + 5j + <0,6>]; } }",
+    "array R[60][60]\nfor a = 1 to <1,4> { for b = 1 to <1,4> { for c = 1 to <1,3> { for d = 1 to <1,3> { R[<4,9>*a + c][<4,9>*b + d]; } } } }",
+    "array A[200]\nfor i = 1 to <1,3> { for j = 1 to <1,3> { A[<3,9>*i + <3,9>*j] = A[<3,9>*i - <3,9>*j + 60]; } }",
+    "array A[20][20]\narray B[40]\nfor i = 1 to <2,12> { for j = i to 12 { A[i][j + <0,3>] = A[j][i] + B[i + j]; } }",
+];
+
+fn instantiate(shape: &str, rng: &mut Lcg) -> String {
+    let mut out = String::new();
+    for (k, part) in shape.split(['<', '>']).enumerate() {
+        match part.split_once(',') {
+            Some((lo, hi)) if k % 2 == 1 => {
+                let value = rng.range_i64(lo.parse().unwrap(), hi.parse().unwrap());
+                out.push_str(&value.to_string());
+            }
+            _ => out.push_str(part),
+        }
+    }
+    out
+}
+
 #[test]
 fn enumeration_and_simulation_always_agree() {
     let mut rng = Lcg::new(0x75);
-    for _ in 0..64 {
-        let src = full_rank_case(&mut rng);
-        let nest = parse(&src).expect("generated source parses");
-        let by_poly = distinct_accesses_for(&nest, ArrayId(0));
-        let by_sim = simulate(&nest).array(ArrayId(0)).distinct;
-        assert_eq!(by_poly, by_sim, "{src}");
+    let mut nests = Vec::new();
+    for _ in 0..24 {
+        let mut sources = vec![full_rank_case(&mut rng)];
+        sources.extend(UNCOVERED_SHAPES.map(|shape| instantiate(shape, &mut rng)));
+        for src in sources {
+            let nest = parse(&src).expect("generated source parses");
+            if nest.depth() == 2 {
+                // Optimizer-transformed nests are non-rectangular in general.
+                let opt = Session::new().optimize(&nest).expect("search succeeds");
+                nests.push((format!("{src}\ntransformed"), opt.transformed));
+            }
+            nests.push((src, nest));
+        }
+    }
+    for (src, nest) in nests {
+        let by_poly = loopmem::poly::count::distinct_accesses(&nest);
+        for threads in [1, 2] {
+            let sim = Session::new().threads(threads).simulate(&nest).unwrap();
+            for (id, &count) in &by_poly {
+                assert_eq!(count, sim.array(*id).distinct, "{src} at t = {threads}");
+            }
+            assert_eq!(by_poly.len(), sim.per_array.len(), "{src}");
+        }
     }
 }
