@@ -301,25 +301,29 @@ trace_step() {
     tmp="$(mktemp -d)"
     local f out
     for f in kernels/*.loop tests/robustness/*.loop; do
-        if ! out="$(./target/release/loopmem trace "$f" --out "$tmp/t1.ndjson" 2>&1)"; then
+        if ! out="$(./target/release/loopmem trace "$f" --out "$tmp/base.ndjson" 2>&1)"; then
             echo "FAIL (exit): loopmem trace $f"
             echo "$out"
             rm -rf "$tmp"
             return 1
         fi
-        if ! ./target/release/tracecheck "$tmp/t1.ndjson"; then
+        if ! ./target/release/tracecheck "$tmp/base.ndjson"; then
             echo "FAIL: tracecheck rejected the stream for $f"
             rm -rf "$tmp"
             return 1
         fi
-        # The canonical stream is schedule-independent: re-running at a
-        # different worker-thread count must reproduce it byte for byte.
-        ./target/release/loopmem trace "$f" --threads 4 --out "$tmp/t4.ndjson" > /dev/null 2>&1
-        if ! cmp -s "$tmp/t1.ndjson" "$tmp/t4.ndjson"; then
-            echo "FAIL: trace bytes differ between --threads default and --threads 4 for $f"
-            rm -rf "$tmp"
-            return 1
-        fi
+        # The canonical stream is schedule-independent: re-running at
+        # other worker-thread counts, an odd one included, must reproduce
+        # it byte for byte.
+        local t
+        for t in 1 3 4; do
+            ./target/release/loopmem trace "$f" --threads "$t" --out "$tmp/tn.ndjson" > /dev/null 2>&1
+            if ! cmp -s "$tmp/base.ndjson" "$tmp/tn.ndjson"; then
+                echo "FAIL: trace bytes differ between --threads default and --threads $t for $f"
+                rm -rf "$tmp"
+                return 1
+            fi
+        done
     done
     echo "ok   every trace stream checked and thread-count invariant"
     # A mangled counters line must be rejected — the recount is not a
@@ -340,8 +344,9 @@ trace_step() {
     rm -rf "$tmp"
     local elapsed=$(( $(date +%s) - start ))
     echo "trace step completed in ${elapsed}s"
-    # Every file is traced twice (byte-identity re-run at --threads 4),
-    # so this step gets a wider budget than the single-pass gates.
+    # Every file is traced four times (byte-identity re-runs at --threads
+    # 1, 3 and 4), so this step gets a wider budget than the single-pass
+    # gates.
     if [ "$elapsed" -ge 20 ]; then
         echo "FAIL: trace step took ${elapsed}s (budget: <20s)"
         return 1

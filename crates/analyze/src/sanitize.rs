@@ -45,67 +45,65 @@ fn method_name(m: Method) -> &'static str {
     }
 }
 
-/// Cross-checks estimators against the dense simulator for one nest.
-/// Returns no diagnostics when the nest is too large for the oracle
-/// (that is "no oracle", not "consistent") or provably empty.
+/// Cross-checks estimators against the dense simulator for one nest,
+/// empty nests included. Returns no diagnostics when the nest is too
+/// large for the oracle (that is "no oracle", not "consistent").
 pub fn sanitize_nest(nest: &LoopNest, spans: &NestSpans, opts: &CheckOptions) -> Vec<Diagnostic> {
     let Some(sim) = oracle_simulate(nest, opts.oracle_max_iters) else {
         return Vec::new();
     };
     let mut out = Vec::new();
-    if sim.iterations > 0 {
-        let approximate: Vec<_> = classify_formulas(nest)
-            .into_iter()
-            .filter(|c| c.method == Some(Method::FullRankFormula) && !c.closed_form_is_exact())
-            .map(|c| c.array)
-            .collect();
-        for (array, est) in estimate_distinct_exact(nest) {
-            let observed = sim.per_array.get(&array).map_or(0, |s| s.distinct) as i64;
-            let name = &nest.array(array).name;
-            if est.is_exact() {
-                if est.method == Method::FullRankFormula && approximate.contains(&array) {
-                    // The documented §3.1 r>2 over-count; not a disagreement.
-                    continue;
-                }
-                if est.value() != Some(observed) {
-                    out.push(Diagnostic {
-                        code: "LM9001",
-                        severity: Severity::Error,
-                        message: format!(
-                            "estimator disagreement on '{name}': {} predicts {} distinct \
-                             elements, simulation observed {observed}",
-                            method_name(est.method),
-                            est.lower
-                        ),
-                        notes: vec![
-                            "an exact closed form and the dense simulator cannot both be \
-                             right; this is an internal consistency bug"
-                                .into(),
-                        ],
-                        span: first_ref_span(nest, spans, array),
-                        nest: None,
-                    });
-                }
-            } else if observed < est.lower || observed > est.upper {
+    let approximate: Vec<_> = classify_formulas(nest)
+        .into_iter()
+        .filter(|c| c.method == Some(Method::FullRankFormula) && !c.closed_form_is_exact())
+        .map(|c| c.array)
+        .collect();
+    for (array, est) in estimate_distinct_exact(nest) {
+        let observed = sim.per_array.get(&array).map_or(0, |s| s.distinct) as i64;
+        let name = &nest.array(array).name;
+        if est.is_exact() {
+            if est.method == Method::FullRankFormula && approximate.contains(&array) {
+                // The documented §3.1 r>2 over-count; not a disagreement.
+                continue;
+            }
+            if est.value() != Some(observed) {
                 out.push(Diagnostic {
-                    code: "LM9003",
+                    code: "LM9001",
                     severity: Severity::Error,
                     message: format!(
-                        "bounds violation on '{name}': {} predicts [{}, {}], simulation \
-                         observed {observed}",
+                        "estimator disagreement on '{name}': {} predicts {} distinct \
+                         elements, simulation observed {observed}",
                         method_name(est.method),
-                        est.lower,
-                        est.upper
+                        est.lower
                     ),
                     notes: vec![
-                        "the Example-6 value-range bounds are guaranteed enclosures; an \
-                         observation outside them is an internal consistency bug"
+                        "an exact closed form and the dense simulator cannot both be \
+                         right; this is an internal consistency bug"
                             .into(),
                     ],
                     span: first_ref_span(nest, spans, array),
                     nest: None,
                 });
             }
+        } else if observed < est.lower || observed > est.upper {
+            out.push(Diagnostic {
+                code: "LM9003",
+                severity: Severity::Error,
+                message: format!(
+                    "bounds violation on '{name}': {} predicts [{}, {}], simulation \
+                     observed {observed}",
+                    method_name(est.method),
+                    est.lower,
+                    est.upper
+                ),
+                notes: vec![
+                    "the Example-6 value-range bounds are guaranteed enclosures; an \
+                     observation outside them is an internal consistency bug"
+                        .into(),
+                ],
+                span: first_ref_span(nest, spans, array),
+                nest: None,
+            });
         }
     }
     let bounds = analytic_mws_bounds(nest);

@@ -1,30 +1,32 @@
-//! Branch and bound for the §4.2 leading-row problem.
+//! Branch and bound over the §4.2 leading rows.
 //!
 //! The paper: *"We use either a branch and bound technique (or general
 //! nonlinear programming techniques) to minimize this function; the number
 //! of variables is linear in the number of nested loops which is usually
 //! very small in practice (≤ 4) resulting in small solution times."*
 //!
-//! This module implements that search literally for 2-deep nests: minimize
-//! the continuous objective `(maxspan)(|α₂a − α₁b|)` over integer leading
-//! rows `(a, b)` subject to the tiling-legality half-planes `a·d₁ + b·d₂
-//! ≥ 0`. Boxes of candidate rows are pruned by
+//! This module is the one enumeration of 2-deep leading rows `(a, b)`
+//! with `|a|, |b| ≤ bound`. Boxes of candidate rows are pruned by
 //!
+//! * **the cone certificate** — the box misses the line the dependence
+//!   cone collapsed to (or the cone is empty);
 //! * **infeasibility** — a tiling constraint violated over the whole box;
-//! * **bounding** — a lower bound on the objective over the box
-//!   (`maxspan` shrinks as `|a|, |b|` grow; the weight `|α₂a − α₁b|` is
-//!   linear, so its box minimum sits at a corner or at zero if the kernel
-//!   line crosses the box).
+//! * **bounding**, only when an objective is given — a lower bound on
+//!   `(maxspan)(|α₂a − α₁b|)` over the box (`maxspan` shrinks as `|a|, |b|`
+//!   grow; the weight is linear, so its box minimum sits at a corner or
+//!   at zero if the kernel line crosses the box).
 //!
-//! The exhaustive scan in [`crate::optimize`] serves as the reference
-//! implementation; tests assert both find the same optimum.
+//! Without an objective the surviving points are the coprime tileable
+//! rows [`crate::optimize`] completes and ranks; with one,
+//! [`try_branch_and_bound`] finds the paper's "22". The exhaustive scan
+//! survives only in tests, as the oracle for both.
 
 use crate::mws::two_level_objective;
 use loopmem_dep::cone::{constraining_distances, tileable_row_basis};
 use loopmem_dep::legality::row_tileable;
 use loopmem_dep::DependenceSet;
 use loopmem_ir::{AnalysisError, Bounds, BoundsMethod, TripReason};
-use loopmem_linalg::gcd::gcd_i64;
+use loopmem_linalg::gcd::{div_ceil, div_floor, gcd_i64};
 use loopmem_linalg::Rational;
 use loopmem_obs::{EventKind, Phase, TraceEvent};
 use loopmem_sim::{AnalysisBudget, BudgetTracker};
@@ -44,14 +46,54 @@ pub struct BnbResult {
     /// `tileable_row_basis` facts) before any window was evaluated; also
     /// counted in `nodes_pruned`.
     pub cone_pruned: u64,
-    /// The primitive rank-1 direction when the cone certificate collapsed
-    /// the search to a line (`None` for full-rank or empty cones) —
-    /// exported into cone-prune certificates (see [`crate::cert`]).
-    pub cone_direction: Option<(i64, i64)>,
-    /// Every box the cone certificate discarded, as `(alo, ahi, blo, bhi)`
-    /// — the evidence behind `cone_pruned`, re-checkable by interval
-    /// division against `cone_direction`.
-    pub pruned_boxes: Vec<(i64, i64, i64, i64)>,
+    /// The cone's evidence, when it collapsed the search to a line and
+    /// discarded boxes.
+    pub cone: Option<ConeEvidence>,
+}
+
+/// What a rank-1 dependence cone proved during one search: every tileable
+/// row in `[-bound, bound]²` is a multiple of `direction`, so the search
+/// discarded `boxes`, which hold no nonzero multiple. Turned into a
+/// certificate by [`crate::certify_cone`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConeEvidence {
+    /// The primitive direction spanning every tileable row in the box.
+    pub direction: (i64, i64),
+    /// The coefficient bound of the searched box.
+    pub bound: i64,
+    /// Every box the cone certificate discarded, as `(alo, ahi, blo, bhi)`.
+    pub boxes: Vec<(i64, i64, i64, i64)>,
+}
+
+/// One run of the box recursion over `[-bound, bound]²`.
+#[derive(Debug, Default)]
+pub(crate) struct BoxSearch {
+    /// The coprime tileable rows the recursion reached. Without an
+    /// objective that is every such row in the box.
+    pub(crate) rows: Vec<(i64, i64)>,
+    /// The first row reaching the least objective, when one was given.
+    best: Option<((i64, i64), Rational)>,
+    explored: u64,
+    pruned: u64,
+    cone_pruned: u64,
+    pub(crate) cone: Option<ConeEvidence>,
+}
+
+impl BoxSearch {
+    /// The search's `cone-prune` trace event, reproducible as the
+    /// recursion is serial; the search records it only on success.
+    pub(crate) fn event(&self) -> TraceEvent {
+        TraceEvent {
+            phase: Phase::Search,
+            nest: None,
+            ord: (0, 1),
+            kind: EventKind::ConePrune {
+                boxes: self.cone_pruned,
+                explored: self.explored,
+                pruned: self.pruned,
+            },
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -63,30 +105,17 @@ struct Box2 {
 }
 
 impl Box2 {
-    fn is_point(&self) -> bool {
-        self.alo == self.ahi && self.blo == self.bhi
-    }
-
+    /// Halves the box along its wider side.
     fn split(&self) -> (Box2, Box2) {
+        let (mut lo, mut hi) = (*self, *self);
         if self.ahi - self.alo >= self.bhi - self.blo {
-            let mid = self.alo + (self.ahi - self.alo) / 2;
-            (
-                Box2 { ahi: mid, ..*self },
-                Box2 {
-                    alo: mid + 1,
-                    ..*self
-                },
-            )
+            lo.ahi = self.alo + (self.ahi - self.alo) / 2;
+            hi.alo = lo.ahi + 1;
         } else {
-            let mid = self.blo + (self.bhi - self.blo) / 2;
-            (
-                Box2 { bhi: mid, ..*self },
-                Box2 {
-                    blo: mid + 1,
-                    ..*self
-                },
-            )
+            lo.bhi = self.blo + (self.bhi - self.blo) / 2;
+            hi.blo = lo.bhi + 1;
         }
+        (lo, hi)
     }
 }
 
@@ -120,19 +149,38 @@ pub fn try_branch_and_bound(
         });
     }
     let tracker = BudgetTracker::new(budget);
-    bnb_impl(alpha, deps, extents, bound, &tracker).map_err(|(reason, best)| {
-        let upper = best
-            .map(|obj| obj.ceil().clamp(0, i128::from(u64::MAX)) as u64)
-            .unwrap_or(u64::MAX);
-        AnalysisError::Exhausted {
-            reason,
-            partial: Bounds {
-                lower: 0,
-                upper,
-                method: BoundsMethod::ClosedForm,
-            },
-        }
-    })
+    let search =
+        search_boxes(deps, bound, Some((alpha, extents)), &tracker).map_err(|(reason, best)| {
+            let upper = best
+                .map(|obj| obj.ceil().clamp(0, i128::from(u64::MAX)) as u64)
+                .unwrap_or(u64::MAX);
+            AnalysisError::Exhausted {
+                reason,
+                partial: Bounds {
+                    lower: 0,
+                    upper,
+                    method: BoundsMethod::ClosedForm,
+                },
+            }
+        })?;
+    Ok(search.best.map(|(row, objective)| BnbResult {
+        row,
+        objective,
+        nodes_explored: search.explored,
+        nodes_pruned: search.pruned,
+        cone_pruned: search.cone_pruned,
+        cone: search.cone,
+    }))
+}
+
+/// Every coprime tileable leading row with `|a|, |b| ≤ bound`, sorted by
+/// `(a, b)`: the box recursion without an objective, charging its boxes
+/// to its own unlimited tracker (the box bounds its work).
+pub(crate) fn tileable_rows(deps: &DependenceSet, bound: i64) -> BoxSearch {
+    let mut search = search_boxes(deps, bound.max(0), None, &BudgetTracker::unlimited())
+        .expect("an unlimited tracker never trips");
+    search.rows.sort_unstable();
+    search
 }
 
 /// Upper limit on the candidate-box point count for which the cone
@@ -183,26 +231,6 @@ fn cone_certificate(deps: &DependenceSet, bound: i64) -> ConeCert {
     }
 }
 
-/// Floor division for `b != 0`.
-fn div_floor(a: i64, b: i64) -> i64 {
-    let q = a / b;
-    if a % b != 0 && (a < 0) != (b < 0) {
-        q - 1
-    } else {
-        q
-    }
-}
-
-/// Ceiling division for `b != 0`.
-fn div_ceil(a: i64, b: i64) -> i64 {
-    let q = a / b;
-    if a % b != 0 && (a < 0) == (b < 0) {
-        q + 1
-    } else {
-        q
-    }
-}
-
 /// `true` when no *nonzero* integer multiple of the primitive direction
 /// `(v1, v2)` lies in the box: the rank-1 cone certificate then discards
 /// the box outright. Intersects the integer solution ranges of
@@ -229,68 +257,67 @@ fn box_misses_line(bx: &Box2, v1: i64, v2: i64) -> bool {
     tlo > thi || (tlo, thi) == (0, 0)
 }
 
-/// The branch-and-bound loop, polling `tracker` once per popped box. A
-/// trip returns the reason plus the best objective reached so far.
-fn bnb_impl(
-    alpha: (i64, i64),
+/// The box recursion over `[-bound, bound]²` (`bound ≥ 0`), polling
+/// `tracker` once per popped box. Bounding applies only when `objective`
+/// (`(α, extents)`) is given. A trip returns the reason plus the best
+/// objective reached so far.
+fn search_boxes(
     deps: &DependenceSet,
-    extents: (i64, i64),
     bound: i64,
+    objective: Option<((i64, i64), (i64, i64))>,
     tracker: &BudgetTracker,
-) -> Result<Option<BnbResult>, (TripReason, Option<Rational>)> {
-    let root = Box2 {
+) -> Result<BoxSearch, (TripReason, Option<Rational>)> {
+    let cert = cone_certificate(deps, bound);
+    let mut s = BoxSearch::default();
+    let mut discarded = Vec::new();
+    let mut stack = vec![Box2 {
         alo: -bound,
         ahi: bound,
         blo: -bound,
         bhi: bound,
-    };
-    let cert = cone_certificate(deps, bound);
-    let mut best: Option<((i64, i64), Rational)> = None;
-    let mut explored = 0u64;
-    let mut pruned = 0u64;
-    let mut cone_pruned = 0u64;
-    let mut pruned_boxes: Vec<(i64, i64, i64, i64)> = Vec::new();
-    let mut stack = vec![root];
+    }];
     while let Some(bx) = stack.pop() {
         if let Err(reason) = tracker.charge_search_nodes(1) {
-            return Err((reason, best.map(|(_, obj)| obj)));
+            return Err((reason, s.best.map(|(_, obj)| obj)));
         }
-        explored += 1;
+        s.explored += 1;
         // Cone-certificate pruning: a box that provably contains no
         // tileable row (outside the proven rank-r row space) is discarded
-        // before any bounding or window work.
+        // before any other work.
         let off_cone = match cert {
             ConeCert::Empty => true,
             ConeCert::Line(v1, v2) => box_misses_line(&bx, v1, v2),
             ConeCert::FullRank => false,
         };
         if off_cone {
-            pruned += 1;
-            cone_pruned += 1;
-            pruned_boxes.push((bx.alo, bx.ahi, bx.blo, bx.bhi));
+            s.pruned += 1;
+            s.cone_pruned += 1;
+            discarded.push((bx.alo, bx.ahi, bx.blo, bx.bhi));
             continue;
         }
         // Infeasibility pruning: a tiling half-plane violated everywhere.
         if box_infeasible(&bx, deps) {
-            pruned += 1;
+            s.pruned += 1;
             continue;
         }
         // Bounding.
-        if let Some((_, cur)) = &best {
+        if let (Some((alpha, extents)), Some((_, cur))) = (objective, &s.best) {
             if objective_lower_bound(alpha, extents, &bx) >= *cur {
-                pruned += 1;
+                s.pruned += 1;
                 continue;
             }
         }
-        if bx.is_point() {
+        if (bx.alo, bx.blo) == (bx.ahi, bx.bhi) {
             let (a, b) = (bx.alo, bx.blo);
             if (a, b) == (0, 0) || gcd_i64(a, b) != 1 || !row_tileable(&[a, b], deps) {
                 continue;
             }
-            let obj = two_level_objective(alpha, (a, b), extents);
-            let better = best.as_ref().is_none_or(|(_, cur)| obj < *cur);
-            if better {
-                best = Some(((a, b), obj));
+            s.rows.push((a, b));
+            if let Some((alpha, extents)) = objective {
+                let obj = two_level_objective(alpha, (a, b), extents);
+                if s.best.as_ref().is_none_or(|(_, cur)| obj < *cur) {
+                    s.best = Some(((a, b), obj));
+                }
             }
         } else {
             let (l, r) = bx.split();
@@ -298,86 +325,65 @@ fn bnb_impl(
             stack.push(r);
         }
     }
-    // The search is a serial deterministic scan, so the node counts are
-    // reproducible; emitted only on completion (a tripped search's
-    // progress depends on where the budget landed).
-    if let Some(sink) = tracker.trace() {
-        sink.record(TraceEvent {
-            phase: Phase::Search,
-            nest: None,
-            ord: (0, 1),
-            kind: EventKind::ConePrune {
-                boxes: cone_pruned,
-                explored,
-                pruned,
-            },
+    if let (ConeCert::Line(v1, v2), false) = (cert, discarded.is_empty()) {
+        s.cone = Some(ConeEvidence {
+            direction: (v1, v2),
+            bound,
+            boxes: discarded,
         });
     }
-    Ok(best.map(|(row, objective)| BnbResult {
-        row,
-        objective,
-        nodes_explored: explored,
-        nodes_pruned: pruned,
-        cone_pruned,
-        cone_direction: match cert {
-            ConeCert::Line(v1, v2) => Some((v1, v2)),
-            _ => None,
-        },
-        pruned_boxes,
-    }))
+    Ok(s)
 }
 
 /// `true` when some tiling constraint `a·d₁ + b·d₂ ≥ 0` is violated by
 /// every point of the box (its maximum over the box — attained at a
-/// corner of the linear form — is negative).
+/// corner of the linear form — is negative). Exact in `i128`.
 fn box_infeasible(bx: &Box2, deps: &DependenceSet) -> bool {
     deps.iter()
         .filter(|d| d.kind.constrains_legality())
         .any(|d| {
-            let (d1, d2) = (d.distance[0], d.distance[1]);
-            let corners = [
-                bx.alo * d1 + bx.blo * d2,
-                bx.alo * d1 + bx.bhi * d2,
-                bx.ahi * d1 + bx.blo * d2,
-                bx.ahi * d1 + bx.bhi * d2,
-            ];
-            corners.iter().all(|&c| c < 0)
+            let form = |a: i64, b: i64| {
+                i128::from(a) * i128::from(d.distance[0])
+                    + i128::from(b) * i128::from(d.distance[1])
+            };
+            corners(bx).iter().all(|&(a, b)| form(a, b) < 0)
         })
+}
+
+fn corners(bx: &Box2) -> [(i64, i64); 4] {
+    [
+        (bx.alo, bx.blo),
+        (bx.alo, bx.bhi),
+        (bx.ahi, bx.blo),
+        (bx.ahi, bx.bhi),
+    ]
 }
 
 /// Lower bound of the objective over a box: the weight's box minimum
 /// (corner minimum, or 0 when the kernel line `α₂a = α₁b` crosses the
 /// box) times the maxspan at the largest coefficients. Weight 0 means a
-/// window of 1, the global minimum of the objective.
+/// window of 1, the global minimum of the objective. The weight is exact
+/// in `i128` and saturates at `i64::MAX`, as in [`two_level_objective`].
 fn objective_lower_bound(alpha: (i64, i64), extents: (i64, i64), bx: &Box2) -> Rational {
-    let w = |a: i64, b: i64| (alpha.1 * a - alpha.0 * b).abs();
-    let corners = [
-        w(bx.alo, bx.blo),
-        w(bx.alo, bx.bhi),
-        w(bx.ahi, bx.blo),
-        w(bx.ahi, bx.bhi),
-    ];
-    // Sign change of the (signed) linear form means 0 is attainable.
-    let s = |a: i64, b: i64| alpha.1 * a - alpha.0 * b;
-    let signs = [
-        s(bx.alo, bx.blo),
-        s(bx.alo, bx.bhi),
-        s(bx.ahi, bx.blo),
-        s(bx.ahi, bx.bhi),
-    ];
-    let min_w = if signs.iter().any(|&x| x >= 0) && signs.iter().any(|&x| x <= 0) {
-        0
-    } else {
-        *corners.iter().min().expect("four corners")
+    let form = |(a, b): (i64, i64)| {
+        i128::from(alpha.1) * i128::from(a) - i128::from(alpha.0) * i128::from(b)
     };
-    if min_w == 0 {
+    let signs = corners(bx).map(form);
+    // A sign change of the linear form means 0 is attainable.
+    if signs.iter().any(|&x| x >= 0) && signs.iter().any(|&x| x <= 0) {
         return Rational::ONE;
     }
-    let max_abs_a = bx.alo.abs().max(bx.ahi.abs());
-    let max_abs_b = bx.blo.abs().max(bx.bhi.abs());
+    let min_w = signs
+        .iter()
+        .map(|x| x.unsigned_abs())
+        .min()
+        .expect("four corners");
+    let min_w = i64::try_from(min_w).unwrap_or(i64::MAX);
+    let max_abs_a = bx.alo.unsigned_abs().max(bx.ahi.unsigned_abs());
+    let max_abs_b = bx.blo.unsigned_abs().max(bx.bhi.unsigned_abs());
     let (n1, n2) = extents;
-    let s1 = (max_abs_b > 0).then(|| Rational::new((n1 - 1) as i128, max_abs_b as i128));
-    let s2 = (max_abs_a > 0).then(|| Rational::new((n2 - 1) as i128, max_abs_a as i128));
+    let s1 = (max_abs_b > 0).then(|| Rational::new(i128::from(n1 - 1), i128::from(max_abs_b)));
+    let s2 = (max_abs_a > 0).then(|| Rational::new(i128::from(n2 - 1), i128::from(max_abs_a)));
     let span = match (s1, s2) {
         (Some(x), Some(y)) => x.min(y),
         (Some(x), None) => x,
@@ -391,7 +397,8 @@ fn objective_lower_bound(alpha: (i64, i64), extents: (i64, i64), bx: &Box2) -> R
 mod tests {
     use super::*;
     use loopmem_dep::analyze;
-    use loopmem_ir::parse;
+    use loopmem_ir::{parse, parse_program};
+    use loopmem_linalg::rng::Lcg;
 
     /// The search under an unlimited budget.
     fn unlimited_bnb(
@@ -414,26 +421,32 @@ mod tests {
         )
     }
 
-    /// Reference: exhaustive scan over the same space.
+    /// The oracle: every coprime tileable row of the box, scanned in
+    /// `(a, b)` order.
+    fn exhaustive_rows(deps: &DependenceSet, bound: i64) -> Vec<(i64, i64)> {
+        let mut rows = Vec::new();
+        for a in -bound..=bound {
+            for b in -bound..=bound {
+                if (a, b) != (0, 0) && gcd_i64(a, b) == 1 && row_tileable(&[a, b], deps) {
+                    rows.push((a, b));
+                }
+            }
+        }
+        rows
+    }
+
+    /// Reference minimization: the first scanned row with the least
+    /// objective.
     fn exhaustive(
         alpha: (i64, i64),
         deps: &DependenceSet,
         extents: (i64, i64),
         bound: i64,
     ) -> Option<((i64, i64), Rational)> {
-        let mut best: Option<((i64, i64), Rational)> = None;
-        for a in -bound..=bound {
-            for b in -bound..=bound {
-                if (a, b) == (0, 0) || gcd_i64(a, b) != 1 || !row_tileable(&[a, b], deps) {
-                    continue;
-                }
-                let obj = two_level_objective(alpha, (a, b), extents);
-                if best.as_ref().is_none_or(|(_, cur)| obj < *cur) {
-                    best = Some(((a, b), obj));
-                }
-            }
-        }
-        best
+        exhaustive_rows(deps, bound)
+            .into_iter()
+            .map(|row| (row, two_level_objective(alpha, row, extents)))
+            .min_by(|x, y| x.1.cmp(&y.1))
     }
 
     #[test]
@@ -513,11 +526,15 @@ mod tests {
         let r = unlimited_bnb((1, 2), &deps, (98, 81), bound).unwrap();
         assert!(r.cone_pruned > 0, "certificate must fire: {r:?}");
         assert!(r.cone_pruned <= r.nodes_pruned);
+        let cone = r.cone.as_ref().expect("a rank-1 cone leaves evidence");
+        assert_eq!((cone.direction, cone.bound), ((1, 0), bound));
+        assert_eq!(cone.boxes.len() as u64, r.cone_pruned);
         let (row, obj) = exhaustive((1, 2), &deps, (98, 81), bound).unwrap();
         assert_eq!(r.objective, obj);
         assert_eq!(r.row, row);
         // The only coprime rows on the certified line are ±(1,0).
         assert_eq!(r.row, (1, 0));
+        assert_eq!(tileable_rows(&deps, bound).rows, vec![(1, 0)]);
     }
 
     #[test]
@@ -527,59 +544,138 @@ mod tests {
         let deps = example8_deps();
         let r = unlimited_bnb((2, 5), &deps, (25, 10), 6).unwrap();
         assert_eq!(r.cone_pruned, 0);
+        assert_eq!(r.cone, None);
     }
 
-    /// Satellite: the cone-certificate pruning must never change the
-    /// optimum on any repository kernel (2-deep nests; the §4.2 search
-    /// family is two-level).
-    #[test]
-    fn cone_pruning_agrees_with_exhaustive_on_kernels() {
-        let sources = [
-            ("example6", include_str!("../../../kernels/example6.loop")),
-            ("example8", include_str!("../../../kernels/example8.loop")),
-            ("matmult", include_str!("../../../kernels/matmult.loop")),
-            ("pipeline", include_str!("../../../kernels/pipeline.loop")),
-            ("rasta_flt", include_str!("../../../kernels/rasta_flt.loop")),
-            ("sor", include_str!("../../../kernels/sor.loop")),
-        ];
-        let mut checked = 0;
-        for (name, src) in sources {
-            let program =
-                loopmem_ir::parse_program(src).unwrap_or_else(|e| panic!("{name}: {e:?}"));
-            for nest in program.nests() {
-                if nest.depth() != 2 {
-                    continue;
-                }
-                let Some(vr) = nest.var_ranges() else {
-                    continue;
+    /// Every 2-deep dependence set the enumeration is checked on: the
+    /// nests of `kernels/` and of the analyze goldens, plus 240 seeded
+    /// nests. Half of the seeded ones skew two reads of a 2-D array
+    /// against one write, so many of their cones collapse to a line; the
+    /// rest draw 1-D subscripts `p·i + q·j + c`.
+    fn two_deep_dependence_sets() -> Vec<(String, DependenceSet)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut sources = Vec::new();
+        for dir in ["../../kernels", "../analyze/tests/golden"] {
+            let mut files: Vec<_> = std::fs::read_dir(root.join(dir))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+                .collect();
+            files.sort();
+            for f in files {
+                sources.push((
+                    f.display().to_string(),
+                    std::fs::read_to_string(&f).unwrap(),
+                ));
+            }
+        }
+        let mut rng = Lcg::new(0x0042_b0b0);
+        for k in 0..240 {
+            let src = if k % 2 == 0 {
+                let mut sub = || {
+                    format!(
+                        "[i + {}][j + {}]",
+                        8 + rng.range_i64(-2, 2),
+                        14 + rng.range_i64(-12, 12)
+                    )
                 };
-                let extents = (vr[0].1 - vr[0].0 + 1, vr[1].1 - vr[1].0 + 1);
-                if extents.0 <= 1 || extents.1 <= 1 {
-                    continue;
-                }
-                let deps = analyze(nest);
-                for alpha in [(1i64, 0i64), (0, 1), (2, 5), (1, -2), (3, 1)] {
-                    for bound in [3i64, 5] {
-                        let bnb = unlimited_bnb(alpha, &deps, extents, bound);
-                        let ex = exhaustive(alpha, &deps, extents, bound);
-                        match (&bnb, &ex) {
-                            (Some(r), Some((_, obj))) => assert_eq!(
-                                r.objective, *obj,
-                                "{name} alpha {alpha:?} bound {bound}"
-                            ),
-                            (None, None) => {}
-                            _ => panic!(
-                                "{name} alpha {alpha:?} bound {bound}: bnb {bnb:?} vs exhaustive {ex:?}"
-                            ),
-                        }
-                        checked += 1;
-                    }
-                }
+                format!(
+                    "array A[24][60]\nfor i = 1 to 8 {{ for j = 1 to 30 {{ \
+                     A{} = A{} + A{}; }} }}",
+                    sub(),
+                    sub(),
+                    sub()
+                )
+            } else {
+                let (p, q) = (rng.range_i64(1, 4), rng.range_i64(-4, 4));
+                let qj = if q < 0 {
+                    format!("- {}j", -q)
+                } else {
+                    format!("+ {q}j")
+                };
+                let mut sub = || format!("{p}i {qj} + {}", 60 + rng.range_i64(-6, 6));
+                format!(
+                    "array X[200]\nfor i = 1 to 12 {{ for j = 1 to 9 {{ \
+                     X[{}] = X[{}]; }} }}",
+                    sub(),
+                    sub()
+                )
+            };
+            sources.push((format!("seeded #{k}: {src}"), src));
+        }
+        let mut sets = Vec::new();
+        for (name, src) in sources {
+            let Ok(program) = parse_program(&src) else {
+                continue; // the LM0000 golden
+            };
+            for nest in program.nests().iter().filter(|n| n.depth() == 2) {
+                sets.push((name.clone(), analyze(nest)));
+            }
+        }
+        sets
+    }
+
+    /// The box recursion without an objective finds exactly the rows the
+    /// exhaustive scan finds, in the scan's order, so the optimizer's
+    /// candidate list does not depend on which one enumerates.
+    #[test]
+    fn box_recursion_enumerates_the_scans_rows() {
+        let sets = two_deep_dependence_sets();
+        assert!(sets.len() >= 250, "only {} dependence sets", sets.len());
+        let mut cone_runs = 0;
+        for (name, deps) in &sets {
+            for bound in [2i64, 3, 5, 6, 8] {
+                let search = tileable_rows(deps, bound);
+                assert_eq!(
+                    search.rows,
+                    exhaustive_rows(deps, bound),
+                    "{name} bound {bound}"
+                );
+                cone_runs += usize::from(search.cone.is_some());
             }
         }
         assert!(
-            checked >= 30,
-            "expected to exercise several kernels, got {checked}"
+            cone_runs >= 100,
+            "the cone certificate fired in {cone_runs} runs"
+        );
+    }
+
+    /// The cone-pruned minimization agrees with the exhaustive scan on
+    /// the kernels' 2-deep nests and on every other set above.
+    #[test]
+    fn cone_pruning_agrees_with_exhaustive_on_kernels() {
+        for (name, deps) in two_deep_dependence_sets() {
+            for alpha in [(1i64, 0i64), (0, 1), (2, 5), (1, -2), (3, 1)] {
+                for bound in [3i64, 5] {
+                    let bnb = unlimited_bnb(alpha, &deps, (12, 9), bound);
+                    let ex = exhaustive(alpha, &deps, (12, 9), bound);
+                    assert_eq!(
+                        bnb.map(|r| r.objective),
+                        ex.map(|(_, obj)| obj),
+                        "{name} alpha {alpha:?} bound {bound}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Box and objective arithmetic near the `i64` limits saturates
+    /// instead of overflowing.
+    #[test]
+    fn huge_distances_and_weights_do_not_overflow() {
+        let deps = analyze(
+            &parse(
+                "array A[10][10]\nfor i = 1 to 4000000000000000002 { for j = 1 to 5 { \
+                 A[i][j] = A[i - 4000000000000000000][j]; } }",
+            )
+            .unwrap(),
+        );
+        assert_eq!(tileable_rows(&deps, 6).rows, exhaustive_rows(&deps, 6));
+        let alpha = (4_000_000_000_000_000_000, 1);
+        let r = unlimited_bnb(alpha, &deps, (i64::MAX, 5), 6).unwrap();
+        assert_eq!(
+            Some(r.objective),
+            exhaustive(alpha, &deps, (i64::MAX, 5), 6).map(|e| e.1)
         );
     }
 }

@@ -5,14 +5,15 @@
 //! evidence the independent checker replays: legality certificates carry
 //! the full `T·δ` evaluation table, optimality certificates carry the
 //! evaluated candidate frontier, cone-prune certificates carry the rank-1
-//! direction plus every discarded box, sizing/fusion certificates carry
-//! the arithmetic behind the scratchpad number, and degraded (`try_*`)
-//! outcomes yield bounds certificates instead of silence. Emission lives
+//! direction plus every box the search that chose `T` discarded,
+//! sizing/fusion certificates carry the arithmetic behind the scratchpad
+//! number, and degraded (`try_*`) outcomes yield bounds certificates
+//! instead of silence. Emission lives
 //! in `loopmem-core` on purpose — the checker in `loopmem-verify` never
 //! imports this crate, so a bug here is caught rather than inherited
 //! (DESIGN.md §14).
 
-use crate::bnb::BnbResult;
+use crate::bnb::ConeEvidence;
 use crate::optimize::Optimization;
 use crate::scratchpad::{GovernedScratchpad, ScratchpadPlan, ScratchpadSizing};
 use loopmem_dep::{analyze, constraining_distances, is_tileable};
@@ -94,25 +95,22 @@ pub fn certify_optimization(
     ]
 }
 
-/// Cone-prune certificate for a branch-and-bound run on `nest_index`,
-/// when the dependence cone collapsed to a line and actually discarded
-/// boxes. `bound` must be the search bound the run used — the rank-1
-/// claim is only certified over that box.
-pub fn certify_bnb(nest_index: usize, bound: i64, result: &BnbResult) -> Option<Certificate> {
-    let (v1, v2) = result.cone_direction?;
-    if result.pruned_boxes.is_empty() {
-        return None;
-    }
-    Some(Certificate::ConePrune(ConePruneCert {
+/// Cone-prune certificate for the row search on nest `nest_index`, from
+/// its evidence ([`Optimization::cone`], or
+/// [`BnbResult::cone`](crate::BnbResult::cone)): the rank-1 direction,
+/// the box bound the claim covers, and every box the search discarded.
+pub fn certify_cone(nest_index: usize, cone: &ConeEvidence) -> Certificate {
+    let (v1, v2) = cone.direction;
+    Certificate::ConePrune(ConePruneCert {
         nest: nest_index,
-        bound,
+        bound: cone.bound,
         direction: vec![v1, v2],
-        boxes: result
-            .pruned_boxes
+        boxes: cone
+            .boxes
             .iter()
             .map(|&(alo, ahi, blo, bhi)| PrunedBox { alo, ahi, blo, bhi })
             .collect(),
-    }))
+    })
 }
 
 /// Bounds certificate from interval `bounds` on `quantity`
@@ -256,6 +254,8 @@ mod tests {
         assert_eq!(check_certificates(&program, &certs), vec![]);
     }
 
+    /// Both searches feed `certify_cone`: the optimizer's row
+    /// enumeration and the objective-bounded branch and bound.
     #[test]
     fn bnb_cone_prunes_carry_valid_certificates() {
         let nest = parse(
@@ -273,13 +273,19 @@ mod tests {
             &deps,
             (98, 81),
             8,
-            &loopmem_sim::AnalysisBudget::unlimited(),
+            &AnalysisBudget::unlimited(),
         )
         .unwrap()
         .unwrap();
-        let cert = certify_bnb(0, 8, &r).expect("rank-1 cone must certify its prunes");
+        let opt = Session::new().optimize(&nest).unwrap();
         let program = loopmem_ir::Program::new(vec![nest]).unwrap();
-        assert_eq!(check_certificates(&program, &[cert]), vec![]);
+        for cone in [r.cone, opt.cone] {
+            let cone = cone.expect("a rank-1 cone certifies its prunes");
+            assert_eq!(
+                check_certificates(&program, &[certify_cone(0, &cone)]),
+                vec![]
+            );
+        }
     }
 
     #[test]

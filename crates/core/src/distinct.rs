@@ -207,6 +207,10 @@ pub(crate) fn cases(nest: &LoopNest, union: bool) -> Vec<Case> {
         };
         if let Some(ranges) = &ranges {
             case.estimate = closed_form(&mut case, &mine, ranges, nest.depth(), union);
+            if ranges.iter().any(|&(lo, hi)| hi < lo) {
+                // An empty box touches nothing, whichever form applies.
+                case.estimate = case.estimate.map(|e| DistinctEstimate::exact(0, e.method));
+            }
         }
         out.push(case);
     }

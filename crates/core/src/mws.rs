@@ -84,18 +84,24 @@ pub fn maxspan_rational(row: (i64, i64), n: (i64, i64)) -> Rational {
 /// assert_eq!(loopmem_core::two_level_estimate((2, 5), (2, 3), (25, 10)), 20);
 /// ```
 pub fn two_level_estimate(alpha: (i64, i64), row: (i64, i64), n: (i64, i64)) -> i64 {
-    let w = (alpha.1 * row.0 - alpha.0 * row.1).abs();
+    let w = weight(alpha, row);
     if w == 0 {
         return 1;
     }
-    maxspan(row, n) * w
+    maxspan(row, n).saturating_mul(w)
+}
+
+/// Eq. (2)'s weight `|α₂·a − α₁·b|`, saturated at `i64::MAX`.
+fn weight(alpha: (i64, i64), row: (i64, i64)) -> i64 {
+    let w = i128::from(alpha.1) * i128::from(row.0) - i128::from(alpha.0) * i128::from(row.1);
+    i64::try_from(w.unsigned_abs()).unwrap_or(i64::MAX)
 }
 
 /// The continuous variant of [`two_level_estimate`] — §4.2's
 /// branch-and-bound objective. At `α = (2,5)`, `row = (2,3)`,
 /// `n = (25,10)` it evaluates to the paper's 22.
 pub fn two_level_objective(alpha: (i64, i64), row: (i64, i64), n: (i64, i64)) -> Rational {
-    let w = (alpha.1 * row.0 - alpha.0 * row.1).abs();
+    let w = weight(alpha, row);
     if w == 0 {
         return Rational::ONE;
     }
@@ -137,17 +143,17 @@ pub fn lex_delay_estimate(distances: &[Vec<i64>], extents: &[i64]) -> i64 {
         .iter()
         .map(|d| lex_delay(d, extents))
         .fold(0, i64::max)
-        + 1
+        .saturating_add(1)
 }
 
 /// Iterations a lexicographic sweep of a box with these `extents` takes
-/// to cover distance `d`: `Σ_k |d_k| · Π_{j>k} N_j`.
+/// to cover distance `d`: `Σ_k |d_k| · Π_{j>k} N_j`, saturating.
 pub(crate) fn lex_delay(d: &[i64], extents: &[i64]) -> i64 {
     assert_eq!(d.len(), extents.len(), "arity mismatch");
-    let mut delay = 0i64;
-    for k in 0..d.len() {
-        let inner: i64 = extents[k + 1..].iter().product();
-        delay += d[k].abs() * inner;
+    let (mut delay, mut inner) = (0i64, 1i64);
+    for k in (0..d.len()).rev() {
+        delay = delay.saturating_add(d[k].saturating_abs().saturating_mul(inner));
+        inner = inner.saturating_mul(extents[k]);
     }
     delay
 }
@@ -166,6 +172,9 @@ pub fn estimate_nest_mws(nest: &loopmem_ir::LoopNest) -> Option<i64> {
     use loopmem_dep::uniform::uniform_groups;
     use loopmem_linalg::integer_nullspace;
     let ranges = nest.rectangular_ranges()?;
+    if ranges.iter().any(|&(lo, hi)| hi < lo) {
+        return Some(0); // an empty box touches nothing
+    }
     let extents: Vec<i64> = ranges.iter().map(|&(lo, hi)| hi - lo + 1).collect();
     let n = nest.depth();
     let deps = loopmem_dep::analyze(nest);

@@ -4,14 +4,15 @@
 //! the maximum window size. Three search modes reproduce the paper's
 //! comparison:
 //!
-//! * [`SearchMode::Compound`] — the paper's technique. For 2-deep nests it
-//!   enumerates coprime leading rows `(a, b)` inside a coefficient bound
-//!   (the integer equivalent of §4.2's branch and bound: the objective is
-//!   evaluated exactly on every feasible point), keeps the rows that admit
-//!   a tileable unimodular completion, ranks completions by the closed-form
-//!   objective, and re-evaluates the best few *exactly* with the simulator.
-//!   Deeper nests combine signed permutations with §4.3's access-matrix
-//!   completions.
+//! * [`SearchMode::Compound`] — the paper's technique. For 2-deep nests
+//!   §4.2's branch and bound ([`crate::bnb`]) enumerates the coprime
+//!   tileable leading rows `(a, b)` inside a coefficient bound, pruning
+//!   boxes by the dependence cone and by infeasibility; the search keeps
+//!   the rows that admit a tileable unimodular completion, ranks
+//!   completions by the closed-form objective, and re-evaluates the best
+//!   few *exactly* with the simulator. A cone that collapsed to a line
+//!   leaves its evidence in [`Optimization::cone`]. Deeper nests combine
+//!   signed permutations with §4.3's access-matrix completions.
 //! * [`SearchMode::InterchangeReversal`] — the Eisenbeis et al. baseline:
 //!   only signed permutation matrices (interchange + reversal).
 //! * [`SearchMode::LiPingali`] — the Li–Pingali baseline: the leading rows
@@ -21,14 +22,15 @@
 //! [`Session::optimize`](crate::Session::optimize) is the entry point:
 //! every search is governed by the session's budget.
 
+use crate::bnb::{tileable_rows, BoxSearch, ConeEvidence};
 use crate::mws::{lex_delay, two_level_estimate};
-use crate::transform::apply_transform;
-use loopmem_dep::legality::{is_legal, is_tileable, row_tileable};
+use crate::transform::{apply_transform, TransformError};
+use loopmem_dep::legality::{is_legal, row_tileable};
 use loopmem_dep::uniform::uniform_groups;
 use loopmem_dep::{analyze, DependenceSet};
 use loopmem_ir::LoopNest;
 use loopmem_ir::{AnalysisError, TripReason};
-use loopmem_linalg::gcd::{extended_gcd, gcd_i64};
+use loopmem_linalg::gcd::extended_gcd;
 use loopmem_linalg::{complete_unimodular_rows, IMat};
 use loopmem_obs::{EventKind, Phase, TraceEvent};
 use loopmem_sim::{panic_message, shard_map, try_simulate_tracked, BudgetTracker};
@@ -80,6 +82,10 @@ pub struct Optimization {
     /// evidence frontier behind the winner's minimality claim, exported
     /// into optimality certificates (see [`crate::cert`]).
     pub evaluated: Vec<(IMat, u64)>,
+    /// The 2-deep row search's cone evidence, when the dependence cone
+    /// collapsed it to a line and discarded boxes; exported into
+    /// cone-prune certificates by [`crate::certify_cone`].
+    pub cone: Option<ConeEvidence>,
 }
 
 /// `(hits, misses)` of an optimizer simulation memo. The optimizer keeps
@@ -111,16 +117,6 @@ fn normalize_error(nest: &LoopNest, e: AnalysisError) -> AnalysisError {
         AnalysisError::Exhausted { reason, .. } => exhausted(nest, reason),
         other => other,
     }
-}
-
-/// Exact iteration count of a rectangular nest (`None` when bounds are not
-/// rectangular). Cheap — used for budget pre-flight, not execution.
-fn exact_iteration_count(nest: &LoopNest) -> Option<u128> {
-    nest.rectangular_ranges().map(|rs| {
-        rs.iter().fold(1u128, |acc, &(lo, hi)| {
-            acc.saturating_mul((i128::from(hi) - i128::from(lo) + 1).max(0) as u128)
-        })
-    })
 }
 
 /// The §4 search, behind [`Session::optimize`](crate::Session::optimize)
@@ -174,7 +170,10 @@ fn try_minimize_impl(
     // Pre-flight: a rectangular nest's iteration count is exact and free,
     // so refuse immediately when even one candidate simulation would blow
     // the iteration cap (unimodular transformations preserve the count).
-    if let (Some(cap), Some(n)) = (tracker.max_iterations(), exact_iteration_count(nest)) {
+    if let (Some(cap), Some(rs)) = (tracker.max_iterations(), nest.rectangular_ranges()) {
+        let n = rs.iter().fold(1u128, |acc, &(lo, hi)| {
+            acc.saturating_mul((i128::from(hi) - i128::from(lo) + 1).max(0) as u128)
+        });
         if n > u128::from(cap) {
             return Err(exhausted(nest, TripReason::MaxIterations));
         }
@@ -185,109 +184,135 @@ fn try_minimize_impl(
     let search_started = tracker.trace().map(|_| std::time::Instant::now());
     tracker.check().map_err(|r| exhausted(nest, r))?;
     let deps = analyze(nest);
-    let candidates = generate_candidates(nest, &deps, mode);
+    let rows = match mode {
+        SearchMode::Compound { max_coeff, .. } if nest.depth() == 2 => {
+            Some(tileable_rows(&deps, max_coeff))
+        }
+        _ => None,
+    };
+    let candidates = generate_candidates(nest, &deps, mode, rows.as_ref());
     if candidates.is_empty() {
         return Err(AnalysisError::Invalid {
             message: "no legal transformation in the search space".into(),
         });
     }
-    let simulate = |n: &LoopNest| -> Result<u64, AnalysisError> {
-        try_simulate_tracked(n, 1, tracker).map(|s| s.mws_total)
+    let simulate = |n: &LoopNest| try_simulate_tracked(n, 1, tracker);
+    let invalid = |e: TransformError| AnalysisError::Invalid {
+        message: e.to_string(),
     };
-    let mws_before = simulate(nest).map_err(|e| normalize_error(nest, e))?;
-    let considered = candidates.len();
+    let base = simulate(nest).map_err(|e| normalize_error(nest, e))?;
+    // An empty nest touches nothing under any T, and no T's bounds
+    // regenerate over an empty space: the identity answers, at 0.
+    let evaluated: Vec<(IMat, u64)> = if base.iterations == 0 {
+        vec![(IMat::identity(nest.depth()), 0)]
+    } else {
+        // A unimodular T preserves the iteration count N, so when the
+        // candidates' `len · N` iterations cannot fit under the cap the
+        // search trips anyway: trip before sweeping any, since which
+        // candidates finish first depends on the schedule.
+        let total = u128::from(tracker.iterations_charged())
+            + candidates.len() as u128 * u128::from(base.iterations);
+        if tracker
+            .max_iterations()
+            .is_some_and(|cap| total > u128::from(cap))
+        {
+            return Err(exhausted(nest, TripReason::MaxIterations));
+        }
+        let eval_one = |t: &IMat| -> Result<u64, AnalysisError> {
+            tracker
+                .charge_search_nodes(1)
+                .map_err(|r| exhausted(nest, r))?;
+            simulate(&apply_transform(nest, t).map_err(invalid)?).map(|s| s.mws_total)
+        };
+        // Results land in rank order whatever the schedule.
+        let workers = threads.max(1).min(candidates.len());
+        let evals = shard_map(candidates.len(), workers, |rank| {
+            eval_one(&candidates[rank])
+        });
 
-    let eval_one = |t: &IMat| -> Result<u64, AnalysisError> {
-        tracker
-            .charge_search_nodes(1)
-            .map_err(|r| exhausted(nest, r))?;
-        let out = apply_transform(nest, t).map_err(|e| AnalysisError::Invalid {
-            message: e.to_string(),
-        })?;
-        simulate(&out)
+        // Budget trips dominate other failures (once the shared counters
+        // trip, *which* candidates observe it depends on scheduling — the
+        // normalized error does not); among equals the earliest candidate
+        // wins.
+        let first_err = |trip: bool| {
+            evals.iter().find_map(|r| match r {
+                Err(e) if matches!(e, AnalysisError::Exhausted { .. }) == trip => Some(e.clone()),
+                _ => None,
+            })
+        };
+        if let Some(e) = first_err(true).or_else(|| first_err(false)) {
+            return Err(normalize_error(nest, e));
+        }
+        let mws = evals
+            .into_iter()
+            .map(|r| r.expect("errors were handled above"));
+        candidates.into_iter().zip(mws).collect()
     };
-    // Results land in rank order whatever the schedule.
-    let workers = threads.max(1).min(candidates.len());
-    let evals = shard_map(candidates.len(), workers, |rank| {
-        eval_one(&candidates[rank])
-    });
-
-    // Budget trips dominate other failures (once the shared counters trip,
-    // *which* candidates observe it depends on scheduling — the normalized
-    // error does not); among equals the earliest candidate wins.
-    let first_err = |trip: bool| {
-        evals.iter().find_map(|r| match r {
-            Err(e) if matches!(e, AnalysisError::Exhausted { .. }) == trip => Some(e.clone()),
-            _ => None,
-        })
-    };
-    if let Some(e) = first_err(true).or_else(|| first_err(false)) {
-        return Err(normalize_error(nest, e));
-    }
-
-    let mws: Vec<u64> = evals
-        .into_iter()
-        .map(|r| r.expect("errors were handled above"))
-        .collect();
-    let (mws_after, rank) = mws
+    let (mws_after, rank) = evaluated
         .iter()
         .enumerate()
-        .map(|(rank, &m)| (m, rank))
+        .map(|(rank, &(_, m))| (m, rank))
         .min()
         .expect("candidates were non-empty");
-    let evaluated: Vec<(IMat, u64)> = candidates.into_iter().zip(mws).collect();
     let transform = evaluated[rank].0.clone();
-    let transformed = apply_transform(nest, &transform).map_err(|e| AnalysisError::Invalid {
-        message: e.to_string(),
-    })?;
+    let transformed = match base.iterations {
+        0 => nest.clone(),
+        _ => apply_transform(nest, &transform).map_err(invalid)?,
+    };
     if let Some(sink) = tracker.trace() {
         let micros = search_started.map_or(0, |s| s.elapsed().as_micros() as u64);
-        sink.record_all(vec![
-            TraceEvent {
-                phase: Phase::Search,
-                nest: None,
-                ord: (0, 0),
-                kind: EventKind::SpanBegin { label: "search" },
+        let charged = evaluated.len() as u64;
+        let span = |ord, kind| TraceEvent {
+            phase: Phase::Search,
+            nest: None,
+            ord,
+            kind,
+        };
+        let begin = span((0, 0), EventKind::SpanBegin { label: "search" });
+        let end = span(
+            (u64::MAX, 0),
+            EventKind::SpanEnd {
+                label: "search",
+                micros,
+                charged,
             },
-            TraceEvent {
-                phase: Phase::Search,
-                nest: None,
-                ord: (u64::MAX, 0),
-                kind: EventKind::SpanEnd {
-                    label: "search",
-                    micros,
-                    charged: considered as u64,
-                },
-            },
-        ]);
+        );
+        let cone = rows.as_ref().map(BoxSearch::event);
+        sink.record_all([begin, end].into_iter().chain(cone).collect());
     }
     Ok(Optimization {
         transform,
         transformed,
-        mws_before,
+        mws_before: base.mws_total,
         mws_after,
-        candidates_considered: considered,
+        candidates_considered: evaluated.len(),
         evaluated,
+        cone: rows.and_then(|r| r.cone),
     })
 }
 
 // ------------------------------------------------------------ candidates --
 
-/// The mode's full (ranked, truncated) candidate list. The identity is
-/// always a member for [`SearchMode::Compound`] and
-/// [`SearchMode::InterchangeReversal`]; [`SearchMode::LiPingali`] may come
-/// back empty.
-fn generate_candidates(nest: &LoopNest, deps: &DependenceSet, mode: SearchMode) -> Vec<IMat> {
+/// The mode's full (ranked, truncated) candidate list; `rows` is the
+/// 2-deep compound search's row enumeration. The identity is always a
+/// member for [`SearchMode::Compound`] and
+/// [`SearchMode::InterchangeReversal`]; [`SearchMode::LiPingali`] may
+/// come back empty.
+fn generate_candidates(
+    nest: &LoopNest,
+    deps: &DependenceSet,
+    mode: SearchMode,
+    rows: Option<&BoxSearch>,
+) -> Vec<IMat> {
     let n = nest.depth();
     match mode {
         SearchMode::Compound {
             max_coeff,
             simulate_top,
         } => {
-            let mut cands = if n == 2 {
-                two_level_candidates(deps, max_coeff)
-            } else {
-                deep_candidates(nest, deps)
+            let mut cands = match rows {
+                Some(rows) => two_level_candidates(&rows.rows, deps, max_coeff),
+                None => deep_candidates(nest, deps),
             };
             rank_and_truncate(nest, deps, &mut cands, simulate_top);
             cands
@@ -304,22 +329,15 @@ fn generate_candidates(nest: &LoopNest, deps: &DependenceSet, mode: SearchMode) 
     }
 }
 
-/// 2-deep compound candidates: coprime tileable leading rows completed to
-/// tileable unimodular matrices (§4.2). The identity is always included.
-fn two_level_candidates(deps: &DependenceSet, max_coeff: i64) -> Vec<IMat> {
+/// 2-deep compound candidates: the coprime tileable leading `rows`, in
+/// `(a, b)` order, completed to tileable unimodular matrices (§4.2). The
+/// identity is always included.
+fn two_level_candidates(rows: &[(i64, i64)], deps: &DependenceSet, max_coeff: i64) -> Vec<IMat> {
     let mut out = vec![IMat::identity(2)];
-    for a in -max_coeff..=max_coeff {
-        for b in -max_coeff..=max_coeff {
-            if (a, b) == (0, 0) || gcd_i64(a, b) != 1 {
-                continue;
-            }
-            if !row_tileable(&[a, b], deps) {
-                continue;
-            }
-            if let Some(t) = complete_tileable(a, b, deps, max_coeff) {
-                if !out.contains(&t) {
-                    out.push(t);
-                }
+    for &(a, b) in rows {
+        if let Some(t) = complete_tileable(a, b, deps, max_coeff) {
+            if !out.contains(&t) {
+                out.push(t);
             }
         }
     }
@@ -351,9 +369,8 @@ fn complete_tileable(a: i64, b: i64, deps: &DependenceSet, max_coeff: i64) -> Op
         }
     }
     let (_, c, d) = best?;
-    let t = IMat::from_rows(&[vec![a, b], vec![c, d]]);
-    debug_assert!(is_tileable(&t, deps));
-    Some(t)
+    // Both rows passed `row_tileable` (exact in i128), so `T` is tileable.
+    Some(IMat::from_rows(&[vec![a, b], vec![c, d]]))
 }
 
 /// Candidates for nests deeper than two: signed permutations, §4.3's
@@ -530,9 +547,12 @@ fn rank_and_truncate(nest: &LoopNest, deps: &DependenceSet, cands: &mut Vec<IMat
 /// generated group, eq. (2) where it applies (2-deep, 1-D arrays), the
 /// lexicographic-delay estimate otherwise, summed over groups. Everything
 /// that does not depend on the candidate is computed once per search, so
-/// scoring a candidate allocates nothing.
+/// scoring a candidate allocates nothing. The arithmetic saturates, so
+/// coefficients and distances near the `i64` limits rank instead of
+/// overflowing.
 struct RankingObjective {
-    /// Extents of the original nest (16 per loop when not rectangular).
+    /// Extents of the original nest, clamped to `1..=i64::MAX` (16 per
+    /// loop when not rectangular).
     extents: Vec<i64>,
     terms: Vec<GroupTerm>,
 }
@@ -552,7 +572,11 @@ impl RankingObjective {
         let n = nest.depth();
         let extents: Vec<i64> = nest
             .rectangular_ranges()
-            .map(|rs| rs.iter().map(|&(lo, hi)| hi - lo + 1).collect())
+            .map(|rs| {
+                rs.iter()
+                    .map(|&(lo, hi)| hi.saturating_sub(lo).saturating_add(1).max(1))
+                    .collect()
+            })
             .unwrap_or_else(|| vec![16; n]);
         let terms = uniform_groups(nest)
             .into_iter()
@@ -582,13 +606,17 @@ impl RankingObjective {
         // Extents of the transformed space, over-approximated per row.
         t_extents.clear();
         t_extents.extend((0..n).map(|k| {
-            1 + (0..n)
-                .map(|j| t[(k, j)].abs() * (self.extents[j] - 1))
-                .sum::<i64>()
+            (0..n)
+                .map(|j| {
+                    t[(k, j)]
+                        .saturating_abs()
+                        .saturating_mul(self.extents[j] - 1)
+                })
+                .fold(1, i64::saturating_add)
         }));
         let mut total = 0i64;
         for term in &self.terms {
-            total += match term {
+            total = total.saturating_add(match term {
                 GroupTerm::TwoLevel(alpha) => two_level_estimate(
                     *alpha,
                     (t[(0, 0)], t[(0, 1)]),
@@ -598,20 +626,17 @@ impl RankingObjective {
                     let mut best = 0i64;
                     for d in distances {
                         td.clear();
-                        td.extend((0..n).map(|k| -> i64 {
-                            t.row(k)
-                                .iter()
-                                .zip(d)
-                                .map(|(&a, &b)| (a as i128) * (b as i128))
-                                .sum::<i128>()
-                                .try_into()
-                                .expect("mul_vec overflow")
+                        td.extend((0..n).map(|k| {
+                            let dot = t.row(k).iter().zip(d).fold(0i128, |s, (&a, &b)| {
+                                s.saturating_add(i128::from(a) * i128::from(b))
+                            });
+                            dot.clamp(i64::MIN.into(), i64::MAX.into()) as i64
                         }));
                         best = best.max(lex_delay(td, t_extents));
                     }
-                    best + 1
+                    best.saturating_add(1)
                 }
-            };
+            });
         }
         total
     }
@@ -731,6 +756,56 @@ mod tests {
                 assert_eq!(par.evaluated, serial.evaluated);
             }
         }
+    }
+
+    #[test]
+    fn empty_nests_answer_the_identity_at_zero() {
+        for src in [
+            "array X[10]\nfor i = 5 to 4 { for j = 1 to 1000000 { X[1]; } }",
+            "array X[40]\nfor i = 5 to 4 { for j = 1 to 10 { X[i + j] = X[i + j - 1]; } }",
+        ] {
+            let opt = search(&parse(src).unwrap(), SearchMode::default()).unwrap();
+            assert_eq!((opt.mws_before, opt.mws_after), (0, 0), "{src}");
+            assert_eq!(opt.transform, IMat::identity(2), "{src}");
+            assert_eq!(opt.evaluated, vec![(IMat::identity(2), 0)], "{src}");
+        }
+    }
+
+    /// Coefficients and distances near the `i64` limits reach the typed
+    /// outcomes of the simulation instead of panicking in the ranking.
+    #[test]
+    fn huge_coefficients_and_distances_degrade_without_panicking() {
+        let coeffs = parse(
+            "array X[100]\nfor i = 1 to 5 { for j = 1 to 5 { \
+             X[4000000000000000000i + j] = X[4000000000000000000i + j - 1]; } }",
+        )
+        .unwrap();
+        assert!(
+            matches!(
+                search(&coeffs, SearchMode::default()),
+                Err(AnalysisError::Overflow { .. })
+            ),
+            "{:?}",
+            search(&coeffs, SearchMode::default())
+        );
+        let distance = parse(
+            "array A[10][10]\nfor i = 1 to 4000000000000000002 { for j = 1 to 5 { \
+             A[i][j] = A[i - 4000000000000000000][j]; } }",
+        )
+        .unwrap();
+        let budget = loopmem_sim::AnalysisBudget::unlimited()
+            .with_timeout(std::time::Duration::from_millis(50));
+        let r = Session::new().budget(budget).optimize(&distance);
+        assert!(
+            matches!(
+                r,
+                Err(AnalysisError::Exhausted {
+                    reason: TripReason::Deadline,
+                    ..
+                })
+            ),
+            "{r:?}"
+        );
     }
 
     #[test]

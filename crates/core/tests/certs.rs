@@ -10,7 +10,7 @@
 //!    strings like `reason` are deliberately unchecked.)
 
 use loopmem_core::{
-    certify_bnb, certify_fusion, certify_optimization, certify_sizing, try_branch_and_bound,
+    certify_cone, certify_fusion, certify_optimization, certify_sizing, try_branch_and_bound,
     BnbResult, ScratchpadPlan, Session,
 };
 use loopmem_dep::DependenceSet;
@@ -77,7 +77,9 @@ fn all_real_certs() -> Vec<(Program, Vec<Certificate>)> {
     let cone = cone_nest();
     let deps = loopmem_dep::analyze(&cone);
     let bnb = unlimited_bnb(&deps);
-    let bnb_cert = certify_bnb(0, 8, &bnb).expect("rank-1 cone certifies its prunes");
+    let bnb_cert = certify_cone(0, bnb.cone.as_ref().expect("rank-1 cone leaves evidence"));
+    let search = Session::new().optimize(&cone).unwrap();
+    let search_cert = certify_cone(0, search.cone.as_ref().expect("the search's cone too"));
 
     let program = pipeline_program();
     let plan = fusion_plan(&program);
@@ -85,7 +87,10 @@ fn all_real_certs() -> Vec<(Program, Vec<Certificate>)> {
 
     vec![
         (example8_program(), opt_certs),
-        (Program::new(vec![cone]).unwrap(), vec![bnb_cert]),
+        (
+            Program::new(vec![cone]).unwrap(),
+            vec![bnb_cert, search_cert],
+        ),
         (program, sp_certs),
     ]
 }
@@ -167,7 +172,7 @@ fn cone_prune_mutations_are_rejected() {
     let cone = cone_nest();
     let deps = loopmem_dep::analyze(&cone);
     let bnb = unlimited_bnb(&deps);
-    let cert = certify_bnb(0, 8, &bnb).unwrap();
+    let cert = certify_cone(0, &bnb.cone.unwrap());
     let program = Program::new(vec![cone]).unwrap();
     let Certificate::ConePrune(base) = &cert else {
         panic!("bnb certificate is cone-prune");

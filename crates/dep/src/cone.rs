@@ -8,10 +8,10 @@
 //! below the nest depth, no fully-permutable (tileable) transformation can
 //! be assembled from rows in the searched family, and MWS minimization is
 //! stuck at (at best) lexicographic-only transforms — the analyzer's
-//! `no-legal-transform` lint. The branch-and-bound search consumes the
-//! same fact as a certificate: a sub-depth cone rank prunes the tileable
-//! search tree up front, reported through `BnbResult::cone_pruned`
-//! (see DESIGN.md §11).
+//! `no-legal-transform` lint. The §4.2 row search (`loopmem_core::bnb`)
+//! consumes the same fact as a certificate: a rank-1 cone discards every
+//! box off its line, and those boxes become the cone-prune certificate
+//! of the search that chose `T` (see DESIGN.md §11).
 
 use crate::analysis::DependenceSet;
 use crate::legality::row_tileable;

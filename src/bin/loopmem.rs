@@ -35,11 +35,12 @@
 //! estimators against the dense simulator on small nests.
 //!
 //! `verify` runs the proof-carrying layer end to end: every answer the
-//! optimizer would hand the user (per-nest minimization, cone pruning,
-//! scratchpad sizing, fusion) is converted into a structured certificate
-//! (`loopmem_core::cert`) and replayed by the *independent* checker in
-//! `loopmem-verify`, which re-derives each claim from the source program
-//! alone. `--emit-cert out.ndjson` writes the certificate stream;
+//! optimizer would hand the user (per-nest minimization, the cone prunes
+//! of the search that chose each `T`, scratchpad sizing, fusion) is
+//! converted into a structured certificate (`loopmem_core::cert`) and
+//! replayed by the *independent* checker in `loopmem-verify`, which
+//! re-derives each claim from the source program alone. `--emit-cert
+//! out.ndjson` writes the certificate stream;
 //! `--cert in.ndjson` checks a previously emitted stream instead of
 //! generating one (so a tampered certificate is rejected). Violations are
 //! rendered as `LM7xxx` diagnostics with the same caret machinery as
@@ -65,13 +66,14 @@
 //! budget is unlimited without them). Budget flags also make an exact run
 //! print its `outcome` line and the governed per-nest report.
 //!
-//! `trace` runs the whole governed surface (program simulation,
-//! scratchpad sizing + fusion, per-nest §4 searches, cone prunes,
-//! certificate emission) with a collecting `loopmem-obs` sink attached
-//! and renders the deterministic trace: per-phase totals with `--format
-//! text` (default), the canonical NDJSON stream with `--format json`;
-//! `--out trace.ndjson` writes the NDJSON to a file either way. The
-//! NDJSON bytes are bit-identical for every `--threads` value.
+//! `trace` runs the whole governed surface in two stages (program
+//! simulation with scratchpad sizing + fusion, then the per-nest §4
+//! searches with their cone prunes; certificate events in both) with a
+//! collecting `loopmem-obs` sink attached and renders the deterministic
+//! trace: per-phase totals with `--format text` (default), the canonical
+//! NDJSON stream with `--format json`; `--out trace.ndjson` writes the
+//! NDJSON to a file either way. The NDJSON bytes are bit-identical for
+//! every `--threads` value.
 //! `pipeline`, `scratchpad`, `chaos`, and `verify` accept `--trace
 //! out.ndjson` to capture the same stream for their own runs (on
 //! `pipeline`/`scratchpad` it also selects the governed report; on
@@ -87,10 +89,6 @@ use loopmem::sim::{AnalysisBudget, ScratchpadModel};
 use loopmem::Session;
 use std::process::ExitCode;
 use std::sync::Arc;
-
-/// Coefficient box half-width of the cone-prune scans `verify` certifies
-/// and `trace` narrates.
-const BNB_BOUND: i64 = 6;
 
 /// Set by the analysis subcommands: governed runs contain panics with
 /// `catch_unwind` and report them as per-nest outcomes, so the panic hook
@@ -641,11 +639,12 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
 
 /// `loopmem trace`: run the whole governed analysis surface over the
 /// program — simulation, scratchpad sizing + fusion, per-nest §4
-/// searches, cone-prune scans, certificate emission — with a collecting
-/// `loopmem-obs` sink attached, and render the deterministic trace. `--format text`
-/// (default) prints per-phase totals; `--format json` prints the
-/// canonical NDJSON stream, whose bytes are identical for every
-/// `--threads` value; `--out` writes the NDJSON to a file either way.
+/// searches with their cone prunes, certificate emission — with a
+/// collecting `loopmem-obs` sink attached, and render the deterministic
+/// trace. `--format text` (default) prints per-phase totals; `--format
+/// json` prints the canonical NDJSON stream, whose bytes are identical
+/// for every `--threads` value; `--out` writes the NDJSON to a file
+/// either way.
 fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let opts = CommonOpts::parse(rest)?;
@@ -664,7 +663,7 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
         .with_trace(dyn_sink.clone());
     let session = Session::new()
         .threads(opts.threads)
-        .budget(budget.clone())
+        .budget(budget)
         .certify(true);
 
     // Stage 1: governed program simulation + scratchpad sizing + fusion
@@ -673,18 +672,11 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     dyn_sink.begin_epoch();
     let _ = catch_unwind(AssertUnwindSafe(|| session.scratchpad(&program)));
 
-    // Stage 2: per-nest §4 searches, one epoch each: the search span and
-    // its certificates.
+    // Stage 2: per-nest §4 searches, one epoch each: the search span, its
+    // cone prunes and its certificates.
     for nest in program.nests() {
         dyn_sink.begin_epoch();
         let _ = catch_unwind(AssertUnwindSafe(|| session.optimize(nest)));
-    }
-
-    // Stage 3: cone-prune scans for 2-deep nests (the same scan `verify`
-    // certifies), one epoch each.
-    for nest in program.nests() {
-        dyn_sink.begin_epoch();
-        let _ = catch_unwind(AssertUnwindSafe(|| cone_scan(nest, &budget, BNB_BOUND)));
     }
 
     let report = sink.drain();
@@ -701,47 +693,11 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Branch-and-bound cone-prune scan over a 2-deep rectangular nest:
-/// `None` when the nest has the wrong shape, the extents degenerate, the
-/// run trips `budget`, or the dependence cone never collapsed to a line.
-/// Emits `cone-prune` trace events when `budget` carries a sink.
-fn cone_scan(
-    nest: &LoopNest,
-    budget: &AnalysisBudget,
-    bound: i64,
-) -> Option<loopmem::core::BnbResult> {
-    if nest.depth() != 2 {
-        return None;
-    }
-    let vr = nest.var_ranges()?;
-    let extents = (
-        vr[0].1.checked_sub(vr[0].0)?.checked_add(1)?,
-        vr[1].1.checked_sub(vr[1].0)?.checked_add(1)?,
-    );
-    if extents.0 <= 1 || extents.1 <= 1 {
-        return None;
-    }
-    let deps = analyze(nest);
-    loopmem::core::try_branch_and_bound(leading_alpha(nest), &deps, extents, bound, budget).ok()?
-}
-
-/// The §4.2 leading access row `(α₁, α₂)` used to weight the
-/// branch-and-bound objective: the first nonzero access-matrix row in the
-/// nest, falling back to `(1, 0)`.
-fn leading_alpha(nest: &LoopNest) -> (i64, i64) {
-    nest.refs()
-        .find_map(|r| {
-            let row = r.matrix.rows_iter().next()?;
-            (row.len() == 2 && (row[0] != 0 || row[1] != 0)).then(|| (row[0], row[1]))
-        })
-        .unwrap_or((1, 0))
-}
-
 /// Runs the whole governed optimizer surface over `program` and converts
 /// every answer into certificates: legality/optimality/exact bounds for
-/// each minimized nest (degraded bounds when the budget trips), cone-prune
-/// evidence for 2-deep nests, and sizing/fusion certificates for the
-/// shared scratchpad.
+/// each minimized nest (degraded bounds when the budget trips), the
+/// cone-prune evidence of each search that collapsed to a line, and
+/// sizing/fusion certificates for the shared scratchpad.
 fn generate_certificates(
     program: &loopmem::ir::Program,
     threads: usize,
@@ -755,7 +711,11 @@ fn generate_certificates(
         // arithmetic; like the chaos harness, contain the panic and
         // degrade to a bounds certificate rather than crash.
         let nest_certs = catch_unwind(AssertUnwindSafe(|| match session.optimize(nest) {
-            Ok(opt) => loopmem::core::certify_optimization(k, nest, &opt),
+            Ok(opt) => {
+                let mut certs = loopmem::core::certify_optimization(k, nest, &opt);
+                certs.extend(opt.cone.map(|c| loopmem::core::certify_cone(k, &c)));
+                certs
+            }
             Err(e) => vec![loopmem::core::certify_degraded(k, nest, &e)],
         }))
         .or_else(|_| {
@@ -784,12 +744,6 @@ fn generate_certificates(
             )]
         });
         certs.extend(nest_certs);
-        let cone = catch_unwind(AssertUnwindSafe(|| {
-            let r = cone_scan(nest, budget, BNB_BOUND)?;
-            loopmem::core::certify_bnb(k, BNB_BOUND, &r)
-        }))
-        .unwrap_or(None);
-        certs.extend(cone);
     }
     let scratchpad = catch_unwind(AssertUnwindSafe(|| match session.scratchpad(program) {
         Ok((gov, plan)) => {

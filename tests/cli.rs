@@ -24,6 +24,18 @@ fn analyze_reports_example8_numbers() {
 }
 
 #[test]
+fn empty_nests_count_zero_and_optimize_to_the_identity() {
+    let (ok, stdout, _) = run(&["analyze", "tests/robustness/empty_nest.loop"]);
+    assert!(ok, "{stdout}");
+    assert!(stdout.contains("MWS closed form  : 0 words"), "{stdout}");
+    let x = stdout.lines().find(|l| l.starts_with("X ")).unwrap();
+    assert_eq!(x.split_whitespace().nth(2), Some("0"), "{stdout}");
+    let (ok, stdout, stderr) = run(&["optimize", "tests/robustness/empty_nest.loop"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("MWS 0 -> 0"), "{stdout}");
+}
+
+#[test]
 fn analyze_prints_rows_in_declaration_order() {
     let (ok, first, _) = run(&["analyze", "kernels/matmult.loop"]);
     assert!(ok);
@@ -413,4 +425,60 @@ fn trace_records_one_search_span_per_nest() {
             .count();
         assert_eq!(searches, nests, "{file}: one search span per nest");
     }
+}
+
+/// The opposed-skew nest's dependence cone collapses to the line (1, 0)
+/// inside the search box: `verify` certifies the prunes of the search
+/// that chose T, and `trace` records them inside that search's epoch.
+#[test]
+fn verify_and_trace_cover_the_searchs_cone_prunes() {
+    let dir = std::env::temp_dir().join("loopmem-cone-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let nest = dir.join("skew.loop").to_str().unwrap().to_string();
+    std::fs::write(
+        &nest,
+        "array A[100][100]\n\
+         for i = 2 to 99 { for j = 10 to 90 { A[i][j] = A[i-1][j+9] + A[i-1][j-9]; } }\n",
+    )
+    .unwrap();
+    let certs = dir.join("skew.ndjson").to_str().unwrap().to_string();
+    let (ok, stdout, _) = run(&["verify", &nest, "--emit-cert", &certs]);
+    assert!(ok && stdout.contains(" 0 violations"), "{stdout}");
+    let stream = std::fs::read_to_string(&certs).unwrap();
+    let cones: Vec<&str> = stream
+        .lines()
+        .filter(|l| l.contains("\"cert\":\"cone-prune\""))
+        .collect();
+    assert_eq!(cones.len(), 1, "{stream}");
+    assert!(
+        cones[0].contains("\"bound\":6,\"direction\":[1,0]"),
+        "{}",
+        cones[0]
+    );
+
+    // Moving the first discarded box onto the line, at (1, 0), makes the
+    // certificate claim a prune that discarded a candidate.
+    let start = cones[0].find("\"boxes\":[[").unwrap() + "\"boxes\":[".len();
+    let end = start + cones[0][start..].find(']').unwrap() + 1;
+    let moved = format!("{}[1,1,0,0]{}", &cones[0][..start], &cones[0][end..]);
+    let bad = dir.join("skew-bad.ndjson").to_str().unwrap().to_string();
+    std::fs::write(&bad, stream.replace(cones[0], &moved)).unwrap();
+    let (ok, stdout, _) = run(&["verify", &nest, "--cert", &bad]);
+    assert!(!ok, "a box on the line must be rejected: {stdout}");
+    assert!(stdout.contains("error[LM7003]"), "{stdout}");
+
+    let (ok, stdout, stderr) = run(&["trace", &nest, "--format", "json"]);
+    assert!(ok, "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    let at = |what: &str| {
+        let found: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].contains(what))
+            .collect();
+        assert_eq!(found.len(), 1, "{what} in {stdout}");
+        found[0]
+    };
+    let begin = at("\"event\":\"span-begin\",\"label\":\"search\"");
+    let cone = at("\"event\":\"cone-prune\"");
+    let end = at("\"event\":\"span-end\",\"label\":\"search\"");
+    assert!(begin < cone && cone < end, "{stdout}");
 }

@@ -500,3 +500,32 @@ fn wrapper_try_simulate_program_with_threads_matches_session() {
 fn ungoverned_simulate_program_matches_default_session() {
     check_golden(&["simulate_program", "simulate_program_with_threads"]);
 }
+
+/// A capped search whose candidates cannot all fit under the iteration
+/// cap trips before it sweeps any of them, so its canonical trace is the
+/// same at every thread count, odd ones included. Under 2·10⁶ iterations
+/// the 500,500-iteration triangle leaves room for only some of its
+/// candidates, and which ones finished used to depend on the schedule.
+#[test]
+fn capped_search_trips_before_sweeping_candidates_it_cannot_finish() {
+    let program = parse_program(
+        "array A[1001][1001]\narray B[1001][1001]\narray C[1001][1001]\n\
+         for i = 1 to 1000 { for j = i to 1000 { A[i][j] = B[j][i] + C[i][j]; } }",
+    )
+    .unwrap();
+    let traced = |threads: usize| {
+        let sink = Arc::new(CollectingSink::new());
+        let answer = Session::new()
+            .threads(threads)
+            .budget(AnalysisBudget::unlimited().with_max_iterations(2_000_000))
+            .trace(sink.clone())
+            .optimize(&program.nests()[0])
+            .map(|opt| opt.mws_after);
+        (format!("{answer:?}"), sink.drain().render_ndjson())
+    };
+    let one = traced(1);
+    assert!(one.0.contains("MaxIterations"), "{}", one.0);
+    for threads in [2, 3, 4] {
+        assert_eq!(traced(threads), one, "threads={threads}");
+    }
+}
