@@ -194,14 +194,14 @@ chaos_step() {
     local start
     start=$(date +%s)
     local out
-    if ! out="$(./target/release/chaossuite kernels/*.loop tests/robustness/*.loop --seed 1)"; then
+    if ! out="$(./target/release/loopmem chaos kernels/*.loop tests/robustness/*.loop --seed 1)"; then
         echo "$out"
-        echo "FAIL: chaossuite reported oracle violations"
+        echo "FAIL: loopmem chaos reported oracle violations"
         return 1
     fi
     echo "$out"
     if ! grep -q "^violations : 0$" <<<"$out"; then
-        echo "FAIL: expected 'violations : 0' in chaossuite summary"
+        echo "FAIL: expected 'violations : 0' in the loopmem chaos summary"
         return 1
     fi
     if grep -q "^salvaged   : 0$" <<<"$out"; then
@@ -459,7 +459,7 @@ if [ "${1:-}" = "scratchpad" ]; then
 fi
 
 if [ "${1:-}" = "chaos" ]; then
-    cargo build --release --offline -p loopmem-bench --bin chaossuite
+    cargo build --release --offline -p loopmem
     chaos_step
     echo "== ci (chaos only) passed =="
     exit 0

@@ -28,7 +28,7 @@
 //! | `LM0011` | warning | dead store: array written but never read afterwards | — |
 //! | `LM9001`–`LM9003` | error | differential sanitizer disagreements (`--sanitize`) | §3 |
 //!
-//! Certificate violations (`LM7001`–`LM7007`) are reported by the
+//! Certificate violations (`LM7001`–`LM7008`) are reported by the
 //! independent checker in `loopmem-verify` and rendered by the CLI with
 //! this crate's diagnostic machinery.
 //!

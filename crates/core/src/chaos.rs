@@ -1,5 +1,5 @@
 //! Chaos-differential harness: sweeps deterministic injected faults across
-//! the governed entry points and checks five oracles on every run.
+//! the governed entry points and checks six oracles on every run.
 //!
 //! One seed expands into a full case matrix — (entry point × fault kind ×
 //! fault timing × thread count) — over a parsed source file. Faults are
@@ -17,12 +17,10 @@
 //!    intersect (`max(lower) ≤ min(upper)`), which catches contradictions
 //!    even when the exact answer is too expensive to compute.
 //! 3. **Determinism.** The same logical fault point must produce
-//!    bit-identical canonicalized results for every thread count whenever
-//!    the engine promises it: always for single-nest quantities, and for
-//!    multi-nest programs whenever no global budget trip is involved
-//!    (a shared iteration counter crossing its threshold mid-program
-//!    attributes the trip to a schedule-dependent *nest subset*, so those
-//!    cases fall back to the intersection oracle).
+//!    bit-identical canonicalized results for every thread count, in
+//!    every case: under a counted trip (an iteration cap or an injected
+//!    fault) the engines sweep a program's nests, and the program
+//!    optimizer its searches, in program order.
 //! 4. **Panic rebasing.** An injected panic targeting nest `k` must surface
 //!    as [`AnalysisError::NestPanicked`] with exactly `nest == k` and the
 //!    fixed [`INJECTED_PANIC`] message.
@@ -33,12 +31,10 @@
 //!
 //! 6. **Observability is read-only.** Every case is replayed with a
 //!    [`CollectingSink`] attached: the traced answer must be bit-identical
-//!    to the untraced one (same scoping as oracle 3), and the canonical
-//!    NDJSON trace must be bit-identical across thread counts wherever the
-//!    event multiset is schedule-free — everywhere except the optimizer
-//!    entry under fire-once faults, where *which candidate simulation*
-//!    absorbs the fault is scheduler-chosen even though the normalized
-//!    answer is not.
+//!    to the untraced one, and the canonical NDJSON trace bit-identical
+//!    across thread counts, in every case. The §4 search's candidate
+//!    sweeps record no events, so which candidate absorbs a fault never
+//!    shows in the stream.
 //!
 //! The harness also counts **salvaged-tighter** outcomes: `Exhausted`
 //! payloads whose method is `salvaged-prefix` with `lower > 0` — strictly
@@ -47,7 +43,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use loopmem_ir::{parse_program, AnalysisError, Bounds, BoundsMethod, LoopNest, Program};
+use loopmem_ir::{
+    parse_program, print_program, AnalysisError, Bounds, BoundsMethod, LoopNest, Program,
+};
 use loopmem_linalg::rng::Lcg;
 use loopmem_obs::{CollectingSink, TraceSink};
 use loopmem_sim::{
@@ -97,7 +95,7 @@ impl ChaosReport {
 /// Which governed entry point a case drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
-    /// `try_simulate_with_threads` on the program's first nest.
+    /// `Session::simulate` on the program's first nest.
     Simulate,
     /// `Session::optimize` on the program's first nest.
     Optimize,
@@ -105,6 +103,8 @@ enum Entry {
     Pipeline,
     /// `Session::scratchpad_sizing` on the whole program.
     Scratchpad,
+    /// `Session::optimize_program` on the whole program.
+    OptimizeProgram,
 }
 
 impl Entry {
@@ -114,6 +114,7 @@ impl Entry {
             Entry::Optimize => "optimize",
             Entry::Pipeline => "pipeline",
             Entry::Scratchpad => "scratchpad",
+            Entry::OptimizeProgram => "optimize-program",
         }
     }
 }
@@ -161,7 +162,7 @@ impl FaultSpec {
 enum Quantity {
     /// MWS of the program's first nest (simulate + optimize entries).
     Nest0Mws,
-    /// Whole-program MWS (pipeline entry).
+    /// Whole-program MWS (pipeline entry, optimize-program's baseline).
     ProgramMws,
     /// Scratchpad words (scratchpad entry).
     Words,
@@ -188,8 +189,8 @@ struct RunOutcome {
     claims: Vec<(Quantity, Bounds)>,
     /// Nest indices + messages of every `NestPanicked` the run surfaced.
     panics: Vec<(usize, String)>,
-    /// True when the run was degraded by a global `Exhausted` trip (used
-    /// to scope oracle 3 on multi-nest programs).
+    /// True when the run was degraded by an `Exhausted` trip (oracle 5
+    /// certifies its claims).
     exhausted: bool,
     /// Salvaged-prefix payloads with `lower > 0` (strictly tighter than
     /// the analytic fallback).
@@ -244,150 +245,129 @@ fn run_case(
     if let Some(sink) = trace {
         budget = budget.with_trace(sink.clone());
     }
+    // Interchange+reversal keeps the candidate space small (the chaos
+    // matrix re-runs each search dozens of times); the governed machinery
+    // under test — shared tracker, parallel candidate evaluation, error
+    // normalization — is identical to the compound mode's.
+    let session = Session::new()
+        .threads(threads)
+        .search_mode(SearchMode::InterchangeReversal)
+        .budget(budget);
     // Each arm yields (canon, pool claim, errors to fold). Per-nest
     // degradations inside Ok payloads are errors too: their salvage, panic
-    // and trip facts feed the oracles. A nest-0 degradation inside the
-    // pipeline claims the Nest0Mws pool — its payload bounds that nest's
-    // own MWS, giving a cross-entry differential against simulate/optimize.
+    // and trip facts feed the oracles. A nest-0 degradation inside a
+    // program entry claims the Nest0Mws pool — its payload bounds that
+    // nest's own MWS, giving a cross-entry differential against
+    // simulate/optimize.
     type Claims = Vec<(Quantity, Bounds)>;
     type Folds = Vec<(Option<Quantity>, AnalysisError)>;
+    fn canon_nests<T>(per_nest: &[Result<T, AnalysisError>], ok: impl Fn(&T) -> String) -> String {
+        let per: Vec<String> = per_nest
+            .iter()
+            .map(|r| match r {
+                Ok(v) => format!("ok:{}", ok(v)),
+                Err(e) => format!("err:{e}"),
+            })
+            .collect();
+        format!("{per:?}")
+    }
+    fn nest_folds<T>(per_nest: &[Result<T, AnalysisError>]) -> Folds {
+        per_nest
+            .iter()
+            .enumerate()
+            .filter_map(|(k, r)| {
+                let e = r.as_ref().err()?.clone();
+                Some(((k == 0).then_some(Quantity::Nest0Mws), e))
+            })
+            .collect()
+    }
+    let failed =
+        |q: Option<Quantity>, e: AnalysisError| (format!("err {e}"), Vec::new(), vec![(q, e)]);
     let caught = catch_unwind(AssertUnwindSafe(|| -> (String, Claims, Folds) {
+        let nest0 = || nest0.expect("a nest entry requires a nest");
         match entry {
-            Entry::Simulate => {
-                let nest = nest0.expect("simulate entry requires a nest");
-                match try_simulate_with_threads(nest, false, threads, &budget) {
-                    Ok(sim) => {
-                        let mut per: Vec<(usize, u64, u64, u64)> = sim
-                            .per_array
-                            .iter()
-                            .map(|(id, st)| (id.0, st.distinct, st.accesses, st.mws))
-                            .collect();
-                        per.sort_unstable();
-                        (
-                            format!(
-                                "ok iters={} mws={} per_array={per:?}",
-                                sim.iterations, sim.mws_total
-                            ),
-                            vec![(Quantity::Nest0Mws, Bounds::exact(sim.mws_total))],
-                            Vec::new(),
-                        )
-                    }
-                    Err(e) => (
-                        format!("err {e}"),
-                        Vec::new(),
-                        vec![(Some(Quantity::Nest0Mws), e)],
-                    ),
-                }
-            }
-            Entry::Optimize => {
-                let nest = nest0.expect("optimize entry requires a nest");
-                // Interchange+reversal keeps the candidate space small (the
-                // chaos matrix re-runs the search dozens of times); the
-                // governed machinery under test — shared tracker, parallel
-                // candidate evaluation, error normalization — is identical
-                // to the compound mode's.
-                let mode = SearchMode::InterchangeReversal;
-                let session = Session::new()
-                    .threads(threads)
-                    .search_mode(mode)
-                    .budget(budget.clone());
-                match session.optimize(nest) {
-                    Ok(opt) => (
-                        format!(
-                            "ok before={} after={} considered={} transform={:?}",
-                            opt.mws_before, opt.mws_after, opt.candidates_considered, opt.transform
-                        ),
-                        vec![(Quantity::Nest0Mws, Bounds::exact(opt.mws_before))],
-                        Vec::new(),
-                    ),
-                    Err(e) => (
-                        format!("err {e}"),
-                        Vec::new(),
-                        vec![(Some(Quantity::Nest0Mws), e)],
-                    ),
-                }
-            }
-            Entry::Pipeline => match Session::new()
-                .threads(threads)
-                .budget(budget.clone())
-                .simulate_program(program)
-            {
-                Ok(gov) => {
-                    let per: Vec<String> = gov
-                        .per_nest
+            Entry::Simulate => match session.simulate(nest0()) {
+                Ok(sim) => {
+                    let mut per: Vec<(usize, u64, u64, u64)> = sim
+                        .per_array
                         .iter()
-                        .map(|r| match r {
-                            Ok(iters) => format!("ok:{iters}"),
-                            Err(e) => format!("err:{e}"),
-                        })
+                        .map(|(id, st)| (id.0, st.distinct, st.accesses, st.mws))
                         .collect();
+                    per.sort_unstable();
+                    (
+                        format!(
+                            "ok iters={} mws={} per_array={per:?}",
+                            sim.iterations, sim.mws_total
+                        ),
+                        vec![(Quantity::Nest0Mws, Bounds::exact(sim.mws_total))],
+                        Vec::new(),
+                    )
+                }
+                Err(e) => failed(Some(Quantity::Nest0Mws), e),
+            },
+            Entry::Optimize => match session.optimize(nest0()) {
+                Ok(opt) => (
+                    format!(
+                        "ok before={} after={} considered={} transform={:?}",
+                        opt.mws_before, opt.mws_after, opt.candidates_considered, opt.transform
+                    ),
+                    vec![(Quantity::Nest0Mws, Bounds::exact(opt.mws_before))],
+                    Vec::new(),
+                ),
+                Err(e) => failed(Some(Quantity::Nest0Mws), e),
+            },
+            Entry::Pipeline => match session.simulate_program(program) {
+                Ok(gov) => {
                     let mut distinct: Vec<(usize, u64)> =
                         gov.sim.distinct.iter().map(|(id, n)| (id.0, *n)).collect();
                     distinct.sort_unstable();
-                    let folds: Folds = gov
-                        .per_nest
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(k, r)| {
-                            r.as_ref().err().cloned().map(|e| {
-                                (
-                                    if k == 0 {
-                                        Some(Quantity::Nest0Mws)
-                                    } else {
-                                        None
-                                    },
-                                    e,
-                                )
-                            })
-                        })
-                        .collect();
                     (
                         format!(
-                            "ok bounds={} per_nest={per:?} mws={} per_nest_mws={:?} distinct={distinct:?}",
+                            "ok bounds={} per_nest={} mws={} per_nest_mws={:?} distinct={distinct:?}",
                             canon_bounds(&gov.mws_bounds),
+                            canon_nests(&gov.per_nest, |iters| iters.to_string()),
                             gov.sim.mws_total,
                             gov.sim.per_nest_mws
                         ),
                         vec![(Quantity::ProgramMws, gov.mws_bounds)],
-                        folds,
+                        nest_folds(&gov.per_nest),
                     )
                 }
-                Err(e) => (
-                    format!("err {e}"),
-                    Vec::new(),
-                    vec![(Some(Quantity::ProgramMws), e)],
-                ),
+                Err(e) => failed(Some(Quantity::ProgramMws), e),
             },
-            Entry::Scratchpad => {
-                let session = Session::new().threads(threads).budget(budget.clone());
-                match session.scratchpad_sizing(program) {
-                    Ok(gov) => {
-                        let per: Vec<String> = gov
-                            .per_nest
-                            .iter()
-                            .map(|r| match r {
-                                Ok(term) => format!("ok:{}+{}", term.mws, term.live_through),
-                                Err(e) => format!("err:{e}"),
-                            })
-                            .collect();
-                        // Scratchpad per-nest payloads bound nest MWS terms,
-                        // not words — folded for panic/salvage facts only.
-                        let folds: Folds = gov
-                            .per_nest
-                            .iter()
-                            .filter_map(|r| r.as_ref().err().cloned().map(|e| (None, e)))
-                            .collect();
-                        (
-                            format!("ok words={} per_nest={per:?}", canon_bounds(&gov.words)),
-                            vec![(Quantity::Words, gov.words)],
-                            folds,
-                        )
-                    }
-                    // Top-level scratchpad errors carry nest-level bounds, not
-                    // words-level ones — no pool claim.
-                    Err(e) => (format!("err {e}"), Vec::new(), vec![(None, e)]),
-                }
-            }
+            Entry::Scratchpad => match session.scratchpad_sizing(program) {
+                Ok(gov) => (
+                    format!(
+                        "ok words={} per_nest={}",
+                        canon_bounds(&gov.words),
+                        canon_nests(&gov.per_nest, |t| format!("{}+{}", t.mws, t.live_through))
+                    ),
+                    vec![(Quantity::Words, gov.words)],
+                    // Scratchpad per-nest payloads bound nest MWS terms,
+                    // not words — folded for panic/salvage facts only.
+                    gov.per_nest
+                        .iter()
+                        .filter_map(|r| r.as_ref().err().cloned().map(|e| (None, e)))
+                        .collect(),
+                ),
+                // Top-level scratchpad errors carry nest-level bounds, not
+                // words-level ones — no pool claim.
+                Err(e) => failed(None, e),
+            },
+            Entry::OptimizeProgram => match session.optimize_program(program) {
+                Ok(opt) => (
+                    format!(
+                        "ok before={} after={} per_nest={} program={:?}",
+                        canon_bounds(&opt.mws_before),
+                        canon_bounds(&opt.mws_after),
+                        canon_nests(&opt.per_nest, |(b, a)| format!("{b}->{a}")),
+                        print_program(&opt.transformed)
+                    ),
+                    vec![(Quantity::ProgramMws, opt.mws_before)],
+                    nest_folds(&opt.per_nest),
+                ),
+                Err(e) => failed(Some(Quantity::ProgramMws), e),
+            },
         }
     }));
     match caught {
@@ -505,9 +485,10 @@ pub fn chaos_program(name: &str, program: &Program, seed: u64) -> ChaosReport {
             Entry::Optimize,
             Entry::Pipeline,
             Entry::Scratchpad,
+            Entry::OptimizeProgram,
         ]
     } else {
-        vec![Entry::Pipeline, Entry::Scratchpad]
+        vec![Entry::Pipeline, Entry::Scratchpad, Entry::OptimizeProgram]
     };
     let mut pools: Vec<(Quantity, String, Bounds)> = Vec::new();
     // Oracle 5's dedup set, program-wide: checking a certificate is pure
@@ -624,73 +605,35 @@ pub fn chaos_program(name: &str, program: &Program, seed: u64) -> ChaosReport {
                     }
                 }
             }
-            // Oracle 3: determinism across thread counts. Always for
-            // single-nest quantities (one nest's Ok/Err outcome depends
-            // only on the cumulative counter, not the schedule). For
-            // multi-nest programs, only when per-nest attribution is
-            // schedule-free: nests run concurrently at t > 1, so a global
-            // counter-triggered fault (injected exhaust/cancel/overflow,
-            // or a real cap trip) lands in a schedule-dependent *nest* —
-            // those cases answer to the intersection oracle instead.
-            let any_exhausted = outcomes.iter().any(|(_, o)| o.exhausted);
-            let counter_fault = matches!(
-                spec.kind,
-                Some(FaultKind::Exhaust) | Some(FaultKind::Cancel) | Some(FaultKind::Overflow)
-            );
-            let single_nest_quantity =
-                matches!(*entry, Entry::Simulate | Entry::Optimize) || nnests == 1;
-            let determinism_scope = single_nest_quantity || (!counter_fault && !any_exhausted);
-            if determinism_scope {
-                let (t0, first) = &outcomes[0];
-                for (t, o) in &outcomes[1..] {
-                    if o.canon != first.canon {
-                        report.violations.push(format!(
-                            "{case}: t={t0} and t={t} disagree:\n  t={t0}: {}\n  t={t}: {}",
-                            first.canon, o.canon
-                        ));
-                    }
+            // Oracle 3: determinism across thread counts.
+            let (t0, first) = &outcomes[0];
+            for (t, o) in &outcomes[1..] {
+                if o.canon != first.canon {
+                    report.violations.push(format!(
+                        "{case}: t={t0} and t={t} disagree:\n  t={t0}: {}\n  t={t}: {}",
+                        first.canon, o.canon
+                    ));
                 }
             }
-            // Oracle 6a: wherever the answer is promised deterministic,
-            // attaching a sink must not perturb it — the traced run's
-            // canonical result equals the untraced one at every t.
-            if determinism_scope {
-                for ((t, _, traced_canon), (tu, out)) in traced.iter().zip(&outcomes) {
-                    debug_assert_eq!(t, tu);
-                    if traced_canon != &out.canon {
-                        report.violations.push(format!(
-                            "{case} t={t}: tracing perturbed the answer:\n  untraced: {}\n  traced:   {}",
-                            out.canon, traced_canon
-                        ));
-                    }
+            // Oracle 6a: attaching a sink must not perturb the answer —
+            // the traced run's canonical result equals the untraced one at
+            // every t.
+            for ((t, _, traced_canon), (_, out)) in traced.iter().zip(&outcomes) {
+                if traced_canon != &out.canon {
+                    report.violations.push(format!(
+                        "{case} t={t}: tracing perturbed the answer:\n  untraced: {}\n  traced:   {}",
+                        out.canon, traced_canon
+                    ));
                 }
             }
             // Oracle 6b: the canonical NDJSON trace is bit-identical
-            // across thread counts wherever the event multiset is
-            // schedule-free. The optimizer entry under a fire-once fault
-            // is the one exception even for single-nest quantities: the
-            // fault lands in whichever candidate simulation polls first,
-            // so the set of completed (flushed) candidate sweeps is
-            // scheduler-chosen although the normalized answer is not.
-            let fire_once_fault = matches!(
-                spec.kind,
-                Some(FaultKind::Exhaust)
-                    | Some(FaultKind::Cancel)
-                    | Some(FaultKind::Overflow)
-                    | Some(FaultKind::PanicNest)
-            );
-            let trace_scope = match *entry {
-                Entry::Optimize => !fire_once_fault && !any_exhausted,
-                _ => determinism_scope,
-            };
-            if trace_scope {
-                let (t0, first, _) = &traced[0];
-                for (t, ndjson, _) in &traced[1..] {
-                    if ndjson != first {
-                        report.violations.push(format!(
-                            "{case}: trace bytes differ between t={t0} and t={t}"
-                        ));
-                    }
+            // across thread counts.
+            let (t0, first, _) = &traced[0];
+            for (t, ndjson, _) in &traced[1..] {
+                if ndjson != first {
+                    report.violations.push(format!(
+                        "{case}: trace bytes differ between t={t0} and t={t}"
+                    ));
                 }
             }
         }

@@ -178,9 +178,10 @@ fn try_minimize_impl(
             return Err(exhausted(nest, TripReason::MaxIterations));
         }
     }
-    // The span is flushed only on success: on a budget trip the set of
-    // candidates that completed is schedule-dependent, so nothing about
-    // the failed search may reach the sink.
+    // The search narrates only its own span and cone-prune event, on
+    // success. Its baseline and candidate sweeps record nothing
+    // (`try_simulate_tracked`), so a trip leaves no trace of which
+    // candidates finished first.
     let search_started = tracker.trace().map(|_| std::time::Instant::now());
     tracker.check().map_err(|r| exhausted(nest, r))?;
     let deps = analyze(nest);

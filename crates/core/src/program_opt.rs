@@ -52,7 +52,10 @@ pub struct GovernedProgramOptimization {
 /// form), so they shard across `threads` workers of [`shard_map`] (a
 /// single nest gets every thread for its own candidate evaluation); the
 /// accept pass is serial, so the result is bit-identical for every
-/// `threads` value.
+/// `threads` value. Under an iteration cap or an injected fault the
+/// searches would race to reach the trip's position in the shared
+/// counter, so they run one after another in program order instead, each
+/// with the whole pool, like the program engine's nests.
 pub(crate) fn governed_optimize_program(
     program: &Program,
     mode: SearchMode,
@@ -64,8 +67,12 @@ pub(crate) fn governed_optimize_program(
     let mws_before = baseline.mws_bounds;
 
     let nests = program.nests();
-    let per_nest = if nests.len() == 1 { threads } else { 1 };
-    let searches = shard_map(nests.len(), threads.max(1), |k| {
+    let (workers, per_nest) = if nests.len() == 1 || tracker.trips_on_count() {
+        (1, threads)
+    } else {
+        (threads.max(1), 1)
+    };
+    let searches = shard_map(nests.len(), workers, |k| {
         try_minimize_mws_tracked(k, &nests[k], mode, per_nest, &tracker)
     });
 

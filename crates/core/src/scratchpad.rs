@@ -44,7 +44,7 @@ use crate::fusion::fuse;
 use loopmem_ir::{AnalysisError, Bounds, BoundsMethod, Program};
 use loopmem_obs::{EventKind, Phase, TraceEvent};
 use loopmem_sim::{
-    analytic_nest_bounds, try_simulate_program_tracked, BudgetTracker, GovernedProgramSim,
+    failed_nest_bounds, try_simulate_program_tracked, BudgetTracker, GovernedProgramSim,
     ProgramSimResult,
 };
 
@@ -309,43 +309,30 @@ impl GovernedScratchpad {
 /// terms exactly what it contributes to the subset's.
 fn governed_sizing(program: &Program, gov: GovernedProgramSim) -> GovernedScratchpad {
     let sizing = sizing_from_sim(&gov.sim);
-    let mut failed_upper = 0u64;
-    let mut salvaged_lower = 0u64;
-    let mut per_nest = Vec::with_capacity(gov.per_nest.len());
-    for (k, outcome) in gov.per_nest.into_iter().enumerate() {
-        match outcome {
-            Ok(_) => per_nest.push(Ok(NestTerm {
-                mws: gov.sim.per_nest_mws[k],
-                live_through: gov.sim.live_through[k],
-            })),
-            Err(e) => {
-                // `Exhausted` carries the nest's analytical upper already;
-                // recompute for the other failure modes (pure interval
-                // analysis — cannot panic).
-                let upper = match e.bounds() {
-                    Some(b) => b.upper,
-                    None => analytic_nest_bounds(&program.nests()[k]).upper,
-                };
-                failed_upper = failed_upper.saturating_add(upper);
-                // A salvaged-prefix lower bound on a failed nest's MWS also
-                // lower-bounds the shared buffer: the buffer must hold at
-                // least `MWS_k (+ live-through_k)` words during nest k.
-                if let Some(b) = e.bounds() {
-                    salvaged_lower = salvaged_lower.max(b.lower);
-                }
-                per_nest.push(Err(e));
-            }
-        }
-    }
-    let words = if per_nest.iter().all(Result::is_ok) {
+    // A salvaged-prefix lower bound on a failed nest's MWS also
+    // lower-bounds the shared buffer: the buffer must hold at least
+    // `MWS_k (+ live-through_k)` words during nest k.
+    let words = if gov.all_exact() {
         Bounds::exact(sizing.words)
     } else {
+        let failed = failed_nest_bounds(program, &gov.per_nest);
         Bounds {
-            lower: sizing.words.max(salvaged_lower),
-            upper: sizing.words.saturating_add(failed_upper.saturating_mul(2)),
+            lower: sizing.words.max(failed.lower),
+            upper: sizing.words.saturating_add(failed.upper.saturating_mul(2)),
             method: BoundsMethod::PartialProgram,
         }
     };
+    let per_nest = gov
+        .per_nest
+        .into_iter()
+        .enumerate()
+        .map(|(k, outcome)| {
+            outcome.map(|_| NestTerm {
+                mws: gov.sim.per_nest_mws[k],
+                live_through: gov.sim.live_through[k],
+            })
+        })
+        .collect();
     GovernedScratchpad {
         words,
         per_nest,

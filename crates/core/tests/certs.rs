@@ -390,4 +390,30 @@ fn sizing_and_fusion_mutations_are_rejected() {
     let mut c = fbase.clone();
     c.steps.clear();
     assert_rejected(&program, Certificate::Fusion(c), "fusion.steps (cleared)");
+
+    // A forged fusion of a consumer that reads one row ahead: the fused
+    // program's words replay as claimed, but its read of A[i+1][j] would
+    // run before the producer writes that element.
+    let ahead = parse_program(
+        "array A[20][20]\narray B[20][20]\narray C[20][20]\n\
+         for i = 1 to 16 { for j = 1 to 16 { A[i][j] = B[i][j]; } }\n\
+         for i = 1 to 16 { for j = 1 to 16 { C[i][j] = A[i+1][j] + A[i][j]; } }",
+    )
+    .unwrap();
+    let Certificate::Fusion(honest) = certify_fusion(&fusion_plan(&ahead)) else {
+        panic!("fusion certificate");
+    };
+    assert!(honest.steps.is_empty(), "the engine refuses this fusion");
+    let forged = parse_certificates(
+        "{\"cert\":\"fusion\",\"unfused\":272,\"fused\":16,\
+         \"steps\":[{\"at\":0,\"before\":272,\"after\":16}]}",
+    )
+    .unwrap();
+    let violations = check_certificates(&ahead, &forged);
+    assert_eq!(
+        violations.iter().map(|v| v.code).collect::<Vec<_>>(),
+        ["LM7008"],
+        "{violations:?}"
+    );
+    assert_eq!(violations[0].nest, Some(1), "anchored at the consumer");
 }

@@ -8,9 +8,9 @@
 //! this crate makes it *visible*. It defines a span/event/counter model
 //! ([`TraceEvent`]) and a sink trait ([`TraceSink`]) that the engine
 //! threads through its existing seams: `POLL_INTERVAL` budget polls,
-//! chunk commits in the dense engine, memo lookups in the optimizer,
-//! cone prunes in branch-and-bound, fault trips and prefix salvage,
-//! fusion steps and sizing terms, and certificate emission.
+//! chunk commits in the dense engine, the search span and its cone
+//! prunes, fault trips and prefix salvage, fusion steps and sizing
+//! terms, and certificate emission.
 //!
 //! # Zero cost when off
 //!
@@ -28,10 +28,13 @@
 //! by (a) assigning `ord` from deterministic quantities only (chunk
 //! index, serial sequence numbers), (b) buffering chunk-local events and
 //! flushing them only in chunk-commit order after a sweep *succeeds*,
-//! and (c) emitting nothing schedule-dependent on failure paths beyond
-//! the fire-once fault trip itself. Wall-clock micros are carried on
-//! span ends for the human-readable report but are **excluded** from the
-//! canonical NDJSON rendering.
+//! (c) emitting nothing schedule-dependent on failure paths beyond
+//! the fire-once fault trip itself, and (d) narrating a sweep only when
+//! its answer is reported: the §4 search records its own span and
+//! cone-prune event, never its baseline or candidate sweeps, whose
+//! completed set under a trip depends on the schedule. Wall-clock
+//! micros are carried on span ends for the human-readable report but
+//! are **excluded** from the canonical NDJSON rendering.
 //!
 //! # Quickstart
 //!

@@ -282,7 +282,7 @@ impl BudgetTracker {
     /// charged-iteration stream (an iteration cap or an injected fault):
     /// which of several nests swept side by side reaches that position
     /// first then depends on the schedule.
-    pub(crate) fn trips_on_count(&self) -> bool {
+    pub fn trips_on_count(&self) -> bool {
         self.max_iterations.is_some() || self.fault.is_some()
     }
 

@@ -115,7 +115,7 @@ const PARALLEL_THRESHOLD: u128 = 1 << 17;
 /// tripped iteration cap was astronomically large.
 const SALVAGE_MAX_ITERS: u64 = 1 << 22;
 
-/// Chunk-grid size used whenever an enabled trace sink is attached. The
+/// Chunk-grid size used whenever a sweep narrates to a trace sink. The
 /// untraced grid is `threads × CHUNKS_PER_THREAD`, which would make the
 /// poll/commit event stream depend on the thread count; pinning the grid
 /// makes the trace bytes bit-identical across t ∈ {1, 2, 4} (answers are
@@ -478,7 +478,7 @@ pub(crate) struct ChunkOut {
     /// here and flushed by [`MergeState::deposit`] in chunk-commit order
     /// only when the whole sweep succeeds — a failed sweep's set of
     /// completed chunks is schedule-dependent, so its events never reach
-    /// the sink. Empty (never allocated) when no sink is attached.
+    /// the sink. Empty (never allocated) when the sweep does not narrate.
     events: Vec<TraceEvent>,
 }
 
@@ -595,6 +595,8 @@ fn dense_run(
 /// `stop_after` cleanly stops the sweep once exactly that many iterations
 /// have been stamped, returning the partial tables instead of an error —
 /// the salvage pass uses it to re-sweep a deterministic stream prefix.
+/// `tracing` buffers the chunk's poll and commit events for
+/// [`sweep_all`] to flush.
 fn sweep_chunk(
     nest: &LoopNest,
     plan: &Plan,
@@ -602,6 +604,7 @@ fn sweep_chunk(
     hi: i64,
     tracker: &BudgetTracker,
     stop_after: Option<u64>,
+    tracing: bool,
 ) -> Result<ChunkOut, SweepError> {
     let narrays = nest.arrays().len();
     let depth = nest.depth();
@@ -640,7 +643,6 @@ fn sweep_chunk(
     // Chunk-local event buffer: `ord` starts as (0, seq); the merge
     // rewrites the chunk component when the chunk is folded, so the key
     // is (chunk index, poll sequence) — schedule-independent.
-    let tracing = tracker.trace().is_some();
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut seq: u64 = 0;
     let poll_event = |events: &mut Vec<TraceEvent>, seq: &mut u64, delta: u64| {
@@ -1067,15 +1069,19 @@ fn chunk_ranges(nest: &LoopNest, lo: i64, hi: i64, parts: usize) -> Vec<(i64, i6
 /// the error with the smallest chunk index wins (workers stop pulling
 /// chunks once any error is recorded), matching the error a serial sweep
 /// reports when the failing computation is deterministic.
+///
+/// Only a `reported` sweep (see [`try_pass1`]) narrates to the tracker's
+/// sink; any other sweeps exactly as it would without one.
 fn sweep_all(
     nest: &LoopNest,
     nest_index: usize,
     threads: usize,
     tracker: &BudgetTracker,
+    reported: bool,
 ) -> Result<(Plan, ChunkOut), SweepError> {
     let (olo, ohi) = outer_range(nest);
     let threads = sweep_threads(nest, threads);
-    let tracing = tracker.trace().is_some();
+    let tracing = reported && tracker.trace().is_some();
     let started = tracing.then(std::time::Instant::now);
     // An injected table-rejection fault plans as if the table cap were
     // zero: every array demotes to the sparse path (results stay exact).
@@ -1097,7 +1103,7 @@ fn sweep_all(
     };
     if chunks.len() <= 1 {
         let (lo, hi) = chunks[0];
-        let mut out = sweep_chunk(nest, &plan, lo, hi, tracker, None)?;
+        let mut out = sweep_chunk(nest, &plan, lo, hi, tracker, None, tracing)?;
         if tracing {
             for e in &mut out.events {
                 e.ord.0 = 1;
@@ -1137,7 +1143,7 @@ fn sweep_all(
                     }
                     let (lo, hi) = chunks[k];
                     match catch_unwind(AssertUnwindSafe(|| {
-                        sweep_chunk(nest, plan, lo, hi, tracker, None)
+                        sweep_chunk(nest, plan, lo, hi, tracker, None, tracing)
                     })) {
                         Ok(Ok(out)) => state.lock().expect("merge state poisoned").deposit(k, out),
                         Ok(Err(e)) => {
@@ -1414,7 +1420,7 @@ fn prefix_mws(nest: &LoopNest, quota: u64, max_table_bytes: Option<u64>) -> Opti
     let tracker = BudgetTracker::unlimited();
     let plan = make_plan(nest, 1, max_table_bytes);
     let (lo, hi) = outer_range(nest);
-    let out = sweep_chunk(nest, &plan, lo, hi, &tracker, Some(quota)).ok()?;
+    let out = sweep_chunk(nest, &plan, lo, hi, &tracker, Some(quota), false).ok()?;
     Some(out.fold(&plan.ref_counts(), false, false).mws_total)
 }
 
@@ -1496,18 +1502,23 @@ pub(crate) fn contain<T>(
 /// refused up front, so one oversized nest in a batch degrades alone.
 /// Panics are contained ([`contain`]), overflow reports
 /// [`AnalysisError::Overflow`], and a budget trip reports
-/// [`AnalysisError::Exhausted`]: with `salvage`, the bounds of
-/// [`salvage_nest_bounds`]; without, the purely analytic ones. Salvage is
-/// the choice of whoever owns the tracker: the §4 search compares many
-/// candidates against one shared budget, and re-sweeping a prefix per
-/// failed candidate would multiply the tripped budget's cost for bounds
-/// nobody reads.
+/// [`AnalysisError::Exhausted`]: when `reported`, the bounds of
+/// [`salvage_nest_bounds`]; otherwise the purely analytic ones.
+///
+/// `reported` is set by whoever owns the tracker when it reports this
+/// sweep as its answer (a nest simulation, each nest of a program). Only
+/// such a sweep salvages a prefix on a trip and records trace events. The
+/// §4 search sweeps its baseline and every candidate against one shared
+/// budget and reports none of them: re-sweeping a prefix per failed
+/// candidate would multiply the tripped budget's cost for bounds nobody
+/// reads, and their events would make the search's stream depend on
+/// which candidates finished before a trip.
 pub(crate) fn try_pass1(
     nest_index: usize,
     nest: &LoopNest,
     threads: usize,
     tracker: &BudgetTracker,
-    salvage: bool,
+    reported: bool,
 ) -> Result<NestPass1, AnalysisError> {
     if let Some(cap) = tracker.max_table_bytes() {
         if estimated_iterations_of(nest).saturating_mul(4) > cap as u128 {
@@ -1521,13 +1532,13 @@ pub(crate) fn try_pass1(
         if tracker.fault_take_panic(nest_index) {
             panic!("{}", crate::faults::INJECTED_PANIC);
         }
-        Ok(sweep_all(nest, nest_index, threads, tracker))
+        Ok(sweep_all(nest, nest_index, threads, tracker, reported))
     })?;
     match swept {
         Ok((plan, merged)) => Ok(NestPass1::new(plan, merged)),
         Err(SweepError::Trip(reason)) => Err(AnalysisError::Exhausted {
             reason,
-            partial: if salvage {
+            partial: if reported {
                 salvage_nest_bounds(nest, nest_index, tracker, reason)
             } else {
                 analytic_nest_bounds(nest)

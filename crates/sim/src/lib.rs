@@ -58,7 +58,9 @@ pub use exec::{
 pub use faults::{FaultKind, FaultPlan, INJECTED_PANIC};
 pub use layout::{line_analysis, AddressMap, Layout, LineStats};
 pub use memory::{MemoryReport, ScratchpadModel};
-pub use program::{try_simulate_program_tracked, GovernedProgramSim, ProgramSimResult};
+pub use program::{
+    failed_nest_bounds, try_simulate_program_tracked, GovernedProgramSim, ProgramSimResult,
+};
 pub use replacement::{min_perfect_capacity, miss_curve, misses, Policy, Trace};
 pub use reuse_distance::ReuseHistogram;
 pub use window::{

@@ -420,6 +420,29 @@ impl GovernedProgramSim {
     }
 }
 
+/// The failed nests of `per_nest` folded into one interval: `upper` sums
+/// their analytical MWS uppers (the `Exhausted` payload's, recomputed for
+/// the other failure modes by pure interval analysis, which cannot
+/// panic), and `lower` is the best salvaged-prefix lower among them. That
+/// lower bounds its nest's own MWS, and so every whole-program quantity
+/// the nest's window enters, beyond what the successful subset shows.
+pub fn failed_nest_bounds<T>(program: &Program, per_nest: &[Result<T, AnalysisError>]) -> Bounds {
+    let mut failed = Bounds {
+        lower: 0,
+        upper: 0,
+        method: BoundsMethod::PartialProgram,
+    };
+    for (k, outcome) in per_nest.iter().enumerate() {
+        let Err(e) = outcome else { continue };
+        let b = e
+            .bounds()
+            .unwrap_or_else(|| analytic_nest_bounds(&program.nests()[k]));
+        failed.lower = failed.lower.max(b.lower);
+        failed.upper = failed.upper.saturating_add(b.upper);
+    }
+    failed
+}
+
 /// Governed whole-program simulation with exact window tracking across
 /// nest boundaries, charging `tracker` (one deadline and one cumulative
 /// iteration count, shared with whatever other governed work its owner
@@ -503,29 +526,10 @@ pub fn try_simulate_program_tracked(
     let mws_bounds = if per_nest.iter().all(Result::is_ok) {
         Bounds::exact(sim.mws_total)
     } else {
-        let mut failed_upper: u64 = 0;
-        let mut salvaged_lower: u64 = 0;
-        for (k, outcome) in per_nest.iter().enumerate() {
-            let Err(e) = outcome else { continue };
-            // `Exhausted` already carries the nest's analytical upper;
-            // recompute it for the other failure modes (pure interval
-            // analysis — it cannot panic).
-            let upper = match e.bounds() {
-                Some(b) => b.upper,
-                None => analytic_nest_bounds(&program.nests()[k]).upper,
-            };
-            failed_upper = failed_upper.saturating_add(upper);
-            // A salvaged-prefix payload lower-bounds that nest's own MWS,
-            // which in turn lower-bounds the whole program's MWS — so the
-            // best failed-nest lower can tighten the program lower beyond
-            // the successful subset's window.
-            if let Some(b) = e.bounds() {
-                salvaged_lower = salvaged_lower.max(b.lower);
-            }
-        }
+        let failed = failed_nest_bounds(program, &per_nest);
         Bounds {
-            lower: sim.mws_total.max(salvaged_lower),
-            upper: sim.mws_total.saturating_add(failed_upper),
+            lower: sim.mws_total.max(failed.lower),
+            upper: sim.mws_total.saturating_add(failed.upper),
             method: BoundsMethod::PartialProgram,
         }
     };

@@ -91,11 +91,13 @@ pub fn try_simulate_with_threads(
 
 /// [`try_simulate_with_threads`] without a profile, charging an externally
 /// owned tracker: for callers coordinating several simulations under one
-/// deadline and one cumulative iteration budget (the §4 search sweeps
-/// every candidate against a single tracker). A budget trip reports the
-/// purely analytic bounds, never a salvaged prefix: salvage is the choice
-/// of the tracker's owner, and the search reports the original nest's
-/// bounds, not a candidate's.
+/// deadline and one cumulative iteration budget (the §4 search sweeps its
+/// baseline and every candidate against a single tracker). Such a sweep
+/// is not the owner's answer: a budget trip reports the purely analytic
+/// bounds, never a salvaged prefix (the search reports the original
+/// nest's bounds, not a candidate's), and the sweep records no trace
+/// events, so it runs on the untraced chunk grid even when the tracker
+/// carries a sink.
 pub fn try_simulate_tracked(
     nest: &LoopNest,
     threads: usize,
@@ -112,9 +114,9 @@ fn simulate_nest(
     want_profile: bool,
     threads: usize,
     tracker: &BudgetTracker,
-    salvage: bool,
+    reported: bool,
 ) -> Result<SimResult, AnalysisError> {
-    let np = try_pass1(0, nest, threads, tracker, salvage)?;
+    let np = try_pass1(0, nest, threads, tracker, reported)?;
     contain(0, || Ok(np.finish(want_profile)))
 }
 

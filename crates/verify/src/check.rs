@@ -21,6 +21,7 @@
 //! | `LM7005` | bounds certificate invalid (empty interval, unknown ladder step, or the interval excludes the replayed/boxed answer) |
 //! | `LM7006` | sizing or fusion arithmetic mismatch (the `max_k` formula, replayed tables, or the strict-decrease chain fail) |
 //! | `LM7007` | malformed certificate (bad shape, out-of-range nest index) |
+//! | `LM7008` | fusion step breaks a dependence (a fused access runs before an access of the earlier nest it must follow) |
 
 use crate::cert::{
     BoundsCert, Certificate, ConePruneCert, FusionCert, LegalityCert, OptimalityCert, SizingCert,
@@ -34,7 +35,7 @@ use loopmem_linalg::{gcd_i64, IMat};
 /// One failed certificate check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable violation code (`LM7001`–`LM7007`).
+    /// Stable violation code (`LM7001`–`LM7008`).
     pub code: &'static str,
     /// Index of the nest the certificate is about, when it names one.
     pub nest: Option<usize>,
@@ -676,8 +677,8 @@ fn check_sizing(program: &Program, c: &SizingCert) -> Vec<Violation> {
 
 /// The checker's own conformability-gated fusion of adjacent nests: both
 /// rectangular with identical ranges, statements concatenated. Legality
-/// beyond conformability is re-established by replaying the *sizing* of
-/// each intermediate program, which only needs the access stream.
+/// beyond conformability is checked separately, by replaying the access
+/// order ([`replay::fusion_conflict`]).
 fn mini_fuse(nests: &[LoopNest], at: usize) -> Option<Vec<LoopNest>> {
     let a = nests.get(at)?;
     let b = nests.get(at + 1)?;
@@ -762,22 +763,47 @@ fn check_fusion(program: &Program, c: &FusionCert) -> Vec<Violation> {
     } else {
         return out;
     }
+    // The original nest each intermediate nest starts with, for anchoring.
+    let mut origin: Vec<usize> = (0..nests.len()).collect();
     for (i, s) in c.steps.iter().enumerate() {
-        nests = match mini_fuse(&nests, s.at) {
-            Some(n) => n,
-            None => {
-                out.push(Violation::new(
-                    "LM7006",
-                    None,
-                    format!(
-                        "fusion step {} fuses non-conformable nests at boundary {}",
-                        i + 1,
-                        s.at
-                    ),
-                ));
-                return out;
-            }
+        let Some(fused) = mini_fuse(&nests, s.at) else {
+            out.push(Violation::new(
+                "LM7006",
+                None,
+                format!(
+                    "fusion step {} fuses non-conformable nests at boundary {}",
+                    i + 1,
+                    s.at
+                ),
+            ));
+            return out;
         };
+        let conflict = replay::fusion_conflict(&nests[s.at], &nests[s.at + 1], replay::REPLAY_CAP);
+        if let Some(x) = conflict {
+            let (access, earlier) = if x.write {
+                ("write", "touch")
+            } else {
+                ("read", "write")
+            };
+            out.push(
+                Violation::new(
+                    "LM7008",
+                    Some(origin[s.at + 1]),
+                    format!("fusion step {} breaks a dependence", i + 1),
+                )
+                .note(format!(
+                    "{}{:?}: the fused {access} at iteration {:?} would run before \
+                     the earlier nest's {earlier} at iteration {:?}",
+                    program.arrays()[x.array].name,
+                    x.element,
+                    x.second,
+                    x.first
+                )),
+            );
+            return out;
+        }
+        nests = fused;
+        origin.remove(s.at + 1);
         match words_of(&nests) {
             Some(w) if w != s.after => {
                 out.push(

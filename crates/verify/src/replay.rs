@@ -12,7 +12,7 @@
 //! checker skips the cross-checks — never approximates them — for nests
 //! beyond the cap.
 
-use loopmem_ir::{Affine, ArrayRef, Bound, LoopNest, Program, Statement};
+use loopmem_ir::{AccessKind, Affine, ArrayRef, Bound, LoopNest, Program, Statement};
 use loopmem_linalg::gcd::{div_ceil, div_floor};
 use loopmem_linalg::IMat;
 use loopmem_poly::{regenerate_loops, Constraint, Polyhedron};
@@ -291,6 +291,111 @@ pub fn replay_program(program: &Program, cap: u64) -> Option<ProgramReplay> {
     })
 }
 
+/// An access pair that fusing two nests would reorder: in the fused body,
+/// the second nest's access at iteration `second` runs before the first
+/// nest's access to the same element at the later iteration `first`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FusionConflict {
+    /// Index of the array both accesses touch.
+    pub array: usize,
+    /// The element both accesses touch.
+    pub element: Vec<i64>,
+    /// Iteration of the first nest's access (its last touch, or its last
+    /// write when the second nest's access is a read).
+    pub first: Vec<i64>,
+    /// Iteration of the second nest's access.
+    pub second: Vec<i64>,
+    /// True when the second nest's access is a write.
+    pub write: bool,
+}
+
+/// Replays the legality of fusing `first` with the conformable `second`:
+/// both walk the same iteration vectors in the same order, and the fused
+/// body runs `first`'s statements before `second`'s. Fusion moves every
+/// access of `second` at `J` ahead of `first`'s accesses after `J`, which
+/// changes the program exactly when such a pair involves a write: a
+/// `second` write before a `first` touch of the element, or a `second`
+/// read before a `first` write of it.
+///
+/// Returns the first such pair in `second`'s order. `None` means there is
+/// none, or the replay is unavailable: either nest exceeds `cap`
+/// iterations or overflows a subscript.
+pub fn fusion_conflict(first: &LoopNest, second: &LoopNest, cap: u64) -> Option<FusionConflict> {
+    // Only an array both nests touch, one of them writing it, can carry
+    // a dependence that fusion reverses.
+    let touches = |n: &LoopNest, a: usize, write: bool| {
+        n.refs()
+            .any(|r| r.array.0 == a && (!write || r.kind == AccessKind::Write))
+    };
+    let shared: Vec<bool> = (0..first.arrays().len())
+        .map(|a| {
+            touches(first, a, false)
+                && touches(second, a, false)
+                && (touches(first, a, true) || touches(second, a, true))
+        })
+        .collect();
+    // Per element of a shared array: the ranks of `first`'s last touch and
+    // last write in the common iteration order.
+    let mut last: HashMap<(usize, Vec<i64>), (u64, Option<u64>)> = HashMap::new();
+    let mut rank = 0u64;
+    let walked = for_each_iteration_capped(first, cap, &mut |iter| {
+        for r in first.refs().filter(|r| shared[r.array.0]) {
+            let Some(idx) = index_at_checked(r, iter) else {
+                return false;
+            };
+            let e = last.entry((r.array.0, idx)).or_default();
+            e.0 = rank;
+            if r.kind == AccessKind::Write {
+                e.1 = Some(rank);
+            }
+        }
+        rank += 1;
+        true
+    });
+    if !walked || last.is_empty() {
+        return None;
+    }
+    let mut conflict = None;
+    let mut rank = 0u64;
+    for_each_iteration_capped(second, cap, &mut |iter| {
+        for r in second.refs().filter(|r| shared[r.array.0]) {
+            let Some(element) = index_at_checked(r, iter) else {
+                return false;
+            };
+            let key = (r.array.0, element);
+            let Some(&(touch, written)) = last.get(&key) else {
+                continue;
+            };
+            let write = r.kind == AccessKind::Write;
+            let earlier = if write { Some(touch) } else { written };
+            if let Some(at) = earlier.filter(|&at| rank < at) {
+                conflict = Some((key, at, iter.to_vec(), write));
+                return false;
+            }
+        }
+        rank += 1;
+        true
+    });
+    let ((array, element), at, second, write) = conflict?;
+    // Recover the iteration of `first` at rank `at`.
+    let mut first_iter = Vec::new();
+    let mut rank = 0u64;
+    for_each_iteration_capped(first, cap, &mut |iter| {
+        if rank == at {
+            first_iter = iter.to_vec();
+        }
+        rank += 1;
+        rank <= at
+    });
+    Some(FusionConflict {
+        array,
+        element,
+        first: first_iter,
+        second,
+        write,
+    })
+}
+
 /// Applies a unimodular transformation to a nest using only
 /// `loopmem-poly` bound regeneration — the checker's own copy of the §4
 /// code-generation step, kept independent of the optimizer's.
@@ -392,6 +497,43 @@ mod tests {
         let nest = parse("array A[10]\nfor i = 1 to 10 { for j = 1 to 10 { A[i]; } }").unwrap();
         assert_eq!(nest_mws(&nest, 5), None);
         assert!(nest_mws(&nest, 100).is_some());
+    }
+
+    #[test]
+    fn fusion_replay_finds_reversed_dependences() {
+        let pair = |consumer: &str| {
+            let p = parse_program(&format!(
+                "array A[20][20]\narray B[20][20]\narray C[20][20]\n\
+                 for i = 2 to 16 {{ for j = 1 to 16 {{ A[i][j] = B[i-1][j]; }} }}\n\
+                 for i = 2 to 16 {{ for j = 1 to 16 {{ {consumer} }} }}"
+            ))
+            .unwrap();
+            fusion_conflict(&p.nests()[0], &p.nests()[1], REPLAY_CAP)
+        };
+        // Same-iteration and backward reads keep every dependence.
+        assert_eq!(pair("C[i][j] = A[i][j] + A[i-1][j];"), None);
+        // A read one row ahead runs before the producer's write.
+        let ahead = pair("C[i][j] = A[i+1][j];").unwrap();
+        assert_eq!(
+            (ahead.element, ahead.first, ahead.second, ahead.write),
+            (vec![3, 1], vec![3, 1], vec![2, 1], false)
+        );
+        // A write before the producer's read of the same element.
+        let early = pair("B[i][j] = C[i][j];").unwrap();
+        assert_eq!(
+            (early.element, early.first, early.second, early.write),
+            (vec![2, 1], vec![3, 1], vec![2, 1], true)
+        );
+        // Over the cap the replay is unavailable.
+        let p = parse_program(
+            "array A[22]\narray B[22]\n\
+             for i = 1 to 20 { A[i] = 1; }\n\
+             for i = 1 to 20 { B[i] = A[i+1]; }",
+        )
+        .unwrap();
+        let (producer, consumer) = (&p.nests()[0], &p.nests()[1]);
+        assert!(fusion_conflict(producer, consumer, 20).is_some());
+        assert_eq!(fusion_conflict(producer, consumer, 19), None);
     }
 
     #[test]

@@ -53,8 +53,9 @@
 //! point × every injected fault kind × several timings × thread counts
 //! 1/2/4, checking that nothing panics, every returned interval contains
 //! the fault-free exact answer, and the same logical fault point gives
-//! bit-identical results for every thread count. Exit 1 on any oracle
-//! violation.
+//! bit-identical results and canonical trace bytes for every thread
+//! count. Exit 1 on any oracle violation; `ci.sh chaos` runs it over
+//! the kernels and the robustness corpus.
 //!
 //! Every analysis run is *governed*: it never crashes, and when a budget
 //! trips or a nest cannot be simulated the analysis degrades to

@@ -323,6 +323,44 @@ fn verify_passes_kernels_and_rejects_tampered_certificates() {
 }
 
 #[test]
+fn verify_rejects_a_fusion_that_breaks_a_dependence() {
+    // The consumer reads A[i+1][j], which the producer writes one outer
+    // iteration later: `scratchpad --fuse` refuses to fuse, and a
+    // certificate claiming the fusion must not check clean.
+    let dir = std::env::temp_dir().join("loopmem-verify-fusion-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let src = dir.join("ahead.loop");
+    std::fs::write(
+        &src,
+        "array A[20][20]\narray B[20][20]\narray C[20][20]\n\
+         for i = 1 to 16 { for j = 1 to 16 { A[i][j] = B[i][j]; } }\n\
+         for i = 1 to 16 { for j = 1 to 16 { C[i][j] = A[i+1][j] + A[i][j]; } }\n",
+    )
+    .unwrap();
+    let src = src.to_str().unwrap();
+    let certs = dir.join("ahead.ndjson").to_str().unwrap().to_string();
+    let (ok, stdout, _) = run(&["scratchpad", src, "--fuse", "--emit-cert", &certs]);
+    assert!(ok, "{stdout}");
+    let stream = std::fs::read_to_string(&certs).unwrap();
+    let honest = "{\"cert\":\"fusion\",\"unfused\":272,\"fused\":272,\"steps\":[]}";
+    assert!(stream.contains(honest), "{stream}");
+    let (ok, stdout, _) = run(&["verify", src, "--cert", &certs]);
+    assert!(ok, "the engine's own certificates check clean: {stdout}");
+
+    let forged = stream.replace(
+        honest,
+        "{\"cert\":\"fusion\",\"unfused\":272,\"fused\":16,\
+         \"steps\":[{\"at\":0,\"before\":272,\"after\":16}]}",
+    );
+    std::fs::write(&certs, forged).unwrap();
+    let (ok, stdout, _) = run(&["verify", src, "--cert", &certs]);
+    assert!(!ok, "a forged fusion must fail: {stdout}");
+    assert!(stdout.contains("error[LM7008]"), "{stdout}");
+    assert!(stdout.contains("^^^"), "caret underline missing: {stdout}");
+    assert!(stdout.contains("1 violations"), "{stdout}");
+}
+
+#[test]
 fn verify_degrades_to_checkable_bounds_on_the_robustness_corpus() {
     let dir = std::env::temp_dir().join("loopmem-verify-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -379,7 +417,8 @@ fn chaos_subcommand_reports_a_clean_sweep() {
     let (ok, stdout, stderr) = run(&["chaos", "kernels/example8.loop", "--seed", "5"]);
     assert!(ok, "chaos sweep must pass on a healthy kernel: {stderr}");
     assert!(stdout.contains("violations : 0"), "{stdout}");
-    assert!(stdout.contains("28 cases"), "{stdout}");
+    // Five entry points × seven fault specs for a one-nest program.
+    assert!(stdout.contains("35 cases"), "{stdout}");
 }
 
 #[test]

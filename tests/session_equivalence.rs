@@ -14,6 +14,7 @@
 //! for window profiles, which `Session::simulate` does not return,
 //! through `loopmem::sim::try_simulate_with_threads`.
 
+use loopmem::core::chaos::CASE_ITER_CAP;
 use loopmem::core::{
     GovernedProgramOptimization, GovernedScratchpad, Optimization, ScratchpadPlan,
     ScratchpadSizing, SearchMode,
@@ -21,8 +22,8 @@ use loopmem::core::{
 use loopmem::ir::{parse_program, print_nest, print_program, AnalysisError, Program};
 use loopmem::obs::CollectingSink;
 use loopmem::sim::{
-    thread_count, try_simulate_with_threads, AnalysisBudget, GovernedProgramSim, ProgramSimResult,
-    SimResult,
+    thread_count, try_simulate_with_threads, AnalysisBudget, CancelToken, FaultKind, FaultPlan,
+    GovernedProgramSim, ProgramSimResult, SimResult,
 };
 use loopmem::Session;
 use std::collections::BTreeMap;
@@ -527,5 +528,83 @@ fn capped_search_trips_before_sweeping_candidates_it_cannot_finish() {
     assert!(one.0.contains("MaxIterations"), "{}", one.0);
     for threads in [2, 3, 4] {
         assert_eq!(traced(threads), one, "threads={threads}");
+    }
+}
+
+/// A traced search under an injected fault: which candidate sweep absorbs
+/// the fault depends on the schedule, but candidate sweeps record no
+/// events, so the canonical stream is the same at every thread count.
+/// These are the chaos matrix's optimize cases (interchange/reversal
+/// search, the chaos case budget, a fault at poll 2) whose streams used to
+/// differ; each thread count runs twice, since a race shows only in some
+/// runs.
+#[test]
+fn traced_searches_under_faults_are_thread_count_invariant() {
+    let sor = golden_program("kernels/sor.loop");
+    let pipeline = golden_program("kernels/pipeline.loop");
+    for (name, nest, kind) in [
+        ("sor", &sor.nests()[0], FaultKind::Exhaust),
+        ("sor", &sor.nests()[0], FaultKind::Cancel),
+        ("pipeline#0", &pipeline.nests()[0], FaultKind::Overflow),
+    ] {
+        let traced = |threads: usize| {
+            let mut budget = AnalysisBudget::unlimited()
+                .with_max_iterations(CASE_ITER_CAP)
+                .with_fault_plan(Arc::new(FaultPlan::new(kind, 2, 0)));
+            if kind == FaultKind::Cancel {
+                budget = budget.with_cancel_token(CancelToken::new());
+            }
+            let sink = Arc::new(CollectingSink::new());
+            let answer = Session::new()
+                .threads(threads)
+                .search_mode(SearchMode::InterchangeReversal)
+                .budget(budget)
+                .trace(sink.clone())
+                .optimize(nest)
+                .map(|opt| opt.mws_after);
+            (format!("{answer:?}"), sink.drain().render_ndjson())
+        };
+        let one = traced(1);
+        assert!(one.0.starts_with("Err"), "{name} {kind:?}: {}", one.0);
+        assert!(one.1.contains("\"event\":\"fault-trip\""), "{}", one.1);
+        for threads in [2, 3, 4, 2, 3, 4] {
+            assert_eq!(traced(threads), one, "{name} {kind:?} threads={threads}");
+        }
+    }
+}
+
+/// Under an iteration cap the program optimizer runs its per-nest
+/// searches one after another in program order, so which searches fit
+/// under the cap does not depend on the schedule. At 9·10⁵ iterations only
+/// the first nest's search finishes, at 1.5·10⁶ the first two.
+#[test]
+fn capped_program_searches_run_in_program_order() {
+    let program = parse_program(
+        "array A[202][202]\narray B[202][202]\narray C[202][202]\n\
+         for i = 2 to 200 { for j = 2 to 200 { A[i][j] = A[i-1][j] + A[i][j-1]; } }\n\
+         for i = 2 to 200 { for j = 2 to 200 { B[i][j] = B[i-1][j+1] + A[i][j]; } }\n\
+         for i = 2 to 200 { for j = 2 to 200 { C[i][j] = C[i][j-1] + B[i][j]; } }",
+    )
+    .unwrap();
+    for (cap, finished) in [(900_000, 1), (1_500_000, 2)] {
+        let traced = |threads: usize| {
+            let sink = Arc::new(CollectingSink::new());
+            let opt = Session::new()
+                .threads(threads)
+                .budget(AnalysisBudget::unlimited().with_max_iterations(cap))
+                .trace(sink.clone())
+                .optimize_program(&program);
+            (program_opt_answer(opt), sink.drain().render_ndjson())
+        };
+        let one = traced(1);
+        assert_eq!(
+            one.0.matches("Ok((").count(),
+            finished,
+            "cap {cap}: {}",
+            one.0
+        );
+        for threads in [2, 3, 4] {
+            assert_eq!(traced(threads), one, "cap {cap} threads={threads}");
+        }
     }
 }
