@@ -28,7 +28,7 @@ const EVENTS: &[&str] = &[
     "poll",
     "chunk-commit",
     "memo-lookup",
-    "cone-prune",
+    "row-search",
     "fault-trip",
     "salvage",
     "sizing-term",
@@ -49,6 +49,7 @@ struct Recount {
     memo_lookups: u64,
     memo_hits: u64,
     memo_misses: u64,
+    /// No event feeds it, so a stream's counters line must declare 0.
     cone_boxes: u64,
     fault_trips: u64,
     salvages: u64,
@@ -204,7 +205,6 @@ fn tally(c: &mut Recount, name: &str, e: &Json) {
                 _ => c.memo_misses += 1,
             }
         }
-        "cone-prune" => c.cone_boxes += u64_field(e, "boxes").unwrap_or(0),
         "fault-trip" => c.fault_trips += 1,
         "salvage" => c.salvages += 1,
         "sizing-term" => c.sizing_terms += 1,

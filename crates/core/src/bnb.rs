@@ -8,8 +8,6 @@
 //! This module is the one enumeration of 2-deep leading rows `(a, b)`
 //! with `|a|, |b| ≤ bound`. Boxes of candidate rows are pruned by
 //!
-//! * **the cone certificate** — the box misses the line the dependence
-//!   cone collapsed to (or the cone is empty);
 //! * **infeasibility** — a tiling constraint violated over the whole box;
 //! * **bounding**, only when an objective is given — a lower bound on
 //!   `(maxspan)(|α₂a − α₁b|)` over the box (`maxspan` shrinks as `|a|, |b|`
@@ -22,11 +20,10 @@
 //! survives only in tests, as the oracle for both.
 
 use crate::mws::two_level_objective;
-use loopmem_dep::cone::{constraining_distances, tileable_row_basis};
 use loopmem_dep::legality::row_tileable;
 use loopmem_dep::DependenceSet;
 use loopmem_ir::{AnalysisError, Bounds, BoundsMethod, TripReason};
-use loopmem_linalg::gcd::{div_ceil, div_floor, gcd_i64};
+use loopmem_linalg::gcd::gcd_i64;
 use loopmem_linalg::Rational;
 use loopmem_obs::{EventKind, Phase, TraceEvent};
 use loopmem_sim::{AnalysisBudget, BudgetTracker};
@@ -40,29 +37,11 @@ pub struct BnbResult {
     pub objective: Rational,
     /// Boxes examined.
     pub nodes_explored: u64,
-    /// Boxes pruned by bounding, infeasibility, or the cone certificate.
+    /// Boxes pruned by bounding or infeasibility.
     pub nodes_pruned: u64,
-    /// Boxes discarded by the dependence-cone certificate (LM0004's
-    /// `tileable_row_basis` facts) before any window was evaluated; also
-    /// counted in `nodes_pruned`.
+    /// Always 0: the search has no dependence-cone rule. The field
+    /// remains for callers that still record it.
     pub cone_pruned: u64,
-    /// The cone's evidence, when it collapsed the search to a line and
-    /// discarded boxes.
-    pub cone: Option<ConeEvidence>,
-}
-
-/// What a rank-1 dependence cone proved during one search: every tileable
-/// row in `[-bound, bound]²` is a multiple of `direction`, so the search
-/// discarded `boxes`, which hold no nonzero multiple. Turned into a
-/// certificate by [`crate::certify_cone`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConeEvidence {
-    /// The primitive direction spanning every tileable row in the box.
-    pub direction: (i64, i64),
-    /// The coefficient bound of the searched box.
-    pub bound: i64,
-    /// Every box the cone certificate discarded, as `(alo, ahi, blo, bhi)`.
-    pub boxes: Vec<(i64, i64, i64, i64)>,
 }
 
 /// One run of the box recursion over `[-bound, bound]²`.
@@ -75,20 +54,17 @@ pub(crate) struct BoxSearch {
     best: Option<((i64, i64), Rational)>,
     explored: u64,
     pruned: u64,
-    cone_pruned: u64,
-    pub(crate) cone: Option<ConeEvidence>,
 }
 
 impl BoxSearch {
-    /// The search's `cone-prune` trace event, reproducible as the
+    /// The search's `row-search` trace event, reproducible as the
     /// recursion is serial; the search records it only on success.
     pub(crate) fn event(&self) -> TraceEvent {
         TraceEvent {
             phase: Phase::Search,
             nest: None,
             ord: (0, 1),
-            kind: EventKind::ConePrune {
-                boxes: self.cone_pruned,
+            kind: EventKind::RowSearch {
                 explored: self.explored,
                 pruned: self.pruned,
             },
@@ -124,13 +100,12 @@ impl Box2 {
 /// (then not even `(1, 0)` is tileable, which cannot happen for distance
 /// vectors of a sequentially valid loop).
 ///
-/// Never panics and charges one search node per box examined against
-/// `budget` ([`AnalysisBudget::with_max_search_nodes`] and the deadline
-/// both apply). Invalid arguments report [`AnalysisError::Invalid`] instead of
-/// panicking. On a trip the `Exhausted` payload bounds the *objective*
-/// (not an MWS): the best feasible value seen so far bounds it from above
-/// (rounded up; `u64::MAX` when none was reached), zero always bounds it
-/// from below.
+/// Never panics and polls `budget` once per box examined (its deadline,
+/// cancellation token and fault plan apply). Invalid arguments report
+/// [`AnalysisError::Invalid`] instead of panicking. On a trip the
+/// `Exhausted` payload bounds the *objective* (not an MWS): the best
+/// feasible value seen so far bounds it from above (rounded up;
+/// `u64::MAX` when none was reached), zero always bounds it from below.
 pub fn try_branch_and_bound(
     alpha: (i64, i64),
     deps: &DependenceSet,
@@ -168,93 +143,18 @@ pub fn try_branch_and_bound(
         objective,
         nodes_explored: search.explored,
         nodes_pruned: search.pruned,
-        cone_pruned: search.cone_pruned,
-        cone: search.cone,
+        cone_pruned: 0,
     }))
 }
 
 /// Every coprime tileable leading row with `|a|, |b| ≤ bound`, sorted by
-/// `(a, b)`: the box recursion without an objective, charging its boxes
-/// to its own unlimited tracker (the box bounds its work).
+/// `(a, b)`: the box recursion without an objective, polling its own
+/// unlimited tracker (the box bounds its work).
 pub(crate) fn tileable_rows(deps: &DependenceSet, bound: i64) -> BoxSearch {
     let mut search = search_boxes(deps, bound.max(0), None, &BudgetTracker::unlimited())
         .expect("an unlimited tracker never trips");
     search.rows.sort_unstable();
     search
-}
-
-/// Upper limit on the candidate-box point count for which the cone
-/// certificate is computed. The certificate enumerates the whole
-/// `(2·bound+1)²` coefficient box once up front (the scan exits early
-/// only when the cone is full-rank), so it is computed only when even
-/// the rank-deficient worst case is negligible next to the search it
-/// prunes.
-const CONE_CERT_MAX_POINTS: u128 = 1 << 17;
-
-/// What the dependence cone proves about the search box, computed once
-/// per search from the same constraining distance vectors the LM0004
-/// lint reports ([`constraining_distances`] / [`tileable_row_basis`]).
-/// Soundness requires the certificate and the search to use the *same*
-/// box: a rank computed over a smaller box says nothing about rows
-/// outside it (e.g. distances `(1, ∓3)` admit only multiples of `(1,0)`
-/// inside `[-2,2]²`, yet `(3,1)` is tileable).
-#[derive(Clone, Copy, Debug)]
-enum ConeCert {
-    /// The box admits a full-rank tileable family, or the certificate was
-    /// declined (deep box, cost gate): no structural pruning available.
-    FullRank,
-    /// Every tileable row in the box is an integer multiple of this
-    /// primitive direction: boxes whose integer points miss the line
-    /// `t·(v₁, v₂)` (for some `t ≠ 0`) cannot contain a feasible row.
-    Line(i64, i64),
-    /// No tileable row exists anywhere in the box.
-    Empty,
-}
-
-fn cone_certificate(deps: &DependenceSet, bound: i64) -> ConeCert {
-    if constraining_distances(deps).is_empty() {
-        // Nothing constrains: every nonzero row is tileable, rank 2.
-        return ConeCert::FullRank;
-    }
-    let width = 2 * bound as u128 + 1;
-    if width * width > CONE_CERT_MAX_POINTS {
-        return ConeCert::FullRank; // declined: certificate too costly
-    }
-    match tileable_row_basis(deps, 2, bound) {
-        Some(basis) if basis.is_empty() => ConeCert::Empty,
-        Some(basis) if basis.len() == 1 => {
-            let (a, b) = (basis[0][0], basis[0][1]);
-            let g = gcd_i64(a, b); // ≥ 1: basis rows are nonzero
-            ConeCert::Line(a / g, b / g)
-        }
-        _ => ConeCert::FullRank,
-    }
-}
-
-/// `true` when no *nonzero* integer multiple of the primitive direction
-/// `(v1, v2)` lies in the box: the rank-1 cone certificate then discards
-/// the box outright. Intersects the integer solution ranges of
-/// `t·v1 ∈ [alo, ahi]` and `t·v2 ∈ [blo, bhi]` (division only, so no
-/// overflow near the `i64` limits).
-fn box_misses_line(bx: &Box2, v1: i64, v2: i64) -> bool {
-    let (mut tlo, mut thi) = (i64::MIN, i64::MAX);
-    for (v, lo, hi) in [(v1, bx.alo, bx.ahi), (v2, bx.blo, bx.bhi)] {
-        if v == 0 {
-            // This coordinate of every multiple is 0; it must be inside.
-            if lo > 0 || hi < 0 {
-                return true;
-            }
-            continue;
-        }
-        let (a, b) = if v > 0 {
-            (div_ceil(lo, v), div_floor(hi, v))
-        } else {
-            (div_ceil(hi, v), div_floor(lo, v))
-        };
-        tlo = tlo.max(a);
-        thi = thi.min(b);
-    }
-    tlo > thi || (tlo, thi) == (0, 0)
 }
 
 /// The box recursion over `[-bound, bound]²` (`bound ≥ 0`), polling
@@ -267,9 +167,7 @@ fn search_boxes(
     objective: Option<((i64, i64), (i64, i64))>,
     tracker: &BudgetTracker,
 ) -> Result<BoxSearch, (TripReason, Option<Rational>)> {
-    let cert = cone_certificate(deps, bound);
     let mut s = BoxSearch::default();
-    let mut discarded = Vec::new();
     let mut stack = vec![Box2 {
         alo: -bound,
         ahi: bound,
@@ -277,24 +175,10 @@ fn search_boxes(
         bhi: bound,
     }];
     while let Some(bx) = stack.pop() {
-        if let Err(reason) = tracker.charge_search_nodes(1) {
+        if let Err(reason) = tracker.check() {
             return Err((reason, s.best.map(|(_, obj)| obj)));
         }
         s.explored += 1;
-        // Cone-certificate pruning: a box that provably contains no
-        // tileable row (outside the proven rank-r row space) is discarded
-        // before any other work.
-        let off_cone = match cert {
-            ConeCert::Empty => true,
-            ConeCert::Line(v1, v2) => box_misses_line(&bx, v1, v2),
-            ConeCert::FullRank => false,
-        };
-        if off_cone {
-            s.pruned += 1;
-            s.cone_pruned += 1;
-            discarded.push((bx.alo, bx.ahi, bx.blo, bx.bhi));
-            continue;
-        }
         // Infeasibility pruning: a tiling half-plane violated everywhere.
         if box_infeasible(&bx, deps) {
             s.pruned += 1;
@@ -324,13 +208,6 @@ fn search_boxes(
             stack.push(l);
             stack.push(r);
         }
-    }
-    if let (ConeCert::Line(v1, v2), false) = (cert, discarded.is_empty()) {
-        s.cone = Some(ConeEvidence {
-            direction: (v1, v2),
-            bound,
-            boxes: discarded,
-        });
     }
     Ok(s)
 }
@@ -508,9 +385,8 @@ mod tests {
     #[test]
     fn rank1_cone_collapses_the_search_to_a_line() {
         // Opposed skews: distances (1,-9) and (1,9) admit only multiples
-        // of (1,0) inside [-8,8]², so the cone certificate is Line(1,0)
-        // and every box off the a-axis line is discarded without
-        // bounding work — while the optimum still matches the exhaustive
+        // of (1,0) inside [-8,8]², so the only coprime tileable row is
+        // (1,0), and the bounded search's optimum matches the exhaustive
         // scan exactly.
         let nest = parse(
             "array A[100][100]\n\
@@ -523,28 +399,11 @@ mod tests {
         .unwrap();
         let deps = analyze(&nest);
         let bound = 8;
-        let r = unlimited_bnb((1, 2), &deps, (98, 81), bound).unwrap();
-        assert!(r.cone_pruned > 0, "certificate must fire: {r:?}");
-        assert!(r.cone_pruned <= r.nodes_pruned);
-        let cone = r.cone.as_ref().expect("a rank-1 cone leaves evidence");
-        assert_eq!((cone.direction, cone.bound), ((1, 0), bound));
-        assert_eq!(cone.boxes.len() as u64, r.cone_pruned);
-        let (row, obj) = exhaustive((1, 2), &deps, (98, 81), bound).unwrap();
-        assert_eq!(r.objective, obj);
-        assert_eq!(r.row, row);
-        // The only coprime rows on the certified line are ±(1,0).
-        assert_eq!(r.row, (1, 0));
         assert_eq!(tileable_rows(&deps, bound).rows, vec![(1, 0)]);
-    }
-
-    #[test]
-    fn full_rank_cone_prunes_nothing_extra() {
-        // Example 8's cone is full-rank, so the certificate must stay
-        // inert and the node counts must match the pre-certificate search.
-        let deps = example8_deps();
-        let r = unlimited_bnb((2, 5), &deps, (25, 10), 6).unwrap();
-        assert_eq!(r.cone_pruned, 0);
-        assert_eq!(r.cone, None);
+        let r = unlimited_bnb((1, 2), &deps, (98, 81), bound).unwrap();
+        let (row, obj) = exhaustive((1, 2), &deps, (98, 81), bound).unwrap();
+        assert_eq!((r.row, r.objective), (row, obj));
+        assert_eq!(r.row, (1, 0));
     }
 
     /// Every 2-deep dependence set the enumeration is checked on: the
@@ -622,28 +481,21 @@ mod tests {
     fn box_recursion_enumerates_the_scans_rows() {
         let sets = two_deep_dependence_sets();
         assert!(sets.len() >= 250, "only {} dependence sets", sets.len());
-        let mut cone_runs = 0;
         for (name, deps) in &sets {
             for bound in [2i64, 3, 5, 6, 8] {
-                let search = tileable_rows(deps, bound);
                 assert_eq!(
-                    search.rows,
+                    tileable_rows(deps, bound).rows,
                     exhaustive_rows(deps, bound),
                     "{name} bound {bound}"
                 );
-                cone_runs += usize::from(search.cone.is_some());
             }
         }
-        assert!(
-            cone_runs >= 100,
-            "the cone certificate fired in {cone_runs} runs"
-        );
     }
 
-    /// The cone-pruned minimization agrees with the exhaustive scan on
-    /// the kernels' 2-deep nests and on every other set above.
+    /// The bounded minimization agrees with the exhaustive scan on the
+    /// kernels' 2-deep nests and on every other set above.
     #[test]
-    fn cone_pruning_agrees_with_exhaustive_on_kernels() {
+    fn bounded_search_agrees_with_exhaustive_on_kernels() {
         for (name, deps) in two_deep_dependence_sets() {
             for alpha in [(1i64, 0i64), (0, 1), (2, 5), (1, -2), (3, 1)] {
                 for bound in [3i64, 5] {

@@ -4,16 +4,13 @@
 //! Every function here converts a *result the user will act on* into the
 //! evidence the independent checker replays: legality certificates carry
 //! the full `T·δ` evaluation table, optimality certificates carry the
-//! evaluated candidate frontier, cone-prune certificates carry the rank-1
-//! direction plus every box the search that chose `T` discarded,
-//! sizing/fusion certificates carry the arithmetic behind the scratchpad
-//! number, and degraded (`try_*`) outcomes yield bounds certificates
-//! instead of silence. Emission lives
+//! evaluated candidate frontier, sizing/fusion certificates carry the
+//! arithmetic behind the scratchpad number, and degraded (`try_*`)
+//! outcomes yield bounds certificates instead of silence. Emission lives
 //! in `loopmem-core` on purpose — the checker in `loopmem-verify` never
 //! imports this crate, so a bug here is caught rather than inherited
 //! (DESIGN.md §14).
 
-use crate::bnb::ConeEvidence;
 use crate::optimize::Optimization;
 use crate::scratchpad::{GovernedScratchpad, ScratchpadPlan, ScratchpadSizing};
 use loopmem_dep::{analyze, constraining_distances, is_tileable};
@@ -21,8 +18,8 @@ use loopmem_ir::{AnalysisError, Bounds, LoopNest};
 use loopmem_linalg::IMat;
 use loopmem_obs::{EventKind, Phase, TraceEvent, TraceSink};
 use loopmem_verify::{
-    BoundsCert, Certificate, ConePruneCert, DistanceImage, FrontierEntry, FusionCert, FusionStep,
-    LegalityCert, OptimalityCert, PrunedBox, SizingCert, SizingTerm,
+    BoundsCert, Certificate, DistanceImage, FrontierEntry, FusionCert, FusionStep, LegalityCert,
+    OptimalityCert, SizingCert, SizingTerm,
 };
 use std::sync::Arc;
 
@@ -93,24 +90,6 @@ pub fn certify_optimization(
         Certificate::Optimality(optimality),
         Certificate::Bounds(exact),
     ]
-}
-
-/// Cone-prune certificate for the row search on nest `nest_index`, from
-/// its evidence ([`Optimization::cone`], or
-/// [`BnbResult::cone`](crate::BnbResult::cone)): the rank-1 direction,
-/// the box bound the claim covers, and every box the search discarded.
-pub fn certify_cone(nest_index: usize, cone: &ConeEvidence) -> Certificate {
-    let (v1, v2) = cone.direction;
-    Certificate::ConePrune(ConePruneCert {
-        nest: nest_index,
-        bound: cone.bound,
-        direction: vec![v1, v2],
-        boxes: cone
-            .boxes
-            .iter()
-            .map(|&(alo, ahi, blo, bhi)| PrunedBox { alo, ahi, blo, bhi })
-            .collect(),
-    })
 }
 
 /// Bounds certificate from interval `bounds` on `quantity`
@@ -252,40 +231,6 @@ mod tests {
         assert_eq!(certs.len(), 3);
         let program = loopmem_ir::Program::new(vec![nest]).unwrap();
         assert_eq!(check_certificates(&program, &certs), vec![]);
-    }
-
-    /// Both searches feed `certify_cone`: the optimizer's row
-    /// enumeration and the objective-bounded branch and bound.
-    #[test]
-    fn bnb_cone_prunes_carry_valid_certificates() {
-        let nest = parse(
-            "array A[100][100]\n\
-             for i = 2 to 99 {\n\
-               for j = 10 to 90 {\n\
-                 A[i][j] = A[i-1][j+9] + A[i-1][j-9];\n\
-               }\n\
-             }",
-        )
-        .unwrap();
-        let deps = loopmem_dep::analyze(&nest);
-        let r = crate::bnb::try_branch_and_bound(
-            (1, 2),
-            &deps,
-            (98, 81),
-            8,
-            &AnalysisBudget::unlimited(),
-        )
-        .unwrap()
-        .unwrap();
-        let opt = Session::new().optimize(&nest).unwrap();
-        let program = loopmem_ir::Program::new(vec![nest]).unwrap();
-        for cone in [r.cone, opt.cone] {
-            let cone = cone.expect("a rank-1 cone certifies its prunes");
-            assert_eq!(
-                check_certificates(&program, &[certify_cone(0, &cone)]),
-                vec![]
-            );
-        }
     }
 
     #[test]

@@ -71,9 +71,9 @@ pub mod tile;
 pub mod transform;
 pub mod union_count;
 
-pub use bnb::{try_branch_and_bound, BnbResult, ConeEvidence};
+pub use bnb::{try_branch_and_bound, BnbResult};
 pub use cert::{
-    certify_bounds, certify_cone, certify_degraded, certify_fusion, certify_governed_scratchpad,
+    certify_bounds, certify_degraded, certify_fusion, certify_governed_scratchpad,
     certify_optimization, certify_sizing, trace_certificates,
 };
 pub use chaos::{chaos_program, chaos_source, ChaosReport};

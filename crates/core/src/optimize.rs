@@ -7,12 +7,11 @@
 //! * [`SearchMode::Compound`] — the paper's technique. For 2-deep nests
 //!   §4.2's branch and bound ([`crate::bnb`]) enumerates the coprime
 //!   tileable leading rows `(a, b)` inside a coefficient bound, pruning
-//!   boxes by the dependence cone and by infeasibility; the search keeps
-//!   the rows that admit a tileable unimodular completion, ranks
-//!   completions by the closed-form objective, and re-evaluates the best
-//!   few *exactly* with the simulator. A cone that collapsed to a line
-//!   leaves its evidence in [`Optimization::cone`]. Deeper nests combine
-//!   signed permutations with §4.3's access-matrix completions.
+//!   infeasible boxes; the search keeps the rows that admit a tileable
+//!   unimodular completion, ranks completions by the closed-form
+//!   objective, and re-evaluates the best few *exactly* with the
+//!   simulator. Deeper nests combine signed permutations with §4.3's
+//!   access-matrix completions.
 //! * [`SearchMode::InterchangeReversal`] — the Eisenbeis et al. baseline:
 //!   only signed permutation matrices (interchange + reversal).
 //! * [`SearchMode::LiPingali`] — the Li–Pingali baseline: the leading rows
@@ -22,7 +21,7 @@
 //! [`Session::optimize`](crate::Session::optimize) is the entry point:
 //! every search is governed by the session's budget.
 
-use crate::bnb::{tileable_rows, BoxSearch, ConeEvidence};
+use crate::bnb::{tileable_rows, BoxSearch};
 use crate::mws::{lex_delay, two_level_estimate};
 use crate::transform::{apply_transform, TransformError};
 use loopmem_dep::legality::{is_legal, row_tileable};
@@ -32,7 +31,7 @@ use loopmem_ir::LoopNest;
 use loopmem_ir::{AnalysisError, TripReason};
 use loopmem_linalg::gcd::extended_gcd;
 use loopmem_linalg::{complete_unimodular_rows, IMat};
-use loopmem_obs::{EventKind, Phase, TraceEvent};
+use loopmem_obs::{Phase, TraceEvent};
 use loopmem_sim::{panic_message, shard_map, try_simulate_tracked, BudgetTracker};
 use std::collections::{BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,10 +81,6 @@ pub struct Optimization {
     /// evidence frontier behind the winner's minimality claim, exported
     /// into optimality certificates (see [`crate::cert`]).
     pub evaluated: Vec<(IMat, u64)>,
-    /// The 2-deep row search's cone evidence, when the dependence cone
-    /// collapsed it to a line and discarded boxes; exported into
-    /// cone-prune certificates by [`crate::certify_cone`].
-    pub cone: Option<ConeEvidence>,
 }
 
 /// `(hits, misses)` of an optimizer simulation memo. The optimizer keeps
@@ -122,10 +117,8 @@ fn normalize_error(nest: &LoopNest, e: AnalysisError) -> AnalysisError {
 /// The §4 search, behind [`Session::optimize`](crate::Session::optimize)
 /// and [`Session::optimize_program`](crate::Session::optimize_program).
 /// It never panics and respects `tracker`, which governs the *whole*
-/// search: one deadline, one cumulative iteration count across every
-/// candidate simulation, and one search node charged per candidate
-/// (capped by
-/// [`AnalysisBudget::with_max_search_nodes`](loopmem_sim::AnalysisBudget::with_max_search_nodes)).
+/// search: one deadline and one cumulative iteration count across every
+/// candidate simulation, polled once more before each candidate.
 ///
 /// The winner is chosen by `(exact MWS, candidate rank)`, so the result is
 /// bit-identical for every `threads` value. On a budget trip the error
@@ -178,7 +171,7 @@ fn try_minimize_impl(
             return Err(exhausted(nest, TripReason::MaxIterations));
         }
     }
-    // The search narrates only its own span and cone-prune event, on
+    // The search narrates only its own span and row-search event, on
     // success. Its baseline and candidate sweeps record nothing
     // (`try_simulate_tracked`), so a trip leaves no trace of which
     // candidates finished first.
@@ -220,9 +213,7 @@ fn try_minimize_impl(
             return Err(exhausted(nest, TripReason::MaxIterations));
         }
         let eval_one = |t: &IMat| -> Result<u64, AnalysisError> {
-            tracker
-                .charge_search_nodes(1)
-                .map_err(|r| exhausted(nest, r))?;
+            tracker.check().map_err(|r| exhausted(nest, r))?;
             simulate(&apply_transform(nest, t).map_err(invalid)?).map(|s| s.mws_total)
         };
         // Results land in rank order whatever the schedule.
@@ -261,25 +252,17 @@ fn try_minimize_impl(
         _ => apply_transform(nest, &transform).map_err(invalid)?,
     };
     if let Some(sink) = tracker.trace() {
-        let micros = search_started.map_or(0, |s| s.elapsed().as_micros() as u64);
         let charged = evaluated.len() as u64;
-        let span = |ord, kind| TraceEvent {
-            phase: Phase::Search,
-            nest: None,
-            ord,
-            kind,
-        };
-        let begin = span((0, 0), EventKind::SpanBegin { label: "search" });
-        let end = span(
-            (u64::MAX, 0),
-            EventKind::SpanEnd {
-                label: "search",
-                micros,
-                charged,
-            },
+        let span = TraceEvent::span(
+            Phase::Search,
+            None,
+            "search",
+            u64::MAX,
+            search_started,
+            charged,
         );
-        let cone = rows.as_ref().map(BoxSearch::event);
-        sink.record_all([begin, end].into_iter().chain(cone).collect());
+        let row_search = rows.as_ref().map(BoxSearch::event);
+        sink.record_all(span.into_iter().chain(row_search).collect());
     }
     Ok(Optimization {
         transform,
@@ -288,7 +271,6 @@ fn try_minimize_impl(
         mws_after,
         candidates_considered: evaluated.len(),
         evaluated,
-        cone: rows.and_then(|r| r.cone),
     })
 }
 

@@ -214,28 +214,6 @@ pub(crate) fn fusion_search(
 /// stay far below this base, so the two ord ranges never collide.
 const FUSION_ORD_BASE: u64 = 1 << 32;
 
-fn sizing_span_begin() -> TraceEvent {
-    TraceEvent {
-        phase: Phase::Sizing,
-        nest: None,
-        ord: (0, 0),
-        kind: EventKind::SpanBegin { label: "sizing" },
-    }
-}
-
-fn sizing_span_end(micros: u64, charged: u64) -> TraceEvent {
-    TraceEvent {
-        phase: Phase::Sizing,
-        nest: None,
-        ord: (u64::MAX, 0),
-        kind: EventKind::SpanEnd {
-            label: "sizing",
-            micros,
-            charged,
-        },
-    }
-}
-
 /// One `sizing-term` event per exactly-sized nest, at `ord = 1 + k` so a
 /// degraded nest leaves a gap instead of shifting later terms.
 fn sizing_term_events(terms: impl Iterator<Item = Option<NestTerm>>) -> Vec<TraceEvent> {
@@ -362,13 +340,14 @@ pub(crate) fn try_scratchpad_program_tracked(
     let gov = try_simulate_program_tracked(program, threads, tracker)?;
     let governed = governed_sizing(program, gov);
     if let Some(sink) = tracker.trace() {
-        let mut events = vec![sizing_span_begin()];
+        let charged = governed.per_nest.iter().filter(|r| r.is_ok()).count() as u64;
+        let [begin, end] =
+            TraceEvent::span(Phase::Sizing, None, "sizing", u64::MAX, started, charged);
+        let mut events = vec![begin];
         events.extend(sizing_term_events(
             governed.per_nest.iter().map(|r| r.as_ref().ok().copied()),
         ));
-        let charged = governed.per_nest.iter().filter(|r| r.is_ok()).count() as u64;
-        let micros = started.map_or(0, |s| s.elapsed().as_micros() as u64);
-        events.push(sizing_span_end(micros, charged));
+        events.push(end);
         sink.record_all(events);
     }
     Ok(governed)

@@ -182,8 +182,8 @@ impl Session {
     /// interchange/reversal modes, so `mws_after <= mws_before` there.
     /// Candidates are ranked in closed form and the best few simulated
     /// exactly; the budget governs the whole search (one deadline, one
-    /// cumulative iteration count, one search node per candidate). The
-    /// answer is bit-identical for every thread count.
+    /// cumulative iteration count, one poll per candidate). The answer is
+    /// bit-identical for every thread count.
     ///
     /// # Errors
     ///

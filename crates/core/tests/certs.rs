@@ -9,23 +9,9 @@
 //!    certificate kind makes the independent checker reject. (Provenance
 //!    strings like `reason` are deliberately unchecked.)
 
-use loopmem_core::{
-    certify_cone, certify_fusion, certify_optimization, certify_sizing, try_branch_and_bound,
-    BnbResult, ScratchpadPlan, Session,
-};
-use loopmem_dep::DependenceSet;
+use loopmem_core::{certify_fusion, certify_optimization, certify_sizing, ScratchpadPlan, Session};
 use loopmem_ir::{parse, parse_program, LoopNest, Program};
-use loopmem_sim::AnalysisBudget;
-use loopmem_verify::{
-    check_certificates, parse_certificates, Certificate, FrontierEntry, PrunedBox,
-};
-
-/// The cone-pruned search on the fixture of both bnb tests, unlimited.
-fn unlimited_bnb(deps: &DependenceSet) -> BnbResult {
-    try_branch_and_bound((1, 2), deps, (98, 81), 8, &AnalysisBudget::unlimited())
-        .expect("an unlimited budget never trips")
-        .expect("a feasible row exists")
-}
+use loopmem_verify::{check_certificates, parse_certificates, Certificate, FrontierEntry};
 
 /// The fusion search's plan for `program` (single thread, unlimited).
 fn fusion_plan(program: &Program) -> ScratchpadPlan {
@@ -45,20 +31,6 @@ fn example8_program() -> Program {
     Program::new(vec![example8()]).unwrap()
 }
 
-/// A 2-deep kernel whose dependence cone collapses to the line (1, 0),
-/// so branch and bound prunes boxes with a rank-1 certificate.
-fn cone_nest() -> LoopNest {
-    parse(
-        "array A[100][100]\n\
-         for i = 2 to 99 {\n\
-           for j = 10 to 90 {\n\
-             A[i][j] = A[i-1][j+9] + A[i-1][j-9];\n\
-           }\n\
-         }",
-    )
-    .unwrap()
-}
-
 fn pipeline_program() -> Program {
     parse_program(
         "array A[16][16]\narray B[16][16]\narray C[16][16]\n\
@@ -74,25 +46,11 @@ fn all_real_certs() -> Vec<(Program, Vec<Certificate>)> {
     let opt = Session::new().optimize(&nest).unwrap();
     let opt_certs = certify_optimization(0, &nest, &opt);
 
-    let cone = cone_nest();
-    let deps = loopmem_dep::analyze(&cone);
-    let bnb = unlimited_bnb(&deps);
-    let bnb_cert = certify_cone(0, bnb.cone.as_ref().expect("rank-1 cone leaves evidence"));
-    let search = Session::new().optimize(&cone).unwrap();
-    let search_cert = certify_cone(0, search.cone.as_ref().expect("the search's cone too"));
-
     let program = pipeline_program();
     let plan = fusion_plan(&program);
     let sp_certs = vec![certify_sizing(&plan.unfused), certify_fusion(&plan)];
 
-    vec![
-        (example8_program(), opt_certs),
-        (
-            Program::new(vec![cone]).unwrap(),
-            vec![bnb_cert, search_cert],
-        ),
-        (program, sp_certs),
-    ]
+    vec![(example8_program(), opt_certs), (program, sp_certs)]
 }
 
 #[test]
@@ -165,56 +123,6 @@ fn legality_mutations_are_rejected() {
         tileable: true,
     };
     assert_rejected(&program, Certificate::Legality(c), "legality.tileable");
-}
-
-#[test]
-fn cone_prune_mutations_are_rejected() {
-    let cone = cone_nest();
-    let deps = loopmem_dep::analyze(&cone);
-    let bnb = unlimited_bnb(&deps);
-    let cert = certify_cone(0, &bnb.cone.unwrap());
-    let program = Program::new(vec![cone]).unwrap();
-    let Certificate::ConePrune(base) = &cert else {
-        panic!("bnb certificate is cone-prune");
-    };
-    assert_eq!(base.direction, vec![1, 0]);
-
-    let mut c = base.clone();
-    c.nest = 3;
-    assert_rejected(&program, Certificate::ConePrune(c), "cone.nest");
-
-    // At bound 12 the rows (9..12, ±1) are tileable but off the line, so
-    // the widened rank-1 claim is no longer spanning.
-    let mut c = base.clone();
-    c.bound = 12;
-    assert_rejected(&program, Certificate::ConePrune(c), "cone.bound");
-
-    let mut c = base.clone();
-    c.direction = vec![2, 0];
-    assert_rejected(
-        &program,
-        Certificate::ConePrune(c),
-        "cone.direction (imprimitive)",
-    );
-
-    let mut c = base.clone();
-    c.direction = vec![1, 1];
-    assert_rejected(
-        &program,
-        Certificate::ConePrune(c),
-        "cone.direction (off-cone)",
-    );
-
-    // A claimed-pruned box that actually contains 2·(1, 0) holds a
-    // feasible candidate the search must not have discarded.
-    let mut c = base.clone();
-    c.boxes.push(PrunedBox {
-        alo: 1,
-        ahi: 3,
-        blo: -1,
-        bhi: 0,
-    });
-    assert_rejected(&program, Certificate::ConePrune(c), "cone.boxes");
 }
 
 #[test]

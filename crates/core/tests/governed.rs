@@ -5,7 +5,7 @@
 use loopmem_core::{try_branch_and_bound, Session};
 use loopmem_dep::analyze;
 use loopmem_ir::{parse, parse_program, AnalysisError, TripReason};
-use loopmem_sim::AnalysisBudget;
+use loopmem_sim::{AnalysisBudget, CancelToken};
 
 fn example8() -> loopmem_ir::LoopNest {
     parse("array X[200]\nfor i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }")
@@ -61,18 +61,20 @@ fn tripped_search_returns_the_original_nest_bounds_deterministically() {
 }
 
 #[test]
-fn search_node_cap_trips_branch_and_bound() {
+fn cancelled_branch_and_bound_brackets_the_optimum() {
     let deps = analyze(&example8());
     let exact = try_branch_and_bound((2, 5), &deps, (25, 10), 6, &AnalysisBudget::unlimited())
         .expect("an unlimited budget never trips")
         .expect("feasible row exists")
         .objective;
-    let budget = AnalysisBudget::unlimited().with_max_search_nodes(2);
+    let token = CancelToken::new();
+    token.cancel();
+    let budget = AnalysisBudget::unlimited().with_cancel_token(token);
     let err = try_branch_and_bound((2, 5), &deps, (25, 10), 6, &budget).unwrap_err();
     let AnalysisError::Exhausted { reason, partial } = err else {
         panic!("expected Exhausted");
     };
-    assert_eq!(reason, TripReason::MaxSearchNodes);
+    assert_eq!(reason, TripReason::Cancelled);
     // The objective bound brackets the true optimum (22).
     let exact_u64 = exact.ceil() as u64;
     assert!(partial.lower <= exact_u64 && exact_u64 <= partial.upper);

@@ -8,10 +8,9 @@
 //! below the nest depth, no fully-permutable (tileable) transformation can
 //! be assembled from rows in the searched family, and MWS minimization is
 //! stuck at (at best) lexicographic-only transforms — the analyzer's
-//! `no-legal-transform` lint. The §4.2 row search (`loopmem_core::bnb`)
-//! consumes the same fact as a certificate: a rank-1 cone discards every
-//! box off its line, and those boxes become the cone-prune certificate
-//! of the search that chose `T` (see DESIGN.md §11).
+//! `no-legal-transform` lint. The lint is the only consumer: the §4.2 row
+//! search (`loopmem_core::bnb`) enumerates its box by branch and bound
+//! alone (see DESIGN.md §11).
 
 use crate::analysis::DependenceSet;
 use crate::legality::row_tileable;
@@ -45,27 +44,13 @@ pub fn constraining_distances(deps: &DependenceSet) -> Vec<Vec<i64>> {
 /// the survivors span a proper subspace. A rank of `n` means such rows
 /// exist (though a *unimodular* completion is not guaranteed by this test
 /// alone).
-pub fn tileable_row_rank(deps: &DependenceSet, n: usize, bound: i64) -> Option<usize> {
-    tileable_row_basis(deps, n, bound).map(|b| b.len())
-}
-
-/// The linearly independent tileable rows behind [`tileable_row_rank`]'s
-/// verdict: scans the coefficient box `[-bound, bound]^n` in a fixed
-/// order and greedily collects rows that satisfy `row · δ ≥ 0` for every
-/// constraining distance `δ` *and* extend the rank, stopping as soon as
-/// the rank reaches `n`. Returns `None` exactly when
-/// [`tileable_row_rank`] declines the query.
 ///
-/// A basis of length `r < n` certifies that *every* tileable row in the
-/// box lies in the `r`-dimensional span of the returned rows: when a
-/// tileable row was scanned, the basis so far was a subset of the final
-/// basis, so a row independent of the final basis would have been
-/// independent of that subset too — and been collected. For `r == 1`,
-/// normalizing the single basis vector by its gcd makes it primitive,
-/// and the tileable rows in the box are exactly its integer multiples —
-/// the certificate the §4.2 branch-and-bound search uses to discard
-/// whole candidate boxes off that line.
-pub fn tileable_row_basis(deps: &DependenceSet, n: usize, bound: i64) -> Option<Vec<Vec<i64>>> {
+/// The box is scanned in a fixed order, greedily collecting tileable rows
+/// that extend the rank, and the scan stops as soon as the rank reaches
+/// `n`. A row independent of the final set would have been independent
+/// of the smaller set at its turn, and been collected, so the count is
+/// the rank of every tileable row in the box.
+pub fn tileable_row_rank(deps: &DependenceSet, n: usize, bound: i64) -> Option<usize> {
     if n == 0 || n > MAX_CONE_DEPTH || bound < 1 {
         return None;
     }
@@ -83,16 +68,14 @@ pub fn tileable_row_basis(deps: &DependenceSet, n: usize, bound: i64) -> Option<
         if row.iter().all(|&x| x == 0) || !row_tileable(&row, deps) {
             continue;
         }
-        let mut candidate = basis.clone();
-        candidate.push(row.clone());
-        if IMat::from_rows(&candidate).rank() == candidate.len() {
-            basis = candidate;
-            if basis.len() == n {
-                return Some(basis);
-            }
+        basis.push(row.clone());
+        if IMat::from_rows(&basis).rank() < basis.len() {
+            basis.pop();
+        } else if basis.len() == n {
+            break;
         }
     }
-    Some(basis)
+    Some(basis.len())
 }
 
 #[cfg(test)]
@@ -147,21 +130,16 @@ mod tests {
         )
         .unwrap();
         let deps = analyze(&nest);
-        let basis = tileable_row_basis(&deps, 2, 2).unwrap();
-        assert_eq!(basis.len(), 1);
-        // The certificate's promise: every tileable row in the box is
-        // collinear with the single basis row.
-        for a in -2i64..=2 {
-            for b in -2i64..=2 {
-                if (a, b) == (0, 0) || !row_tileable(&[a, b], &deps) {
-                    continue;
-                }
-                assert_eq!(
-                    a * basis[0][1],
-                    b * basis[0][0],
-                    "tileable row ({a},{b}) off the certified line {basis:?}"
-                );
-            }
+        assert_eq!(tileable_row_rank(&deps, 2, 2), Some(1));
+        // Rank 1 means every tileable row in the box lies on one line:
+        // each is collinear with the first one the scan meets.
+        let rows: Vec<(i64, i64)> = (-2i64..=2)
+            .flat_map(|a| (-2i64..=2).map(move |b| (a, b)))
+            .filter(|&(a, b)| (a, b) != (0, 0) && row_tileable(&[a, b], &deps))
+            .collect();
+        let (a0, b0) = rows[0];
+        for &(a, b) in &rows {
+            assert_eq!(a * b0, b * a0, "tileable row ({a},{b}) off the line");
         }
     }
 

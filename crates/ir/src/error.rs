@@ -127,9 +127,6 @@ pub enum TripReason {
     Deadline,
     /// Touch tables would exceed `max_table_bytes`.
     MaxTableBytes,
-    /// The transformation search visited more than `max_search_nodes`
-    /// candidates / branch-and-bound nodes.
-    MaxSearchNodes,
 }
 
 impl fmt::Display for TripReason {
@@ -139,7 +136,6 @@ impl fmt::Display for TripReason {
             TripReason::MaxIterations => write!(f, "max-iterations"),
             TripReason::Deadline => write!(f, "deadline"),
             TripReason::MaxTableBytes => write!(f, "max-table-bytes"),
-            TripReason::MaxSearchNodes => write!(f, "max-search-nodes"),
         }
     }
 }

@@ -1,30 +1,25 @@
-//! The collecting sink: per-thread shard buffers merged into a
-//! deterministic event stream.
+//! The collecting sink: one event buffer, drained into a deterministic
+//! event stream.
 
 use crate::report::TraceReport;
 use crate::{TraceEvent, TraceSink};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Number of shard buffers. Threads hash to shards by `ThreadId`, so
-/// recording never contends on one global lock in the common case.
-const SHARDS: usize = 16;
-
-/// A sink that buffers events in per-thread shards and merges them into
-/// a schedule-independent order on [`CollectingSink::drain`].
+/// A sink that buffers events and sorts them into a schedule-independent
+/// order on [`CollectingSink::drain`]. Engines record in batches (one
+/// per committed sweep, span or search), so one lock serves every thread.
 ///
 /// # Determinism
 ///
-/// The merge sorts by `(epoch, phase, nest, ord, canonical_line)` —
+/// The drain sorts by `(epoch, phase, nest, ord, canonical_line)` —
 /// every component is schedule-independent (the engine assigns `ord`
 /// from chunk indices and serial sequence numbers; the canonical line
 /// excludes thread ids and wall-clock). Two runs of the same governed
 /// operation at different thread counts therefore drain to bit-identical
 /// reports, which chaos oracle 6 and the perfsuite trace section pin.
 pub struct CollectingSink {
-    shards: Vec<Mutex<Vec<(u64, TraceEvent)>>>,
+    events: Mutex<Vec<(u64, TraceEvent)>>,
     epoch: AtomicU64,
 }
 
@@ -32,24 +27,21 @@ impl CollectingSink {
     /// An empty sink at epoch 0.
     pub fn new() -> Self {
         CollectingSink {
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            events: Mutex::new(Vec::new()),
             epoch: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self) -> &Mutex<Vec<(u64, TraceEvent)>> {
-        let mut h = DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        let i = (h.finish() as usize) % SHARDS;
-        &self.shards[i]
+    /// The buffer. Every update is one `extend` or `take`, which leaves
+    /// it valid even if a recording thread panicked, so a poisoned lock
+    /// is recovered instead of dropping the stream.
+    fn buffer(&self) -> MutexGuard<'_, Vec<(u64, TraceEvent)>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of events currently buffered (across all shards).
+    /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().map(|v| v.len()).unwrap_or(0))
-            .sum()
+        self.buffer().len()
     }
 
     /// Whether no events are buffered.
@@ -57,16 +49,11 @@ impl CollectingSink {
         self.len() == 0
     }
 
-    /// Take every buffered event, merge deterministically, and build the
+    /// Take every buffered event, sort deterministically, and build the
     /// report. The sink is left empty (epoch is *not* reset, so a drained
     /// sink can keep collecting with strictly later epochs).
     pub fn drain(&self) -> TraceReport {
-        let mut all: Vec<(u64, TraceEvent)> = Vec::new();
-        for shard in &self.shards {
-            if let Ok(mut v) = shard.lock() {
-                all.append(&mut v);
-            }
-        }
+        let mut all = std::mem::take(&mut *self.buffer());
         all.sort_by(|(ea, a), (eb, b)| {
             (*ea, a.phase, a.nest, a.ord)
                 .cmp(&(*eb, b.phase, b.nest, b.ord))
@@ -88,17 +75,12 @@ impl TraceSink for CollectingSink {
     }
 
     fn record(&self, event: TraceEvent) {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        if let Ok(mut v) = self.shard().lock() {
-            v.push((epoch, event));
-        }
+        self.record_all(vec![event]);
     }
 
     fn record_all(&self, events: Vec<TraceEvent>) {
         let epoch = self.epoch.load(Ordering::Acquire);
-        if let Ok(mut v) = self.shard().lock() {
-            v.extend(events.into_iter().map(|e| (epoch, e)));
-        }
+        self.buffer().extend(events.into_iter().map(|e| (epoch, e)));
     }
 
     fn begin_epoch(&self) {

@@ -8,8 +8,8 @@
 //! this crate makes it *visible*. It defines a span/event/counter model
 //! ([`TraceEvent`]) and a sink trait ([`TraceSink`]) that the engine
 //! threads through its existing seams: `POLL_INTERVAL` budget polls,
-//! chunk commits in the dense engine, the search span and its cone
-//! prunes, fault trips and prefix salvage, fusion steps and sizing
+//! chunk commits in the dense engine, the search span and its row
+//! search, fault trips and prefix salvage, fusion steps and sizing
 //! terms, and certificate emission.
 //!
 //! # Zero cost when off
@@ -21,17 +21,17 @@
 //!
 //! # Determinism when on
 //!
-//! The [`CollectingSink`] buffers events in per-thread shards and merges
-//! them by a schedule-independent sort key — `(epoch, phase, nest, ord)`
-//! with the canonical NDJSON line as the final tiebreak — so the merged
-//! stream is bit-identical at every thread count. Engine code cooperates
+//! The [`CollectingSink`] buffers events in one list and sorts them by
+//! a schedule-independent key — `(epoch, phase, nest, ord)` with the
+//! canonical NDJSON line as the final tiebreak — so the drained stream
+//! is bit-identical at every thread count. Engine code cooperates
 //! by (a) assigning `ord` from deterministic quantities only (chunk
 //! index, serial sequence numbers), (b) buffering chunk-local events and
 //! flushing them only in chunk-commit order after a sweep *succeeds*,
 //! (c) emitting nothing schedule-dependent on failure paths beyond
 //! the fire-once fault trip itself, and (d) narrating a sweep only when
 //! its answer is reported: the §4 search records its own span and
-//! cone-prune event, never its baseline or candidate sweeps, whose
+//! row-search event, never its baseline or candidate sweeps, whose
 //! completed set under a trip depends on the schedule. Wall-clock
 //! micros are carried on span ends for the human-readable report but
 //! are **excluded** from the canonical NDJSON rendering.
@@ -62,7 +62,7 @@ pub use collect::CollectingSink;
 pub use report::{TraceCounters, TraceReport};
 
 /// Engine phase an event belongs to. The discriminant order is the
-/// canonical sort order used by the deterministic merge.
+/// canonical sort order used by the deterministic drain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Source parsing and static classification.
@@ -103,14 +103,15 @@ pub enum EventKind {
         label: &'static str,
     },
     /// The matching span closed. `micros` is wall-clock and excluded
-    /// from the canonical rendering; `charged` is the governed
-    /// iteration/node count attributed to the span and is canonical.
+    /// from the canonical rendering; `charged` is the governed work
+    /// count attributed to the span and is canonical.
     SpanEnd {
         /// Static span label matching the [`EventKind::SpanBegin`].
         label: &'static str,
         /// Wall-clock duration — informational, not canonical.
         micros: u64,
-        /// Charged iterations (or search nodes) attributed to the span.
+        /// Charged iterations (candidates, for the search span)
+        /// attributed to the span.
         charged: u64,
     },
     /// A `POLL_INTERVAL` budget poll charged `delta` iterations.
@@ -132,13 +133,11 @@ pub enum EventKind {
         /// Whether the probe hit.
         hit: bool,
     },
-    /// Branch-and-bound discarded boxes under a rank-1 dependence cone.
-    ConePrune {
-        /// Boxes discarded by the cone certificate.
-        boxes: u64,
-        /// Nodes the search explored.
+    /// The §4.2 box recursion over the leading rows finished.
+    RowSearch {
+        /// Boxes the recursion examined.
         explored: u64,
-        /// Nodes pruned by bounding (cone prunes included).
+        /// Boxes it pruned by infeasibility or bounding.
         pruned: u64,
     },
     /// An injected fault fired (fire-once, keyed to the charged-iteration
@@ -188,7 +187,7 @@ impl EventKind {
             EventKind::Poll { .. } => "poll",
             EventKind::ChunkCommit { .. } => "chunk-commit",
             EventKind::MemoLookup { .. } => "memo-lookup",
-            EventKind::ConePrune { .. } => "cone-prune",
+            EventKind::RowSearch { .. } => "row-search",
             EventKind::FaultTrip { .. } => "fault-trip",
             EventKind::Salvage { .. } => "salvage",
             EventKind::SizingTerm { .. } => "sizing-term",
@@ -214,10 +213,43 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
+    /// The `span-begin`/`span-end` pair of one span: the begin at
+    /// `ord (0, 0)`, first in its `(phase, nest)` group, and the end at
+    /// `ord (end, 0)`, where `end = u64::MAX` sorts it after every event
+    /// the span brackets. `micros` is the wall-clock time since `started`
+    /// (0 when untimed); `charged` is the span's canonical work count.
+    pub fn span(
+        phase: Phase,
+        nest: Option<u32>,
+        label: &'static str,
+        end: u64,
+        started: Option<std::time::Instant>,
+        charged: u64,
+    ) -> [TraceEvent; 2] {
+        let micros = started.map_or(0, |s| s.elapsed().as_micros() as u64);
+        let event = |ord, kind| TraceEvent {
+            phase,
+            nest,
+            ord,
+            kind,
+        };
+        [
+            event((0, 0), EventKind::SpanBegin { label }),
+            event(
+                (end, 0),
+                EventKind::SpanEnd {
+                    label,
+                    micros,
+                    charged,
+                },
+            ),
+        ]
+    }
+
     /// The canonical single-line JSON rendering of this event: every
     /// schedule-independent field, and **only** those (no wall-clock
     /// micros). This is both the NDJSON output format and the
-    /// final tiebreak of the deterministic merge.
+    /// final tiebreak of the deterministic drain.
     pub fn canonical_line(&self) -> String {
         let mut s = String::with_capacity(96);
         s.push_str("{\"phase\":\"");
@@ -252,12 +284,7 @@ impl TraceEvent {
                 s.push_str(",\"hit\":");
                 s.push_str(if *hit { "true" } else { "false" });
             }
-            EventKind::ConePrune {
-                boxes,
-                explored,
-                pruned,
-            } => {
-                push_u64_field(&mut s, "boxes", *boxes);
+            EventKind::RowSearch { explored, pruned } => {
                 push_u64_field(&mut s, "explored", *explored);
                 push_u64_field(&mut s, "pruned", *pruned);
             }

@@ -25,7 +25,8 @@ pub struct TraceCounters {
     pub memo_hits: u64,
     /// Memo probes that missed.
     pub memo_misses: u64,
-    /// Boxes discarded by cone prunes.
+    /// Always 0: no event feeds it. It stays in the counters line for
+    /// readers that still record it.
     pub cone_boxes: u64,
     /// Injected faults that fired.
     pub fault_trips: u64,
@@ -46,7 +47,7 @@ impl TraceCounters {
         for e in events {
             match &e.kind {
                 EventKind::SpanBegin { .. } => c.spans += 1,
-                EventKind::SpanEnd { .. } => {}
+                EventKind::SpanEnd { .. } | EventKind::RowSearch { .. } => {}
                 EventKind::Poll { delta } => {
                     c.polls += 1;
                     c.charged_iterations += delta;
@@ -63,7 +64,6 @@ impl TraceCounters {
                         c.memo_misses += 1;
                     }
                 }
-                EventKind::ConePrune { boxes, .. } => c.cone_boxes += boxes,
                 EventKind::FaultTrip { .. } => c.fault_trips += 1,
                 EventKind::Salvage { .. } => c.salvages += 1,
                 EventKind::SizingTerm { .. } => c.sizing_terms += 1,
@@ -174,15 +174,14 @@ impl TraceReport {
         let c = &self.counters;
         out.push_str(&format!(
             "polls {} (charged {}) · chunks {} (iters {}) · memo {}/{} hit · \
-             cone boxes {} · faults {} · salvages {} · sizing terms {} · \
-             fusion steps {} · certificates {}\n",
+             faults {} · salvages {} · sizing terms {} · fusion steps {} · \
+             certificates {}\n",
             c.polls,
             c.charged_iterations,
             c.chunks_committed,
             c.chunk_iterations,
             c.memo_hits,
             c.memo_lookups,
-            c.cone_boxes,
             c.fault_trips,
             c.salvages,
             c.sizing_terms,

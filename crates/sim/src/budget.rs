@@ -2,13 +2,14 @@
 //! fallback bounds the engines degrade to when a budget trips.
 //!
 //! [`AnalysisBudget`] is a declarative limit set — wall-clock timeout,
-//! iteration cap, touch-table byte cap, search-node cap, and an optional
-//! shared [`CancelToken`]. A budget is inert data; each governed run
+//! iteration cap, touch-table byte cap, and an optional shared
+//! [`CancelToken`]. A budget is inert data; each governed run
 //! materializes it into a [`BudgetTracker`] (which resolves the timeout to a
 //! deadline and owns the shared atomic counters) and polls the tracker at
 //! bounded intervals: every [`POLL_INTERVAL`] iterations inside a sweep
 //! chunk, at every chunk boundary in the work-stealing loop, per candidate
-//! in the transformation search, and per nest in the program engines.
+//! in the transformation search, per box in its branch and bound, and per
+//! nest in the program engines.
 //!
 //! When a trip is observed the engine abandons exact simulation and returns
 //! [`AnalysisError::Exhausted`] carrying [`analytic_nest_bounds`] — a purely
@@ -64,7 +65,6 @@ pub struct AnalysisBudget {
     timeout: Option<Duration>,
     max_iterations: Option<u64>,
     max_table_bytes: Option<u64>,
-    max_search_nodes: Option<u64>,
     cancel: Option<CancelToken>,
     fault: Option<Arc<FaultPlan>>,
     trace: Option<Arc<dyn TraceSink>>,
@@ -76,7 +76,6 @@ impl std::fmt::Debug for AnalysisBudget {
             .field("timeout", &self.timeout)
             .field("max_iterations", &self.max_iterations)
             .field("max_table_bytes", &self.max_table_bytes)
-            .field("max_search_nodes", &self.max_search_nodes)
             .field("cancel", &self.cancel)
             .field("fault", &self.fault)
             .field("trace", &self.trace.as_ref().map(|s| s.enabled()))
@@ -109,13 +108,6 @@ impl AnalysisBudget {
     /// governed by `max_iterations`.
     pub fn with_max_table_bytes(mut self, n: u64) -> Self {
         self.max_table_bytes = Some(n);
-        self
-    }
-
-    /// Caps transformation-search work (candidates evaluated,
-    /// branch-and-bound nodes expanded).
-    pub fn with_max_search_nodes(mut self, n: u64) -> Self {
-        self.max_search_nodes = Some(n);
         self
     }
 
@@ -156,9 +148,7 @@ pub struct BudgetTracker {
     deadline: Option<Instant>,
     max_iterations: Option<u64>,
     max_table_bytes: Option<u64>,
-    max_search_nodes: Option<u64>,
     iterations: AtomicU64,
-    nodes: AtomicU64,
     cancel: Option<CancelToken>,
     fault: Option<Arc<FaultPlan>>,
     trace: Option<Arc<dyn TraceSink>>,
@@ -170,9 +160,7 @@ impl std::fmt::Debug for BudgetTracker {
             .field("deadline", &self.deadline)
             .field("max_iterations", &self.max_iterations)
             .field("max_table_bytes", &self.max_table_bytes)
-            .field("max_search_nodes", &self.max_search_nodes)
             .field("iterations", &self.iterations)
-            .field("nodes", &self.nodes)
             .field("cancel", &self.cancel)
             .field("fault", &self.fault)
             .field("trace", &self.trace.as_ref().map(|s| s.enabled()))
@@ -187,9 +175,7 @@ impl BudgetTracker {
             deadline: budget.timeout.map(|t| Instant::now() + t),
             max_iterations: budget.max_iterations,
             max_table_bytes: budget.max_table_bytes,
-            max_search_nodes: budget.max_search_nodes,
             iterations: AtomicU64::new(0),
-            nodes: AtomicU64::new(0),
             cancel: budget.cancel.clone(),
             fault: budget.fault.clone(),
             trace: budget.trace().cloned(),
@@ -225,18 +211,6 @@ impl BudgetTracker {
     /// before the wall-clock one.
     pub fn charge_iterations(&self, n: u64) -> Result<(), TripReason> {
         self.iterations.fetch_add(n, Ordering::Relaxed);
-        self.check()
-    }
-
-    /// Charges `n` search nodes (optimizer candidates, branch-and-bound
-    /// expansions) and polls.
-    pub fn charge_search_nodes(&self, n: u64) -> Result<(), TripReason> {
-        self.nodes.fetch_add(n, Ordering::Relaxed);
-        if let Some(cap) = self.max_search_nodes {
-            if self.nodes.load(Ordering::Relaxed) > cap {
-                return Err(TripReason::MaxSearchNodes);
-            }
-        }
         self.check()
     }
 
@@ -345,9 +319,9 @@ impl BudgetTracker {
 
     /// The deterministic iteration quota a salvage pass may re-sweep after a
     /// trip for `reason`, or `None` when the trip has no deterministic
-    /// logical position (deadline, table caps, real cancellation, search
-    /// caps). An injected poll fault defines the quota as N × POLL_INTERVAL;
-    /// a real iteration-cap trip uses the cap itself.
+    /// logical position (deadline, table caps, real cancellation). An
+    /// injected poll fault defines the quota as N × POLL_INTERVAL; a real
+    /// iteration-cap trip uses the cap itself.
     pub(crate) fn salvage_quota(&self, reason: TripReason) -> Option<u64> {
         if !matches!(reason, TripReason::MaxIterations | TripReason::Cancelled) {
             return None;
@@ -459,7 +433,6 @@ mod tests {
         let t = BudgetTracker::unlimited();
         for _ in 0..10 {
             assert!(t.charge_iterations(1 << 40).is_ok());
-            assert!(t.charge_search_nodes(1 << 40).is_ok());
         }
     }
 
@@ -486,13 +459,6 @@ mod tests {
         let t = BudgetTracker::new(&budget);
         token.cancel();
         assert_eq!(t.charge_iterations(10), Err(TripReason::Cancelled));
-    }
-
-    #[test]
-    fn search_node_cap_trips() {
-        let t = BudgetTracker::new(&AnalysisBudget::unlimited().with_max_search_nodes(2));
-        assert!(t.charge_search_nodes(2).is_ok());
-        assert_eq!(t.charge_search_nodes(1), Err(TripReason::MaxSearchNodes));
     }
 
     #[test]

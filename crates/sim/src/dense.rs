@@ -1228,29 +1228,15 @@ fn flush_sweep_events(
     let Some(sink) = tracker.trace() else {
         return;
     };
-    let micros = started.map_or(0, |s| s.elapsed().as_micros() as u64);
     let nest = Some(nest_index as u32);
+    let [begin, end] = TraceEvent::span(Phase::Pass1, nest, "pass1", u64::MAX, started, iters);
     let mut out = Vec::with_capacity(events.len() + 2);
-    out.push(TraceEvent {
-        phase: Phase::Pass1,
-        nest,
-        ord: (0, 0),
-        kind: EventKind::SpanBegin { label: "pass1" },
-    });
+    out.push(begin);
     for mut e in events {
         e.nest = nest;
         out.push(e);
     }
-    out.push(TraceEvent {
-        phase: Phase::Pass1,
-        nest,
-        ord: (u64::MAX, 0),
-        kind: EventKind::SpanEnd {
-            label: "pass1",
-            micros,
-            charged: iters,
-        },
-    });
+    out.push(end);
     sink.record_all(out);
 }
 

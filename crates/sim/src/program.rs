@@ -29,7 +29,7 @@ use crate::budget::{analytic_nest_bounds, analytic_program_bounds, BudgetTracker
 use crate::dense::{shard_map, try_pass1, NestPass1, UNTOUCHED};
 use crate::fold::{fold, FoldSpec, Stamps};
 use loopmem_ir::{AnalysisError, ArrayId, Bounds, BoundsMethod, ElementBox, Program, TripReason};
-use loopmem_obs::{EventKind, Phase, TraceEvent};
+use loopmem_obs::{Phase, TraceEvent};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -502,25 +502,8 @@ pub fn try_simulate_program_tracked(
     let fold_started = tracker.trace().map(|_| std::time::Instant::now());
     let sim = assemble(narrays, slots, max_table_bytes);
     if let Some(sink) = tracker.trace() {
-        let micros = fold_started.map_or(0, |s| s.elapsed().as_micros() as u64);
-        sink.record_all(vec![
-            TraceEvent {
-                phase: Phase::Pass2,
-                nest: None,
-                ord: (0, 0),
-                kind: EventKind::SpanBegin { label: "pass2" },
-            },
-            TraceEvent {
-                phase: Phase::Pass2,
-                nest: None,
-                ord: (1, 0),
-                kind: EventKind::SpanEnd {
-                    label: "pass2",
-                    micros,
-                    charged: total_iters,
-                },
-            },
-        ]);
+        let span = TraceEvent::span(Phase::Pass2, None, "pass2", 1, fold_started, total_iters);
+        sink.record_all(span.into());
     }
 
     let mws_bounds = if per_nest.iter().all(Result::is_ok) {

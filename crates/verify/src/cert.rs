@@ -2,10 +2,10 @@
 //!
 //! A [`Certificate`] is the optimizer's *argument* for one user-facing
 //! answer, written in terms a small checker can replay: the dependence
-//! distances and their images under a transformation, the primitive cone
-//! direction behind a pruned search box, the evaluated frontier behind a
-//! claimed minimum, the analytic ladder step behind a degraded bound, or
-//! the per-nest terms behind a scratchpad size. Emission lives in
+//! distances and their images under a transformation, the evaluated
+//! frontier behind a claimed minimum, the analytic ladder step behind a
+//! degraded bound, the per-nest terms behind a scratchpad size, or the
+//! steps of a fusion chain. Emission lives in
 //! `loopmem-core` (next to the searches); this crate only *defines* the
 //! model and *checks* it, so a bug in the search cannot hide in the
 //! checker.
@@ -41,35 +41,6 @@ pub struct LegalityCert {
     /// `true` claims full permutability (`T·δ ≥ 0` component-wise, §4.2);
     /// `false` claims only lexicographic legality (`T·δ ≻ 0`, §2.1).
     pub tileable: bool,
-}
-
-/// One discarded coefficient box `[alo, ahi] × [blo, bhi]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PrunedBox {
-    /// Inclusive range of the first row coefficient.
-    pub alo: i64,
-    /// Inclusive upper end of the first row coefficient.
-    pub ahi: i64,
-    /// Inclusive range of the second row coefficient.
-    pub blo: i64,
-    /// Inclusive upper end of the second row coefficient.
-    pub bhi: i64,
-}
-
-/// Soundness of the §4.2 branch-and-bound cone pruning: a rank-1
-/// dependence cone plus the interval-division argument for every box the
-/// search discarded without evaluating a window.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConePruneCert {
-    /// Index of the (2-deep) nest inside the program.
-    pub nest: usize,
-    /// The coefficient box half-width the rank-1 basis was certified in.
-    pub bound: i64,
-    /// The primitive direction: every tileable row in `[-bound, bound]²`
-    /// is an integer multiple of this vector.
-    pub direction: Vec<i64>,
-    /// The boxes discarded off the line.
-    pub boxes: Vec<PrunedBox>,
 }
 
 /// One evaluated candidate on the optimality frontier.
@@ -169,8 +140,6 @@ pub struct FusionCert {
 pub enum Certificate {
     /// Legality of a transformation (`T·δ` evaluations).
     Legality(LegalityCert),
-    /// Soundness of branch-and-bound cone pruning.
-    ConePrune(ConePruneCert),
     /// Minimality of the chosen transformation over the frontier.
     Optimality(OptimalityCert),
     /// A degraded answer's interval claim.
@@ -186,7 +155,6 @@ impl Certificate {
     pub fn kind(&self) -> &'static str {
         match self {
             Certificate::Legality(_) => "legality",
-            Certificate::ConePrune(_) => "cone-prune",
             Certificate::Optimality(_) => "optimality",
             Certificate::Bounds(_) => "bounds",
             Certificate::Sizing(_) => "sizing",
@@ -233,21 +201,6 @@ impl Certificate {
                     mat_json(&c.transform),
                     evals.join(","),
                     c.tileable
-                )
-            }
-            Certificate::ConePrune(c) => {
-                let boxes: Vec<String> = c
-                    .boxes
-                    .iter()
-                    .map(|b| format!("[{},{},{},{}]", b.alo, b.ahi, b.blo, b.bhi))
-                    .collect();
-                format!(
-                    "{{\"cert\":\"cone-prune\",\"nest\":{},\"bound\":{},\
-                     \"direction\":{},\"boxes\":[{}]}}",
-                    c.nest,
-                    c.bound,
-                    vec_json(&c.direction),
-                    boxes.join(",")
                 )
             }
             Certificate::Optimality(c) => {
@@ -394,33 +347,6 @@ impl Certificate {
                     },
                 }))
             }
-            "cone-prune" => {
-                let boxes = match field(j, "boxes")? {
-                    Json::Arr(a) => a
-                        .iter()
-                        .map(|b| {
-                            let v = as_vec_i64(b)?;
-                            if v.len() != 4 {
-                                return None;
-                            }
-                            Some(PrunedBox {
-                                alo: v[0],
-                                ahi: v[1],
-                                blo: v[2],
-                                bhi: v[3],
-                            })
-                        })
-                        .collect::<Option<Vec<_>>>()
-                        .ok_or("bad 'boxes' entry")?,
-                    _ => return Err("'boxes' must be an array".into()),
-                };
-                Ok(Certificate::ConePrune(ConePruneCert {
-                    nest: as_usize(field(j, "nest")?).ok_or("bad 'nest'")?,
-                    bound: field(j, "bound")?.as_i64().ok_or("bad 'bound'")?,
-                    direction: as_vec_i64(field(j, "direction")?).ok_or("bad 'direction'")?,
-                    boxes,
-                }))
-            }
             "optimality" => {
                 let frontier = match field(j, "frontier")? {
                     Json::Arr(a) => a
@@ -544,17 +470,6 @@ mod tests {
                 }],
                 tileable: true,
             }),
-            Certificate::ConePrune(ConePruneCert {
-                nest: 1,
-                bound: 2,
-                direction: vec![1, 0],
-                boxes: vec![PrunedBox {
-                    alo: -3,
-                    ahi: -1,
-                    blo: 1,
-                    bhi: 3,
-                }],
-            }),
             Certificate::Optimality(OptimalityCert {
                 nest: 0,
                 mws_before: 44,
@@ -624,8 +539,14 @@ mod tests {
         let err = parse_certificates("{\"cert\":\"legality\"}").unwrap_err();
         assert_eq!(err.0, 1);
         assert!(err.1.contains("missing field"), "{err:?}");
-        let err = parse_certificates("{\"cert\":\"bogus\"}").unwrap_err();
-        assert!(err.1.contains("unknown certificate kind"), "{err:?}");
+        // The retired cone-prune kind no longer parses either.
+        for line in [
+            "{\"cert\":\"bogus\"}",
+            "{\"cert\":\"cone-prune\",\"nest\":0,\"bound\":6,\"direction\":[1,0],\"boxes\":[]}",
+        ] {
+            let err = parse_certificates(line).unwrap_err();
+            assert!(err.1.contains("unknown certificate kind"), "{err:?}");
+        }
         let ok = samples()[0].to_json_line();
         let err = parse_certificates(&format!("{ok}\nnot json")).unwrap_err();
         assert_eq!(err.0, 2);

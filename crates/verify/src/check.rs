@@ -2,10 +2,10 @@
 //!
 //! [`check_certificates`] re-derives every claim from the certificate plus
 //! the source program: dependence distances come from a fresh
-//! `loopmem-dep` analysis, matrix products from `loopmem-linalg`, the
-//! cone-prune interval division is replayed locally, and — for nests small
-//! enough to enumerate — MWS and sizing claims are cross-checked against
-//! the exact polyhedral counting path in [`crate::replay`]. Nothing here
+//! `loopmem-dep` analysis, matrix products from `loopmem-linalg`, every
+//! fusion step's access order is replayed, and — for nests small enough
+//! to enumerate — MWS and sizing claims are cross-checked against the
+//! exact polyhedral counting path in [`crate::replay`]. Nothing here
 //! calls into `loopmem-core`: the searches being audited are not part of
 //! the trusted base (DESIGN.md §14).
 //!
@@ -16,21 +16,18 @@
 //! |------|---------|
 //! | `LM7001` | legality claim fails (`T·δ` not lex-positive / not `≥ 0` under a tileable claim / `T` not unimodular) |
 //! | `LM7002` | recorded distance set or `T·δ` evaluations disagree with re-derivation |
-//! | `LM7003` | cone-prune certificate unsound (direction not primitive-tileable, not spanning, or a discarded box meets the line) |
+//! | `LM7003` | retired with the cone-prune certificate kind; the number is not reused |
 //! | `LM7004` | optimality violation (winner missing, not minimal, frontier entry illegal, or replay disagrees) |
 //! | `LM7005` | bounds certificate invalid (empty interval, unknown ladder step, or the interval excludes the replayed/boxed answer) |
 //! | `LM7006` | sizing or fusion arithmetic mismatch (the `max_k` formula, replayed tables, or the strict-decrease chain fail) |
 //! | `LM7007` | malformed certificate (bad shape, out-of-range nest index) |
-//! | `LM7008` | fusion step breaks a dependence (a fused access runs before an access of the earlier nest it must follow) |
+//! | `LM7008` | fusion step breaks a dependence (a fused access runs before an access of the earlier nest it must follow), or cannot be replayed (a nest over `FUSION_REPLAY_CAP` iterations, or a subscript leaving `i64`) |
 
-use crate::cert::{
-    BoundsCert, Certificate, ConePruneCert, FusionCert, LegalityCert, OptimalityCert, SizingCert,
-};
+use crate::cert::{BoundsCert, Certificate, FusionCert, LegalityCert, OptimalityCert, SizingCert};
 use crate::replay;
-use loopmem_dep::{analyze, constraining_distances, lex_positive, row_tileable};
+use loopmem_dep::{analyze, constraining_distances, lex_positive};
 use loopmem_ir::{LoopNest, Program};
-use loopmem_linalg::gcd::{div_ceil, div_floor};
-use loopmem_linalg::{gcd_i64, IMat};
+use loopmem_linalg::IMat;
 
 /// One failed certificate check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,7 +81,6 @@ pub fn check_certificates(program: &Program, certs: &[Certificate]) -> Vec<Viola
 pub fn check_certificate(program: &Program, cert: &Certificate) -> Vec<Violation> {
     match cert {
         Certificate::Legality(c) => check_legality(program, c),
-        Certificate::ConePrune(c) => check_cone_prune(program, c),
         Certificate::Optimality(c) => check_optimality(program, c),
         Certificate::Bounds(c) => check_bounds(program, c),
         Certificate::Sizing(c) => check_sizing(program, c),
@@ -196,122 +192,6 @@ fn check_legality(program: &Program, c: &LegalityCert) -> Vec<Violation> {
                     e.distance
                 ),
             ));
-        }
-    }
-    out
-}
-
-/// The nonzero-integer `t` range with `t*v` inside `[lo, hi]`, intersected
-/// over both axes. `None` means the box misses the line entirely.
-fn line_hits_box(v: &[i64], alo: i64, ahi: i64, blo: i64, bhi: i64) -> bool {
-    let mut tlo = i64::MIN / 4;
-    let mut thi = i64::MAX / 4;
-    for (&vi, (lo, hi)) in v.iter().zip([(alo, ahi), (blo, bhi)]) {
-        if vi == 0 {
-            if lo > 0 || hi < 0 {
-                return false;
-            }
-        } else if vi > 0 {
-            tlo = tlo.max(div_ceil(lo, vi));
-            thi = thi.min(div_floor(hi, vi));
-        } else {
-            tlo = tlo.max(div_ceil(hi, vi));
-            thi = thi.min(div_floor(lo, vi));
-        }
-    }
-    if tlo > thi {
-        return false;
-    }
-    // The box meets the line at some integer t; only t = 0 (the excluded
-    // zero row) does not certify a tileable candidate inside the box.
-    (tlo, thi) != (0, 0)
-}
-
-fn check_cone_prune(program: &Program, c: &ConePruneCert) -> Vec<Violation> {
-    let nest = match nest_of(program, c.nest) {
-        Ok(n) => n,
-        Err(v) => return vec![v],
-    };
-    if nest.depth() != 2 || c.direction.len() != 2 {
-        return vec![Violation::new(
-            "LM7007",
-            Some(c.nest),
-            "cone-prune certificates cover 2-deep nests with a 2-component direction",
-        )];
-    }
-    if c.bound < 1 {
-        return vec![Violation::new(
-            "LM7007",
-            Some(c.nest),
-            format!("cone-prune bound {} is not positive", c.bound),
-        )];
-    }
-    let (v1, v2) = (c.direction[0], c.direction[1]);
-    let mut out = Vec::new();
-    if (v1, v2) == (0, 0) || gcd_i64(v1.abs(), v2.abs()) != 1 {
-        out.push(Violation::new(
-            "LM7003",
-            Some(c.nest),
-            format!("direction ({v1}, {v2}) is not a primitive vector"),
-        ));
-        return out;
-    }
-    let deps = analyze(nest);
-    if !row_tileable(&c.direction, &deps) {
-        out.push(Violation::new(
-            "LM7003",
-            Some(c.nest),
-            format!("direction ({v1}, {v2}) is not itself a tileable row"),
-        ));
-    }
-    // Rank-1 spanning claim: every tileable row in the certified box is
-    // collinear with the direction. This is the load-bearing half — if any
-    // off-line tileable row exists, discarding boxes off the line can
-    // discard the optimum.
-    'scan: for a in -c.bound..=c.bound {
-        for b in -c.bound..=c.bound {
-            if (a, b) == (0, 0) || !row_tileable(&[a, b], &deps) {
-                continue;
-            }
-            if a * v2 != b * v1 {
-                out.push(
-                    Violation::new(
-                        "LM7003",
-                        Some(c.nest),
-                        format!("tileable row ({a}, {b}) lies off the certified line"),
-                    )
-                    .note(format!("certified direction: ({v1}, {v2})")),
-                );
-                break 'scan;
-            }
-        }
-    }
-    // Interval-division argument per discarded box: a sound prune never
-    // discards a box containing a nonzero multiple of the direction.
-    for bx in &c.boxes {
-        if bx.alo > bx.ahi || bx.blo > bx.bhi {
-            out.push(Violation::new(
-                "LM7007",
-                Some(c.nest),
-                format!(
-                    "pruned box [{}, {}] x [{}, {}] is malformed",
-                    bx.alo, bx.ahi, bx.blo, bx.bhi
-                ),
-            ));
-            continue;
-        }
-        if line_hits_box(&c.direction, bx.alo, bx.ahi, bx.blo, bx.bhi) {
-            out.push(
-                Violation::new(
-                    "LM7003",
-                    Some(c.nest),
-                    format!(
-                        "discarded box [{}, {}] x [{}, {}] contains a candidate on the line",
-                        bx.alo, bx.ahi, bx.blo, bx.bhi
-                    ),
-                )
-                .note(format!("direction ({v1}, {v2}) passes through the box")),
-            );
         }
     }
     out
@@ -745,22 +625,19 @@ fn check_fusion(program: &Program, c: &FusionCert) -> Vec<Violation> {
     if !out.is_empty() {
         return out;
     }
-    // Structurally replay the fusion chain and re-size each intermediate
-    // program; skipped when any stage exceeds the replay cap.
+    // Replay the fusion chain step by step. Every step's conformability
+    // and legality are checked; the words of each intermediate program
+    // are cross-checked wherever it fits under `REPLAY_CAP`.
     let mut nests: Vec<LoopNest> = program.nests().to_vec();
     let words_of = |nests: &[LoopNest]| -> Option<u64> {
         let p = Program::new(nests.to_vec()).ok()?;
         replay::replay_program(&p, replay::REPLAY_CAP).map(|r| replayed_words(&r))
     };
-    if let Some(w) = words_of(&nests) {
-        if w != c.unfused {
-            out.push(
-                Violation::new("LM7006", None, "unfused words disagree with exact replay")
-                    .note(format!("replayed: {w}, claimed: {}", c.unfused)),
-            );
-            return out;
-        }
-    } else {
+    if let Some(w) = words_of(&nests).filter(|&w| w != c.unfused) {
+        out.push(
+            Violation::new("LM7006", None, "unfused words disagree with exact replay")
+                .note(format!("replayed: {w}, claimed: {}", c.unfused)),
+        );
         return out;
     }
     // The original nest each intermediate nest starts with, for anchoring.
@@ -778,45 +655,59 @@ fn check_fusion(program: &Program, c: &FusionCert) -> Vec<Violation> {
             ));
             return out;
         };
-        let conflict = replay::fusion_conflict(&nests[s.at], &nests[s.at + 1], replay::REPLAY_CAP);
-        if let Some(x) = conflict {
-            let (access, earlier) = if x.write {
-                ("write", "touch")
-            } else {
-                ("read", "write")
-            };
-            out.push(
-                Violation::new(
-                    "LM7008",
-                    Some(origin[s.at + 1]),
-                    format!("fusion step {} breaks a dependence", i + 1),
-                )
-                .note(format!(
-                    "{}{:?}: the fused {access} at iteration {:?} would run before \
-                     the earlier nest's {earlier} at iteration {:?}",
-                    program.arrays()[x.array].name,
-                    x.element,
-                    x.second,
-                    x.first
-                )),
-            );
-            return out;
+        let lm7008 = |what: &str, note: String| {
+            Violation::new(
+                "LM7008",
+                Some(origin[s.at + 1]),
+                format!("fusion step {} {what}", i + 1),
+            )
+            .note(note)
+        };
+        match replay::fusion_conflict(&nests[s.at], &nests[s.at + 1], replay::FUSION_REPLAY_CAP) {
+            Some(Ok(())) => {}
+            Some(Err(x)) => {
+                let (access, earlier) = if x.write {
+                    ("write", "touch")
+                } else {
+                    ("read", "write")
+                };
+                out.push(lm7008(
+                    "breaks a dependence",
+                    format!(
+                        "{}{:?}: the fused {access} at iteration {:?} would run before \
+                         the earlier nest's {earlier} at iteration {:?}",
+                        program.arrays()[x.array].name,
+                        x.element,
+                        x.second,
+                        x.first
+                    ),
+                ));
+                return out;
+            }
+            None => {
+                out.push(lm7008(
+                    "is not replayable",
+                    format!(
+                        "its legality replay needs at most {} iterations per nest \
+                         and subscripts inside i64",
+                        replay::FUSION_REPLAY_CAP
+                    ),
+                ));
+                return out;
+            }
         }
         nests = fused;
         origin.remove(s.at + 1);
-        match words_of(&nests) {
-            Some(w) if w != s.after => {
-                out.push(
-                    Violation::new(
-                        "LM7006",
-                        None,
-                        format!("fusion step {} words disagree with exact replay", i + 1),
-                    )
-                    .note(format!("replayed: {w}, claimed after: {}", s.after)),
-                );
-                return out;
-            }
-            _ => {}
+        if let Some(w) = words_of(&nests).filter(|&w| w != s.after) {
+            out.push(
+                Violation::new(
+                    "LM7006",
+                    None,
+                    format!("fusion step {} words disagree with exact replay", i + 1),
+                )
+                .note(format!("replayed: {w}, claimed after: {}", s.after)),
+            );
+            return out;
         }
     }
     out
@@ -825,7 +716,7 @@ fn check_fusion(program: &Program, c: &FusionCert) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cert::{DistanceImage, FrontierEntry, PrunedBox, SizingTerm};
+    use crate::cert::{DistanceImage, FrontierEntry, SizingTerm};
     use loopmem_ir::parse_program;
 
     fn example8_program() -> Program {
@@ -896,64 +787,6 @@ mod tests {
         c.evaluations[2].image = vec![4, 1];
         let v = check_certificate(&p, &Certificate::Legality(c));
         assert!(v.iter().any(|v| v.code == "LM7001"), "{v:?}");
-    }
-
-    fn cone_program() -> Program {
-        parse_program(
-            "array A[100][100]\n\
-             for i = 2 to 99 {\n\
-               for j = 4 to 97 {\n\
-                 A[i][j] = A[i-1][j+3] + A[i-1][j-3];\n\
-               }\n\
-             }",
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn sound_cone_prune_passes_and_line_hit_fails() {
-        let p = cone_program();
-        // Distances (1,3) and (1,-3): only multiples of (1,0) are tileable
-        // in [-2,2]^2. A box strictly above the a-axis misses the line.
-        let good = ConePruneCert {
-            nest: 0,
-            bound: 2,
-            direction: vec![1, 0],
-            boxes: vec![PrunedBox {
-                alo: -2,
-                ahi: 2,
-                blo: 1,
-                bhi: 2,
-            }],
-        };
-        assert_eq!(
-            check_certificate(&p, &Certificate::ConePrune(good.clone())),
-            vec![]
-        );
-        // A box containing (2, 0) sits on the line: discarding it is unsound.
-        let mut bad = good;
-        bad.boxes.push(PrunedBox {
-            alo: 1,
-            ahi: 2,
-            blo: 0,
-            bhi: 1,
-        });
-        let v = check_certificate(&p, &Certificate::ConePrune(bad));
-        assert!(v.iter().any(|v| v.code == "LM7003"), "{v:?}");
-    }
-
-    #[test]
-    fn non_spanning_direction_is_rejected() {
-        // Example 8's cone has rank 2: no single direction spans it.
-        let p = example8_program();
-        let c = ConePruneCert {
-            nest: 0,
-            bound: 2,
-            direction: vec![1, 1],
-            boxes: vec![],
-        };
-        let v = check_certificate(&p, &Certificate::ConePrune(c));
-        assert!(v.iter().any(|v| v.code == "LM7003"), "{v:?}");
     }
 
     fn example8_optimality() -> OptimalityCert {
@@ -1102,5 +935,30 @@ mod tests {
         bad.fused = 300;
         let v = check_certificate(&p, &Certificate::Fusion(bad));
         assert!(v.iter().any(|v| v.code == "LM7006"), "{v:?}");
+    }
+
+    #[test]
+    fn fusion_beyond_the_legality_replay_is_rejected() {
+        // 1500 x 1500 = 2.25e6 iterations per nest: too many to replay
+        // the step's access order, so the step cannot be accepted.
+        let p = parse_program(
+            "array A[1500][1500]\narray C[1500][1500]\n\
+             for i = 1 to 1500 { for j = 1 to 1500 { A[i][j] = 1; } }\n\
+             for i = 1 to 1500 { for j = 1 to 1500 { C[i][j] = A[i][j]; } }",
+        )
+        .unwrap();
+        let cert = FusionCert {
+            unfused: 2_250_000,
+            fused: 0,
+            steps: vec![crate::cert::FusionStep {
+                at: 0,
+                before: 2_250_000,
+                after: 0,
+            }],
+        };
+        let v = check_certificate(&p, &Certificate::Fusion(cert));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].code, v[0].nest), ("LM7008", Some(1)));
+        assert!(v[0].message.contains("not replayable"), "{v:?}");
     }
 }

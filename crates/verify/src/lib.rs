@@ -17,15 +17,14 @@
 //!
 //! * **legality** — the constraining distance set plus every `T·δ`
 //!   evaluation behind a legality or tileability claim;
-//! * **cone-prune** — the rank-1 primitive direction and the discarded
-//!   boxes justified by the interval-division argument;
 //! * **optimality** — the evaluated candidate frontier, so the claimed
 //!   winner can be confirmed minimal over the certified search space;
 //! * **bounds** — a degraded `[lower, upper]` answer with the analytic
 //!   ladder step that produced it;
 //! * **sizing** — the per-nest MWS + live-through terms reproducing the
 //!   scratchpad `max_k` arithmetic;
-//! * **fusion** — the strict-decrease chain of accepted fusion steps.
+//! * **fusion** — the strict-decrease chain of accepted fusion steps,
+//!   each replayed for conformability and legality.
 //!
 //! Certificates serialize to deterministic NDJSON ([`Certificate::to_json_line`])
 //! and parse back bit-identically ([`parse_certificates`]), so they can be
@@ -40,8 +39,8 @@ pub mod check;
 pub mod replay;
 
 pub use cert::{
-    parse_certificates, BoundsCert, Certificate, ConePruneCert, DistanceImage, FrontierEntry,
-    FusionCert, FusionStep, LegalityCert, OptimalityCert, PrunedBox, SizingCert, SizingTerm,
+    parse_certificates, BoundsCert, Certificate, DistanceImage, FrontierEntry, FusionCert,
+    FusionStep, LegalityCert, OptimalityCert, SizingCert, SizingTerm,
 };
 pub use check::{check_certificate, check_certificates, Violation};
 pub use replay::{nest_mws, replay_program, union_box_upper, ProgramReplay, REPLAY_CAP};

@@ -8,9 +8,12 @@
 //! counting: lexicographic enumeration of the iteration space with
 //! per-iteration time stamps, first/last-touch tables, and a
 //! difference-array sweep. It is deliberately naive (single-threaded
-//! hashmaps, no chunking) and capped at [`REPLAY_CAP`] iterations; the
-//! checker skips the cross-checks — never approximates them — for nests
-//! beyond the cap.
+//! hashmaps, no chunking) and capped at [`REPLAY_CAP`] iterations per
+//! nest; the checker skips the cross-checks — never approximates them —
+//! for nests beyond the cap. Fusion legality is the exception: a step
+//! whose legality went unchecked would pass on its arithmetic alone, so
+//! it replays under the wider `FUSION_REPLAY_CAP`, and the checker
+//! rejects a step beyond it.
 
 use loopmem_ir::{AccessKind, Affine, ArrayRef, Bound, LoopNest, Program, Statement};
 use loopmem_linalg::gcd::{div_ceil, div_floor};
@@ -22,6 +25,11 @@ use std::collections::HashMap;
 /// magnitude as the analyzer's sanitizer oracle, small enough that
 /// `ci.sh verify` stays inside its time budget.
 pub const REPLAY_CAP: u64 = 200_000;
+
+/// Per-nest iteration cap for the fusion legality replay
+/// ([`fusion_conflict`]): `loopmem verify`'s default budget, so every
+/// fusion step it emits by default can be replayed.
+pub(crate) const FUSION_REPLAY_CAP: u64 = 2_000_000;
 
 /// Checked [`Affine`] evaluation: `None` when the result leaves `i64`.
 /// The production `Affine::eval` panics on overflow; the checker must
@@ -240,8 +248,9 @@ pub struct ProgramReplay {
     pub program_mws: u64,
 }
 
-/// Replays a whole program under one global clock, or `None` when the
-/// total iteration count exceeds `cap`.
+/// Replays a whole program under one global clock, or `None` when any
+/// nest runs more than `cap` iterations (the cap applies per nest, not to
+/// the total) or overflows a subscript.
 pub fn replay_program(program: &Program, cap: u64) -> Option<ProgramReplay> {
     let mut clock = 0u64;
     let mut global = TouchMap::new();
@@ -317,10 +326,15 @@ pub struct FusionConflict {
 /// `second` write before a `first` touch of the element, or a `second`
 /// read before a `first` write of it.
 ///
-/// Returns the first such pair in `second`'s order. `None` means there is
-/// none, or the replay is unavailable: either nest exceeds `cap`
-/// iterations or overflows a subscript.
-pub fn fusion_conflict(first: &LoopNest, second: &LoopNest, cap: u64) -> Option<FusionConflict> {
+/// Returns `Some(Ok(()))` when no such pair exists, `Some(Err(pair))` with
+/// the first pair in `second`'s order, and `None` when the replay is
+/// unavailable: either nest exceeds `cap` iterations or overflows a
+/// subscript.
+pub fn fusion_conflict(
+    first: &LoopNest,
+    second: &LoopNest,
+    cap: u64,
+) -> Option<Result<(), FusionConflict>> {
     // Only an array both nests touch, one of them writing it, can carry
     // a dependence that fusion reverses.
     let touches = |n: &LoopNest, a: usize, write: bool| {
@@ -334,6 +348,9 @@ pub fn fusion_conflict(first: &LoopNest, second: &LoopNest, cap: u64) -> Option<
                 && (touches(first, a, true) || touches(second, a, true))
         })
         .collect();
+    if !shared.contains(&true) {
+        return Some(Ok(()));
+    }
     // Per element of a shared array: the ranks of `first`'s last touch and
     // last write in the common iteration order.
     let mut last: HashMap<(usize, Vec<i64>), (u64, Option<u64>)> = HashMap::new();
@@ -352,12 +369,12 @@ pub fn fusion_conflict(first: &LoopNest, second: &LoopNest, cap: u64) -> Option<
         rank += 1;
         true
     });
-    if !walked || last.is_empty() {
+    if !walked {
         return None;
     }
     let mut conflict = None;
     let mut rank = 0u64;
-    for_each_iteration_capped(second, cap, &mut |iter| {
+    let walked = for_each_iteration_capped(second, cap, &mut |iter| {
         for r in second.refs().filter(|r| shared[r.array.0]) {
             let Some(element) = index_at_checked(r, iter) else {
                 return false;
@@ -376,7 +393,9 @@ pub fn fusion_conflict(first: &LoopNest, second: &LoopNest, cap: u64) -> Option<
         rank += 1;
         true
     });
-    let ((array, element), at, second, write) = conflict?;
+    let Some(((array, element), at, second, write)) = conflict else {
+        return walked.then_some(Ok(()));
+    };
     // Recover the iteration of `first` at rank `at`.
     let mut first_iter = Vec::new();
     let mut rank = 0u64;
@@ -387,13 +406,13 @@ pub fn fusion_conflict(first: &LoopNest, second: &LoopNest, cap: u64) -> Option<
         rank += 1;
         rank <= at
     });
-    Some(FusionConflict {
+    Some(Err(FusionConflict {
         array,
         element,
         first: first_iter,
         second,
         write,
-    })
+    }))
 }
 
 /// Applies a unimodular transformation to a nest using only
@@ -511,15 +530,15 @@ mod tests {
             fusion_conflict(&p.nests()[0], &p.nests()[1], REPLAY_CAP)
         };
         // Same-iteration and backward reads keep every dependence.
-        assert_eq!(pair("C[i][j] = A[i][j] + A[i-1][j];"), None);
+        assert_eq!(pair("C[i][j] = A[i][j] + A[i-1][j];"), Some(Ok(())));
         // A read one row ahead runs before the producer's write.
-        let ahead = pair("C[i][j] = A[i+1][j];").unwrap();
+        let ahead = pair("C[i][j] = A[i+1][j];").unwrap().unwrap_err();
         assert_eq!(
             (ahead.element, ahead.first, ahead.second, ahead.write),
             (vec![3, 1], vec![3, 1], vec![2, 1], false)
         );
         // A write before the producer's read of the same element.
-        let early = pair("B[i][j] = C[i][j];").unwrap();
+        let early = pair("B[i][j] = C[i][j];").unwrap().unwrap_err();
         assert_eq!(
             (early.element, early.first, early.second, early.write),
             (vec![2, 1], vec![3, 1], vec![2, 1], true)
@@ -532,8 +551,22 @@ mod tests {
         )
         .unwrap();
         let (producer, consumer) = (&p.nests()[0], &p.nests()[1]);
-        assert!(fusion_conflict(producer, consumer, 20).is_some());
+        assert!(matches!(
+            fusion_conflict(producer, consumer, 20),
+            Some(Err(_))
+        ));
         assert_eq!(fusion_conflict(producer, consumer, 19), None);
+        // Nests sharing no array fuse legally at any size.
+        let p = parse_program(
+            "array A[22]\narray B[22]\n\
+             for i = 1 to 20 { A[i] = 1; }\n\
+             for i = 1 to 20 { B[i] = 2; }",
+        )
+        .unwrap();
+        assert_eq!(
+            fusion_conflict(&p.nests()[0], &p.nests()[1], 0),
+            Some(Ok(()))
+        );
     }
 
     #[test]

@@ -35,18 +35,17 @@
 //! estimators against the dense simulator on small nests.
 //!
 //! `verify` runs the proof-carrying layer end to end: every answer the
-//! optimizer would hand the user (per-nest minimization, the cone prunes
-//! of the search that chose each `T`, scratchpad sizing, fusion) is
-//! converted into a structured certificate (`loopmem_core::cert`) and
+//! optimizer would hand the user (per-nest minimization, scratchpad
+//! sizing, fusion) is converted into a structured certificate (`loopmem_core::cert`) and
 //! replayed by the *independent* checker in `loopmem-verify`, which
 //! re-derives each claim from the source program alone. `--emit-cert
 //! out.ndjson` writes the certificate stream;
 //! `--cert in.ndjson` checks a previously emitted stream instead of
 //! generating one (so a tampered certificate is rejected). Violations are
 //! rendered as `LM7xxx` diagnostics with the same caret machinery as
-//! `check`; exit 1 on any violation. The run is governed by default —
-//! a nest too large to simulate degrades to a checkable bounds
-//! certificate rather than silence.
+//! `check`; exit 1 on any violation. The run is governed by default (a
+//! cap of 2·10⁶ swept iterations) — a nest too large to simulate
+//! degrades to a checkable bounds certificate rather than silence.
 //!
 //! `chaos` runs the deterministic fault-injection sweep
 //! (`loopmem_core::chaos`) over one or more files: every governed entry
@@ -69,9 +68,9 @@
 //!
 //! `trace` runs the whole governed surface in two stages (program
 //! simulation with scratchpad sizing + fusion, then the per-nest §4
-//! searches with their cone prunes; certificate events in both) with a
-//! collecting `loopmem-obs` sink attached and renders the deterministic
-//! trace: per-phase totals with `--format text` (default), the canonical
+//! searches with their row-search events; certificate events in both)
+//! under `verify`'s default budget, with a collecting `loopmem-obs` sink
+//! attached, and renders the deterministic trace: per-phase totals with `--format text` (default), the canonical
 //! NDJSON stream with `--format json`; `--out trace.ndjson` writes the
 //! NDJSON to a file either way. The NDJSON bytes are bit-identical for
 //! every `--threads` value.
@@ -95,6 +94,13 @@ use std::sync::Arc;
 /// `catch_unwind` and report them as per-nest outcomes, so the panic hook
 /// must not splatter the already-reported message on stderr.
 static GOVERNED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// The iteration cap of the runs `verify`, `trace` and `chaos --trace`
+/// make when no budget flag is given: an iteration cap rather than a
+/// timeout, so whether a run is exact or bounded does not depend on the
+/// machine. The checker replays fusion legality up to the same count per
+/// nest, so every fusion step `verify` emits by default can be replayed.
+const DEFAULT_MAX_ITERS: u64 = 2_000_000;
 
 fn main() -> ExitCode {
     // Dying on a closed pipe (`loopmem ... | head`) is expected CLI
@@ -503,7 +509,7 @@ fn cmd_chaos(rest: &[String]) -> Result<ExitCode, String> {
             dyn_sink.begin_epoch();
             if let Ok(program) = loopmem::ir::parse_program(&src) {
                 let budget = AnalysisBudget::unlimited()
-                    .with_max_iterations(2_000_000)
+                    .with_max_iterations(DEFAULT_MAX_ITERS)
                     .with_trace(dyn_sink.clone());
                 let _ = Session::new()
                     .threads(1)
@@ -551,13 +557,11 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
     let (program, spans) =
         loopmem::ir::parse_program_spanned(&src).map_err(|e| format!("{path}: {e}"))?;
     // Governed by default: a nest too large to simulate within the budget
-    // degrades to a bounds certificate instead of hanging the gate. The
-    // default is an iteration cap, not a timeout, so whether a run
-    // verifies exactly or via bounds is machine-independent.
+    // degrades to a bounds certificate instead of hanging the gate.
     let mut budget = opts
         .budget
         .clone()
-        .unwrap_or_else(|| AnalysisBudget::unlimited().with_max_iterations(2_000_000));
+        .unwrap_or_else(|| AnalysisBudget::unlimited().with_max_iterations(DEFAULT_MAX_ITERS));
     let trace_sink = opts.trace_sink();
     if let Some(sink) = &trace_sink {
         budget = budget.with_trace(sink.clone() as Arc<dyn TraceSink>);
@@ -640,7 +644,7 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
 
 /// `loopmem trace`: run the whole governed analysis surface over the
 /// program — simulation, scratchpad sizing + fusion, per-nest §4
-/// searches with their cone prunes, certificate emission — with a
+/// searches with their row searches, certificate emission — with a
 /// collecting `loopmem-obs` sink attached, and render the deterministic
 /// trace. `--format text` (default) prints per-phase totals; `--format
 /// json` prints the canonical NDJSON stream, whose bytes are identical
@@ -660,7 +664,7 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     let budget = opts
         .budget
         .clone()
-        .unwrap_or_else(|| AnalysisBudget::unlimited().with_max_iterations(2_000_000))
+        .unwrap_or_else(|| AnalysisBudget::unlimited().with_max_iterations(DEFAULT_MAX_ITERS))
         .with_trace(dyn_sink.clone());
     let session = Session::new()
         .threads(opts.threads)
@@ -674,7 +678,7 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     let _ = catch_unwind(AssertUnwindSafe(|| session.scratchpad(&program)));
 
     // Stage 2: per-nest §4 searches, one epoch each: the search span, its
-    // cone prunes and its certificates.
+    // row-search event and its certificates.
     for nest in program.nests() {
         dyn_sink.begin_epoch();
         let _ = catch_unwind(AssertUnwindSafe(|| session.optimize(nest)));
@@ -696,8 +700,7 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
 
 /// Runs the whole governed optimizer surface over `program` and converts
 /// every answer into certificates: legality/optimality/exact bounds for
-/// each minimized nest (degraded bounds when the budget trips), the
-/// cone-prune evidence of each search that collapsed to a line, and
+/// each minimized nest (degraded bounds when the budget trips), and
 /// sizing/fusion certificates for the shared scratchpad.
 fn generate_certificates(
     program: &loopmem::ir::Program,
@@ -712,11 +715,7 @@ fn generate_certificates(
         // arithmetic; like the chaos harness, contain the panic and
         // degrade to a bounds certificate rather than crash.
         let nest_certs = catch_unwind(AssertUnwindSafe(|| match session.optimize(nest) {
-            Ok(opt) => {
-                let mut certs = loopmem::core::certify_optimization(k, nest, &opt);
-                certs.extend(opt.cone.map(|c| loopmem::core::certify_cone(k, &c)));
-                certs
-            }
+            Ok(opt) => loopmem::core::certify_optimization(k, nest, &opt),
             Err(e) => vec![loopmem::core::certify_degraded(k, nest, &e)],
         }))
         .or_else(|_| {
