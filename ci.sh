@@ -491,11 +491,15 @@ fi
 # meaningful only on a multi-core host such as a GitHub runner.
 if [ "${1:-}" = "bench-multicore" ]; then
     echo "== perfsuite (smoke, multi-core sweep) =="
-    rm -f BENCH_loopmem.json
-    cargo run -q --release --offline -p loopmem-bench --bin perfsuite -- --smoke
+    # The smoke report goes to a temp file: BENCH_loopmem.json is the
+    # tracked full recording and a smoke run must not replace it.
+    smoke_report="$(mktemp)"
+    trap 'rm -f "$smoke_report"' EXIT
+    cargo run -q --release --offline -p loopmem-bench --bin perfsuite -- --smoke \
+        --out "$smoke_report"
     echo "== bench-multicore gate =="
     cargo run -q --release --offline -p loopmem-bench --bin benchcheck -- \
-        BENCH_loopmem.json --require-multicore
+        "$smoke_report" --require-multicore
     echo "== ci (bench-multicore only) passed =="
     exit 0
 fi
@@ -524,17 +528,21 @@ trace_step
 loopbench_step
 
 echo "== perfsuite (smoke) =="
-rm -f BENCH_loopmem.json
-cargo run -q --release --offline -p loopmem-bench --bin perfsuite -- --smoke
+# The smoke report goes to a temp file: BENCH_loopmem.json is the tracked
+# full recording and a smoke run must not replace it.
+smoke_report="$(mktemp)"
+trap 'rm -f "$smoke_report"' EXIT
+cargo run -q --release --offline -p loopmem-bench --bin perfsuite -- --smoke \
+    --out "$smoke_report"
 
 echo "== bench reports well-formed (in-tree parser) =="
-test -s BENCH_loopmem.json
+test -s "$smoke_report"
 # benchcheck parses with the workspace's own JSON parser (which rejects
 # NaN/Infinity by construction) and pins the report schema: required row
 # keys, known outcome tokens, governed/pass1/scratchpad sections present,
 # every speedup finite and strictly positive.
 cargo run -q --release --offline -p loopmem-bench --bin benchcheck -- \
-    BENCH_loopmem.json ci/bench_baseline.json
+    "$smoke_report" ci/bench_baseline.json
 
 echo "== bench-regression gate =="
 # The fresh smoke run's dense-vs-hashmap speedups — and the lane-split
@@ -543,9 +551,9 @@ echo "== bench-regression gate =="
 # also a smoke run). The baseline holds the minimum ratio observed across
 # repeated runs, so an honest regression has to eat the measurement slack
 # *and* the 0.8 factor.
-python3 - <<'EOF'
-import json, sys
-fresh = json.load(open("BENCH_loopmem.json"))["speedups"]
+SMOKE_REPORT="$smoke_report" python3 - <<'EOF'
+import json, os, sys
+fresh = json.load(open(os.environ["SMOKE_REPORT"]))["speedups"]
 base = json.load(open("ci/bench_baseline.json"))["speedups"]
 # trace_overhead sits at ~1.0x by construction (a disabled NullSink takes
 # the identical fast path), so it gets a tighter 0.9 factor than the big
@@ -564,7 +572,7 @@ assert "trace_overhead" in gated, gated
 failed = False
 for k, factor in gated.items():
     if k not in fresh:
-        print(f"FAIL {k}: missing from fresh BENCH_loopmem.json")
+        print(f"FAIL {k}: missing from the fresh smoke report")
         failed = True
         continue
     floor = factor * base[k]

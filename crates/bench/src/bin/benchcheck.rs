@@ -23,7 +23,11 @@
 //! the 1-thread row bit for bit, and their wall time is within tolerance
 //! of the 1-thread row (a generous 10× + 50 ms — the point is catching
 //! accidental serialization or a skipped sweep, not micro-benchmarking a
-//! shared runner).
+//! shared runner). It also requires the pass-1 scaling key
+//! `synth-stream_dense2t_vs_1t` (a time-looped stream nest, two workers
+//! against one) to be at least 1.0: a parallel sweep is never slower
+//! than a serial one. Like the thread rows, the key is absent from
+//! 1-CPU reports.
 
 use loopmem_analyze::json::{parse_json, Json};
 use std::process::ExitCode;
@@ -40,6 +44,9 @@ const SWEEP_SECTIONS: &[(&str, &str)] = &[
     ("optimize-program", "ex7-twice"),
     ("scratchpad", "pipeline4-size"),
 ];
+
+/// The pass-1 scaling key `--require-multicore` holds at 1.0 or above.
+const SCALING_KEY: &str = "synth-stream_dense2t_vs_1t";
 
 /// Multi-thread rows may be at most `10 * millis_1t + 50ms`.
 const MULTICORE_TOLERANCE_FACTOR: f64 = 10.0;
@@ -166,6 +173,15 @@ fn check_file(path: &str, require_multicore: bool) -> Result<(String, Vec<String
 
     if require_multicore {
         check_multicore(avail, rows, &mut problems);
+        if avail >= 2 {
+            match speedups.get(SCALING_KEY).and_then(Json::as_f64) {
+                Some(x) if x >= 1.0 => {}
+                Some(x) => problems.push(format!(
+                    "{SCALING_KEY} is {x:.3}: two workers sweep slower than one"
+                )),
+                None => problems.push(format!("no {SCALING_KEY} speedup recorded")),
+            }
+        }
     }
 
     if problems.is_empty() {

@@ -362,6 +362,32 @@ fn main() {
         );
     }
 
+    // --- pass-1 scaling: the time-looped stream at two workers -----------
+    // The full-size `synth-stream` nest under `--smoke` too: the smoke one
+    // sits below the parallel cutoff, and a few milliseconds of sweep are
+    // too short to time two workers against one. Its own subject, so the
+    // ratios gated against `ci/bench_baseline.json` keep their inputs.
+    // Median of 3 on each side; a 1-CPU host records neither the rows nor
+    // the key (its two workers would share one core).
+    if sweep.contains(&2) {
+        let nest = synthetic_stream(false);
+        let (one_ms, one) = time_median3(|| simulate(&nest, false, 1));
+        let (two_ms, two) = time_median3(|| simulate(&nest, false, 2));
+        assert_eq!(one.mws_total, two.mws_total, "thread counts disagree");
+        for (threads, ms, s) in [(1, one_ms, &one), (2, two_ms, &two)] {
+            record(
+                &mut rows,
+                "simulate-dense",
+                "synth-stream-scaling",
+                threads,
+                ms,
+                s.iterations,
+                Some(s.mws_total),
+            );
+        }
+        speedups.push(("synth-stream_dense2t_vs_1t".to_string(), one_ms / two_ms));
+    }
+
     // --- pass-1 throughput: lane-split kernels vs legacy interleaved ------
     for (name, nest) in pass1_synthetics(smoke) {
         let (lane_ms, iters) = time_median3(|| bench_pass1(&nest, 1));

@@ -119,11 +119,13 @@ pub enum EventKind {
         /// Iterations charged at this poll site.
         delta: u64,
     },
-    /// A dense-engine chunk was folded into the merge state.
+    /// A dense-engine chunk was swept and folded into the nest's tables.
     ChunkCommit {
-        /// First outer-loop value of the chunk (inclusive).
+        /// First split-loop value of the chunk (inclusive). The split
+        /// loop is the outermost loop, other than the innermost, that a
+        /// subscript indexes; loop 0 when none does.
         lo: i64,
-        /// Last outer-loop value of the chunk (inclusive).
+        /// Last split-loop value of the chunk (inclusive).
         hi: i64,
         /// Iterations the chunk executed.
         iters: u64,

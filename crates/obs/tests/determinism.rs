@@ -17,9 +17,10 @@ use std::sync::Arc;
 /// 1024-iteration poll quantum, so a fault armed at poll 1 really fires —
 /// and its 370² range box reaches the parallel-sweep cutoff. Under the
 /// budget's iteration cap the nests sweep one after another, each with
-/// every worker, so at t ∈ {2, 4} the triangle's chunks run in parallel.
+/// every worker, so at t ∈ {2, 3, 4} the triangle's chunks run in
+/// parallel.
 const SRC: &str = "array A[371][371]\narray X[200]\n\
-     for i = 1 to 370 { for j = i to 370 { A[i][j] = A[j][i]; } }\n\
+     for i = 1 to 370 { for j = i to 370 { A[i][j] = A[i-1][j]; } }\n\
      for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }";
 
 /// Runs the governed program simulation at `threads` with a fresh
@@ -53,7 +54,7 @@ fn clean_run_trace_bytes_identical_across_thread_counts() {
         baseline.contains("\"event\":\"chunk-commit\""),
         "trace should carry chunk commits:\n{baseline}"
     );
-    for threads in [2, 4] {
+    for threads in [2, 3, 4] {
         assert_eq!(baseline, traced_ndjson(threads, None), "threads={threads}");
     }
 }
@@ -69,7 +70,7 @@ fn fault_tripped_run_trace_bytes_identical_across_thread_counts() {
         baseline.contains("\"event\":\"fault-trip\""),
         "trace should record the injected trip:\n{baseline}"
     );
-    for threads in [2, 4] {
+    for threads in [2, 3, 4] {
         assert_eq!(baseline, traced_ndjson(threads, fault), "threads={threads}");
     }
 }

@@ -17,7 +17,7 @@
 //!   range. Coordinates flatten to offsets in a pair of dense
 //!   structure-of-arrays lanes —
 //!   `first: Vec<u32>` / `last: Vec<u32>` — and the sweep walks the nest
-//!   one *innermost run* at a time ([`try_for_each_inner_run`]): the
+//!   one *innermost run* at a time ([`crate::exec::try_for_each_inner_run`]): the
 //!   outer-iteration part of each reference's linear form is hoisted out
 //!   of the run, so the innermost loop advances the offset by a constant
 //!   stride and dispatches to a stride-specialized kernel (stride 0 →
@@ -29,17 +29,27 @@
 //!   representation per array, keeping results exact for *any* nest,
 //!   including out-of-declared-bounds accesses.
 //!
-//! * **Parallelism.** The validator guarantees outermost bounds are
-//!   constants, so the outer loop range splits into contiguous chunks that
-//!   partition the lexicographic iteration stream. Chunk boundaries are
-//!   placed by *estimated iteration volume* (not outer-value count), so
+//! * **Parallelism.** Pass 1 splits a nest on its *split loop*
+//!   (`split_level`): the outermost loop, other than the innermost,
+//!   that some subscript indexes. A loop no subscript indexes lies in the
+//!   common null space of the access matrices (the §3.2 reuse space): a
+//!   time loop `t` around a stencil is one, and chunks of it would each
+//!   touch the whole footprint. Chunks of the split loop's values touch
+//!   bands of it instead. Every nest whose outermost loop indexes a
+//!   subscript keeps loop 0 as its split loop. Chunk boundaries are
+//!   placed by *estimated iteration volume* (not value count), so
 //!   triangular nests get balanced chunks, and workers pull chunk indices
 //!   from an atomic queue — finished threads steal the remaining chunks
-//!   instead of idling behind the largest one. Each chunk is swept with
-//!   chunk-local 32-bit time; tables merge strictly in chunk order with
-//!   cumulative time offsets (`first` keeps the earliest chunk's value,
-//!   `last` the latest), which makes the result bit-identical for every
-//!   thread count and every steal order.
+//!   instead of idling behind the largest one. Each chunk records into
+//!   its *window*, the subscript box over its cut variable ranges, and
+//!   stamps nest-global time: its block under each prefix of the outer
+//!   loops starts where the nest's `Clock` says, counted in closed form
+//!   for rectangular nests and run by run otherwise. Windows then fold
+//!   into the nest's tables by `min`/`max`, band by band, in any order,
+//!   which makes the result bit-identical for every thread count and
+//!   every steal order. A split that would cost more than it saves
+//!   (windows much larger than the work, a nest past the u32 clock) is
+//!   swept whole on one thread.
 //!
 //! * **Pass 2 (window fold).** The merged tables are the stamps of
 //!   [`crate::fold`]: `+1` at `first`, `-1` at `last`, and the live count
@@ -54,7 +64,7 @@
 use crate::budget::{
     analytic_nest_bounds, estimated_iterations_of, panic_message, BudgetTracker, POLL_INTERVAL,
 };
-use crate::exec::{outer_range, try_for_each_inner_run, try_for_each_iteration_outer};
+use crate::exec::{outer_range, try_for_each_iteration_outer, try_for_each_split_run};
 use crate::fold::{fold, Fold, FoldSpec, Stamps};
 use crate::window::{ArrayStats, SimResult};
 use loopmem_ir::{
@@ -62,8 +72,7 @@ use loopmem_ir::{
 };
 use loopmem_obs::{EventKind, Phase, TraceEvent};
 use loopmem_poly::Polyhedron;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -88,8 +97,10 @@ pub(crate) enum SweepError {
 pub(crate) const UNTOUCHED: u32 = u32::MAX;
 
 /// Work-stealing granularity: chunks per worker thread. More chunks mean
-/// better balance on skewed (e.g. triangular) nests but more table merges;
-/// 4 keeps merge traffic below a few percent of sweep time.
+/// better balance on skewed (e.g. triangular) nests, but every chunk
+/// resets and folds its own window, and overlapping windows fold some
+/// cells twice; [`Split::new`] refuses a split whose windows outweigh its
+/// iterations.
 const CHUNKS_PER_THREAD: usize = 4;
 
 /// Outer spans wider than this skip the per-value volume scan and fall
@@ -102,7 +113,8 @@ const DENSE_BUDGET_BYTES: u128 = 768 << 20;
 
 /// A dense table may be at most this many times larger than the
 /// worst-case number of accesses to the array; beyond that the hashmap is
-/// both smaller and not meaningfully slower.
+/// smaller. It is not as fast: the hashmap path sweeps one to three
+/// orders of magnitude fewer iterations per second than the dense lanes.
 const SPARSITY_FACTOR: u128 = 64;
 
 /// Nests with (conservatively) fewer iterations than this are swept on
@@ -118,8 +130,9 @@ const SALVAGE_MAX_ITERS: u64 = 1 << 22;
 /// Chunk-grid size used whenever a sweep narrates to a trace sink. The
 /// untraced grid is `threads × CHUNKS_PER_THREAD`, which would make the
 /// poll/commit event stream depend on the thread count; pinning the grid
-/// makes the trace bytes bit-identical across t ∈ {1, 2, 4} (answers are
-/// chunking-invariant already — the merge folds strictly in chunk order).
+/// makes the trace bytes bit-identical across t ∈ {1, 2, 3, 4} (answers
+/// are chunking-invariant already — stamps are nest-global and the fold
+/// is order-free).
 const TRACE_CHUNK_PARTS: usize = 16;
 
 /// Worker-thread count: `LOOPMEM_THREADS` when set to a positive integer,
@@ -171,16 +184,18 @@ pub fn shard_map<R: Send>(n: usize, workers: usize, f: impl Fn(usize) -> R + Syn
 }
 
 /// How one reference records its touches.
+#[derive(Clone)]
 enum RefMode {
     /// Flattened linear form, split for the run kernels:
     /// `offset = outer · iter[..depth-1] + stride · iter[depth-1] + constant`,
     /// indexing the array's dense lanes. In range at every *executed*
-    /// iteration (the table's box encloses the reference over the
-    /// nest's polytope, not over its whole variable box, so only the
-    /// iterations the run kernels visit are covered), and free of `i64`
-    /// overflow on every term product and partial sum over the variable
-    /// box ([`dense_form`] verified both against the i128 interval — the
-    /// run kernels rely on that invariant).
+    /// iteration of the sweep (the table's box encloses the reference over
+    /// the nest's polytope, or the chunk's part of it, not over the whole
+    /// variable box, so only the iterations the run kernels visit are
+    /// covered), and free of `i64` overflow on every term product and
+    /// partial sum over the sweep's variable ranges ([`dense_form`]
+    /// verified both against the i128 interval — the run kernels rely on
+    /// that invariant).
     Dense {
         outer: Vec<i64>,
         stride: i64,
@@ -190,9 +205,22 @@ enum RefMode {
     Sparse,
 }
 
+impl RefMode {
+    /// The run kernels' form of `r` flattened into `bx` over `vr`, or
+    /// `None` when [`dense_form`] finds it would overflow.
+    fn dense(r: &ArrayRef, bx: &ElementBox, vr: &[(i64, i64)]) -> Option<RefMode> {
+        let (mut outer, constant) = dense_form(r, bx, vr)?;
+        let stride = outer.pop().expect("nest depth is at least 1");
+        Some(RefMode::Dense {
+            outer,
+            stride,
+            constant,
+        })
+    }
+}
+
 struct RefPlan {
     array: usize,
-    mode: RefMode,
     /// `true` when this is the array's only reference in the nest: the
     /// run kernels may then overwrite the `last` lane unconditionally
     /// (the reference's stamps strictly increase within and across runs),
@@ -201,9 +229,72 @@ struct RefPlan {
     r: ArrayRef,
 }
 
-struct Plan {
-    /// Per-array dense box (`None` = hashmap fallback for that array).
+/// The tables one sweep records into: a box per array (`None` = hashmap
+/// fallback for that array) and each reference's form in it. A
+/// whole-nest sweep records into the plan's boxes; a chunk of a split
+/// sweep into its window ([`Layout::window`]).
+#[derive(Clone)]
+struct Layout {
     boxes: Vec<Option<ElementBox>>,
+    /// Per reference, in [`Plan::refs`] order.
+    modes: Vec<RefMode>,
+}
+
+impl Layout {
+    /// The window of a chunk whose variables range over `ranges`: each
+    /// dense array's box cut to the union of its references' subscript
+    /// ranges there, and each reference's form in the window. The window
+    /// holds every cell the chunk touches, since the box and the interval
+    /// ranges both do. `None` when a form would overflow.
+    fn window(&self, refs: &[RefPlan], ranges: &[(i64, i64)]) -> Option<Layout> {
+        let mut spans: Vec<Option<Vec<(i64, i64)>>> = vec![None; self.boxes.len()];
+        for rp in refs.iter().filter(|rp| self.boxes[rp.array].is_some()) {
+            let ir = rp.r.index_ranges(ranges);
+            match &mut spans[rp.array] {
+                slot @ None => *slot = Some(ir),
+                Some(acc) => {
+                    for (a, b) in acc.iter_mut().zip(&ir) {
+                        *a = (a.0.min(b.0), a.1.max(b.1));
+                    }
+                }
+            }
+        }
+        let boxes: Vec<Option<ElementBox>> = self
+            .boxes
+            .iter()
+            .zip(spans)
+            .map(|(bx, span)| {
+                let (bx, span) = (bx.as_ref()?, span?);
+                let clipped: Vec<(i64, i64)> = span
+                    .iter()
+                    .enumerate()
+                    .map(|(d, &(lo, hi))| {
+                        let blo = bx.lo()[d];
+                        (lo.max(blo), hi.min(blo + (bx.extents()[d] - 1)))
+                    })
+                    .collect();
+                Some(ElementBox::new(&clipped))
+            })
+            .collect();
+        let modes = refs
+            .iter()
+            .map(|rp| match &boxes[rp.array] {
+                Some(bx) => RefMode::dense(&rp.r, bx, ranges),
+                None => Some(RefMode::Sparse),
+            })
+            .collect::<Option<_>>()?;
+        Some(Layout { boxes, modes })
+    }
+
+    /// Dense cells of the layout's tables.
+    fn cells(&self) -> u128 {
+        self.boxes.iter().flatten().map(ElementBox::cells).sum()
+    }
+}
+
+struct Plan {
+    /// The whole-nest tables.
+    layout: Layout,
     refs: Vec<RefPlan>,
     /// Largest reference rank, for the shared coordinate buffer.
     max_rank: usize,
@@ -213,7 +304,7 @@ impl Plan {
     /// References per array: the most elements of each array a single
     /// iteration can touch, which bounds the pass-2 lane width.
     fn ref_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.boxes.len()];
+        let mut counts = vec![0u32; self.layout.boxes.len()];
         for rp in &self.refs {
             counts[rp.array] += 1;
         }
@@ -223,15 +314,12 @@ impl Plan {
 
 /// Worker threads a pass-1 sweep of `nest` uses when the caller asks for
 /// `threads`: one below 2¹⁷ estimated iterations (`PARALLEL_THRESHOLD`),
-/// where spawning and merging cost more than they save. Results never
-/// depend on it; thread-invariance tests use it to check that their
-/// `threads > 1` legs really run in parallel.
+/// where spawning and merging cost more than they save, and one when the
+/// nest does not split or the split does not pay (see `Split::new`).
+/// Results never depend on it; thread-invariance tests use it to check
+/// that their `threads > 1` legs really run in parallel.
 pub fn sweep_threads(nest: &LoopNest, threads: usize) -> usize {
-    if threads > 1 && estimated_iterations_of(nest) < PARALLEL_THRESHOLD {
-        1
-    } else {
-        threads.max(1)
-    }
+    schedule(nest, threads, &BudgetTracker::unlimited(), false).map_or(1, |s| s.workers)
 }
 
 /// Builds the flattened linear index form of `r` into `bx`, or `None`
@@ -375,10 +463,9 @@ fn make_plan(nest: &LoopNest, threads: usize, max_table_bytes: Option<u64>) -> P
                 }
             }
         }
-        // Steady state keeps one chunk-local table set per worker plus the
-        // merged base live (the in-order fold retires out-of-order
-        // stragglers as soon as the gap closes); split the byte budget
-        // across them (8 bytes per cell).
+        // A split sweep keeps one chunk window per worker plus the merged
+        // whole-nest tables live, and a window is never larger than the
+        // box; split the byte budget across them (8 bytes per cell).
         let budget_bytes = match max_table_bytes {
             Some(cap) => DENSE_BUDGET_BYTES.min(cap as u128),
             None => DENSE_BUDGET_BYTES,
@@ -409,34 +496,24 @@ fn make_plan(nest: &LoopNest, threads: usize, max_table_bytes: Option<u64>) -> P
                 boxes[a] = Some(bx);
             }
         }
-        let ref_plans = refs
+        let modes = refs
             .iter()
-            .map(|r| {
-                let a = r.array.0;
-                let mode = match &boxes[a] {
-                    Some(bx) => {
-                        let (coeffs, constant) =
-                            dense_form(r, bx, &vr).expect("checked during box selection");
-                        let stride = *coeffs.last().expect("nest depth is at least 1");
-                        RefMode::Dense {
-                            outer: coeffs[..coeffs.len() - 1].to_vec(),
-                            stride,
-                            constant,
-                        }
-                    }
-                    None => RefMode::Sparse,
-                };
-                RefPlan {
-                    array: a,
-                    mode,
-                    sole: ref_count[a] == 1,
-                    r: r.clone(),
-                }
+            .map(|r| match &boxes[r.array.0] {
+                Some(bx) => RefMode::dense(r, bx, &vr).expect("checked during box selection"),
+                None => RefMode::Sparse,
+            })
+            .collect();
+        let refs = refs
+            .into_iter()
+            .map(|r| RefPlan {
+                array: r.array.0,
+                sole: ref_count[r.array.0] == 1,
+                r,
             })
             .collect();
         return Plan {
-            boxes,
-            refs: ref_plans,
+            layout: Layout { boxes, modes },
+            refs,
             max_rank,
         };
     }
@@ -444,42 +521,181 @@ fn make_plan(nest: &LoopNest, threads: usize, max_table_bytes: Option<u64>) -> P
     // Provably empty nest: representation is irrelevant, keep everything
     // sparse.
     Plan {
+        layout: Layout {
+            boxes,
+            modes: vec![RefMode::Sparse; refs.len()],
+        },
         refs: refs
-            .iter()
+            .into_iter()
             .map(|r| RefPlan {
                 array: r.array.0,
-                mode: RefMode::Sparse,
                 sole: false,
-                r: r.clone(),
+                r,
             })
             .collect(),
-        boxes,
         max_rank,
     }
 }
 
-/// Pass-1 output of one contiguous outer-range chunk (after the merge,
-/// of the whole nest), with chunk-local 32-bit time. Dense touch tables
-/// are structure-of-arrays: `first[a]` and `last[a]` are separate lanes
-/// over the same flattened box offsets, so the run kernels and the chunk
-/// merge update each lane with branch-free `min`/`max`/fill loops the
-/// compiler can vectorize. Elements the planner demoted to the hashmap
-/// path sit in `sparse[a]`.
+/// Pass-1 output of one chunk of a sweep, recorded into its layout's
+/// tables (after the fold, of the whole nest into the plan's), stamped in
+/// nest-global 32-bit time. Dense touch tables are structure-of-arrays:
+/// `first[a]` and `last[a]` are separate lanes over the same flattened box
+/// offsets, so the run kernels and the chunk fold update each lane with
+/// branch-free `min`/`max`/fill loops the compiler can vectorize. Elements
+/// the planner demoted to the hashmap path sit in `sparse[a]`.
+#[derive(Default)]
 pub(crate) struct ChunkOut {
+    /// Iterations the chunk stamped.
     pub iters: u64,
     pub accesses: Vec<u64>,
     /// First-touch stamp per cell, [`UNTOUCHED`] when never touched.
     pub first: Vec<Vec<u32>>,
-    /// Last-touch stamp per cell; meaningless (0) where `first` is
-    /// [`UNTOUCHED`] — always read through the `first` lane's mask.
+    /// Last-touch stamp per cell; 0 where `first` is [`UNTOUCHED`] —
+    /// always read through the `first` lane's mask.
     pub last: Vec<Vec<u32>>,
     pub sparse: Vec<HashMap<Vec<i64>, (u32, u32)>>,
     /// Chunk-local trace events (polls, the trailing commit), buffered
-    /// here and flushed by [`MergeState::deposit`] in chunk-commit order
-    /// only when the whole sweep succeeds — a failed sweep's set of
-    /// completed chunks is schedule-dependent, so its events never reach
-    /// the sink. Empty (never allocated) when the sweep does not narrate.
+    /// here and flushed in chunk order by [`sweep_all`] only when the
+    /// whole sweep succeeds — a failed sweep's set of completed chunks is
+    /// schedule-dependent, so its events never reach the sink. Empty
+    /// (never allocated) when the sweep does not narrate.
     events: Vec<TraceEvent>,
+}
+
+impl ChunkOut {
+    /// Resets these tables to untouched over `boxes`, keeping their
+    /// allocations: a worker sweeps every chunk it takes into one set.
+    fn reset(&mut self, boxes: &[Option<ElementBox>]) {
+        let n = boxes.len();
+        self.iters = 0;
+        self.accesses.clear();
+        self.accesses.resize(n, 0);
+        for (lanes, fill) in [(&mut self.first, UNTOUCHED), (&mut self.last, 0)] {
+            lanes.resize_with(n, Vec::new);
+            for (lane, bx) in lanes.iter_mut().zip(boxes) {
+                let cells = bx.as_ref().map_or(0, |bx| bx.cells() as usize);
+                // A fresh lane takes `vec!`'s allocation, zeroed by the
+                // allocator where it can be, so a whole-nest sweep's
+                // tables cost what they always did.
+                if lane.capacity() == 0 {
+                    *lane = vec![fill; cells];
+                } else {
+                    lane.clear();
+                    lane.resize(cells, fill);
+                }
+            }
+        }
+        self.sparse.resize_with(n, HashMap::new);
+        self.sparse.iter_mut().for_each(HashMap::clear);
+        self.events.clear();
+    }
+}
+
+/// Calls `f(dst, src, len)` for each row of window `w` inside box `bx`:
+/// the row's `len` cells start at `src` in the window's lanes and at `dst`
+/// in the box's. Rows run along the last dimension, so each is one
+/// contiguous slice of both, and `dst` grows row by row.
+fn window_rows(bx: &ElementBox, w: &ElementBox, mut f: impl FnMut(usize, usize, usize)) {
+    if w.cells() == 0 {
+        return;
+    }
+    let rank = w.lo().len();
+    let len = w.extents().last().map_or(1, |&e| e as usize);
+    let mut idx = vec![0i64; rank.saturating_sub(1)];
+    for row in 0..(w.cells() / len as u128) as usize {
+        let dst: i64 = (0..rank)
+            .map(|d| (w.lo()[d] - bx.lo()[d] + idx.get(d).copied().unwrap_or(0)) * bx.strides()[d])
+            .sum();
+        f(dst as usize, row * len, len);
+        for d in (0..idx.len()).rev() {
+            idx[d] += 1;
+            if idx[d] < w.extents()[d] {
+                break;
+            }
+            idx[d] = 0;
+        }
+    }
+}
+
+/// Cells of one [`Band`] of the whole-nest tables.
+const FOLD_BAND: usize = 1 << 16;
+
+/// A band of the whole-nest tables a split sweep builds: [`FOLD_BAND`]
+/// cells of one array's lanes, behind its own lock. Lanes are allocated
+/// zeroed, which costs nothing until touched; [`Band::ready`] writes the
+/// band's untouched values once, page faults included. The sweeping
+/// thread readies every band while its workers sweep, so the faults
+/// overlap the sweep instead of stalling the folds.
+struct Band<'a> {
+    ready: bool,
+    first: &'a mut [u32],
+    last: &'a mut [u32],
+}
+
+impl Band<'_> {
+    fn ready(&mut self) -> &mut Self {
+        if !self.ready {
+            self.first.fill(UNTOUCHED);
+            self.last.fill(0);
+            self.ready = true;
+        }
+        self
+    }
+}
+
+/// Each array's bands, in lane order.
+type Bands<'a> = Vec<Vec<Mutex<Band<'a>>>>;
+
+/// Folds chunk `c`'s tables, recorded into `windows`, into the
+/// whole-nest tables over `boxes` (each window lies inside its box). Both
+/// carry nest-global stamps, so `first` folds by `min` and `last` by
+/// `max` — a cell the chunk never touched holds [`UNTOUCHED`] / 0 and
+/// loses both — and the result is the same in every fold order. A band
+/// stays locked only while the window rows that fall in it fold, so
+/// chunks over different bands fold side by side.
+fn fold_window(
+    bands: &Bands,
+    boxes: &[Option<ElementBox>],
+    c: &ChunkOut,
+    windows: &[Option<ElementBox>],
+) {
+    for (a, (bx, w)) in boxes.iter().zip(windows).enumerate() {
+        let (Some(bx), Some(w)) = (bx, w) else {
+            continue;
+        };
+        let mut held: Option<(usize, std::sync::MutexGuard<Band>)> = None;
+        window_rows(bx, w, |dst, src, len| {
+            let (mut off, mut from, end) = (dst, src, src + len);
+            while from < end {
+                let (b, at) = (off / FOLD_BAND, off % FOLD_BAND);
+                let n = (end - from).min(FOLD_BAND - at);
+                if held.as_ref().map(|h| h.0) != Some(b) {
+                    drop(held.take());
+                    // A band is poisoned only by a panic that already
+                    // fails the sweep; folding on keeps that panic the
+                    // one reported.
+                    let band = bands[a][b].lock().unwrap_or_else(|e| e.into_inner());
+                    held = Some((b, band));
+                }
+                let band = held.as_mut().expect("band is held").1.ready();
+                for (x, &y) in band.first[at..at + n]
+                    .iter_mut()
+                    .zip(&c.first[a][from..from + n])
+                {
+                    *x = (*x).min(y);
+                }
+                for (x, &y) in band.last[at..at + n]
+                    .iter_mut()
+                    .zip(&c.last[a][from..from + n])
+                {
+                    *x = (*x).max(y);
+                }
+                off += n;
+                from += n;
+            }
+        });
+    }
 }
 
 /// Applies one dense reference over the run segment `j ∈ [jlo, jhi]`
@@ -577,14 +793,42 @@ fn dense_run(
     }
 }
 
+/// One chunk of a sweep: the values `lo ..= hi` of loop `level` under
+/// every prefix of the loops outside it, the `index`-th chunk of its
+/// split, recorded into `layout` and stamped from the starts `clock`
+/// gives it.
+struct Part<'a> {
+    level: usize,
+    index: usize,
+    lo: i64,
+    hi: i64,
+    layout: &'a Layout,
+    clock: &'a Clock,
+}
+
+impl<'a> Part<'a> {
+    /// The whole nest as one chunk into the plan's tables, stamped from 0.
+    fn whole(nest: &LoopNest, plan: &'a Plan) -> Part<'a> {
+        let (lo, hi) = outer_range(nest);
+        Part {
+            level: 0,
+            index: 0,
+            lo,
+            hi,
+            layout: &plan.layout,
+            clock: &Clock::Whole,
+        }
+    }
+}
+
 /// Sweeps one chunk under governance, one *innermost run* at a time
-/// ([`try_for_each_inner_run`]). Runs are cut into segments of at most
-/// [`POLL_INTERVAL`] iterations, so that (a) the locally counted work is
-/// charged to the shared tracker at exactly the same
-/// `POLL_INTERVAL`-quanta trip points as the legacy per-iteration sweep
-/// — budget trips and trip-time charges are bit-compatible — and (b)
-/// cancellation is observed within ~a thousand iterations even inside a
-/// single astronomically long run. Within a segment, dense references
+/// ([`try_for_each_split_run`]), into `part.layout`'s tables. Runs are cut
+/// into segments of at most [`POLL_INTERVAL`] iterations, so that (a) the
+/// locally counted work is charged to the shared tracker at exactly the
+/// same `POLL_INTERVAL`-quanta trip points as the legacy per-iteration
+/// sweep — budget trips and trip-time charges are bit-compatible — and
+/// (b) cancellation is observed within ~a thousand iterations even inside
+/// a single astronomically long run. Within a segment, dense references
 /// dispatch to the stride-specialized [`dense_run`] kernels (the
 /// outer-iteration part of the linear form is hoisted into `base`, so
 /// the innermost loop walks a constant stride); sparse references keep
@@ -592,41 +836,34 @@ fn dense_run(
 /// needs none: the planner's `dense_form` already verified every
 /// reachable term product and partial sum fits `i64`).
 ///
+/// Stamps are nest-global: each prefix's block of the chunk starts at
+/// the stamp `part.clock` gives it, so chunks fold in any order.
 /// `stop_after` cleanly stops the sweep once exactly that many iterations
 /// have been stamped, returning the partial tables instead of an error —
 /// the salvage pass uses it to re-sweep a deterministic stream prefix.
 /// `tracing` buffers the chunk's poll and commit events for
-/// [`sweep_all`] to flush.
+/// [`sweep_all`] to flush. The tables are `out`'s allocations, reset to
+/// untouched over the layout. An error comes with the stamp it stopped
+/// at.
 fn sweep_chunk(
     nest: &LoopNest,
     plan: &Plan,
-    lo: i64,
-    hi: i64,
+    part: &Part,
     tracker: &BudgetTracker,
     stop_after: Option<u64>,
     tracing: bool,
-) -> Result<ChunkOut, SweepError> {
-    let narrays = nest.arrays().len();
+    mut out: ChunkOut,
+) -> Result<ChunkOut, (SweepError, u64)> {
     let depth = nest.depth();
-    let mut first: Vec<Vec<u32>> = plan
-        .boxes
-        .iter()
-        .map(|b| match b {
-            Some(bx) => vec![UNTOUCHED; bx.cells() as usize],
-            None => Vec::new(),
-        })
-        .collect();
-    let mut last: Vec<Vec<u32>> = plan
-        .boxes
-        .iter()
-        .map(|b| match b {
-            Some(bx) => vec![0u32; bx.cells() as usize],
-            None => Vec::new(),
-        })
-        .collect();
-    let mut sparse: Vec<HashMap<Vec<i64>, (u32, u32)>> =
-        (0..narrays).map(|_| HashMap::new()).collect();
-    let mut accesses = vec![0u64; narrays];
+    let layout = part.layout;
+    out.reset(&layout.boxes);
+    let ChunkOut {
+        first,
+        last,
+        sparse,
+        accesses,
+        ..
+    } = &mut out;
     let mut idx_buf = vec![0i64; plan.max_rank];
     // Sparse references are processed per-iteration in statement order
     // (their hashmap update depends on processing order); dense and
@@ -636,13 +873,18 @@ fn sweep_chunk(
     let sparse_refs: Vec<&RefPlan> = plan
         .refs
         .iter()
-        .filter(|rp| matches!(rp.mode, RefMode::Sparse))
+        .zip(&layout.modes)
+        .filter(|(_, mode)| matches!(mode, RefMode::Sparse))
+        .map(|(rp, _)| rp)
         .collect();
+    // `t` is the next nest-global stamp, `done` the iterations stamped.
     let mut t: u32 = 0;
+    let mut done: u64 = 0;
+    let mut prefix = None;
     let mut unpolled: u32 = 0;
-    // Chunk-local event buffer: `ord` starts as (0, seq); the merge
-    // rewrites the chunk component when the chunk is folded, so the key
-    // is (chunk index, poll sequence) — schedule-independent.
+    // Chunk-local event buffer: `ord` starts as (0, seq); `sweep_all`
+    // rewrites the chunk component to the chunk's index, so the key is
+    // (chunk index, poll sequence) — schedule-independent.
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut seq: u64 = 0;
     let poll_event = |events: &mut Vec<TraceEvent>, seq: &mut u64, delta: u64| {
@@ -654,15 +896,21 @@ fn sweep_chunk(
         });
         *seq += 1;
     };
-    let flow = try_for_each_inner_run(nest, lo, hi, &mut |iter, run_lo, run_hi| {
+    let (level, lo, hi) = (part.level, part.lo, part.hi);
+    let flow = try_for_each_split_run(nest, level, lo, hi, &mut |p, iter, run_lo, run_hi| {
+        if prefix != Some(p) {
+            prefix = Some(p);
+            t = part.clock.start(p, part.index, part.lo);
+        }
         let mut j = run_lo;
         let mut remaining = (run_hi as i128 - run_lo as i128) as u128 + 1;
         while remaining > 0 {
-            // Stamps left before the chunk-local u32 clock would poison
-            // the UNTOUCHED sentinel. The legacy sweep detected this one
-            // (discarded) iteration later; the charge sequence is
-            // identical because that poisoned iteration was never
-            // charged either.
+            // Stamps left before the u32 clock would poison the
+            // UNTOUCHED sentinel. Only a whole-nest sweep gets here: a
+            // split sweep stamps fewer iterations than that. The legacy
+            // sweep detected this one (discarded) iteration later; the
+            // charge sequence is identical because that poisoned
+            // iteration was never charged either.
             let cap = UNTOUCHED - t;
             if cap == 0 {
                 return ControlFlow::Break(SweepError::Overflow(
@@ -671,7 +919,7 @@ fn sweep_chunk(
             }
             let mut quota = (POLL_INTERVAL - unpolled).min(cap);
             if let Some(limit) = stop_after {
-                let left = limit.saturating_sub(t as u64);
+                let left = limit.saturating_sub(done);
                 if left == 0 {
                     return ControlFlow::Break(SweepError::Stopped);
                 }
@@ -679,13 +927,13 @@ fn sweep_chunk(
             }
             let seg = remaining.min(quota as u128) as u32;
             let seg_hi = j + (seg as i64 - 1);
-            for rp in &plan.refs {
+            for (rp, mode) in plan.refs.iter().zip(&layout.modes) {
                 accesses[rp.array] += seg as u64;
                 if let RefMode::Dense {
                     outer,
                     stride,
                     constant,
-                } = &rp.mode
+                } = mode
                 {
                     let mut base = *constant;
                     for (&c, &x) in outer.iter().zip(iter.iter()) {
@@ -752,6 +1000,7 @@ fn sweep_chunk(
                 }
             }
             t += seg;
+            done += seg as u64;
             unpolled += seg;
             remaining -= seg as u128;
             if unpolled >= POLL_INTERVAL {
@@ -784,19 +1033,20 @@ fn sweep_chunk(
         // A clean prefix stop keeps the partial tables: exactly
         // `stop_after` iterations are stamped.
         ControlFlow::Break(SweepError::Stopped) => {}
-        ControlFlow::Break(err) => return Err(err),
+        ControlFlow::Break(err) => return Err((err, t as u64)),
         ControlFlow::Continue(()) => {}
     }
     if unpolled > 0 {
-        tracker
-            .charge_iterations(unpolled as u64)
-            .map_err(SweepError::Trip)?;
+        if let Err(reason) = tracker.charge_iterations(unpolled as u64) {
+            return Err((SweepError::Trip(reason), t as u64));
+        }
         // Trailing-charge consultation: keeps the injected overflow
         // thread-count invariant even when the threshold lands on a
         // chunk's final partial quantum.
         if tracker.fault_take_overflow() {
-            return Err(SweepError::Overflow(
-                "chunk exceeds the engine's u32 iteration budget".to_string(),
+            return Err((
+                SweepError::Overflow("chunk exceeds the engine's u32 iteration budget".to_string()),
+                t as u64,
             ));
         }
         if tracing {
@@ -809,106 +1059,15 @@ fn sweep_chunk(
             nest: None,
             ord: (0, seq),
             kind: EventKind::ChunkCommit {
-                lo,
-                hi,
-                iters: t as u64,
+                lo: part.lo,
+                hi: part.hi,
+                iters: done,
             },
         });
     }
-    Ok(ChunkOut {
-        iters: t as u64,
-        accesses,
-        first,
-        last,
-        sparse,
-        events,
-    })
-}
-
-/// Folds one chunk's output (the *next* chunk in time order) into `base`,
-/// rebasing the chunk's local times by the cumulative iteration count.
-/// The fold is lane-wise and branch-free: `first` keeps the earlier
-/// chunk's stamp via a saturating-rebased `min` (an [`UNTOUCHED`] chunk
-/// cell saturates back to `UNTOUCHED` and never wins, while every real
-/// rebased stamp post-dates every base stamp, so `min` selects the base
-/// exactly when it was touched); `last` is a rebased overwrite masked by
-/// the chunk's own `first` lane — a cell the later chunk touched always
-/// post-dates every base stamp, and an untouched chunk cell (whose
-/// `last` lane holds a meaningless 0) must leave the base value alone,
-/// which is why a plain `max` would be wrong (`0 + off` could exceed a
-/// real base stamp). Folding strictly in chunk order makes the result
-/// independent of which worker swept which chunk.
-fn merge_into(base: &mut ChunkOut, c: ChunkOut) {
-    let off64 = base.iters;
-    base.iters += c.iters;
-    assert!(
-        base.iters <= UNTOUCHED as u64,
-        "nest exceeds the engine's u32 iteration budget"
-    );
-    let off = off64 as u32;
-    for (total, add) in base.accesses.iter_mut().zip(&c.accesses) {
-        *total += add;
-    }
-    for (bt, ct) in base.first.iter_mut().zip(&c.first) {
-        for (bf, &cf) in bt.iter_mut().zip(ct) {
-            *bf = (*bf).min(cf.saturating_add(off));
-        }
-    }
-    for ((bt, ct), cft) in base.last.iter_mut().zip(&c.last).zip(&c.first) {
-        for ((bl, &cl), &cf) in bt.iter_mut().zip(ct).zip(cft) {
-            *bl = if cf == UNTOUCHED { *bl } else { cl + off };
-        }
-    }
-    for (bm, cm) in base.sparse.iter_mut().zip(c.sparse) {
-        for (k, v) in cm {
-            match bm.entry(k) {
-                Entry::Occupied(mut e) => e.get_mut().1 = v.1 + off,
-                Entry::Vacant(e) => {
-                    e.insert((v.0 + off, v.1 + off));
-                }
-            }
-        }
-    }
-}
-
-/// Chunk outputs folded into a growing prefix, strictly in chunk order.
-/// Workers deposit out-of-order results in `pending`; whoever deposits the
-/// next needed chunk folds the ready run, so memory stays bounded by the
-/// worker count plus the occasional straggler gap instead of the full
-/// chunk count.
-struct MergeState {
-    /// Chunks `[0, upto)` are already folded into `base`.
-    upto: usize,
-    base: Option<ChunkOut>,
-    pending: BTreeMap<usize, ChunkOut>,
-    /// Trace events of folded chunks, accumulated in chunk-commit order
-    /// (the fold is strictly in chunk order, so this sequence is
-    /// schedule-independent). Flushed by `sweep_all` on success.
-    events: Vec<TraceEvent>,
-}
-
-impl MergeState {
-    fn deposit(&mut self, k: usize, mut out: ChunkOut) {
-        // Stamp the chunk component of the ordering key: chunk k's events
-        // sort after every chunk < k and after the sweep's span-begin
-        // (which uses chunk component 0).
-        for e in &mut out.events {
-            e.ord.0 = 1 + k as u64;
-        }
-        self.pending.insert(k, out);
-        loop {
-            let next = self.upto;
-            let Some(mut c) = self.pending.remove(&next) else {
-                break;
-            };
-            self.upto += 1;
-            self.events.append(&mut c.events);
-            match &mut self.base {
-                None => self.base = Some(c),
-                Some(b) => merge_into(b, c),
-            }
-        }
-    }
+    out.iters = done;
+    out.events = events;
+    Ok(out)
 }
 
 /// The stamps of the pass-2 window fold: every touched cell of a dense
@@ -976,17 +1135,20 @@ fn split_range(lo: i64, hi: i64, parts: usize) -> Vec<(i64, i64)> {
     out
 }
 
-/// Estimated iteration volume of one outermost-loop value: the product of
-/// conservative inner-range lengths with the outermost variable pinned to
-/// `v` (the same interval enclosure as [`LoopNest::var_ranges`], one level
-/// sharper). Exact for rectangular and outer-dependent triangular bounds;
-/// only load balance depends on it, never results. `ranges` is scratch of
-/// `nest.depth()` entries, reused across calls.
-fn outer_volume(nest: &LoopNest, v: i64, ranges: &mut [(i64, i64)]) -> u128 {
+/// Estimated iteration volume of one value `v` of loop `outer.len()`,
+/// the loops outside it ranging over `outer`: the product of conservative
+/// inner-range lengths with that loop pinned to `v` (the same interval
+/// enclosure as [`LoopNest::var_ranges`], one level sharper). Exact for
+/// rectangular and outer-dependent triangular bounds; only load balance
+/// depends on it, never results. `ranges` is scratch of `nest.depth()`
+/// entries, reused across calls.
+fn level_volume(nest: &LoopNest, outer: &[(i64, i64)], v: i64, ranges: &mut [(i64, i64)]) -> u128 {
+    let level = outer.len();
     ranges.fill((0, 0));
-    ranges[0] = (v, v);
+    ranges[..level].copy_from_slice(outer);
+    ranges[level] = (v, v);
     let mut vol: u128 = 1;
-    for k in 1..ranges.len() {
+    for k in level + 1..ranges.len() {
         let l = &nest.loops()[k];
         let (lo, _) = l.lower.value_range(ranges);
         let (_, hi) = l.upper.value_range(ranges);
@@ -999,25 +1161,32 @@ fn outer_volume(nest: &LoopNest, v: i64, ranges: &mut [(i64, i64)]) -> u128 {
     vol
 }
 
-/// `true` when some inner loop bound mentions the outermost variable. If
-/// none does, every inner range — and so [`outer_volume`] — is the same
-/// for every outer value.
-fn inner_bounds_mention_outer(nest: &LoopNest) -> bool {
-    nest.loops()[1..].iter().any(|l| {
+/// `true` when some bound of a loop inside `level` mentions its variable.
+/// If none does, every inner range — and so [`level_volume`] — is the
+/// same for every value of it.
+fn inner_bounds_mention(nest: &LoopNest, level: usize) -> bool {
+    nest.loops()[level + 1..].iter().any(|l| {
         [&l.lower, &l.upper]
             .iter()
-            .any(|b| b.pieces().iter().any(|p| p.expr.coeffs()[0] != 0))
+            .any(|b| b.pieces().iter().any(|p| p.expr.coeffs()[level] != 0))
     })
 }
 
-/// Splits the outer range into at most `parts` contiguous chunks whose
-/// *estimated iteration volumes* are balanced. An even split of outer
-/// values gives a triangular nest (`for j = i to N`) chunks whose work
+/// Splits `lo ..= hi`, the values of loop `outer.len()` (the loops
+/// outside it ranging over `outer`), into at most `parts` contiguous
+/// chunks whose *estimated iteration volumes* are balanced. An even split
+/// of values gives a triangular nest (`for j = i to N`) chunks whose work
 /// differs by the triangle's aspect ratio; cutting by cumulative volume
-/// keeps every chunk within one outer value's volume of the ideal share.
-/// Volumes cost one scratch buffer, not one allocation per outer value,
-/// and O(1) when no inner bound mentions the outermost variable.
-fn chunk_ranges(nest: &LoopNest, lo: i64, hi: i64, parts: usize) -> Vec<(i64, i64)> {
+/// keeps every chunk within one value's volume of the ideal share.
+/// Volumes cost one scratch buffer, not one allocation per value, and
+/// O(1) when no inner bound mentions the split variable.
+fn chunk_ranges(
+    nest: &LoopNest,
+    outer: &[(i64, i64)],
+    lo: i64,
+    hi: i64,
+    parts: usize,
+) -> Vec<(i64, i64)> {
     if lo > hi || parts <= 1 {
         return vec![(lo, hi)];
     }
@@ -1026,14 +1195,14 @@ fn chunk_ranges(nest: &LoopNest, lo: i64, hi: i64, parts: usize) -> Vec<(i64, i6
         return split_range(lo, hi, parts);
     }
     let parts = parts.min(span as usize);
-    // One volume per outer value, or a single one shared by all of them.
+    // One volume per value, or a single one shared by all of them.
     let mut ranges = vec![(0i64, 0i64); nest.depth()];
-    let vols: Vec<u128> = if inner_bounds_mention_outer(nest) {
+    let vols: Vec<u128> = if inner_bounds_mention(nest, outer.len()) {
         (lo..=hi)
-            .map(|v| outer_volume(nest, v, &mut ranges).max(1))
+            .map(|v| level_volume(nest, outer, v, &mut ranges).max(1))
             .collect()
     } else {
-        vec![outer_volume(nest, lo, &mut ranges).max(1)]
+        vec![level_volume(nest, outer, lo, &mut ranges).max(1)]
     };
     let vol = |i: usize| vols[i.min(vols.len() - 1)];
     let total: u128 = match vols.as_slice() {
@@ -1062,13 +1231,289 @@ fn chunk_ranges(nest: &LoopNest, lo: i64, hi: i64, parts: usize) -> Vec<(i64, i6
     out
 }
 
-/// Pass 1 over the whole nest: plan, chunk, sweep (work-stealing when
-/// `threads > 1` and the nest reaches [`PARALLEL_THRESHOLD`]), and fold
-/// the chunks strictly in chunk order. The returned tables are
-/// bit-identical for every `threads` value. On a budget trip or overflow,
-/// the error with the smallest chunk index wins (workers stop pulling
-/// chunks once any error is recorded), matching the error a serial sweep
-/// reports when the failing computation is deterministic.
+/// The loop pass 1 splits a nest on: the outermost loop, other than the
+/// innermost, that some subscript indexes. The loops no subscript indexes
+/// span the common null space of the access matrices, whose vectors are
+/// §3.2's reuse vectors: along them the nest touches the same elements
+/// again. Chunks of such a loop (a time loop) would each touch the whole
+/// footprint; chunks of the split loop touch bands of it that overlap
+/// only by the references' offsets. Loop 0 when no loop qualifies.
+fn split_level(nest: &LoopNest) -> usize {
+    (0..nest.depth().saturating_sub(1))
+        .find(|&k| {
+            nest.refs()
+                .any(|r| (0..r.rank()).any(|d| r.matrix.row(d)[k] != 0))
+        })
+        .unwrap_or(0)
+}
+
+/// The variable ranges of the iterations whose loop `level` lies in
+/// `lo ..= hi`: `vr` with that loop cut, and the loops inside it
+/// re-ranged over the cut (interval enclosures, as in
+/// [`LoopNest::var_ranges`]).
+fn cut_ranges(
+    nest: &LoopNest,
+    vr: &[(i64, i64)],
+    level: usize,
+    lo: i64,
+    hi: i64,
+) -> Vec<(i64, i64)> {
+    let mut ranges = vr.to_vec();
+    ranges[level] = (lo.max(vr[level].0), hi.min(vr[level].1));
+    for k in level + 1..ranges.len() {
+        let l = &nest.loops()[k];
+        let (a, _) = l.lower.value_range(&ranges);
+        let (_, b) = l.upper.value_range(&ranges);
+        ranges[k] = (a.max(vr[k].0), b.min(vr[k].1));
+    }
+    ranges
+}
+
+/// Most (prefix, chunk) starts a counted [`Clock`] keeps, 8 bytes each.
+const CLOCK_CAP: usize = 1 << 20;
+
+/// A counted [`Clock`] stops paying once the nest's innermost runs
+/// average fewer iterations than this: counting them then costs a large
+/// share of sweeping them.
+const MIN_COUNTED_RUN: u64 = 16;
+
+/// Where the chunks of a sweep start on the nest's clock: the stamp of
+/// chunk `k`'s first iteration under prefix `p` is the number of
+/// iterations before it in execution order.
+enum Clock {
+    /// A whole-nest sweep: one chunk, one prefix, from stamp 0.
+    Whole,
+    /// A rectangular nest, in closed form: every prefix holds `row`
+    /// iterations and every value of the split loop, which starts at
+    /// `lo`, holds `inner`.
+    Closed { lo: i64, row: u64, inner: u64 },
+    /// Counted run by run: `starts[p · chunks + k]`.
+    Counted { starts: Vec<u64>, chunks: usize },
+}
+
+impl Clock {
+    /// The clock of `chunks` of loop `level`, or `None` when the nest
+    /// cannot be split: it has more iterations than the u32 stamps hold
+    /// below [`UNTOUCHED`] (the whole-nest sweep then overflows or trips
+    /// exactly as it does on one worker), or it is not rectangular and
+    /// counting its runs does not pay. A rectangular nest's clock is
+    /// closed-form; any other is counted run by run, polling `tracker`
+    /// every [`POLL_INTERVAL`] runs without charging it.
+    fn new(
+        nest: &LoopNest,
+        level: usize,
+        chunks: &[(i64, i64)],
+        tracker: &BudgetTracker,
+    ) -> Result<Option<Clock>, SweepError> {
+        if let Some(r) = nest.rectangular_ranges() {
+            let width = |&(lo, hi): &(i64, i64)| (hi as i128 - lo as i128 + 1).max(0) as u128;
+            let inner = r[level + 1..]
+                .iter()
+                .map(width)
+                .fold(1u128, u128::saturating_mul);
+            let row = width(&r[level]).saturating_mul(inner);
+            let total = r[..level].iter().map(width).fold(row, u128::saturating_mul);
+            return Ok((total <= UNTOUCHED as u128).then(|| Clock::Closed {
+                lo: r[level].0,
+                row: row as u64,
+                inner: inner as u64,
+            }));
+        }
+        let parts = chunks.len();
+        let (lo, hi) = (chunks[0].0, chunks[parts - 1].1);
+        let mut starts: Vec<u64> = Vec::new();
+        let (mut total, mut runs) = (0u64, 0u64);
+        let flow = try_for_each_split_run(nest, level, lo, hi, &mut |p, iter, a, b| {
+            let row = p as usize * parts;
+            if row + parts > CLOCK_CAP {
+                return ControlFlow::Break(None);
+            }
+            if starts.len() < row + parts {
+                starts.resize(row + parts, 0);
+            }
+            let len = (b as i128 - a as i128 + 1) as u64;
+            total = total.saturating_add(len);
+            if total > UNTOUCHED as u64 {
+                return ControlFlow::Break(None);
+            }
+            starts[row + chunks.partition_point(|c| c.1 < iter[level])] += len;
+            runs += 1;
+            if runs % POLL_INTERVAL as u64 == 0 {
+                if let Err(reason) = tracker.check() {
+                    return ControlFlow::Break(Some(reason));
+                }
+                if total < runs * MIN_COUNTED_RUN {
+                    return ControlFlow::Break(None);
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        match flow {
+            ControlFlow::Break(None) => return Ok(None),
+            ControlFlow::Break(Some(reason)) => return Err(SweepError::Trip(reason)),
+            ControlFlow::Continue(()) => {}
+        }
+        // Exclusive prefix sums, in (prefix, chunk) order: execution order.
+        let mut at = 0;
+        for s in &mut starts {
+            (*s, at) = (at, at + *s);
+        }
+        Ok(Some(Clock::Counted {
+            starts,
+            chunks: parts,
+        }))
+    }
+
+    /// The stamp chunk `index`, whose values start at `lo`, starts at
+    /// under `prefix`.
+    fn start(&self, prefix: u64, index: usize, lo: i64) -> u32 {
+        let at = match self {
+            Clock::Whole => 0,
+            Clock::Closed {
+                lo: base,
+                row,
+                inner,
+            } => prefix * row + (lo as i128 - *base as i128) as u64 * inner,
+            Clock::Counted { starts, chunks } => starts[prefix as usize * chunks + index],
+        };
+        at as u32
+    }
+}
+
+/// A split pays while its windows hold at most this many cells per
+/// iteration. Each window cell costs its worker one reset and one
+/// `min`/`max` fold into the nest's tables, a fraction of what sweeping
+/// an iteration costs, and both spread over the workers alike. Measured
+/// on 2 workers: a split whose windows hold 1.5 cells per iteration runs
+/// as fast as one worker, one with 9 runs 12% slower.
+const WINDOW_CELLS_PER_ITERATION: u128 = 4;
+
+/// A sweep cut into chunks of one loop's values, each recorded into its
+/// own window and stamped on the nest's clock.
+struct Split {
+    level: usize,
+    chunks: Vec<(i64, i64)>,
+    windows: Vec<Layout>,
+    clock: Clock,
+}
+
+impl Split {
+    /// Cuts `nest` into at most `parts` chunks of its split loop
+    /// ([`split_level`]), or `None` when it does not split: fewer than
+    /// two chunks, a window form that overflows, or no [`Clock`]. A
+    /// `priced` split, one whose grid follows the worker count, is also
+    /// refused when it does not pay: when its windows hold more than
+    /// [`WINDOW_CELLS_PER_ITERATION`] cells per estimated iteration. This
+    /// is the heartbeat rule of SNIPPETS.md: promote parallelism only
+    /// where the split's own cost is amortized.
+    fn new(
+        nest: &LoopNest,
+        plan: &Plan,
+        parts: usize,
+        priced: bool,
+        tracker: &BudgetTracker,
+    ) -> Result<Option<Split>, SweepError> {
+        let vr = nest.var_ranges();
+        let level = vr.as_ref().map_or(0, |_| split_level(nest));
+        let (lo, hi) = match &vr {
+            Some(vr) if level > 0 => vr[level],
+            _ => outer_range(nest),
+        };
+        let outer = vr.as_ref().map_or(&[][..], |vr| &vr[..level]);
+        let chunks = chunk_ranges(nest, outer, lo, hi, parts);
+        if chunks.len() <= 1 {
+            return Ok(None);
+        }
+        // A provably empty nest plans no dense table, so every chunk
+        // records into the plan's (empty) layout.
+        let windows = match &vr {
+            Some(vr) => chunks
+                .iter()
+                .map(|&(a, b)| {
+                    let ranges = cut_ranges(nest, vr, level, a, b);
+                    plan.layout.window(&plan.refs, &ranges)
+                })
+                .collect::<Option<Vec<Layout>>>(),
+            None => Some(vec![plan.layout.clone(); chunks.len()]),
+        };
+        let Some(windows) = windows else {
+            return Ok(None);
+        };
+        if priced {
+            let cells: u128 = windows.iter().map(Layout::cells).sum();
+            let iters = estimated_iterations_of(nest);
+            if cells > iters.saturating_mul(WINDOW_CELLS_PER_ITERATION) {
+                return Ok(None);
+            }
+        }
+        let Some(clock) = Clock::new(nest, level, &chunks, tracker)? else {
+            return Ok(None);
+        };
+        Ok(Some(Split {
+            level,
+            chunks,
+            windows,
+            clock,
+        }))
+    }
+}
+
+/// How pass 1 sweeps a nest: its plan, its split (`None` sweeps the whole
+/// nest as one chunk) and the workers that sweep the split's chunks.
+struct Schedule {
+    plan: Plan,
+    split: Option<Split>,
+    workers: usize,
+}
+
+/// Plans and splits `nest` for a sweep asked to run on `threads` workers.
+/// Below [`PARALLEL_THRESHOLD`] estimated iterations it runs on one, and
+/// an untraced one-worker sweep is one chunk. A traced sweep cuts the
+/// pinned [`TRACE_CHUNK_PARTS`] grid whatever its worker count, so its
+/// events do not depend on it.
+fn schedule(
+    nest: &LoopNest,
+    threads: usize,
+    tracker: &BudgetTracker,
+    tracing: bool,
+) -> Result<Schedule, SweepError> {
+    let threads = if threads > 1 && estimated_iterations_of(nest) < PARALLEL_THRESHOLD {
+        1
+    } else {
+        threads.max(1)
+    };
+    // An injected table-rejection fault plans as if the table cap were
+    // zero: every array demotes to the sparse path (results stay exact).
+    let plan_cap = if tracker.fault_reject_tables() {
+        Some(0)
+    } else {
+        tracker.max_table_bytes()
+    };
+    let plan = make_plan(nest, threads, plan_cap);
+    let split = if tracing {
+        Split::new(nest, &plan, TRACE_CHUNK_PARTS, false, tracker)?
+    } else if threads > 1 {
+        Split::new(nest, &plan, threads * CHUNKS_PER_THREAD, true, tracker)?
+    } else {
+        None
+    };
+    let workers = if split.is_some() { threads } else { 1 };
+    Ok(Schedule {
+        plan,
+        split,
+        workers,
+    })
+}
+
+/// Pass 1 over the whole nest: plan, split, sweep the chunks
+/// (work-stealing when the schedule has more than one worker), and fold
+/// each chunk's window into the nest's tables as it finishes. Stamps are
+/// nest-global, so the fold is order-free and the returned tables are
+/// bit-identical for every `threads` value and steal order. On a budget
+/// trip or overflow, a deterministic failure wins over a
+/// schedule-dependent one (workers stop pulling chunks once any error is
+/// recorded), matching the error a serial sweep reports when the failing
+/// computation is deterministic.
 ///
 /// Only a `reported` sweep (see [`try_pass1`]) narrates to the tracker's
 /// sink; any other sweeps exactly as it would without one.
@@ -1079,31 +1524,25 @@ fn sweep_all(
     tracker: &BudgetTracker,
     reported: bool,
 ) -> Result<(Plan, ChunkOut), SweepError> {
-    let (olo, ohi) = outer_range(nest);
-    let threads = sweep_threads(nest, threads);
     let tracing = reported && tracker.trace().is_some();
     let started = tracing.then(std::time::Instant::now);
-    // An injected table-rejection fault plans as if the table cap were
-    // zero: every array demotes to the sparse path (results stay exact).
-    let plan_cap = if tracker.fault_reject_tables() {
-        Some(0)
-    } else {
-        tracker.max_table_bytes()
-    };
-    let plan = make_plan(nest, threads, plan_cap);
-    // Tracing pins the chunk grid (see [`TRACE_CHUNK_PARTS`]) so the
-    // event stream is independent of the worker count; the untraced path
-    // keeps its thread-scaled grid untouched.
-    let chunks = if tracing {
-        chunk_ranges(nest, olo, ohi, TRACE_CHUNK_PARTS)
-    } else if threads == 1 {
-        vec![(olo, ohi)]
-    } else {
-        chunk_ranges(nest, olo, ohi, threads * CHUNKS_PER_THREAD)
-    };
-    if chunks.len() <= 1 {
-        let (lo, hi) = chunks[0];
-        let mut out = sweep_chunk(nest, &plan, lo, hi, tracker, None, tracing)?;
+    let Schedule {
+        plan,
+        split,
+        workers,
+    } = schedule(nest, threads, tracker, tracing)?;
+    let Some(split) = split else {
+        let whole = Part::whole(nest, &plan);
+        let mut out = sweep_chunk(
+            nest,
+            &plan,
+            &whole,
+            tracker,
+            None,
+            tracing,
+            ChunkOut::default(),
+        )
+        .map_err(|(e, _)| e)?;
         if tracing {
             for e in &mut out.events {
                 e.ord.0 = 1;
@@ -1112,102 +1551,192 @@ fn sweep_all(
             flush_sweep_events(tracker, nest_index, started, events, out.iters);
         }
         return Ok((plan, out));
-    }
-    let workers = threads.min(chunks.len());
+    };
+    let chunks = &split.chunks;
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    let failure: Mutex<Option<(usize, SweepError)>> = Mutex::new(None);
+    // The recorded failure, keyed for ranking: (rank, stamp or chunk
+    // index), plus the chunk index panics compare against.
+    type Failure = ((usize, u64), usize, SweepError);
+    let failure: Mutex<Option<Failure>> = Mutex::new(None);
     // A panic inside a chunk is caught here and re-raised with its
     // original payload after the scope joins; letting it escape the
     // scoped thread would replace the payload with the generic
     // "a scoped thread panicked", diverging from the serial sweep.
     let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let state = Mutex::new(MergeState {
-        upto: 0,
-        base: None,
-        pending: BTreeMap::new(),
-        events: Vec::new(),
-    });
+    // The whole-nest lanes, zeroed, cut into bands the chunks fold into;
+    // and each chunk's counts, hashmap entries and events, by chunk.
+    let lanes = || -> Vec<Vec<u32>> {
+        let boxes = &plan.layout.boxes;
+        boxes
+            .iter()
+            .map(|b| {
+                b.as_ref()
+                    .map_or(Vec::new(), |bx| vec![0; bx.cells() as usize])
+            })
+            .collect()
+    };
+    let (mut first, mut last) = (lanes(), lanes());
+    let bands: Bands = first
+        .iter_mut()
+        .zip(last.iter_mut())
+        .map(|(first, last)| {
+            first
+                .chunks_mut(FOLD_BAND)
+                .zip(last.chunks_mut(FOLD_BAND))
+                .map(|(first, last)| {
+                    Mutex::new(Band {
+                        ready: false,
+                        first,
+                        last,
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let tallies: Vec<Mutex<Option<ChunkOut>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
     {
-        let (plan, chunks, next, stop, failure, panicked, state) =
-            (&plan, &chunks, &next, &stop, &failure, &panicked, &state);
+        let (plan, split, next, stop, failure, panicked, bands, tallies) = (
+            &plan, &split, &next, &stop, &failure, &panicked, &bands, &tallies,
+        );
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(move || loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= chunks.len() {
-                        break;
-                    }
-                    let (lo, hi) = chunks[k];
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        sweep_chunk(nest, plan, lo, hi, tracker, None, tracing)
-                    })) {
-                        Ok(Ok(out)) => state.lock().expect("merge state poisoned").deposit(k, out),
-                        Ok(Err(e)) => {
-                            // Overflow outranks budget trips: a u32
-                            // time-stamp overflow fires at a fixed point in
-                            // the charged-iteration stream, while which
-                            // *other* chunks then trip the shared budget is
-                            // schedule-dependent. Among equal ranks the
-                            // smallest chunk index wins, so the reported
-                            // failure is the same at every thread count.
-                            let rank = |err: &SweepError| match err {
-                                SweepError::Overflow(_) => 0usize,
-                                _ => 1,
-                            };
-                            let mut slot = failure.lock().expect("failure slot poisoned");
-                            let replace = match slot.as_ref() {
-                                None => true,
-                                Some((prev_k, prev_e)) => (rank(&e), k) < (rank(prev_e), *prev_k),
-                            };
-                            if replace {
-                                *slot = Some((k, e));
-                            }
-                            stop.store(true, Ordering::Relaxed);
+            for _ in 0..workers.min(chunks.len()) {
+                s.spawn(move || {
+                    let mut scratch = ChunkOut::default();
+                    loop {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
                         }
-                        Err(payload) => {
-                            let mut slot = panicked.lock().expect("panic slot poisoned");
-                            let replace = match slot.as_ref() {
-                                None => true,
-                                Some((prev_k, _)) => k < *prev_k,
-                            };
-                            if replace {
-                                *slot = Some((k, payload));
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= chunks.len() {
+                            break;
+                        }
+                        let (lo, hi) = chunks[k];
+                        let window = &split.windows[k];
+                        let part = Part {
+                            level: split.level,
+                            index: k,
+                            lo,
+                            hi,
+                            layout: window,
+                            clock: &split.clock,
+                        };
+                        let tables = std::mem::take(&mut scratch);
+                        let swept = catch_unwind(AssertUnwindSafe(|| {
+                            let out =
+                                sweep_chunk(nest, plan, &part, tracker, None, tracing, tables)?;
+                            fold_window(bands, &plan.layout.boxes, &out, &window.boxes);
+                            Ok(out)
+                        }));
+                        match swept {
+                            Ok(Ok(mut out)) => {
+                                let tally = ChunkOut {
+                                    iters: out.iters,
+                                    accesses: std::mem::take(&mut out.accesses),
+                                    sparse: std::mem::take(&mut out.sparse),
+                                    events: std::mem::take(&mut out.events),
+                                    ..ChunkOut::default()
+                                };
+                                *tallies[k].lock().expect("chunk tally poisoned") = Some(tally);
+                                scratch = out;
                             }
-                            stop.store(true, Ordering::Relaxed);
+                            Ok(Err((e, at))) => {
+                                // Overflow outranks budget trips: an
+                                // overflow fires at a fixed point in the
+                                // iteration stream, and among overflows
+                                // the earliest stamp wins, which is the
+                                // one a serial sweep meets first. Which
+                                // chunks trip the shared budget is
+                                // schedule-dependent, but every trip of
+                                // one run reports the same reason; the
+                                // smallest chunk index wins among them.
+                                let key = match e {
+                                    SweepError::Overflow(_) => (0, at),
+                                    _ => (1, k as u64),
+                                };
+                                let mut slot = failure.lock().expect("failure slot poisoned");
+                                if slot.as_ref().is_none_or(|prev| key < prev.0) {
+                                    *slot = Some((key, k, e));
+                                }
+                                stop.store(true, Ordering::Relaxed);
+                            }
+                            Err(payload) => {
+                                let mut slot = panicked.lock().expect("panic slot poisoned");
+                                if slot.as_ref().is_none_or(|(prev_k, _)| k < *prev_k) {
+                                    *slot = Some((k, payload));
+                                }
+                                stop.store(true, Ordering::Relaxed);
+                            }
                         }
                     }
                 });
+            }
+            for band in bands.iter().flatten() {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                band.lock().unwrap_or_else(|e| e.into_inner()).ready();
             }
         });
     }
     // A panic fires at a fixed point in the iteration stream (like an
     // overflow), so it ranks with the deterministic failures: between a
-    // panic and a rank-0 error the smaller chunk index wins, and any
+    // panic and an overflow the smaller chunk index wins, and any
     // schedule-dependent budget trip loses to it — the serial sweep would
     // have panicked before ever reaching the later chunk.
     let panic_hit = panicked.into_inner().expect("panic slot poisoned");
     let err_hit = failure.into_inner().expect("failure slot poisoned");
     if let Some((pk, payload)) = panic_hit {
         let panic_wins = match &err_hit {
-            Some((ek, SweepError::Overflow(_))) => pk < *ek,
+            Some((_, ek, SweepError::Overflow(_))) => pk < *ek,
             _ => true,
         };
         if panic_wins {
             std::panic::resume_unwind(payload);
         }
     }
-    if let Some((_, e)) = err_hit {
+    if let Some((_, _, e)) = err_hit {
         return Err(e);
     }
-    let st = state.into_inner().expect("merge state poisoned");
-    debug_assert_eq!(st.upto, chunks.len(), "every chunk merged");
-    let merged = st.base.expect("at least one chunk swept");
+    drop(bands);
+    let narrays = plan.layout.boxes.len();
+    let mut merged = ChunkOut {
+        iters: 0,
+        accesses: vec![0; narrays],
+        first,
+        last,
+        sparse: (0..narrays).map(|_| HashMap::new()).collect(),
+        events: Vec::new(),
+    };
+    // Chunk k's events sort after every chunk < k and after the sweep's
+    // span-begin (which uses chunk component 0).
+    let mut events = Vec::new();
+    for (k, tally) in tallies.into_iter().enumerate() {
+        let tally = tally
+            .into_inner()
+            .expect("chunk tally poisoned")
+            .expect("every chunk swept");
+        merged.iters += tally.iters;
+        for (total, add) in merged.accesses.iter_mut().zip(&tally.accesses) {
+            *total += add;
+        }
+        for (bm, cm) in merged.sparse.iter_mut().zip(tally.sparse) {
+            if bm.is_empty() {
+                *bm = cm;
+                continue;
+            }
+            for (key, (f, l)) in cm {
+                let cell = bm.entry(key).or_insert((f, l));
+                *cell = (cell.0.min(f), cell.1.max(l));
+            }
+        }
+        events.extend(tally.events.into_iter().map(|mut e| {
+            e.ord.0 = 1 + k as u64;
+            e
+        }));
+    }
     if tracing {
-        flush_sweep_events(tracker, nest_index, started, st.events, merged.iters);
+        flush_sweep_events(tracker, nest_index, started, events, merged.iters);
     }
     Ok((plan, merged))
 }
@@ -1256,7 +1785,7 @@ impl NestPass1 {
     fn new(plan: Plan, tables: ChunkOut) -> Self {
         NestPass1 {
             refs: plan.ref_counts(),
-            boxes: plan.boxes,
+            boxes: plan.layout.boxes,
             tables,
         }
     }
@@ -1315,7 +1844,8 @@ pub fn bench_pass1_interleaved(nest: &LoopNest) -> u64 {
     let lrefs: Vec<LegacyRef> = plan
         .refs
         .iter()
-        .map(|rp| match &rp.mode {
+        .zip(&plan.layout.modes)
+        .map(|(rp, mode)| match mode {
             RefMode::Dense {
                 outer,
                 stride,
@@ -1339,6 +1869,7 @@ pub fn bench_pass1_interleaved(nest: &LoopNest) -> u64 {
         })
         .collect();
     let mut dense: Vec<Vec<(u32, u32)>> = plan
+        .layout
         .boxes
         .iter()
         .map(|b| match b {
@@ -1405,8 +1936,17 @@ pub fn bench_pass1_interleaved(nest: &LoopNest) -> u64 {
 fn prefix_mws(nest: &LoopNest, quota: u64, max_table_bytes: Option<u64>) -> Option<u64> {
     let tracker = BudgetTracker::unlimited();
     let plan = make_plan(nest, 1, max_table_bytes);
-    let (lo, hi) = outer_range(nest);
-    let out = sweep_chunk(nest, &plan, lo, hi, &tracker, Some(quota), false).ok()?;
+    let whole = Part::whole(nest, &plan);
+    let out = sweep_chunk(
+        nest,
+        &plan,
+        &whole,
+        &tracker,
+        Some(quota),
+        false,
+        ChunkOut::default(),
+    );
+    let out = out.ok()?;
     Some(out.fold(&plan.ref_counts(), false, false).mws_total)
 }
 
@@ -1592,6 +2132,90 @@ mod tests {
 
     include!("../tests/common/fold_boundary.rs");
 
+    /// Pass 1 splits a time-looped nest on `i`, the outermost loop a
+    /// subscript indexes, and sweeps its bands in parallel; every band's
+    /// stamps land where the hashmap engine's do, profile on and off.
+    #[test]
+    fn time_looped_nests_split_on_the_indexed_loop() {
+        for (class, src) in TIME_LOOPED {
+            let nest = parse(src).unwrap();
+            assert_eq!(split_level(&nest), 1, "{class}");
+            let (on, off) = (
+                simulate_hashmap_with_profile(&nest),
+                crate::window::simulate_hashmap(&nest),
+            );
+            for threads in [1, 2, 3, 4] {
+                assert_eq!(sweep_threads(&nest, threads), threads, "{class}");
+                assert_same(&simulate(&nest, threads), &on);
+                let budget = AnalysisBudget::unlimited();
+                let got = try_simulate_with_threads(&nest, false, threads, &budget).unwrap();
+                assert_same(&got, &off);
+            }
+        }
+    }
+
+    /// The paper kernels and the robustness corpus index their outermost
+    /// loop, so their sweeps split where they always did.
+    #[test]
+    fn corpus_nests_split_on_loop_zero() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut nests = 0;
+        for dir in ["kernels", "tests/robustness"] {
+            for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_none_or(|x| x != "loop") {
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).unwrap();
+                for nest in loopmem_ir::parse_program(&text).unwrap().nests() {
+                    assert_eq!(split_level(nest), 0, "{}", path.display());
+                    nests += 1;
+                }
+            }
+        }
+        assert!(nests >= 12, "{nests} nests");
+    }
+
+    /// Every chunk's start on the clock is the number of iterations
+    /// before its first one in execution order, counted here iteration
+    /// by iteration: closed-form for rectangular nests, counted run by
+    /// run for the rest.
+    #[test]
+    fn clock_starts_count_the_stream_before_each_chunk() {
+        for src in [
+            "array A[12][12]\nfor t = 1 to 3 { for i = 2 to 10 { for j = 1 to 7 { A[i][j] = A[i-1][j]; } } }",
+            "array A[12][12]\nfor t = 1 to 3 { for i = 2 to 10 { for j = i to 10 { A[i][j]; } } }",
+            "array A[12][12]\nfor t = 1 to 4 { for i = t to 10 { for j = 1 to i { A[i][j]; } } }",
+            "array A[12][12]\nfor i = 1 to 10 { for j = i to 10 { A[i][j] = A[j][i]; } }",
+            "array X[40]\nfor t = 1 to 2 { for u = 1 to 3 { for i = 1 to 9 { for j = u to 9 { X[i + j]; } } } }",
+        ] {
+            let nest = parse(src).unwrap();
+            let level = split_level(&nest);
+            let vr = nest.var_ranges().unwrap();
+            let (lo, hi) = vr[level];
+            for parts in [2, 3, 5] {
+                let chunks = chunk_ranges(&nest, &vr[..level], lo, hi, parts);
+                let tracker = BudgetTracker::unlimited();
+                let clock = Clock::new(&nest, level, &chunks, &tracker).unwrap().unwrap();
+                assert_eq!(
+                    matches!(clock, Clock::Closed { .. }),
+                    nest.is_rectangular(),
+                    "{src}"
+                );
+                let mut seen = std::collections::HashSet::new();
+                let mut at = 0u64;
+                let _ = try_for_each_split_run::<(), _>(&nest, level, lo, hi, &mut |p, it, a, b| {
+                    let k = chunks.partition_point(|c| c.1 < it[level]);
+                    if seen.insert((p, k)) {
+                        assert_eq!(clock.start(p, k, chunks[k].0) as u64, at, "{src} {p} {k}");
+                    }
+                    at += (b - a + 1) as u64;
+                    ControlFlow::Continue(())
+                });
+            }
+        }
+    }
+
     /// The fold's scratch stays within the 4 bytes per iteration the
     /// `MaxTableBytes` gates charge, on real pass-1 tables of both kinds:
     /// each kernel class on each side of the fold's sparse/dense boundary.
@@ -1667,8 +2291,8 @@ mod tests {
         )
         .unwrap();
         let (sp, pp) = (make_plan(&skewed, 1, None), make_plan(&plain, 1, None));
-        assert_eq!(sp.boxes, pp.boxes);
-        let cells: u128 = sp.boxes.iter().flatten().map(ElementBox::cells).sum();
+        assert_eq!(sp.layout.boxes, pp.layout.boxes);
+        let cells = sp.layout.cells();
         assert_eq!(cells, 13_284);
         let vr = skewed.var_ranges().unwrap();
         let mut interval: u128 = 0;
@@ -1700,7 +2324,10 @@ mod tests {
             parse("array X[2000000000]\nfor i = 1 to 20 { for j = 1 to 5 { X[100000000i + j]; } }")
                 .unwrap();
         let plan = make_plan(&nest, 1, None);
-        assert!(plan.boxes.iter().all(Option::is_none), "expected fallback");
+        assert!(
+            plan.layout.boxes.iter().all(Option::is_none),
+            "expected fallback"
+        );
         assert_same(&simulate(&nest, 1), &simulate_hashmap_with_profile(&nest));
     }
 
@@ -1716,7 +2343,7 @@ mod tests {
         let nest = parse("array X[1]\nfor i = 2 to 2 { X[4611686018427387904i]; }").unwrap();
         let plan = make_plan(&nest, 1, None);
         assert!(
-            plan.boxes.iter().all(Option::is_none),
+            plan.layout.boxes.iter().all(Option::is_none),
             "near-overflow form must fall back to the hashmap path"
         );
         // The sparse path then reports the genuine subscript overflow
@@ -1792,7 +2419,7 @@ mod tests {
     }
 
     fn volume(nest: &LoopNest, v: i64) -> u128 {
-        outer_volume(nest, v, &mut vec![(0, 0); nest.depth()])
+        level_volume(nest, &[], v, &mut vec![(0, 0); nest.depth()])
     }
 
     /// The chunk planner before its volumes shared one buffer: a fresh
@@ -1844,7 +2471,7 @@ mod tests {
             let (lo, hi) = outer_range(&nest);
             for parts in [2, 3, 8, TRACE_CHUNK_PARTS] {
                 assert_eq!(
-                    chunk_ranges(&nest, lo, hi, parts),
+                    chunk_ranges(&nest, &[], lo, hi, parts),
                     chunk_ranges_per_value(&nest, lo, hi, parts),
                     "{src} in {parts} parts"
                 );
@@ -1868,7 +2495,7 @@ mod tests {
         // every chunk near 25%.
         let nest =
             parse("array A[101][101]\nfor i = 1 to 100 { for j = i to 100 { A[i][j]; } }").unwrap();
-        let chunks = chunk_ranges(&nest, 1, 100, 4);
+        let chunks = chunk_ranges(&nest, &[], 1, 100, 4);
         assert_partitions(&chunks, 1, 100);
         assert!(chunks.len() >= 2, "{chunks:?}");
         let total: u128 = (1..=100).map(|v| volume(&nest, v)).sum();
@@ -1890,7 +2517,7 @@ mod tests {
     fn volume_chunks_are_even_for_rectangular_nests() {
         let nest =
             parse("array A[40][40]\nfor i = 1 to 40 { for j = 1 to 40 { A[i][j]; } }").unwrap();
-        let chunks = chunk_ranges(&nest, 1, 40, 4);
+        let chunks = chunk_ranges(&nest, &[], 1, 40, 4);
         assert_partitions(&chunks, 1, 40);
         assert_eq!(chunks, vec![(1, 10), (11, 20), (21, 30), (31, 40)]);
     }

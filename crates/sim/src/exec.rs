@@ -83,40 +83,58 @@ pub fn try_for_each_inner_run<B, F: FnMut(&mut [i64], i64, i64) -> ControlFlow<B
     outer_hi: i64,
     f: &mut F,
 ) -> ControlFlow<B> {
-    let n = nest.depth();
-    let mut iter = vec![0i64; n];
-    if n == 1 {
-        if outer_lo <= outer_hi {
-            f(&mut iter, outer_lo, outer_hi)?;
-        }
-        return ControlFlow::Continue(());
-    }
-    for v in outer_lo..=outer_hi {
-        iter[0] = v;
-        descend_runs(nest, &mut iter, 1, f)?;
-    }
-    ControlFlow::Continue(())
+    try_for_each_split_run(nest, 0, outer_lo, outer_hi, &mut |_, iter, lo, hi| {
+        f(iter, lo, hi)
+    })
 }
 
-fn descend_runs<B, F: FnMut(&mut [i64], i64, i64) -> ControlFlow<B>>(
+/// [`try_for_each_inner_run`] with loop `level` — any loop, not only the
+/// outermost — restricted to `lo ..= hi`, intersected with its own bounds
+/// at every *prefix* (one assignment of the loops outside `level`). The
+/// callback also receives the prefix's index: prefixes are numbered from 0
+/// in execution order, the same numbering for every restriction of
+/// `level`, so a split of `level`'s values into chunks gives each chunk
+/// one contiguous block of the stream per prefix. For `level == 0` the
+/// index is always 0.
+pub(crate) fn try_for_each_split_run<B, F: FnMut(u64, &mut [i64], i64, i64) -> ControlFlow<B>>(
     nest: &LoopNest,
-    iter: &mut Vec<i64>,
+    level: usize,
+    lo: i64,
+    hi: i64,
+    f: &mut F,
+) -> ControlFlow<B> {
+    let mut iter = vec![0i64; nest.depth()];
+    let mut prefix = 0;
+    descend_runs(nest, &mut iter, 0, (level, lo, hi), &mut prefix, f)
+}
+
+fn descend_runs<B, F: FnMut(u64, &mut [i64], i64, i64) -> ControlFlow<B>>(
+    nest: &LoopNest,
+    iter: &mut [i64],
     k: usize,
+    (level, cut_lo, cut_hi): (usize, i64, i64),
+    prefix: &mut u64,
     f: &mut F,
 ) -> ControlFlow<B> {
     let l = &nest.loops()[k];
-    let lo = l.lower.eval_lower(iter);
-    let hi = l.upper.eval_upper(iter);
+    let (mut lo, mut hi) = (l.lower.eval_lower(iter), l.upper.eval_upper(iter));
+    if k == level {
+        lo = lo.max(cut_lo);
+        hi = hi.min(cut_hi);
+    }
     if k + 1 == nest.depth() {
         if lo <= hi {
-            f(iter, lo, hi)?;
+            f(*prefix, iter, lo, hi)?;
             iter[k] = 0; // the callback may have clobbered the scratch slot
         }
         return ControlFlow::Continue(());
     }
     for v in lo..=hi {
         iter[k] = v;
-        descend_runs(nest, iter, k + 1, f)?;
+        descend_runs(nest, iter, k + 1, (level, cut_lo, cut_hi), prefix, f)?;
+        if k + 1 == level {
+            *prefix += 1;
+        }
     }
     iter[k] = 0; // outer bounds must not observe stale inner values
     ControlFlow::Continue(())
@@ -175,6 +193,30 @@ mod tests {
     fn empty_range_runs_zero() {
         let nest = parse("array A[10]\nfor i = 5 to 4 { A[i]; }").unwrap();
         assert_eq!(count_iterations(&nest), 0);
+    }
+
+    /// A split run walk restricts its loop at every prefix and numbers
+    /// the prefixes in execution order, whatever the restriction.
+    #[test]
+    fn split_runs_number_prefixes_in_execution_order() {
+        let nest = parse(
+            "array A[10][10]\nfor t = 1 to 2 { for i = 1 to 3 { for j = i to 3 { A[i][j]; } } }",
+        )
+        .unwrap();
+        let mut seen = Vec::new();
+        let _ = try_for_each_split_run::<(), _>(&nest, 1, 2, 5, &mut |p, it, lo, hi| {
+            seen.push((p, it[0], it[1], lo, hi));
+            ControlFlow::Continue(())
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (0, 1, 2, 2, 3),
+                (0, 1, 3, 3, 3),
+                (1, 2, 2, 2, 3),
+                (1, 2, 3, 3, 3)
+            ]
+        );
     }
 
     #[test]

@@ -2,14 +2,18 @@
 // sparse/dense boundary. Shared by the sim crate's `dense` unit tests,
 // which pin the side each nest takes and its scratch bytes, and by the
 // kernel-equivalence suite, which checks every nest against the hashmap
-// engine at t ∈ {1, 2, 4}.
+// engine at t ∈ {1, 2, 3, 4}.
 //
 // The fold sorts events when `2 · elements · 16 ≤ iterations` (few
 // elements, long reuse) and fills a difference lane otherwise. Each entry
 // is `(class, sparse_in_time, dense_in_time)`: the same subscripts on
 // either side. Every nest's estimated iteration count (its range box) is
-// at least 2¹⁷, so sweeps asked for 2 or 4 threads really run in
-// parallel, with work stealing over volume-cut chunks.
+// at least 2¹⁷, and its chunk windows hold few cells per iteration, so
+// sweeps asked for 2, 3 or 4 threads really run in parallel, with work
+// stealing over volume-cut chunks. The transposed triangle runs under a
+// time loop: one sweep of it would cut each chunk a window as large as
+// the rest of the triangle's box, and a split that costs more than it
+// saves is swept serially.
 
 /// `(class, sparse_in_time, dense_in_time)` nest sources.
 const FOLD_BOUNDARY: [(&str, &str, &str); 6] = [
@@ -41,6 +45,21 @@ const FOLD_BOUNDARY: [(&str, &str, &str); 6] = [
     (
         "triangular",
         "array X[400]\nfor i = 1 to 370 { for j = i to 370 { X[j] = X[j + 1]; } }",
-        "array A[371][371]\nfor i = 1 to 370 { for j = i to 370 { A[i][j] = A[j][i]; } }",
+        "array A[371][371]\nfor t = 1 to 3 { for i = 1 to 370 { for j = i to 370 { A[i][j] = A[j][i]; } } }",
+    ),
+];
+
+/// Time-looped nests, `(class, source)`: a loop `t` that no subscript
+/// indexes, around a row stencil and an upper triangle. Pass 1 splits
+/// them on `i`, the outermost loop a subscript indexes, into row bands
+/// stamped on the nest's global clock. Both reach 2¹⁷ iterations.
+const TIME_LOOPED: [(&str, &str); 2] = [
+    (
+        "stencil",
+        "array A[203][257]\nfor t = 1 to 3 { for i = 3 to 202 { for j = 1 to 256 { A[i][j] = A[i-2][j]; } } }",
+    ),
+    (
+        "triangular",
+        "array A[362][362]\nfor t = 1 to 3 { for i = 2 to 361 { for j = i to 361 { A[i][j] = A[i-1][j]; } } }",
     ),
 ];

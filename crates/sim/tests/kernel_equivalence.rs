@@ -4,12 +4,15 @@
 //! Seeded random nests per kernel class — stride-0, stride-±1,
 //! general-stride, and the sparse hashmap fallback — are checked against
 //! the legacy per-element hashmap engine, with and without the profile,
-//! at worker-thread counts t ∈ {1, 2, 4}. The random nests are small, so
-//! their t > 1 legs sweep serially (see `sweep_threads`). Each class also
-//! runs its pair from `common/fold_boundary.rs`, one nest on each side of
-//! the fold's sparse/dense boundary, both large enough that the t > 1
-//! legs really sweep in parallel. Every generated source is reproducible
-//! from the fixed per-class seed, so a failure names the exact nest.
+//! at worker-thread counts t ∈ {1, 2, 3, 4}; an odd worker count cuts
+//! the chunks unevenly. The random nests are small, so their t > 1 legs
+//! sweep serially (see `sweep_threads`). Each class also runs its pair
+//! from `common/fold_boundary.rs`, one nest on each side of the fold's
+//! sparse/dense boundary, both large enough that the t > 1 legs really
+//! sweep in parallel, and the time-looped nests there check the split on
+//! a loop other than the outermost. Every generated source is
+//! reproducible from the fixed per-class seed, so a failure names the
+//! exact nest.
 
 use loopmem_ir::{parse, LoopNest};
 use loopmem_linalg::rng::Lcg;
@@ -35,7 +38,7 @@ fn assert_engines_agree(src: &str) {
     let nest = parse(src).unwrap_or_else(|e| panic!("parse failed for:\n{src}\n{e:?}"));
     let reference = simulate_hashmap_with_profile(&nest);
     let reference_off = simulate_hashmap(&nest);
-    for threads in [1usize, 2, 4] {
+    for threads in [1usize, 2, 3, 4] {
         let got = simulate(&nest, true, threads);
         assert_eq!(
             got.iterations, reference.iterations,
@@ -71,11 +74,11 @@ fn assert_engines_agree(src: &str) {
     assert_eq!(bench_pass1_interleaved(&nest), reference.iterations);
 }
 
-/// [`assert_engines_agree`] on a nest large enough that its t ∈ {2, 4}
+/// [`assert_engines_agree`] on a nest large enough that its t ∈ {2, 3, 4}
 /// legs really sweep in parallel.
 fn assert_parallel_engines_agree(src: &str) {
     let nest = parse(src).unwrap_or_else(|e| panic!("parse failed for:\n{src}\n{e:?}"));
-    for threads in [2, 4] {
+    for threads in [2, 3, 4] {
         assert_eq!(
             sweep_threads(&nest, threads),
             threads,
@@ -236,6 +239,16 @@ fn sparse_fallback_references_agree() {
         assert_engines_agree(&src);
     }
     assert_boundary_pair_agrees("hashmap");
+}
+
+/// A time loop around a row stencil and an upper triangle: pass 1 splits
+/// on `i`, not on `t`, and each band's stamps start where the nest's
+/// clock says.
+#[test]
+fn time_looped_nests_agree() {
+    for (_, src) in TIME_LOOPED {
+        assert_parallel_engines_agree(src);
+    }
 }
 
 #[test]

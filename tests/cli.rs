@@ -529,3 +529,63 @@ fn verify_and_trace_cover_the_row_search() {
     let end = at("\"event\":\"span-end\",\"label\":\"search\"");
     assert!(begin < rows && rows < end, "{stdout}");
 }
+
+/// 4.9·10⁹ iterations of legal input overrun the engine's u32 clock. Every
+/// worker count, the default included, reports the typed overflow, and so
+/// does `analyze`; none reports a panicked worker.
+#[test]
+fn nests_past_the_u32_clock_report_a_typed_overflow() {
+    let dir = std::env::temp_dir().join("loopmem-u32-clock-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("past_the_clock.loop");
+    std::fs::write(
+        &path,
+        "array X[70001]\nfor i = 1 to 70000 { for j = 1 to 70000 { X[i]; } }\n",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    let mut runs: Vec<Vec<&str>> = ["1", "2", "3", "4"]
+        .iter()
+        .map(|t| vec!["simulate", path, "--threads", t])
+        .collect();
+    runs.push(vec!["simulate", path]);
+    for args in &runs {
+        let (ok, stdout, stderr) = run(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(
+            stdout.contains("outcome    : overflow"),
+            "{args:?}: {stdout}"
+        );
+        assert!(!stdout.contains("panicked"), "{args:?}: {stdout}");
+    }
+    let (ok, stdout, stderr) = run(&["analyze", path]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("outcome    : overflow"), "{stdout}");
+    assert!(stdout.contains("u32 iteration budget"), "{stdout}");
+}
+
+/// A time-looped stencil splits on `i` into bands on the nest's clock;
+/// its canonical trace is the same bytes at every worker count.
+#[test]
+fn time_looped_stencil_traces_identically_at_every_thread_count() {
+    let dir = std::env::temp_dir().join("loopmem-time-loop-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("stencil.loop");
+    std::fs::write(
+        &path,
+        "array A[403][401]\n\
+         for t = 1 to 4 { for i = 3 to 402 { for j = 1 to 400 { A[i][j] = A[i-2][j]; } } }\n",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    let trace = |threads: &str| {
+        let (ok, stdout, stderr) = run(&["trace", path, "--threads", threads, "--format", "json"]);
+        assert!(ok, "{stderr}");
+        stdout
+    };
+    let one = trace("1");
+    assert!(one.contains("\"event\":\"chunk-commit\""), "{one}");
+    for threads in ["2", "3", "4"] {
+        assert_eq!(trace(threads), one, "threads={threads}");
+    }
+}

@@ -608,3 +608,87 @@ fn capped_program_searches_run_in_program_order() {
         }
     }
 }
+
+/// A nest of 4.9·10⁹ iterations overruns the engine's u32 clock. Pass 1
+/// sweeps such a nest whole at every worker count, so every count reports
+/// the typed overflow one worker reports, and under a cap below 2³² every
+/// count trips and salvages the same prefix.
+#[test]
+fn nests_past_the_u32_clock_fail_alike_at_every_thread_count() {
+    let program =
+        parse_program("array X[70001]\nfor i = 1 to 70000 { for j = 1 to 70000 { X[i]; } }")
+            .unwrap();
+    let nest = &program.nests()[0];
+    for budget in [
+        AnalysisBudget::unlimited(),
+        AnalysisBudget::unlimited().with_max_iterations(1 << 20),
+    ] {
+        let answer = |threads: usize| {
+            let session = Session::new().threads(threads).budget(budget.clone());
+            format!("{:?}", session.simulate(nest))
+        };
+        let one = answer(1);
+        assert!(
+            one.contains("Overflow") || one.contains("SalvagedPrefix"),
+            "{one}"
+        );
+        for threads in [2, 3, 4] {
+            assert_eq!(answer(threads), one, "threads={threads}");
+        }
+    }
+}
+
+/// A time loop around a row stencil: pass 1 splits it on `i` into bands
+/// stamped on the nest's clock, so a cap that trips halfway, an injected
+/// trip or overflow, and the canonical trace all come out the same at
+/// every worker count.
+#[test]
+fn time_looped_stencil_is_thread_count_invariant() {
+    let program = parse_program(
+        "array A[403][401]\n\
+         for t = 1 to 4 { for i = 3 to 402 { for j = 1 to 400 { A[i][j] = A[i-2][j]; } } }",
+    )
+    .unwrap();
+    let nest = &program.nests()[0];
+    let volume = 4 * 400 * 400;
+    for threads in [2, 3, 4] {
+        assert_eq!(loopmem::sim::sweep_threads(nest, threads), threads);
+    }
+    // Plans carry fire-once state, so each run builds its own budget.
+    let budget = |name: &str| {
+        let fault = |kind| {
+            let plan = FaultPlan::new(kind, 200, 0);
+            AnalysisBudget::unlimited().with_fault_plan(Arc::new(plan))
+        };
+        match name {
+            "half cap" => AnalysisBudget::unlimited().with_max_iterations(volume / 2),
+            "exhaust" => fault(FaultKind::Exhaust),
+            "overflow" => fault(FaultKind::Overflow),
+            _ => AnalysisBudget::unlimited(),
+        }
+    };
+    for name in ["unlimited", "half cap", "exhaust", "overflow"] {
+        let traced = |threads: usize| {
+            let sink = Arc::new(CollectingSink::new());
+            let answer = Session::new()
+                .threads(threads)
+                .budget(budget(name))
+                .trace(sink.clone())
+                .simulate(nest);
+            (format!("{answer:?}"), sink.drain().render_ndjson())
+        };
+        let one = traced(1);
+        match name {
+            "unlimited" => {
+                assert!(one.0.starts_with("Ok"), "{}", one.0);
+                // Sixteen bands of `i`, where the time loop gave four.
+                assert_eq!(one.1.matches("\"event\":\"chunk-commit\"").count(), 16);
+            }
+            "overflow" => assert!(one.0.contains("Overflow"), "{}", one.0),
+            _ => assert!(one.0.contains("SalvagedPrefix"), "{name}: {}", one.0),
+        }
+        for threads in [2, 3, 4] {
+            assert_eq!(traced(threads), one, "{name} threads={threads}");
+        }
+    }
+}
