@@ -7,16 +7,19 @@
 // The fold sorts events when `2 · elements · 16 ≤ iterations` (few
 // elements, long reuse) and fills a difference lane otherwise. Each entry
 // is `(class, sparse_in_time, dense_in_time)`: the same subscripts on
-// either side. Every nest's estimated iteration count (its range box) is
-// at least 2¹⁷, and its chunk windows hold few cells per iteration, so
-// sweeps asked for 2, 3 or 4 threads really run in parallel, with work
-// stealing over volume-cut chunks. The transposed triangle runs under a
+// either side, except in the `hashmap` class. Its subscripts are as
+// sparse as the `delinearized` class's `X[10⁸·i + j]`, but no
+// delinearization fits them, so they record through the hashmap. Every
+// nest's estimated iteration count (its range box) is at least 2¹⁷, and
+// its chunk windows hold few cells per iteration, so sweeps asked for 2,
+// 3 or 4 threads really run in parallel, with work stealing over
+// volume-cut chunks. The transposed triangle runs under a
 // time loop: one sweep of it would cut each chunk a window as large as
 // the rest of the triangle's box, and a split that costs more than it
 // saves is swept serially.
 
 /// `(class, sparse_in_time, dense_in_time)` nest sources.
-const FOLD_BOUNDARY: [(&str, &str, &str); 6] = [
+const FOLD_BOUNDARY: [(&str, &str, &str); 7] = [
     (
         "stride0",
         "array A[10]\nfor i = 1 to 8 { for j = 1 to 16400 { A[i] = A[i+1]; } }",
@@ -38,9 +41,14 @@ const FOLD_BOUNDARY: [(&str, &str, &str); 6] = [
         "array X[24800]\nfor i = 1 to 16 { for j = 1 to 8250 { X[2i + 3j] = X[2i + 3j + 4]; } }",
     ),
     (
-        "hashmap",
+        "delinearized",
         "array X[2000000000]\nfor t = 1 to 8200 { for i = 1 to 4 { for j = 1 to 4 { X[100000000i + j]; } } }",
         "array X[2000000000]\nfor i = 1 to 8200 { for j = 1 to 8 { for k = 1 to 2 { X[100000000j + i + k]; } } }",
+    ),
+    (
+        "hashmap",
+        "array X[1000000000]\nfor t = 1 to 8200 { for i = 1 to 4 { for j = 1 to 4 { X[100000007i + 99999989j]; } } }",
+        "array X[2000000000]\nfor i = 1 to 8200 { for j = 1 to 16 { X[100000007j + 99999989i]; } }",
     ),
     (
         "triangular",

@@ -2,9 +2,10 @@
 //! pass-2 window fold.
 //!
 //! Seeded random nests per kernel class — stride-0, stride-±1,
-//! general-stride, and the sparse hashmap fallback — are checked against
-//! the legacy per-element hashmap engine, with and without the profile,
-//! at worker-thread counts t ∈ {1, 2, 3, 4}; an odd worker count cuts
+//! general-stride, delinearized large strides, and the sparse hashmap
+//! fallback — are checked against the legacy per-element hashmap engine,
+//! with and without the profile, at worker-thread counts
+//! t ∈ {1, 2, 3, 4}; an odd worker count cuts
 //! the chunks unevenly. The random nests are small, so their t > 1 legs
 //! sweep serially (see `sweep_threads`). Each class also runs its pair
 //! from `common/fold_boundary.rs`, one nest on each side of the fold's
@@ -219,10 +220,10 @@ fn general_stride_references_agree() {
 }
 
 #[test]
-fn sparse_fallback_references_agree() {
-    // Subscript strides so large the planner demotes the array to the
-    // hashmap path — including mixed nests where one array stays dense,
-    // exercising the split dense-kernel / per-iteration sparse loop.
+fn delinearized_references_agree() {
+    // Subscript strides so large the element box fails the sparsity test:
+    // the planner delinearizes `X[10⁸·i + j]` into the cells `(i, j)` —
+    // including mixed nests next to a dense stride-1 array.
     let mut rng = Lcg::new(0x51D0_0005);
     for case in 0..12u64 {
         let ihi = rng.range_i64(3, 12);
@@ -231,9 +232,35 @@ fn sparse_fallback_references_agree() {
             0 => format!(
                 "array X[2000000000]\nfor i = 1 to {ihi} {{ for j = 1 to {jhi} {{ X[100000000i + j]; }} }}"
             ),
-            // One sparse array interleaved with one dense stride-1 array.
+            // One delinearized array interleaved with one dense stride-1
+            // array.
             _ => format!(
                 "array X[2000000000]\narray B[60]\nfor i = 1 to {ihi} {{ for j = 1 to {jhi} {{ X[100000000i + j] = B[j + i]; }} }}"
+            ),
+        };
+        assert_engines_agree(&src);
+    }
+    assert_boundary_pair_agrees("delinearized");
+}
+
+#[test]
+fn sparse_fallback_references_agree() {
+    // Subscripts as sparse, whose low part `99999989·j` spans more than
+    // the stride 100000007: no delinearization fits, and the planner
+    // demotes the array to the hashmap path — including mixed nests where
+    // one array stays dense, exercising the split dense-kernel /
+    // per-iteration sparse loop.
+    let mut rng = Lcg::new(0x51D0_0006);
+    for case in 0..12u64 {
+        let ihi = rng.range_i64(3, 12);
+        let jhi = rng.range_i64(3, 8);
+        let src = match case % 2 {
+            0 => format!(
+                "array X[3000000000]\nfor i = 1 to {ihi} {{ for j = 1 to {jhi} {{ X[100000007i + 99999989j]; }} }}"
+            ),
+            // One sparse array interleaved with one dense stride-1 array.
+            _ => format!(
+                "array X[3000000000]\narray B[60]\nfor i = 1 to {ihi} {{ for j = 1 to {jhi} {{ X[100000007i + 99999989j] = B[j + i]; }} }}"
             ),
         };
         assert_engines_agree(&src);

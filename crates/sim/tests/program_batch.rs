@@ -128,8 +128,9 @@ fn assert_same(a: &ProgramSimResult, b: &ProgramSimResult) {
     assert_eq!(a.peak_nest, b.peak_nest);
 }
 
-/// Paper-kernel-shaped programs plus a triangular-nest program; the batch
-/// engine must match the reference for t ∈ {1, 2, 4}.
+/// Paper-kernel-shaped programs plus a triangular-nest program and a
+/// delinearized one; the batch engine must match the reference for
+/// t ∈ {1, 2, 4}.
 fn programs() -> Vec<Program> {
     [
         // Example 8's reuse kernel feeding a consumer nest.
@@ -149,6 +150,12 @@ fn programs() -> Vec<Program> {
          for i = 1 to 30 { for j = 1 to i { L[i][j] = U[j][i]; } }",
         // Single-nest program (no boundaries at all).
         "array A[16][16]\nfor i = 2 to 16 { for j = 1 to 16 { A[i][j] = A[i-1][j]; } }",
+        // A delinearized nest (its table holds the cells `(i, j)`, not
+        // elements) feeding a dense one: 20 of its elements reach the
+        // second nest, whose table is the only element box.
+        "array X[3000000031]\n\
+         for i = 1 to 30 { for j = 1 to 30 { X[100000000i + j] = X[100000000i + j - 1]; } }\n\
+         for k = 100000001 to 100000020 { X[k]; }",
     ]
     .iter()
     .map(|src| parse_program(src).unwrap())

@@ -564,6 +564,31 @@ fn nests_past_the_u32_clock_report_a_typed_overflow() {
     assert!(stdout.contains("u32 iteration budget"), "{stdout}");
 }
 
+/// A delinearized nest records the cells `(i, j)` of `X[10⁸·i + j]`; the
+/// program's scratchpad sizing decodes them back to elements, so the 20
+/// the second nest reads again stay live across the boundary: 1 word of
+/// window plus 20 of live-through.
+#[test]
+fn scratchpad_sizes_a_delinearized_nest_by_its_elements() {
+    let dir = std::env::temp_dir().join("loopmem-delinearized-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("mixed.loop");
+    std::fs::write(
+        &path,
+        "array X[3000000031]\n\
+         for i = 1 to 30 { for j = 1 to 30 { X[100000000i + j] = X[100000000i + j - 1]; } }\n\
+         for k = 100000001 to 100000020 { X[k]; }\n",
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = run(&["scratchpad", path.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("scratchpad        : 21 words"), "{stdout}");
+    assert!(
+        stdout.contains("boundary 0->1      : 20 words live"),
+        "{stdout}"
+    );
+}
+
 /// A time-looped stencil splits on `i` into bands on the nest's clock;
 /// its canonical trace is the same bytes at every worker count.
 #[test]
