@@ -71,13 +71,18 @@ robustness_step() {
     # 9·10^6 elements behind the linearized subscript X[10^8·i + j]: the
     # planner delinearizes it into a 3000 × 3000 table, so the run fits
     # in 512 MiB of address space. The subshell limits only its own
-    # processes. `--threads 2` pins the table budget, which the planner
-    # splits across the workers: from 11 workers on the table no longer
-    # fits and the array falls back to a hashmap that outgrows the limit.
+    # processes. The planner splits the table budget across the workers,
+    # and from 11 workers on the table no longer fits a worker's share:
+    # such a sweep keeps the table and runs on one worker instead of
+    # falling back to a hashmap that outgrows the limit. `--threads 2`
+    # splits the table across two workers; `--threads 16` takes the
+    # one-worker fallback.
     (
         ulimit -v 524288
         robustness_case "outcome    : exact" \
             simulate tests/memory/linearized_3000.loop --threads 2 --timeout-ms 5000
+        robustness_case "outcome    : exact" \
+            simulate tests/memory/linearized_3000.loop --threads 16 --timeout-ms 5000
     )
     local elapsed=$(( $(date +%s) - start ))
     echo "robustness corpus completed in ${elapsed}s"

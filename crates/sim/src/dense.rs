@@ -54,7 +54,14 @@
 //!   which makes the result bit-identical for every thread count and
 //!   every steal order. A split that would cost more than it saves
 //!   (windows much larger than the work, a nest past the u32 clock) is
-//!   swept whole on one thread.
+//!   swept whole on one thread, and so is a nest whose table fits one
+//!   worker's share of the table budget but not a share of many.
+//!
+//! * **Programs.** The same tables serve a whole program ([`Pass1`] in
+//!   `u64` stamps, for [`crate::program`]): each array's box is the union
+//!   of its nest boxes under the same budget and sparsity caps, and each
+//!   nest's tables fold in with the chunk fold's row kernel, shifted by
+//!   the iterations before the nest.
 //!
 //! * **Pass 2 (window fold).** The merged tables are the stamps of
 //!   [`crate::fold`]: `+1` at `first`, `-1` at `last`, and the live count
@@ -79,7 +86,7 @@ use loopmem_linalg::IMat;
 use loopmem_obs::{EventKind, Phase, TraceEvent};
 use loopmem_poly::Polyhedron;
 use std::collections::HashMap;
-use std::ops::ControlFlow;
+use std::ops::{Add, ControlFlow};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -99,8 +106,25 @@ pub(crate) enum SweepError {
     Stopped,
 }
 
-/// Chunk-local "never touched" sentinel for the `first` slot.
-pub(crate) const UNTOUCHED: u32 = u32::MAX;
+/// Nest-time "never touched" sentinel for the `first` slot.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// The width of a table's stamps: `u32` in a nest's pass 1, `u64` in a
+/// program's tables, whose time can outgrow any one nest's.
+pub(crate) trait Stamp:
+    Copy + Default + Ord + From<u32> + Into<u64> + Add<Output = Self>
+{
+    /// The `first` of a cell never touched: it loses every `min`.
+    const UNTOUCHED: Self;
+}
+
+impl Stamp for u32 {
+    const UNTOUCHED: u32 = UNTOUCHED;
+}
+
+impl Stamp for u64 {
+    const UNTOUCHED: u64 = u64::MAX;
+}
 
 /// Work-stealing granularity: chunks per worker thread. More chunks mean
 /// better balance on skewed (e.g. triangular) nests, but every chunk
@@ -117,6 +141,13 @@ const VOLUME_SCAN_LIMIT: u128 = 1 << 20;
 /// Memory budget in bytes for all concurrently live dense touch tables.
 const DENSE_BUDGET_BYTES: u128 = 768 << 20;
 
+/// Cells of `S` stamp pairs in one of `shares` equal parts of the table
+/// budget, [`DENSE_BUDGET_BYTES`] tightened by `max_table_bytes`.
+fn budget_cells<S>(max_table_bytes: Option<u64>, shares: u128) -> u128 {
+    let bytes = DENSE_BUDGET_BYTES.min(max_table_bytes.map_or(u128::MAX, u128::from));
+    bytes / (2 * std::mem::size_of::<S>() as u128 * shares)
+}
+
 /// A dense table may be at most this many times larger than the
 /// worst-case number of accesses to the array. Beyond that the planner
 /// delinearizes the array's subscripts ([`delinearize`]), and the hashmap
@@ -124,6 +155,11 @@ const DENSE_BUDGET_BYTES: u128 = 768 << 20;
 /// the hashmap path sweeps one to three orders of magnitude fewer
 /// iterations per second than the dense lanes.
 const SPARSITY_FACTOR: u128 = 64;
+
+/// The most cells a table may hold for `touches` possible touches.
+fn sparsity_cap(touches: u128) -> u128 {
+    touches.saturating_mul(SPARSITY_FACTOR).saturating_add(4096)
+}
 
 /// Nests with (conservatively) fewer iterations than this are swept on
 /// one thread whatever worker count the caller asked for: thread
@@ -255,31 +291,18 @@ impl Layout {
     /// holds every cell the chunk touches, since the box and the interval
     /// ranges both do. `None` when a form would overflow.
     fn window(&self, refs: &[RefPlan], ranges: &[(i64, i64)]) -> Option<Layout> {
-        let mut spans: Vec<Option<Vec<(i64, i64)>>> = vec![None; self.boxes.len()];
-        for rp in refs.iter().filter(|rp| self.boxes[rp.array].is_some()) {
-            let ir = rp.r.index_ranges(ranges);
-            match &mut spans[rp.array] {
-                slot @ None => *slot = Some(ir),
-                Some(acc) => {
-                    for (a, b) in acc.iter_mut().zip(&ir) {
-                        *a = (a.0.min(b.0), a.1.max(b.1));
-                    }
-                }
-            }
-        }
         let boxes: Vec<Option<ElementBox>> = self
             .boxes
             .iter()
-            .zip(spans)
-            .map(|(bx, span)| {
-                let (bx, span) = (bx.as_ref()?, span?);
+            .enumerate()
+            .map(|(a, bx)| {
+                let bx = bx.as_ref()?;
+                let mine = refs.iter().filter(|rp| rp.array == a);
+                let span = range_union(mine.map(|rp| rp.r.index_ranges(ranges)))?;
                 let clipped: Vec<(i64, i64)> = span
                     .iter()
-                    .enumerate()
-                    .map(|(d, &(lo, hi))| {
-                        let blo = bx.lo()[d];
-                        (lo.max(blo), hi.min(blo + (bx.extents()[d] - 1)))
-                    })
+                    .zip(box_ranges(bx))
+                    .map(|(&(lo, hi), (blo, bhi))| (lo.max(blo), hi.min(bhi)))
                     .collect();
                 Some(ElementBox::new(&clipped))
             })
@@ -298,6 +321,24 @@ impl Layout {
     fn cells(&self) -> u128 {
         self.boxes.iter().flatten().map(ElementBox::cells).sum()
     }
+}
+
+/// The per-dimension union of `boxes`, each given as inclusive `(lo, hi)`
+/// ranges; `None` when there are none.
+fn range_union(boxes: impl IntoIterator<Item = Vec<(i64, i64)>>) -> Option<Vec<(i64, i64)>> {
+    boxes.into_iter().reduce(|mut acc, b| {
+        for (x, y) in acc.iter_mut().zip(&b) {
+            *x = (x.0.min(y.0), x.1.max(y.1));
+        }
+        acc
+    })
+}
+
+/// The inclusive `(lo, hi)` ranges of a non-empty box, saturated at the
+/// `i64` limit like the planner's boxes.
+fn box_ranges(bx: &ElementBox) -> Vec<(i64, i64)> {
+    let hi = |(&lo, &ext): (&i64, &i64)| (lo, lo.saturating_add(ext - 1));
+    bx.lo().iter().zip(bx.extents()).map(hi).collect()
 }
 
 struct Plan {
@@ -452,18 +493,7 @@ impl PolytopeRanges {
         refs: impl IntoIterator<Item = &'r ArrayRef>,
         vr: &[(i64, i64)],
     ) -> ElementBox {
-        let mut union: Option<Vec<(i64, i64)>> = None;
-        for r in refs {
-            let ir = self.subscript_box(r, vr);
-            match &mut union {
-                slot @ None => *slot = Some(ir),
-                Some(acc) => {
-                    for (a, b) in acc.iter_mut().zip(&ir) {
-                        *a = (a.0.min(b.0), a.1.max(b.1));
-                    }
-                }
-            }
-        }
+        let union = range_union(refs.into_iter().map(|r| self.subscript_box(r, vr)));
         ElementBox::new(&union.unwrap_or_default())
     }
 }
@@ -623,20 +653,15 @@ fn make_plan(nest: &LoopNest, threads: usize, max_table_bytes: Option<u64>) -> P
         let mut polytope = PolytopeRanges::new(nest);
         // A split sweep keeps one chunk window per worker plus the merged
         // whole-nest tables live, and a window is never larger than the
-        // box; split the byte budget across them (8 bytes per cell).
-        let budget_bytes = match max_table_bytes {
-            Some(cap) => DENSE_BUDGET_BYTES.min(cap as u128),
-            None => DENSE_BUDGET_BYTES,
-        };
-        let budget_cells = budget_bytes / (8 * (threads as u128 + 1));
+        // box; split the byte budget across them.
+        let budget_cells = budget_cells::<u32>(max_table_bytes, threads as u128 + 1);
         let mut used: u128 = 0;
         for a in (0..narrays).filter(|&a| ref_count[a] > 0) {
             let mine = || refs.iter().filter(move |r| r.array.0 == a);
             let max_touched = est_iters.saturating_mul(ref_count[a]);
-            let sparsity_cap = max_touched
-                .saturating_mul(SPARSITY_FACTOR)
-                .saturating_add(4096);
-            let room = budget_cells.saturating_sub(used).min(sparsity_cap);
+            let room = budget_cells
+                .saturating_sub(used)
+                .min(sparsity_cap(max_touched));
             let bx = polytope.union_box(mine(), vr);
             if admits(&bx, room, mine(), vr) {
                 used += bx.cells();
@@ -686,24 +711,28 @@ fn make_plan(nest: &LoopNest, threads: usize, max_table_bytes: Option<u64>) -> P
     }
 }
 
-/// Pass-1 output of one chunk of a sweep, recorded into its layout's
-/// tables (after the fold, of the whole nest into the plan's), stamped in
-/// nest-global 32-bit time. Dense touch tables are structure-of-arrays:
-/// `first[a]` and `last[a]` are separate lanes over the same flattened box
-/// offsets, so the run kernels and the chunk fold update each lane with
-/// branch-free `min`/`max`/fill loops the compiler can vectorize. Elements
-/// the planner demoted to the hashmap path sit in `sparse[a]`.
+/// Touch tables in `S` stamps: the pass-1 output of one chunk of a sweep,
+/// recorded into its layout's tables (after the fold, of the whole nest
+/// into the plan's), stamped in nest-global 32-bit time; or a program's
+/// tables, its nests' tables folded in by [`Pass1::absorb`] in u64 time.
+/// Dense touch tables are structure-of-arrays: `first[a]` and `last[a]`
+/// are separate lanes over the same flattened box offsets, so the run
+/// kernels and the folds update each lane with branch-free
+/// `min`/`max`/fill loops the compiler can vectorize. Elements outside
+/// every lane (a nest's hashmap arrays, a program's touches outside its
+/// union boxes) sit in `sparse[a]`.
 #[derive(Default)]
-pub(crate) struct ChunkOut {
-    /// Iterations the chunk stamped.
+pub(crate) struct Tables<S = u32> {
+    /// Iterations stamped.
     pub iters: u64,
     pub accesses: Vec<u64>,
-    /// First-touch stamp per cell, [`UNTOUCHED`] when never touched.
-    pub first: Vec<Vec<u32>>,
-    /// Last-touch stamp per cell; 0 where `first` is [`UNTOUCHED`] —
-    /// always read through the `first` lane's mask.
-    pub last: Vec<Vec<u32>>,
-    pub sparse: Vec<HashMap<Vec<i64>, (u32, u32)>>,
+    /// First-touch stamp per cell, [`Stamp::UNTOUCHED`] when never
+    /// touched.
+    pub first: Vec<Vec<S>>,
+    /// Last-touch stamp per cell; 0 where `first` is untouched — always
+    /// read through the `first` lane's mask.
+    pub last: Vec<Vec<S>>,
+    pub sparse: Vec<HashMap<Vec<i64>, (S, S)>>,
     /// Chunk-local trace events (polls, the trailing commit), buffered
     /// here and flushed in chunk order by [`sweep_all`] only when the
     /// whole sweep succeeds — a failed sweep's set of completed chunks is
@@ -712,7 +741,7 @@ pub(crate) struct ChunkOut {
     events: Vec<TraceEvent>,
 }
 
-impl ChunkOut {
+impl<S: Stamp> Tables<S> {
     /// Resets these tables to untouched over `boxes`, keeping their
     /// allocations: a worker sweeps every chunk it takes into one set.
     fn reset(&mut self, boxes: &[Option<ElementBox>]) {
@@ -720,7 +749,10 @@ impl ChunkOut {
         self.iters = 0;
         self.accesses.clear();
         self.accesses.resize(n, 0);
-        for (lanes, fill) in [(&mut self.first, UNTOUCHED), (&mut self.last, 0)] {
+        for (lanes, fill) in [
+            (&mut self.first, S::UNTOUCHED),
+            (&mut self.last, S::default()),
+        ] {
             lanes.resize_with(n, Vec::new);
             for (lane, bx) in lanes.iter_mut().zip(boxes) {
                 let cells = bx.as_ref().map_or(0, |bx| bx.cells() as usize);
@@ -738,6 +770,59 @@ impl ChunkOut {
         self.sparse.resize_with(n, HashMap::new);
         self.sparse.iter_mut().for_each(HashMap::clear);
         self.events.clear();
+    }
+
+    /// Folds the touch `(f, l)` of `element`, in nest time that starts at
+    /// `t0` here, into array `a`: into its lane when `bx`, the lane's box,
+    /// holds the element, otherwise into its map.
+    fn touch(
+        &mut self,
+        a: usize,
+        bx: Option<&ElementBox>,
+        element: Vec<i64>,
+        (f, l): (u32, u32),
+        t0: S,
+    ) {
+        let (f, l) = (S::from(f) + t0, S::from(l) + t0);
+        match bx.and_then(|bx| bx.flatten(&element)) {
+            Some(off) => {
+                self.first[a][off] = self.first[a][off].min(f);
+                self.last[a][off] = self.last[a][off].max(l);
+            }
+            None => {
+                let cell = self.sparse[a].entry(element).or_insert((f, l));
+                *cell = (cell.0.min(f), cell.1.max(l));
+            }
+        }
+    }
+}
+
+/// Folds one row of nest-time stamps `(first, last)` into the lanes
+/// `(into_first, into_last)`, shifted to start at `t0`: `first` by `min`,
+/// `last` by `max`, skipping the cells the row never touched. Both are
+/// order-free, so rows fold in any order. The chunk fold of every split
+/// sweep runs it with `t0 = 0`, where the masks fold away and the loop
+/// vectorizes as plain `min`/`max`; it must stay branch-free.
+#[inline]
+fn fold_row<S: Stamp>(
+    into_first: &mut [S],
+    into_last: &mut [S],
+    first: &[u32],
+    last: &[u32],
+    t0: S,
+) {
+    let into = into_first.iter_mut().zip(into_last.iter_mut());
+    for ((x, y), (&f, &l)) in into.zip(first.iter().zip(last)) {
+        // An untouched cell's `last` is 0, so masking its shift keeps it
+        // from reading as a touch at `t0`. Masking `last` itself instead
+        // compiles to a branch around its load, which does not vectorize.
+        let (f, shift) = if f == UNTOUCHED {
+            (S::UNTOUCHED, S::default())
+        } else {
+            (S::from(f) + t0, t0)
+        };
+        *x = (*x).min(f);
+        *y = (*y).max(S::from(l) + shift);
     }
 }
 
@@ -830,15 +915,14 @@ fn bands<'a>(first: &'a mut [Vec<u32>], last: &'a mut [Vec<u32>]) -> Bands<'a> {
 
 /// Folds chunk `c`'s tables, recorded into `windows`, into the
 /// whole-nest tables over `boxes` (each window lies inside its box). Both
-/// carry nest-global stamps, so `first` folds by `min` and `last` by
-/// `max` — a cell the chunk never touched holds [`UNTOUCHED`] / 0 and
-/// loses both — and the result is the same in every fold order. A band
-/// stays locked only while the window rows that fall in it fold, so
-/// chunks over different bands fold side by side.
+/// carry nest-global stamps, so rows fold by [`fold_row`] with `t0 = 0`,
+/// and the result is the same in every fold order. A band stays locked
+/// only while the window rows that fall in it fold, so chunks over
+/// different bands fold side by side.
 fn fold_window(
     bands: &Bands,
     boxes: &[Option<ElementBox>],
-    c: &ChunkOut,
+    c: &Tables,
     windows: &[Option<ElementBox>],
 ) {
     for (a, (bx, w)) in boxes.iter().zip(windows).enumerate() {
@@ -860,18 +944,13 @@ fn fold_window(
                     held = Some((b, band));
                 }
                 let band = held.as_mut().expect("band is held").1.ready();
-                for (x, &y) in band.first[at..at + n]
-                    .iter_mut()
-                    .zip(&c.first[a][from..from + n])
-                {
-                    *x = (*x).min(y);
-                }
-                for (x, &y) in band.last[at..at + n]
-                    .iter_mut()
-                    .zip(&c.last[a][from..from + n])
-                {
-                    *x = (*x).max(y);
-                }
+                fold_row(
+                    &mut band.first[at..at + n],
+                    &mut band.last[at..at + n],
+                    &c.first[a][from..from + n],
+                    &c.last[a][from..from + n],
+                    0,
+                );
                 off += n;
                 from += n;
             }
@@ -1033,12 +1112,12 @@ fn sweep_chunk(
     tracker: &BudgetTracker,
     stop_after: Option<u64>,
     tracing: bool,
-    mut out: ChunkOut,
-) -> Result<ChunkOut, (SweepError, u64)> {
+    mut out: Tables,
+) -> Result<Tables, (SweepError, u64)> {
     let depth = nest.depth();
     let layout = part.layout;
     out.reset(&layout.boxes);
-    let ChunkOut {
+    let Tables {
         first,
         last,
         sparse,
@@ -1252,31 +1331,38 @@ fn sweep_chunk(
 }
 
 /// The stamps of the pass-2 window fold: every touched cell of a dense
-/// lane and every hashmap entry, in nest-local time.
-impl Stamps for ChunkOut {
+/// lane and every map entry.
+impl<S: Stamp> Stamps for Tables<S> {
     fn array(&self, a: usize, mut emit: impl FnMut(u64, u64)) -> u64 {
         if self.accesses[a] == 0 {
             return 0;
         }
         let mut n = 0;
         for (&f, &l) in self.first[a].iter().zip(&self.last[a]) {
-            if f != UNTOUCHED {
+            if f != S::UNTOUCHED {
                 n += 1;
-                emit(f as u64, l as u64);
+                emit(f.into(), l.into());
             }
         }
         for &(f, l) in self.sparse[a].values() {
-            emit(f as u64, l as u64);
+            emit(f.into(), l.into());
         }
         n + self.sparse[a].len() as u64
     }
 }
 
-impl ChunkOut {
-    /// Pass 2 over these tables. `refs` is the nest's per-array
-    /// reference count. An array touches at most `min(cells, accesses)`
-    /// dense elements plus its hashmap entries, which bounds the stamps.
-    pub(crate) fn fold(&self, refs: &[u32], per_array: bool, profile: bool) -> Fold {
+impl<S: Stamp> Tables<S> {
+    /// Pass 2 over these tables, with the time boundaries `bounds`.
+    /// `refs` is the most references to each array one iteration makes.
+    /// An array touches at most `min(cells, accesses)` dense elements plus
+    /// its map entries, which bounds the stamps.
+    pub(crate) fn fold(
+        &self,
+        refs: &[u32],
+        per_array: bool,
+        profile: bool,
+        bounds: &[u64],
+    ) -> Fold {
         let elements = (0..refs.len())
             .map(|a| {
                 (self.first[a].len() as u64).min(self.accesses[a]) + self.sparse[a].len() as u64
@@ -1288,7 +1374,7 @@ impl ChunkOut {
             elements,
             per_array,
             profile,
-            bounds: &[],
+            bounds,
         };
         fold(&spec, self)
     }
@@ -1652,13 +1738,18 @@ struct Schedule {
 /// an untraced one-worker sweep is one chunk. A traced sweep cuts the
 /// pinned [`TRACE_CHUNK_PARTS`] grid whatever its worker count, so its
 /// events do not depend on it.
+///
+/// The planner splits the table budget across the workers, so more of
+/// them can leave an array on the hashmap, about 14× the bytes of its
+/// table, where one worker's plan keeps the table. Such a nest sweeps
+/// the one-worker plan on one worker.
 fn schedule(
     nest: &LoopNest,
     threads: usize,
     tracker: &BudgetTracker,
     tracing: bool,
 ) -> Result<Schedule, SweepError> {
-    let threads = if threads > 1 && estimated_iterations_of(nest) < PARALLEL_THRESHOLD {
+    let mut threads = if threads > 1 && estimated_iterations_of(nest) < PARALLEL_THRESHOLD {
         1
     } else {
         threads.max(1)
@@ -1670,7 +1761,19 @@ fn schedule(
     } else {
         tracker.max_table_bytes()
     };
-    let plan = make_plan(nest, threads, plan_cap);
+    let mut plan = make_plan(nest, threads, plan_cap);
+    let hashmap = plan
+        .layout
+        .modes
+        .iter()
+        .any(|m| matches!(m, RefMode::Sparse));
+    if threads > 1 && hashmap {
+        let one = make_plan(nest, 1, plan_cap);
+        let mut boxes = plan.layout.boxes.iter().zip(&one.layout.boxes);
+        if boxes.any(|(many, one)| many.is_none() && one.is_some()) {
+            (plan, threads) = (one, 1);
+        }
+    }
     let split = if tracing {
         Split::new(nest, &plan, TRACE_CHUNK_PARTS, false, tracker)?
     } else if threads > 1 {
@@ -1704,7 +1807,7 @@ fn sweep_all(
     threads: usize,
     tracker: &BudgetTracker,
     reported: bool,
-) -> Result<(Plan, ChunkOut), SweepError> {
+) -> Result<(Plan, Tables), SweepError> {
     let tracing = reported && tracker.trace().is_some();
     let started = tracing.then(std::time::Instant::now);
     let Schedule {
@@ -1721,7 +1824,7 @@ fn sweep_all(
             tracker,
             None,
             tracing,
-            ChunkOut::default(),
+            Tables::default(),
         )
         .map_err(|(e, _)| e)?;
         if tracing {
@@ -1750,7 +1853,7 @@ fn sweep_all(
     let boxes = &plan.layout.boxes;
     let (mut first, mut last) = (zeroed_lanes(boxes), zeroed_lanes(boxes));
     let bands = bands(&mut first, &mut last);
-    let tallies: Vec<Mutex<Option<ChunkOut>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
+    let tallies: Vec<Mutex<Option<Tables>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
     {
         let (plan, split, next, stop, failure, panicked, bands, tallies) = (
             &plan, &split, &next, &stop, &failure, &panicked, &bands, &tallies,
@@ -1758,7 +1861,7 @@ fn sweep_all(
         std::thread::scope(|s| {
             for _ in 0..workers.min(chunks.len()) {
                 s.spawn(move || {
-                    let mut scratch = ChunkOut::default();
+                    let mut scratch = Tables::default();
                     loop {
                         if stop.load(Ordering::Relaxed) {
                             break;
@@ -1786,12 +1889,12 @@ fn sweep_all(
                         }));
                         match swept {
                             Ok(Ok(mut out)) => {
-                                let tally = ChunkOut {
+                                let tally = Tables {
                                     iters: out.iters,
                                     accesses: std::mem::take(&mut out.accesses),
                                     sparse: std::mem::take(&mut out.sparse),
                                     events: std::mem::take(&mut out.events),
-                                    ..ChunkOut::default()
+                                    ..Tables::default()
                                 };
                                 *tallies[k].lock().expect("chunk tally poisoned") = Some(tally);
                                 scratch = out;
@@ -1856,7 +1959,7 @@ fn sweep_all(
     }
     drop(bands);
     let narrays = plan.layout.boxes.len();
-    let mut merged = ChunkOut {
+    let mut merged = Tables {
         iters: 0,
         accesses: vec![0; narrays],
         first,
@@ -1876,15 +1979,13 @@ fn sweep_all(
         for (total, add) in merged.accesses.iter_mut().zip(&tally.accesses) {
             *total += add;
         }
-        for (bm, cm) in merged.sparse.iter_mut().zip(tally.sparse) {
-            if bm.is_empty() {
-                *bm = cm;
+        for (a, map) in tally.sparse.into_iter().enumerate() {
+            if merged.sparse[a].is_empty() {
+                merged.sparse[a] = map;
                 continue;
             }
-            for (key, (f, l)) in cm {
-                let cell = bm.entry(key).or_insert((f, l));
-                *cell = (cell.0.min(f), cell.1.max(l));
-            }
+            map.into_iter()
+                .for_each(|(key, stamps)| merged.touch(a, None, key, stamps, 0));
         }
         events.extend(tally.events.into_iter().map(|mut e| {
             e.ord.0 = 1 + k as u64;
@@ -1925,23 +2026,100 @@ fn flush_sweep_events(
     sink.record_all(out);
 }
 
-/// Merged pass-1 touch tables of one nest in nest-local 32-bit time —
-/// everything the program engine needs to rebase the nest onto a global
-/// timeline. `boxes[a]` is the dense box backing the tables'
-/// `first[a]`/`last[a]` lanes (a cell is touched iff
-/// `first[a][off] != UNTOUCHED`), in element coordinates unless
-/// `splits[a]` says how its cells map back to elements; `refs[a]` is the
-/// nest's reference count of array `a`.
-pub(crate) struct NestPass1 {
+/// Pass-1 touch tables with their boxes: one nest's, merged, in
+/// nest-local 32-bit time, or a whole program's, its nests folded in with
+/// 64-bit program time ([`Pass1::program`]). `boxes[a]` is the dense box
+/// backing the tables' `first[a]`/`last[a]` lanes (a cell is touched iff
+/// its `first` is not [`Stamp::UNTOUCHED`]), in element coordinates
+/// unless `splits[a]` says how its cells map back to elements; `refs[a]`
+/// is the most references to array `a` one iteration makes.
+pub(crate) struct Pass1<S = u32> {
     boxes: Vec<Option<ElementBox>>,
     splits: Vec<Option<Delinearized>>,
     pub refs: Vec<u32>,
-    pub tables: ChunkOut,
+    pub tables: Tables<S>,
 }
 
-impl NestPass1 {
-    fn new(plan: Plan, tables: ChunkOut) -> Self {
-        NestPass1 {
+impl Pass1<u64> {
+    /// The untouched tables of a program whose nests swept into `nests`
+    /// (`None`: a nest that failed). Each array's box is the union of its
+    /// nest boxes, unless the union fails the table budget or is more
+    /// than [`SPARSITY_FACTOR`] times larger than the boxes it absorbs
+    /// (far-apart nests): then every touch of the array goes through its
+    /// map. A delinearized nest box holds cells, not elements, and stays
+    /// out of the union; [`Self::absorb`] decodes its cells.
+    pub(crate) fn program(
+        narrays: usize,
+        nests: &[Option<Pass1>],
+        max_table_bytes: Option<u64>,
+    ) -> Self {
+        let mut room = budget_cells::<u64>(max_table_bytes, 1);
+        let boxes: Vec<Option<ElementBox>> = (0..narrays)
+            .map(|a| {
+                let nest_boxes = || nests.iter().flatten().filter_map(|np| np.element_box(a));
+                let absorbed: u128 = nest_boxes().map(ElementBox::cells).sum();
+                let cap = room.min(sparsity_cap(absorbed));
+                let bx = ElementBox::new(&range_union(nest_boxes().map(box_ranges))?);
+                (1..=cap).contains(&bx.cells()).then(|| {
+                    room -= bx.cells();
+                    bx
+                })
+            })
+            .collect();
+        let mut tables = Tables::default();
+        tables.reset(&boxes);
+        Pass1 {
+            boxes,
+            splits: vec![None; narrays],
+            refs: vec![0; narrays],
+            tables,
+        }
+    }
+
+    /// Folds nest `np`'s tables in after the nests folded so far: its
+    /// stamps shift to start at the program time they reached. Nests fold
+    /// in program order, so an element's `first` comes from the earliest
+    /// nest touching it and its `last` from the latest.
+    pub(crate) fn absorb(&mut self, np: &Pass1) {
+        let t0 = self.tables.iters;
+        for (a, bx) in self.boxes.iter().enumerate() {
+            self.refs[a] = self.refs[a].max(np.refs[a]);
+            if np.tables.accesses[a] == 0 {
+                continue;
+            }
+            let tables = &mut self.tables;
+            tables.accesses[a] += np.tables.accesses[a];
+            match (np.element_box(a), bx) {
+                (Some(nest_bx), Some(bx)) => {
+                    let (into_first, into_last) = (&mut tables.first[a], &mut tables.last[a]);
+                    let (first, last) = (&np.tables.first[a], &np.tables.last[a]);
+                    window_rows(bx, nest_bx, |dst, src, len| {
+                        fold_row(
+                            &mut into_first[dst..dst + len],
+                            &mut into_last[dst..dst + len],
+                            &first[src..src + len],
+                            &last[src..src + len],
+                            t0,
+                        )
+                    });
+                }
+                // The union was refused, or the nest's cells are
+                // delinearized: its touched cells go in by element.
+                _ => np.touched_elements(a, |element, f, l| {
+                    tables.touch(a, bx.as_ref(), element, (f, l), t0);
+                }),
+            }
+            for (element, &stamps) in &np.tables.sparse[a] {
+                tables.touch(a, bx.as_ref(), element.clone(), stamps, t0);
+            }
+        }
+        self.tables.iters += np.tables.iters;
+    }
+}
+
+impl Pass1 {
+    fn new(plan: Plan, tables: Tables) -> Self {
+        Pass1 {
             refs: plan.ref_counts(),
             boxes: plan.layout.boxes,
             splits: plan.splits,
@@ -1951,13 +2129,13 @@ impl NestPass1 {
 
     /// The box of array `a`'s dense lanes when its cells are elements:
     /// `None` for a hashmap array and for a delinearized one.
-    pub(crate) fn element_box(&self, a: usize) -> Option<&ElementBox> {
+    fn element_box(&self, a: usize) -> Option<&ElementBox> {
         self.boxes[a].as_ref().filter(|_| self.splits[a].is_none())
     }
 
     /// Calls `emit(element, first, last)` for each touched dense cell of
     /// array `a`, decoded through the split when it was delinearized.
-    pub(crate) fn touched_elements(&self, a: usize, mut emit: impl FnMut(Vec<i64>, u32, u32)) {
+    fn touched_elements(&self, a: usize, mut emit: impl FnMut(Vec<i64>, u32, u32)) {
         let Some(bx) = &self.boxes[a] else { return };
         let mut cell = vec![0i64; bx.lo().len()];
         let lanes = self.tables.first[a].iter().zip(&self.tables.last[a]);
@@ -1981,7 +2159,7 @@ impl NestPass1 {
     /// Pass 2 of a nest simulation: per-array and total MWS (and the
     /// profile when asked) through the window fold.
     pub(crate) fn finish(self, want_profile: bool) -> SimResult {
-        let fold = self.tables.fold(&self.refs, true, want_profile);
+        let fold = self.tables.fold(&self.refs, true, want_profile, &[]);
         let mws = fold.mws.expect("per-array fold");
         let accesses = &self.tables.accesses;
         let per_array = (0..self.refs.len())
@@ -2132,10 +2310,10 @@ fn prefix_mws(nest: &LoopNest, quota: u64, max_table_bytes: Option<u64>) -> Opti
         &tracker,
         Some(quota),
         false,
-        ChunkOut::default(),
+        Tables::default(),
     );
     let out = out.ok()?;
-    Some(out.fold(&plan.ref_counts(), false, false).mws_total)
+    Some(out.fold(&plan.ref_counts(), false, false, &[]).mws_total)
 }
 
 /// The `Exhausted` payload after a budget trip: when the trip has a
@@ -2233,7 +2411,7 @@ pub(crate) fn try_pass1(
     threads: usize,
     tracker: &BudgetTracker,
     reported: bool,
-) -> Result<NestPass1, AnalysisError> {
+) -> Result<Pass1, AnalysisError> {
     if let Some(cap) = tracker.max_table_bytes() {
         if estimated_iterations_of(nest).saturating_mul(4) > cap as u128 {
             return Err(AnalysisError::Exhausted {
@@ -2249,7 +2427,7 @@ pub(crate) fn try_pass1(
         Ok(sweep_all(nest, nest_index, threads, tracker, reported))
     })?;
     match swept {
-        Ok((plan, merged)) => Ok(NestPass1::new(plan, merged)),
+        Ok((plan, merged)) => Ok(Pass1::new(plan, merged)),
         Err(SweepError::Trip(reason)) => Err(AnalysisError::Exhausted {
             reason,
             partial: if reported {
@@ -2418,7 +2596,7 @@ mod tests {
                 let tracker = BudgetTracker::unlimited();
                 let np = try_pass1(0, &parse(src).unwrap(), 1, &tracker, true).unwrap();
                 for per_array in [false, true] {
-                    let f = np.tables.fold(&np.refs, per_array, false);
+                    let f = np.tables.fold(&np.refs, per_array, false, &[]);
                     assert_eq!(f.path, path, "{class}:\n{src}");
                     assert!(
                         f.scratch_bytes <= 4 * np.tables.iters,
@@ -2639,19 +2817,11 @@ mod tests {
                 .unwrap()
                 .expect("the nest splits");
             let sweep = |part: &Part| {
-                sweep_chunk(
-                    &nest,
-                    &plan,
-                    part,
-                    &tracker,
-                    None,
-                    false,
-                    ChunkOut::default(),
-                )
-                .unwrap_or_else(|(e, _)| panic!("{e:?}"))
+                sweep_chunk(&nest, &plan, part, &tracker, None, false, Tables::default())
+                    .unwrap_or_else(|(e, _)| panic!("{e:?}"))
             };
             let whole = sweep(&Part::whole(&nest, &plan));
-            let chunks: Vec<ChunkOut> = split
+            let chunks: Vec<Tables> = split
                 .chunks
                 .iter()
                 .zip(&split.windows)
@@ -2688,6 +2858,26 @@ mod tests {
                     "{src}: {order:?}"
                 );
             }
+        }
+    }
+
+    /// The 900,000-byte cap's per-worker share holds the 30,000-cell table
+    /// of `A` for up to 2 workers. More workers would send it to the
+    /// hashmap; the sweep keeps the table and runs on one worker instead.
+    #[test]
+    fn more_workers_keep_a_table_one_worker_holds() {
+        let nest = parse(
+            "array A[301][101]\n\
+             for t = 1 to 7 { for i = 1 to 300 { for j = 1 to 100 { A[i][j] = A[i][j] + 1; } } }",
+        )
+        .unwrap();
+        let budget = AnalysisBudget::unlimited().with_max_table_bytes(900_000);
+        for threads in 1..=4 {
+            let s = schedule(&nest, threads, &BudgetTracker::new(&budget), false).unwrap();
+            assert!(s.plan.layout.boxes[0].is_some(), "t = {threads}");
+            assert_eq!(s.workers, if threads <= 2 { threads } else { 1 });
+            let sim = try_simulate_with_threads(&nest, false, threads, &budget).unwrap();
+            assert_eq!(sim.mws_total, 30_000, "t = {threads}");
         }
     }
 

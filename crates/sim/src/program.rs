@@ -10,42 +10,24 @@
 //! dense engine's pass 1 (`dense::try_pass1` — flat touch tables,
 //! work-stealing chunks) in nest-local time, so the nests sweep
 //! concurrently on [`shard_map`](crate::dense::shard_map)'s scoped pool,
-//! whose workers pull nest indices from an atomic queue. The
-//! per-nest tables then fold into per-array *global* tables in execution
-//! order with cumulative time offsets (the earliest nest keeps `first`,
-//! the latest overwrites `last`), which reproduces the serial global-time
-//! sweep bit for bit regardless of the worker count. Each global table is
-//! a dense lane over the union of the nest boxes when that union stays
-//! within budget; touches outside it (hashmap-fallback arrays, wildly
-//! disjoint nest boxes) land in a per-array overflow map keyed by
-//! coordinates. A nest table the planner delinearized holds cells, not
-//! elements: it stays out of the union, and its touched cells decode
-//! back to element coordinates on their way into the global table.
+//! whose workers pull nest indices from an atomic queue. The per-nest
+//! tables then fold, in execution order, into the program's tables
+//! (`Pass1::program` and `Pass1::absorb`): the dense engine's own tables,
+//! in program time. Each nest's stamps shift by the iterations before it
+//! and fold by the `min`/`max` row kernel that folds a split sweep's
+//! chunks, so the result is the serial program-time sweep's, bit for
+//! bit, whatever the worker count.
 //!
 //! Pass 2 is the window fold of [`crate::fold`], run once per nest over
-//! its own tables (the per-nest MWS) and once over the global tables with
-//! the nest boundaries as time marks (total MWS, boundary live sets,
+//! its own tables (the per-nest MWS) and once over the program's tables
+//! with the nest boundaries as time marks (total MWS, boundary live sets,
 //! live-through counts and the peak's nest).
 
 use crate::budget::{analytic_nest_bounds, analytic_program_bounds, BudgetTracker};
-use crate::dense::{shard_map, try_pass1, NestPass1, UNTOUCHED};
-use crate::fold::{fold, FoldSpec, Stamps};
-use loopmem_ir::{AnalysisError, ArrayId, Bounds, BoundsMethod, ElementBox, Program, TripReason};
+use crate::dense::{shard_map, try_pass1, Pass1};
+use loopmem_ir::{AnalysisError, ArrayId, Bounds, BoundsMethod, Program, TripReason};
 use loopmem_obs::{Phase, TraceEvent};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-
-/// Global-time "never touched" sentinel for the `first` slot.
-const NEVER: u64 = u64::MAX;
-
-/// Byte budget for all global dense tables of one program (16 bytes per
-/// cell: a `(u64, u64)` first/last pair).
-const GLOBAL_DENSE_BUDGET_BYTES: u128 = 768 << 20;
-
-/// A union box may be at most this many times larger than the summed
-/// per-nest table sizes; beyond that the nests touch far-apart regions
-/// and the overflow map is both smaller and not meaningfully slower.
-const UNION_SPARSITY_FACTOR: u128 = 64;
 
 /// Result of simulating a program.
 #[derive(Clone, Debug)]
@@ -102,7 +84,7 @@ fn try_sweep_nests_sharded(
     program: &Program,
     threads: usize,
     tracker: &BudgetTracker,
-) -> Vec<Result<NestPass1, AnalysisError>> {
+) -> Vec<Result<Pass1, AnalysisError>> {
     let nests = program.nests();
     let threads = threads.max(1);
     let (workers, per_nest) = if nests.len() == 1 || tracker.trips_on_count() {
@@ -116,175 +98,6 @@ fn try_sweep_nests_sharded(
     })
 }
 
-/// Global first/last table of one array: a dense lane over the union of
-/// the nest boxes (when affordable) plus an overflow map for everything
-/// outside it. Times are global (u64) — a program may exceed the per-nest
-/// u32 iteration budget. `touched` counts the elements recorded so far.
-struct GlobalTable {
-    bx: Option<ElementBox>,
-    cells: Vec<(u64, u64)>,
-    overflow: HashMap<Vec<i64>, (u64, u64)>,
-    touched: u64,
-}
-
-impl GlobalTable {
-    fn touch_cell(&mut self, off: usize, f: u64, l: u64) {
-        let cell = &mut self.cells[off];
-        if cell.0 == NEVER {
-            *cell = (f, l);
-            self.touched += 1;
-        } else {
-            cell.1 = l;
-        }
-    }
-
-    fn touch_coords(&mut self, coords: Vec<i64>, f: u64, l: u64) {
-        if let Some(off) = self.bx.as_ref().and_then(|bx| bx.flatten(&coords)) {
-            self.touch_cell(off, f, l);
-            return;
-        }
-        match self.overflow.entry(coords) {
-            Entry::Occupied(mut e) => e.get_mut().1 = l,
-            Entry::Vacant(e) => {
-                e.insert((f, l));
-                self.touched += 1;
-            }
-        }
-    }
-}
-
-/// The folded global tables as pass-2 stamps.
-struct GlobalStamps<'a>(&'a [GlobalTable]);
-
-impl Stamps for GlobalStamps<'_> {
-    fn array(&self, a: usize, mut emit: impl FnMut(u64, u64)) -> u64 {
-        let g = &self.0[a];
-        for &(f, l) in &g.cells {
-            if f != NEVER {
-                emit(f, l);
-            }
-        }
-        for &(f, l) in g.overflow.values() {
-            emit(f, l);
-        }
-        g.touched
-    }
-}
-
-/// Chooses each array's global box: the per-dimension union of the nest
-/// boxes, unless the union blows the byte budget or is far sparser than
-/// the tables it absorbs (disjoint nest boxes) — then `None`, and every
-/// touch of the array goes through the overflow map.
-fn plan_global_tables(
-    narrays: usize,
-    per_nest: &[Option<NestPass1>],
-    max_table_bytes: Option<u64>,
-) -> Vec<GlobalTable> {
-    let budget_bytes = match max_table_bytes {
-        Some(cap) => GLOBAL_DENSE_BUDGET_BYTES.min(cap as u128),
-        None => GLOBAL_DENSE_BUDGET_BYTES,
-    };
-    let mut budget = budget_bytes / 16;
-    (0..narrays)
-        .map(|a| {
-            let mut union: Option<Vec<(i64, i64)>> = None;
-            let mut absorbed: u128 = 0;
-            for np in per_nest.iter().flatten() {
-                // Delinearized cells are not elements: `assemble` decodes
-                // them instead.
-                let Some(bx) = np.element_box(a) else {
-                    continue;
-                };
-                absorbed += bx.cells();
-                // A nest box always has extents >= 1 per dimension, but the
-                // upper corner `lo + extent - 1` can still leave `i64` for
-                // planner-saturated boxes; saturate rather than overflow
-                // (the union is only used conservatively).
-                let ranges: Vec<(i64, i64)> = bx
-                    .lo()
-                    .iter()
-                    .zip(bx.extents())
-                    .map(|(&l, &e)| (l, l.saturating_add(e.saturating_sub(1))))
-                    .collect();
-                match &mut union {
-                    slot @ None => *slot = Some(ranges),
-                    Some(acc) => {
-                        for (u, r) in acc.iter_mut().zip(&ranges) {
-                            u.0 = u.0.min(r.0);
-                            u.1 = u.1.max(r.1);
-                        }
-                    }
-                }
-            }
-            let bx = union.as_deref().map(ElementBox::new).filter(|bx| {
-                let cells = bx.cells();
-                cells > 0
-                    && cells <= budget
-                    && cells
-                        <= absorbed
-                            .saturating_mul(UNION_SPARSITY_FACTOR)
-                            .saturating_add(4096)
-            });
-            let cells = match &bx {
-                Some(bx) => {
-                    budget -= bx.cells();
-                    vec![(NEVER, 0u64); bx.cells() as usize]
-                }
-                None => Vec::new(),
-            };
-            GlobalTable {
-                bx,
-                cells,
-                overflow: HashMap::new(),
-                touched: 0,
-            }
-        })
-        .collect()
-}
-
-/// Folds one nest's dense lanes (over `nest_bx`, nest-local time) into the
-/// array's global table, rebasing times by `t0`. The nest box is a
-/// sub-box of the global box by construction, so the walk keeps a running
-/// global offset like an odometer — no per-cell division.
-fn fold_dense_table(
-    nest_bx: &ElementBox,
-    first: &[u32],
-    last: &[u32],
-    g: &mut GlobalTable,
-    t0: u64,
-) {
-    let gbx =
-        g.bx.as_ref()
-            .expect("dense fold target must have a global box");
-    let rank = nest_bx.lo().len();
-    let ext = nest_bx.extents();
-    let gs = gbx.strides().to_vec();
-    let mut goff: usize = 0;
-    for ((&nlo, &glo), &s) in nest_bx.lo().iter().zip(gbx.lo()).zip(&gs) {
-        goff += (nlo - glo) as usize * s as usize;
-    }
-    let mut idx = vec![0i64; rank];
-    for (&f, &l) in first.iter().zip(last) {
-        if f != UNTOUCHED {
-            g.touch_cell(goff, f as u64 + t0, l as u64 + t0);
-        }
-        let mut d = rank - 1;
-        loop {
-            idx[d] += 1;
-            goff += gs[d] as usize;
-            if idx[d] < ext[d] {
-                break;
-            }
-            goff -= ext[d] as usize * gs[d] as usize;
-            idx[d] = 0;
-            if d == 0 {
-                break;
-            }
-            d -= 1;
-        }
-    }
-}
-
 /// Fold + pass-2 sweep over per-nest pass-1 tables. `None` slots are nests
 /// whose governed sweep failed: they contribute zero iterations and no
 /// touches, so the result is the exact simulation of the program restricted
@@ -292,73 +105,36 @@ fn fold_dense_table(
 /// dropping accesses only shrinks windows).
 fn assemble(
     narrays: usize,
-    per_nest: Vec<Option<NestPass1>>,
+    per_nest: Vec<Option<Pass1>>,
     max_table_bytes: Option<u64>,
 ) -> ProgramSimResult {
-    // Fold the per-nest tables in execution order, rebasing nest-local
-    // times by the cumulative iteration count: an element's `first` comes
-    // from the earliest nest touching it, `last` from the latest.
+    // Fold the per-nest tables into the program's in execution order, each
+    // from the program time the nests before it reached.
     let nnests = per_nest.len();
-    let mut tables = plan_global_tables(narrays, &per_nest, max_table_bytes);
+    let mut program = Pass1::program(narrays, &per_nest, max_table_bytes);
     let mut per_nest_iterations = Vec::with_capacity(nnests);
     let mut per_nest_mws = Vec::with_capacity(nnests);
-    // Per array, the most references any one nest makes to it: one global
-    // iteration runs one nest, so this bounds the global lane's step.
-    let mut refs = vec![0u32; narrays];
-    let mut nest_end = Vec::with_capacity(nnests); // global t after each nest
-    let mut t = 0u64;
-    for np_slot in per_nest {
-        let Some(np) = np_slot else {
-            per_nest_iterations.push(0);
-            per_nest_mws.push(0);
-            nest_end.push(t);
-            continue;
-        };
+    let mut nest_end = Vec::with_capacity(nnests); // program time after each nest
+    for np in per_nest {
+        let start = program.tables.iters;
         // Exact single-nest MWS straight off the nest's own tables, the
         // same fold `simulate` runs: no re-sweep of the iteration space.
-        per_nest_mws.push(np.tables.fold(&np.refs, false, false).mws_total);
-        for (r, &nr) in refs.iter_mut().zip(&np.refs) {
-            *r = (*r).max(nr);
-        }
-        for (a, g) in tables.iter_mut().enumerate() {
-            if np.tables.accesses[a] == 0 {
-                continue;
-            }
-            match (np.element_box(a), &g.bx) {
-                (Some(nest_bx), Some(_)) => {
-                    fold_dense_table(nest_bx, &np.tables.first[a], &np.tables.last[a], g, t);
-                }
-                // Union box rejected, or the nest's cells delinearized:
-                // the touched cells go in by element coordinates.
-                _ => np.touched_elements(a, |element, f, l| {
-                    g.touch_coords(element, f as u64 + t, l as u64 + t);
-                }),
-            }
-            for (coords, &(f, l)) in &np.tables.sparse[a] {
-                g.touch_coords(coords.clone(), f as u64 + t, l as u64 + t);
-            }
-        }
-        t += np.tables.iters;
-        per_nest_iterations.push(np.tables.iters);
-        nest_end.push(t);
+        per_nest_mws.push(np.map_or(0, |np| {
+            program.absorb(&np);
+            np.tables.fold(&np.refs, false, false, &[]).mws_total
+        }));
+        per_nest_iterations.push(program.tables.iters - start);
+        nest_end.push(program.tables.iters);
     }
 
-    // Pass 2 over global time, with every nest start and end as a time
+    // Pass 2 over program time, with every nest start and end as a time
     // boundary `b` (`live_at[b]`: elements with `first < b ≤ last`):
     // `boundary_live` is the live set at each internal nest end, and
     // nest `k`'s live-through is `|in_k ∪ out_k| = in_k + out_k − cross_k`,
     // where `in_k`/`out_k` are the live sets at its start/end and `cross_k`
     // the elements live across both.
     let bounds: Vec<u64> = std::iter::once(0).chain(nest_end.iter().copied()).collect();
-    let spec = FoldSpec {
-        iters: t,
-        refs: &refs,
-        elements: tables.iter().map(|g| g.touched).sum(),
-        per_array: false,
-        profile: false,
-        bounds: &bounds,
-    };
-    let fold = fold(&spec, &GlobalStamps(&tables));
+    let fold = program.tables.fold(&program.refs, false, false, &bounds);
     let boundary_live = fold.live_at[1..nnests.max(1)].to_vec();
     let live_through = (0..nnests)
         .map(|k| fold.live_at[k] + fold.live_at[k + 1] - fold.live_across[k])
@@ -474,7 +250,7 @@ pub fn try_simulate_program_tracked(
     }
 
     let mut per_nest: Vec<Result<u64, AnalysisError>> = Vec::with_capacity(results.len());
-    let slots: Vec<Option<NestPass1>> = results
+    let slots: Vec<Option<Pass1>> = results
         .into_iter()
         .map(|r| match r {
             Ok(np) => {
@@ -687,6 +463,27 @@ mod tests {
         assert_eq!(ps.boundary_live, vec![0, 16]);
         assert_eq!(ps.live_through, vec![0, 16, 16]);
         assert_eq!(ps.peak_nest, 1);
+    }
+
+    /// Program time outgrows the nests' 32-bit clocks: two nests of
+    /// 2.2·10⁹ iterations each, 4.4·10⁹ in all, answered exactly. Every X
+    /// element lives from its row of nest 0 to its row of nest 1.
+    #[test]
+    fn program_past_the_u32_clock_is_exact() {
+        let p = parse_program(
+            "array X[1001]\narray Y[1001]\n\
+             for i = 1 to 1000 { for j = 1 to 2200000 { X[i]; } }\n\
+             for i = 1 to 1000 { for j = 1 to 2200000 { X[i] = Y[i]; } }",
+        )
+        .unwrap();
+        for threads in [1, 2] {
+            let ps = simulate_program(&p, threads);
+            assert_eq!(ps.per_nest_iterations, vec![2_200_000_000; 2]);
+            assert_eq!(ps.mws_total, 1001);
+            assert_eq!(ps.boundary_live, vec![1000]);
+            assert_eq!(ps.per_nest_mws, vec![1, 2]);
+            assert_eq!(ps.live_through, vec![1000, 1000]);
+        }
     }
 
     #[test]

@@ -128,9 +128,9 @@ fn assert_same(a: &ProgramSimResult, b: &ProgramSimResult) {
     assert_eq!(a.peak_nest, b.peak_nest);
 }
 
-/// Paper-kernel-shaped programs plus a triangular-nest program and a
-/// delinearized one; the batch engine must match the reference for
-/// t ∈ {1, 2, 4}.
+/// Paper-kernel-shaped programs plus a triangular-nest program, a
+/// delinearized one, one with a hashmap nest and one whose union box is
+/// refused; the batch engine must match the reference for t ∈ {1, 2, 4}.
 fn programs() -> Vec<Program> {
     [
         // Example 8's reuse kernel feeding a consumer nest.
@@ -156,6 +156,23 @@ fn programs() -> Vec<Program> {
         "array X[3000000031]\n\
          for i = 1 to 30 { for j = 1 to 30 { X[100000000i + j] = X[100000000i + j - 1]; } }\n\
          for k = 100000001 to 100000020 { X[k]; }",
+        // A hashmap nest (no split fits `100000007i + 99999989j`), then a
+        // delinearized nest reading 10 of its elements, then a dense
+        // window holding two of them: the program's table over X is that
+        // window, and the rest of the touches land in its map.
+        "array X[2600000000]\n\
+         for i = 1 to 20 { for j = 1 to 5 { X[100000007i + 99999989j]; } }\n\
+         for i = 1 to 10 { X[100000007i + 99999989]; }\n\
+         for k = 299999980 to 300000010 { X[k]; }",
+        // Two far-apart ranges of one array, each touched and read again:
+        // their union spans 900,100 cells for 400 absorbed ones, so the
+        // program keeps no table over X and every touch goes through the
+        // map.
+        "array X[900101]\n\
+         for i = 1 to 100 { X[i] = X[i] + 1; }\n\
+         for i = 900001 to 900100 { X[i] = X[i] + 1; }\n\
+         for i = 1 to 100 { X[i]; }\n\
+         for i = 900001 to 900100 { X[i]; }",
     ]
     .iter()
     .map(|src| parse_program(src).unwrap())
